@@ -51,9 +51,9 @@ from .data import (
 )
 from .weaksup import (
     PUConfig,
-    cs_pu_loss_term,
     inject_uniform_noise,
     make_pu_dataset,
+    pu_loss_term,
     pu_risk_nn,
     pu_risk_unbiased,
     train_pu,
@@ -109,9 +109,9 @@ __all__ = [
     "standardize",
     "twonorm_spec",
     "PUConfig",
-    "cs_pu_loss_term",
     "inject_uniform_noise",
     "make_pu_dataset",
+    "pu_loss_term",
     "pu_risk_nn",
     "pu_risk_unbiased",
     "train_pu",

@@ -8,12 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_softmax, softmax as _softmax
 
-from .core import REASON_DISTANCE, Dataset, Decision, RejectionCost, compute_metrics
+from .core import CODE_DISTANCE, Dataset, Decision, RejectionCost, zero_one_c_risk
 
 
-def softmax(g: np.ndarray, T: float = 1.0) -> np.ndarray:
-    """Temperature-scaled softmax, stabilized by max subtraction."""
-    if T <= 0:
+def softmax(g: np.ndarray, T=1.0) -> np.ndarray:
+    """Temperature-scaled softmax over the last axis, stabilized by max subtraction; T may be an array."""
+    if np.any(np.asarray(T) <= 0):
         raise ValueError("temperature must be positive")
     g = np.asarray(g, dtype=float)
     return _softmax(g / T, axis=-1)
@@ -26,6 +26,23 @@ def default_candidates() -> list[float]:
     scale cannot reach 0, so the low end is pinned at 1e-3.
     """
     return list(np.geomspace(1e-3, 1.0, 20)) + [float(k) for k in range(2, 11)]
+
+
+def tune_threshold(decide_all, labels, cost: RejectionCost, candidates=None) -> float:
+    """Pick the candidate minimizing the 0-1-c risk of its decisions; ties go low.
+
+    decide_all maps the sorted candidates, an (m,) array, to (m, n) decision
+    codes, so every candidate is scored from one score matrix.
+    """
+    candidates = sorted(default_candidates() if candidates is None else candidates)
+    if not candidates:
+        raise ValueError("empty candidate list")
+    risks = zero_one_c_risk(decide_all(np.asarray(candidates, dtype=float)), labels, cost)
+    best, best_risk = None, np.inf
+    for candidate, risk in zip(candidates, risks):
+        if risk < best_risk - 1e-15:
+            best, best_risk = candidate, risk
+    return float(best)
 
 
 # ---------------------------------------------------------------------------
@@ -51,31 +68,20 @@ def sce_loss_batch(G: np.ndarray, y: np.ndarray):
     return losses, dG
 
 
+def sce_decide_batch(G: np.ndarray, T, cost: RejectionCost) -> np.ndarray:
+    """Plug-in Chow rule, as codes: reject (0) when the largest softmax probability is at most 1 - c."""
+    P = softmax(G, T)
+    return np.where(P.max(axis=-1) <= 1.0 - cost.c, CODE_DISTANCE, P.argmax(axis=-1) + 1)
+
+
 def sce_decide(g: np.ndarray, T: float, cost: RejectionCost) -> Decision:
-    """Plug-in Chow rule on the temperature-scaled softmax confidence."""
-    p = softmax(g, T)
-    if p.max() <= 1.0 - cost.c:
-        return Decision.reject(REASON_DISTANCE)
-    return Decision.predict(int(np.argmax(p)) + 1)
+    return Decision.from_code(sce_decide_batch(g, T, cost))
 
 
 def tune_temperature(model, val: Dataset, cost: RejectionCost, candidates=None) -> float:
-    """Pick the candidate minimizing validation 0-1-c risk; ties go low."""
-    if candidates is None:
-        candidates = default_candidates()
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty candidate list")
-    if val.n == 0:
-        raise ValueError("empty validation set")
+    """Pick the temperature minimizing validation 0-1-c risk; ties go low."""
     G = model.scores(val.X)
-    best_T, best_risk = None, np.inf
-    for T in sorted(candidates):
-        decisions = [sce_decide(g, T, cost) for g in G]
-        risk = compute_metrics(decisions, val.y, cost).risk01c
-        if risk < best_risk - 1e-15:
-            best_T, best_risk = T, risk
-    return float(best_T)
+    return tune_threshold(lambda Ts: sce_decide_batch(G, Ts[:, None, None], cost), val.y, cost, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +123,17 @@ def defer_loss_batch(cost: RejectionCost):
     return batch
 
 
-def defer_decide(g: np.ndarray) -> Decision:
-    """Reject only on a strict argmax at the augmented index K+1."""
-    g = np.asarray(g, dtype=float)
+def defer_decide_batch(G: np.ndarray) -> np.ndarray:
+    """Reject (0) only on a strict argmax at the augmented index K+1, as codes."""
+    G = np.asarray(G, dtype=float)
     # argmax prefers the earliest index, so a tie between a class and the
     # rejection slot already resolves to the class
-    k = int(np.argmax(g))
-    if k == len(g) - 1:
-        return Decision.reject(REASON_DISTANCE)
-    return Decision.predict(k + 1)
+    k = G.argmax(axis=-1)
+    return np.where(k == G.shape[-1] - 1, CODE_DISTANCE, k + 1)
+
+
+def defer_decide(g: np.ndarray) -> Decision:
+    return Decision.from_code(defer_decide_batch(g))
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +234,23 @@ def soft_threshold(v, delta: float):
     return np.sign(v) * np.maximum(np.abs(v) - delta, 0.0)
 
 
+def angle_decide_batch(G: np.ndarray, vertices: np.ndarray, delta) -> np.ndarray:
+    """Reject (0) when every soft-thresholded vertex projection is zero, as codes.
+
+    soft_threshold(v, delta) vanishes exactly when |v| <= delta; delta may be
+    an array that broadcasts against G's leading axes.
+    """
+    if np.any(np.asarray(delta) < 0):
+        raise ValueError("delta must be non-negative")
+    proj = np.asarray(G, dtype=float) @ vertices.T
+    return np.where(np.abs(proj).max(axis=-1) <= delta, CODE_DISTANCE, proj.argmax(axis=-1) + 1)
+
+
 def angle_decide(g: np.ndarray, config: AngleConfig) -> Decision:
-    """Reject when every soft-thresholded vertex projection is zero."""
-    proj = config.vertices @ np.asarray(g, dtype=float)
-    if (soft_threshold(proj, config.delta) == 0).all():
-        return Decision.reject(REASON_DISTANCE)
-    return Decision.predict(int(np.argmax(proj)) + 1)
+    return Decision.from_code(angle_decide_batch(g, config.vertices, config.delta))
 
 
 def tune_delta(model, val: Dataset, cost: RejectionCost, config: AngleConfig, candidates=None) -> float:
     """Pick the threshold minimizing validation 0-1-c risk; ties go low."""
-    if candidates is None:
-        candidates = default_candidates()
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty candidate list")
-    if val.n == 0:
-        raise ValueError("empty validation set")
-    G = model.scores(val.X)
-    best_d, best_risk = None, np.inf
-    for delta in sorted(candidates):
-        cfg = AngleConfig(config.K, config.bend_slope, delta)
-        decisions = [angle_decide(g, cfg) for g in G]
-        risk = compute_metrics(decisions, val.y, cost).risk01c
-        if risk < best_risk - 1e-15:
-            best_d, best_risk = delta, risk
-    return float(best_d)
+    G, V = model.scores(val.X), config.vertices
+    return tune_threshold(lambda deltas: angle_decide_batch(G, V, deltas[:, None]), val.y, cost, candidates)

@@ -17,6 +17,8 @@ KINKS = {
     "ramp": (-1.0, 1.0),
 }
 KINK_EPS = 1e-3
+# model-level checks redraw their inputs at most this many times to stay off kinks
+KINK_DRAWS = 20
 
 
 def central_diff(f, x: float, h: float = 1e-6) -> float:
@@ -62,19 +64,35 @@ def _numeric_param_grad(model, objective, h: float = 1e-5):
     return grads
 
 
-def check_model_gradients(loss_batch, n_out: int, kind: str, seed: int = 0, d: int = 5, n: int = 8, tol: float = 1e-4):
-    """End-to-end analytic vs numeric gradient through a model; returns max rel error."""
+def check_model_gradients(
+    loss_batch, n_out: int, kind: str, seed: int = 0, d: int = 5, n: int = 8, tol: float = 1e-4,
+    n_labels: int | None = None, margins=None, kinks=(),
+):
+    """End-to-end analytic vs numeric gradient through a model; returns max rel error.
+
+    Labels are drawn from 1..n_labels (default n_out). Finite differences are
+    wrong across a kink, so the inputs are redrawn, up to KINK_DRAWS times,
+    while a value of margins(G) lies within KINK_EPS of one of `kinks` or an
+    MLP pre-activation lies within KINK_EPS of the ReLU kink at 0.
+    """
     rng = np.random.default_rng(seed)
     model = make_model(kind, d, n_out, rng)
-    X = rng.normal(size=(n, d))
-    y = rng.integers(1, n_out + 1, size=n) if n_out > 1 else np.ones(n, dtype=int)
+    n_labels = n_out if n_labels is None else n_labels
+    for _ in range(KINK_DRAWS):
+        X = rng.normal(size=(n, d))
+        y = rng.integers(1, n_labels + 1, size=n) if n_labels > 1 else np.ones(n, dtype=int)
+        G, cache = model.forward(X)
+        near = [margins(G) - k for k in kinks] if margins is not None else []
+        if kind == "mlp":
+            near.append(cache[1])  # the MLP cache is (X, pre-activation, hidden)
+        if all((np.abs(v) >= KINK_EPS).all() for v in near):
+            break
 
     def objective():
         G, _ = model.forward(X)
         losses, _ = loss_batch(G, y)
         return float(losses.mean())
 
-    G, cache = model.forward(X)
     _, dG = loss_batch(G, y)
     analytic = model.backward(cache, dG / n)
     numeric = _numeric_param_grad(model, objective)
@@ -96,41 +114,22 @@ def run_gradcheck(seed: int = 0):
         loss = MARGIN_LOSSES[name]
         batch = lambda G, y, _l=loss: cs_loss_batch(_l, cost, G, y)
         for kind in ("linear", "mlp"):
-            err, ok = check_model_gradients(batch, K, kind, seed=seed)
-            results[f"cs-{name}/{kind}"] = (err, ok)
+            # L_CS evaluates phi at g_y and at -g_y' for the other classes
+            results[f"cs-{name}/{kind}"] = check_model_gradients(
+                batch, K, kind, seed=seed, margins=lambda G: np.concatenate([G, -G]), kinks=KINKS.get(name, ())
+            )
 
-    results["sce/linear"] = check_model_gradients(baselines.sce_loss_batch, K, "linear", seed=seed)
-    results["sce/mlp"] = check_model_gradients(baselines.sce_loss_batch, K, "mlp", seed=seed)
-    results["defer/linear"] = check_model_gradients(baselines.defer_loss_batch(cost), K + 1, "linear", seed=seed)
-    results["defer/mlp"] = check_model_gradients(baselines.defer_loss_batch(cost), K + 1, "mlp", seed=seed)
+    for kind in ("linear", "mlp"):
+        results[f"sce/{kind}"] = check_model_gradients(baselines.sce_loss_batch, K, kind, seed=seed)
+        results[f"defer/{kind}"] = check_model_gradients(baselines.defer_loss_batch(cost), K + 1, kind, seed=seed)
 
+    # ANGLE scores live in R^{K-1}, its labels in 1..K, and its bent hinge
+    # has kinks at u = 0 and u = 1 of u = -V g
     a1, _ = baselines.bend_slopes(K, cost)
     angle_batch = baselines.angle_loss_batch(baselines.AngleConfig(K, a1))
-
-    def angle_batch_labels(G, y):
-        return angle_batch(G, y)
-
-    # labels for angle must be in 1..K while scores live in R^{K-1}
-    def angle_check(kind):
-        rng = np.random.default_rng(seed + 7)
-        model = make_model(kind, 5, K - 1, rng)
-        X = rng.normal(size=(8, 5))
-        y = rng.integers(1, K + 1, size=8)
-
-        def objective():
-            G, _ = model.forward(X)
-            return float(angle_batch(G, y)[0].mean())
-
-        G, cache = model.forward(X)
-        _, dG = angle_batch(G, y)
-        analytic = model.backward(cache, dG / len(X))
-        numeric = _numeric_param_grad(model, objective)
-        worst = 0.0
-        for key in analytic:
-            denom = np.maximum(1.0, np.abs(analytic[key]))
-            worst = max(worst, float((np.abs(analytic[key] - numeric[key]) / denom).max()))
-        return worst, worst < 1e-4
-
-    results["angle/linear"] = angle_check("linear")
-    results["angle/mlp"] = angle_check("mlp")
+    V = baselines.angle_vertices(K)
+    for kind in ("linear", "mlp"):
+        results[f"angle/{kind}"] = check_model_gradients(
+            angle_batch, K - 1, kind, seed=seed + 7, n_labels=K, margins=lambda G: -G @ V.T, kinks=(0.0, 1.0)
+        )
     return results

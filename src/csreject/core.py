@@ -1,4 +1,8 @@
-"""Shared primitives: labels, decisions, rejection cost, datasets, 0-1-c metric."""
+"""Shared primitives: labels, decisions, rejection cost, datasets, 0-1-c metric.
+
+Decisions travel as integer codes, one per row: 1..K predicts that class,
+CODE_DISTANCE (0), CODE_AMBIGUITY (-1) and CODE_ORACLE (-2) reject.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +14,14 @@ REASON_DISTANCE = "distance"
 REASON_AMBIGUITY = "ambiguity"
 REASON_ORACLE = "oracle"
 
+# a rejection's code is minus its index here
 _REASONS = (REASON_DISTANCE, REASON_AMBIGUITY, REASON_ORACLE)
+CODE_DISTANCE, CODE_AMBIGUITY, CODE_ORACLE = 0, -1, -2
 
 
 @dataclass(frozen=True)
 class Decision:
-    """Either predict a class label (1..K) or reject with a reason tag."""
+    """Either predict a class label (1..K) or reject with a reason tag: one decision code, viewed."""
 
     label: int | None = None
     reject_reason: str | None = None
@@ -35,6 +41,13 @@ class Decision:
     @classmethod
     def reject(cls, reason: str) -> "Decision":
         return cls(reject_reason=reason)
+
+    @classmethod
+    def from_code(cls, code) -> "Decision":
+        code = int(code)
+        if code < CODE_ORACLE:
+            raise ValueError(f"unknown decision code {code}")
+        return cls.predict(code) if code >= 1 else cls.reject(_REASONS[-code])
 
     @property
     def is_reject(self) -> bool:
@@ -105,40 +118,33 @@ def zero_one_c_loss(decision: Decision, label: int, cost: RejectionCost) -> floa
     return 0.0 if decision.label == label else 1.0
 
 
-def compute_metrics(decisions, labels, cost: RejectionCost) -> MetricsRecord:
-    """Aggregate the 0-1-c risk and its rejection/error decomposition."""
-    decisions = list(decisions)
-    labels = list(labels)
-    if len(decisions) != len(labels):
-        raise ValueError("decisions and labels must have equal length")
-    n = len(decisions)
+def zero_one_c_risk(codes, labels, cost: RejectionCost):
+    """Zero-one-c risk along the last axis of decision codes (..., n)."""
+    codes = np.asarray(codes)
+    reject = codes < 1
+    n_wrong = (~reject & (codes != np.asarray(labels))).sum(axis=-1)
+    return (cost.c * reject.sum(axis=-1) + n_wrong) / codes.shape[-1]
+
+
+def compute_metrics(codes, labels, cost: RejectionCost) -> MetricsRecord:
+    """Aggregate the 0-1-c risk and its rejection/error decomposition over decision codes."""
+    codes = np.asarray(codes, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    if codes.shape != labels.shape or codes.ndim != 1:
+        raise ValueError("decision codes and labels must be equal-length vectors")
+    n = len(codes)
     if n == 0:
         raise ValueError("cannot compute metrics on empty input")
 
-    n_dist = n_amb = n_oracle = n_wrong = 0
-    for dec, y in zip(decisions, labels):
-        if dec.is_reject:
-            if dec.reject_reason == REASON_DISTANCE:
-                n_dist += 1
-            elif dec.reject_reason == REASON_AMBIGUITY:
-                n_amb += 1
-            else:
-                n_oracle += 1
-        elif dec.label != y:
-            n_wrong += 1
-
-    n_reject = n_dist + n_amb + n_oracle
+    n_reject, n_wrong = int((codes < 1).sum()), int(((codes >= 1) & (codes != labels)).sum())
     n_accepted = n - n_reject
-    accepted_error = n_wrong / n_accepted if n_accepted > 0 else 0.0
-    rejection_ratio = n_reject / n
-    risk01c = (cost.c * n_reject + n_wrong) / n
     return MetricsRecord(
         n=n,
-        risk01c=risk01c,
-        rejection_ratio=rejection_ratio,
-        accepted_error=accepted_error,
-        n_reject_distance=n_dist,
-        n_reject_ambiguity=n_amb,
+        risk01c=float(zero_one_c_risk(codes, labels, cost)),
+        rejection_ratio=n_reject / n,
+        accepted_error=n_wrong / n_accepted if n_accepted > 0 else 0.0,
+        n_reject_distance=int((codes == CODE_DISTANCE).sum()),
+        n_reject_ambiguity=int((codes == CODE_AMBIGUITY).sum()),
         n_wrong_accepted=n_wrong,
         nothing_accepted=(n_accepted == 0),
     )

@@ -3,14 +3,16 @@ aggregation to mean +- standard error, and CSV emission."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines, data as data_mod, weaksup
-from .core import Dataset, Decision, MetricsRecord, RejectionCost, compute_metrics
+from .core import CODE_DISTANCE, Dataset, MetricsRecord, RejectionCost, compute_metrics
 from .losses import MARGIN_LOSSES, get_loss
 from .models import TrainConfig, make_model, train
 from .surrogate import cs_loss_batch, decide_batch
@@ -104,15 +106,30 @@ def dataset_info(name: str) -> DatasetInfo:
     if name == "gauss3":
         return DatasetInfo(name, K=3, model_kind="mlp", total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
-        loaded = data_mod.load_csv(name)
+        loaded = _csv_dataset(name)
         kind = "linear" if loaded.K == 2 else "mlp"
         return DatasetInfo(name, K=loaded.K, model_kind=kind, total_n=loaded.n, csv_path=name)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
 
 
+@functools.lru_cache(maxsize=8)
+def _parse_csv(path: str, mtime_ns: int, size: int) -> Dataset:
+    ds = data_mod.load_csv(path)
+    # every cell of the process shares these arrays, so nothing may write to them
+    ds.X.flags.writeable = False
+    ds.y.flags.writeable = False
+    return ds
+
+
+def _csv_dataset(path: str) -> Dataset:
+    """load_csv once per process; a changed modification time or size re-reads the file."""
+    st = os.stat(path)
+    return _parse_csv(path, st.st_mtime_ns, st.st_size)
+
+
 def _source_dataset(info: DatasetInfo, n: int, rng: np.random.Generator) -> Dataset:
     if info.csv_path is not None:
-        return data_mod.load_csv(info.csv_path)
+        return _csv_dataset(info.csv_path)
     ds, _ = data_mod.gen_gauss_mixture(info.spec, n, rng)
     return ds
 
@@ -147,36 +164,16 @@ def _loss_batch_for(method: str, K: int, cost: RejectionCost):
     raise ValueError(f"method {method!r} has no trainable loss")
 
 
-def _pu_loss_term(method: str, K: int, cost: RejectionCost):
-    batch = _loss_batch_for(method, K, cost)
-
-    def term(G, sign):
-        y = np.full(len(np.atleast_2d(G)), 1 if sign == +1 else 2)
-        return batch(np.atleast_2d(G), y)[0]
-
-    def grad(G, sign):
-        y = np.full(len(np.atleast_2d(G)), 1 if sign == +1 else 2)
-        return batch(np.atleast_2d(G), y)[1]
-
-    term.grad = grad
-    return term
-
-
-def _decisions(method: str, model, X, K: int, cost: RejectionCost, tuned: float | None) -> list[Decision]:
-    if method == "always-reject":
-        return [Decision.reject("distance")] * len(X)
-    G = model.scores(X)
+def _decisions(method: str, G: np.ndarray, K: int, cost: RejectionCost, tuned: float | None) -> np.ndarray:
+    """Decision codes of a trained method on its test scores G."""
     if method.startswith("cs-"):
         return decide_batch(G)
     if method == "sce":
-        T = tuned if tuned is not None else 1.0
-        return [baselines.sce_decide(g, T, cost) for g in G]
+        return baselines.sce_decide_batch(G, tuned if tuned is not None else 1.0, cost)
     if method == "defer":
-        return [baselines.defer_decide(g) for g in G]
+        return baselines.defer_decide_batch(G)
     if method == "angle":
-        a1, _ = baselines.bend_slopes(K, cost)
-        cfg = baselines.AngleConfig(K, a1, tuned if tuned is not None else 0.0)
-        return [baselines.angle_decide(g, cfg) for g in G]
+        return baselines.angle_decide_batch(G, baselines.angle_vertices(K), tuned if tuned is not None else 0.0)
     raise ValueError(method)
 
 
@@ -222,7 +219,7 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
         unlabeled = (unlabeled - scaler.mean) / scaler.scale
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
         model = make_model(info.model_kind, train_ds.d, _method_n_out(method, info.K), model_rng)
-        term = _pu_loss_term(method, info.K, cost)
+        term = weaksup.pu_loss_term(_loss_batch_for(method, info.K, cost))
         trace, _ = weaksup.train_pu(model, term, positives, unlabeled, grid.prior, config)
         test_eval = scaler.apply(test_ds)
         if method in ("sce", "angle"):
@@ -244,10 +241,14 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
     if trace and not np.isfinite(trace[-1]):
         flagged = True
 
-    decisions = _decisions(method, model, test_eval.X, info.K, cost, tuned)
-    metrics = compute_metrics(decisions, test_eval.y, cost)
-    if not np.isfinite(metrics.risk01c):
-        flagged = True
+    if model is None:
+        codes = np.full(test_eval.n, CODE_DISTANCE)
+    else:
+        G = model.scores(test_eval.X)
+        # a non-finite score would otherwise pass silently as a rejection
+        flagged = flagged or not np.isfinite(G).all()
+        codes = _decisions(method, G, info.K, cost, tuned)
+    metrics = compute_metrics(codes, test_eval.y, cost)
     return ResultRow(
         dataset=ds_name,
         method=method,

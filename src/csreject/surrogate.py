@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import REASON_AMBIGUITY, REASON_DISTANCE, Dataset, Decision, RejectionCost
+from .core import CODE_AMBIGUITY, CODE_DISTANCE, Dataset, Decision, RejectionCost
 from .losses import MarginLossSpec
 
 
@@ -54,23 +54,20 @@ def empirical_risk(loss: MarginLossSpec, cost: RejectionCost, score_fn, data: Da
     return float(losses.mean())
 
 
-def decide(g: np.ndarray) -> Decision:
-    """Ensemble decision rule over K one-vs-rest scores.
+def decide_batch(G: np.ndarray) -> np.ndarray:
+    """Ensemble decision rule over one-vs-rest scores (..., K), as codes.
 
-    Reject (distance) when no score is positive; reject (ambiguity) when two
-    or more conflict; otherwise predict the unique positive class.
+    Reject for distance (0) when no score is positive, for ambiguity (-1)
+    when two or more are; otherwise predict the positive class (1..K).
     """
-    g = np.asarray(g, dtype=float)
-    n_pos = int((g > 0).sum())
-    if n_pos == 0:
-        return Decision.reject(REASON_DISTANCE)
-    if n_pos >= 2:
-        return Decision.reject(REASON_AMBIGUITY)
-    return Decision.predict(int(np.argmax(g)) + 1)
+    positive = np.asarray(G, dtype=float) > 0
+    n_pos = positive.sum(axis=-1)
+    return np.where(n_pos == 1, positive.argmax(axis=-1) + 1, np.where(n_pos == 0, CODE_DISTANCE, CODE_AMBIGUITY))
 
 
-def decide_batch(G: np.ndarray) -> list[Decision]:
-    return [decide(g) for g in np.asarray(G, dtype=float)]
+def decide(g: np.ndarray) -> Decision:
+    """decide_batch for one score vector."""
+    return Decision.from_code(decide_batch(g))
 
 
 def pointwise_conditional_risk(loss: MarginLossSpec, cost: RejectionCost, g: np.ndarray, eta: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import REASON_ORACLE, Decision, RejectionCost
 from .losses import MarginLossSpec, argmin_weighted_conditional_risk, get_loss
-from .surrogate import decide
+from .surrogate import decide, decide_batch
 
 
 def _check_simplex(eta: np.ndarray) -> np.ndarray:
@@ -88,8 +88,10 @@ def ensemble_chow(eta: np.ndarray, cost: RejectionCost) -> Decision:
     n_pos = int(verdicts.sum())
     if n_pos == 0:
         return Decision.reject(REASON_ORACLE)
-    # c < 0.5 forces 1-c > 0.5, so two posteriors cannot both exceed it
-    assert n_pos == 1, "multiple positive one-vs-rest verdicts are impossible for c < 0.5"
+    # c < 0.5 forces 1-c > 0.5, so two posteriors of an exact simplex cannot
+    # both exceed it, but the 1e-9 tolerance of _check_simplex admits some
+    if n_pos > 1:
+        raise ValueError("multiple positive one-vs-rest verdicts: eta is not a simplex at this cost")
     return Decision.predict(int(np.argmax(verdicts)) + 1)
 
 
@@ -190,9 +192,8 @@ def audit_excess_chain(
     c = cost.c
 
     r01c = r01c_star = rcs = rcs_star = 0.0
-    for wm, eta, g in zip(w, etas, G):
-        dec = decide(g)
-        r01c += wm * pointwise_01c_risk(dec, eta, cost)
+    for wm, eta, g, code in zip(w, etas, G, decide_batch(G)):
+        r01c += wm * pointwise_01c_risk(Decision.from_code(code), eta, cost)
         r01c_star += wm * min(c, 1.0 - float(eta.max()))
         rcs += wm * _cs01_pointwise(g, eta, cost)
         rcs_star += wm * _cs01_pointwise_min(eta, cost)

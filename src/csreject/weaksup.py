@@ -10,10 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RejectionCost
-from .losses import MarginLossSpec
+from .core import Dataset
 from .models import AdamState, TrainConfig, adam_step
-from .surrogate import cs_loss_batch
 
 
 def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
@@ -81,6 +79,17 @@ def make_pu_dataset(data: Dataset, config: PUConfig, rng: np.random.Generator):
     return positives, unlabeled
 
 
+def pu_loss_term(loss_batch):
+    """Adapt a K=2 loss_batch(G, y) to PU signs: term(G, sign) returns (per-sample
+    losses, score gradients) at +1 (class 1) or -1 (class 2) from one loss_batch call."""
+
+    def term(G, sign):
+        G = np.atleast_2d(np.asarray(G, dtype=float))
+        return loss_batch(G, np.full(len(G), 1 if sign == +1 else 2))
+
+    return term
+
+
 def pu_risk_unbiased(loss_term, prior: float, positives, unlabeled, score_fn) -> float:
     """Unbiased PU risk: pi*mean_p L(+1) - pi*mean_p L(-1) + mean_u L(-1)."""
     if len(positives) == 0 or len(unlabeled) == 0:
@@ -88,7 +97,7 @@ def pu_risk_unbiased(loss_term, prior: float, positives, unlabeled, score_fn) ->
     Gp = score_fn(positives)
     Gu = score_fn(unlabeled)
     return float(
-        prior * loss_term(Gp, +1).mean() - prior * loss_term(Gp, -1).mean() + loss_term(Gu, -1).mean()
+        prior * loss_term(Gp, +1)[0].mean() - prior * loss_term(Gp, -1)[0].mean() + loss_term(Gu, -1)[0].mean()
     )
 
 
@@ -98,35 +107,9 @@ def pu_risk_nn(loss_term, prior: float, positives, unlabeled, score_fn) -> float
         raise ValueError("both sample sets must be non-empty")
     Gp = score_fn(positives)
     Gu = score_fn(unlabeled)
-    pos_term = prior * loss_term(Gp, +1).mean()
-    neg_term = loss_term(Gu, -1).mean() - prior * loss_term(Gp, -1).mean()
+    pos_term = prior * loss_term(Gp, +1)[0].mean()
+    neg_term = loss_term(Gu, -1)[0].mean() - prior * loss_term(Gp, -1)[0].mean()
     return float(pos_term + max(0.0, neg_term))
-
-
-def cs_pu_loss_term(loss: MarginLossSpec, cost: RejectionCost):
-    """Per-label cost-sensitive surrogate pieces for K=2 scores.
-
-    loss_term(G, sign) returns per-sample L_CS(g; sign) for sign in {+1, -1};
-    loss_term.grad(G, sign) returns the score gradients.
-    """
-
-    def label_of(sign: int) -> np.ndarray:
-        return np.int64(1 if sign == +1 else 2)
-
-    def term(G, sign):
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        y = np.full(len(G), label_of(sign))
-        losses, _ = cs_loss_batch(loss, cost, G, y)
-        return losses
-
-    def grad(G, sign):
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        y = np.full(len(G), label_of(sign))
-        _, dG = cs_loss_batch(loss, cost, G, y)
-        return dG
-
-    term.grad = grad
-    return term
 
 
 def train_pu(
@@ -137,7 +120,7 @@ def train_pu(
     prior: float,
     config: TrainConfig,
 ):
-    """Mini-batch minimization of the non-negative PU risk.
+    """Mini-batch minimization of the non-negative PU risk for a pu_loss_term.
 
     Each batch draws positives and unlabeled proportionally so both empirical
     means stay defined. When the implied-negative bracket of a batch goes
@@ -168,14 +151,17 @@ def train_pu(
             Xp, Xu = positives[ip], unlabeled[iu]
             Gp, cache_p = model.forward(Xp)
             Gu, cache_u = model.forward(Xu)
-            pos_term = prior * loss_term(Gp, +1).mean()
-            neg_term = float(loss_term(Gu, -1).mean()) - prior * float(loss_term(Gp, -1).mean())
+            loss_p_pos, dGp_pos = loss_term(Gp, +1)
+            loss_u_neg, dGu_neg = loss_term(Gu, -1)
+            loss_p_neg, dGp_neg = loss_term(Gp, -1)
+            pos_term = prior * loss_p_pos.mean()
+            neg_term = float(loss_u_neg.mean()) - prior * float(loss_p_neg.mean())
             epoch_risk += pos_term + max(0.0, neg_term)
 
-            dGp = prior * loss_term.grad(Gp, +1) / len(ip)
+            dGp = prior * dGp_pos / len(ip)
             if neg_term >= 0.0:
-                dGp = dGp - prior * loss_term.grad(Gp, -1) / len(ip)
-                dGu = loss_term.grad(Gu, -1) / len(iu)
+                dGp = dGp - prior * dGp_neg / len(ip)
+                dGu = dGu_neg / len(iu)
             else:
                 clamp_count += 1
                 dGu = np.zeros_like(Gu)

@@ -138,7 +138,7 @@ def test_criterion_8_pu_estimator_soundness():
     t0 = time.perf_counter()
     prior = 0.7
     cost = RejectionCost(0.1)
-    loss_term = weaksup.cs_pu_loss_term(get_loss("sigmoid"), cost)
+    loss_term = weaksup.pu_loss_term(lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y))
     d = 20
     spec = data_mod.twonorm_spec(d)
     model = make_model("linear", d, 2, np.random.default_rng(100))
@@ -150,8 +150,8 @@ def test_criterion_8_pu_estimator_soundness():
     Xp = rng.multivariate_normal(spec.means[0], spec.covs[0], size=n_pos)
     Xn = rng.multivariate_normal(spec.means[1], spec.covs[1], size=n_big - n_pos)
     supervised = (
-        prior * loss_term(model.scores(Xp), +1).mean()
-        + (1 - prior) * loss_term(model.scores(Xn), -1).mean()
+        prior * loss_term(model.scores(Xp), +1)[0].mean()
+        + (1 - prior) * loss_term(model.scores(Xn), -1)[0].mean()
     )
 
     n_p, n_u = 200, 1000
@@ -206,9 +206,9 @@ def test_criterion_9_chow_agreement_of_trained_model():
     agree = 0
     for dec, e in zip(decisions, eta):
         ref = theory.chow_rule(e, cost)
-        if dec.is_reject and ref.is_reject:
+        if dec < 1 and ref.is_reject:
             agree += 1
-        elif not dec.is_reject and not ref.is_reject and dec.label == ref.label:
+        elif dec >= 1 and not ref.is_reject and dec == ref.label:
             agree += 1
     rate = agree / len(grid_pts)
     elapsed = time.perf_counter() - t0
@@ -251,16 +251,17 @@ def test_criterion_10_baseline_sanity():
                 G_val = model.scores(val.X)
 
                 if method == "sce":
-                    default_dec = [baselines.sce_decide(g, 1.0, cost) for g in G_val]
+                    default_dec = baselines.sce_decide_batch(G_val, 1.0, cost)
                     tuned = baselines.tune_temperature(model, val, cost)
-                    tuned_dec = [baselines.sce_decide(g, tuned, cost) for g in G_val]
+                    tuned_dec = baselines.sce_decide_batch(G_val, tuned, cost)
                 else:
                     a1, _ = baselines.bend_slopes(2, cost)
-                    default_dec = [baselines.angle_decide(g, baselines.AngleConfig(2, a1, 0.0)) for g in G_val]
+                    V = baselines.angle_vertices(2)
+                    default_dec = baselines.angle_decide_batch(G_val, V, 0.0)
                     tuned = baselines.tune_delta(
                         model, val, cost, baselines.AngleConfig(2, a1), [0.0] + baselines.default_candidates()
                     )
-                    tuned_dec = [baselines.angle_decide(g, baselines.AngleConfig(2, a1, tuned)) for g in G_val]
+                    tuned_dec = baselines.angle_decide_batch(G_val, V, tuned)
 
                 default_risk = compute_metrics(default_dec, val.y, cost).risk01c
                 tuned_risk = compute_metrics(tuned_dec, val.y, cost).risk01c
@@ -269,12 +270,9 @@ def test_criterion_10_baseline_sanity():
 
                 test_eval = scaler.apply(test_ds)
                 if method == "sce":
-                    test_dec = [baselines.sce_decide(g, tuned, cost) for g in model.scores(test_eval.X)]
+                    test_dec = baselines.sce_decide_batch(model.scores(test_eval.X), tuned, cost)
                 else:
-                    test_dec = [
-                        baselines.angle_decide(g, baselines.AngleConfig(2, a1, tuned))
-                        for g in model.scores(test_eval.X)
-                    ]
+                    test_dec = baselines.angle_decide_batch(model.scores(test_eval.X), V, tuned)
                 finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
 
     elapsed = time.perf_counter() - t0

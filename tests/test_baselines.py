@@ -4,6 +4,7 @@ import pytest
 from csreject.baselines import (
     AngleConfig,
     angle_decide,
+    angle_decide_batch,
     angle_loss_grad,
     angle_vertices,
     bend_slopes,
@@ -13,6 +14,7 @@ from csreject.baselines import (
     defer_decide,
     defer_loss_grad,
     sce_decide,
+    sce_decide_batch,
     sce_loss_grad,
     softmax,
     tune_delta,
@@ -124,7 +126,7 @@ class TestTuneTemperature:
         from csreject.core import compute_metrics
 
         def risk(T):
-            decisions = [sce_decide(g, T, cost) for g in model.scores(val.X)]
+            decisions = sce_decide_batch(model.scores(val.X), T, cost)
             return compute_metrics(decisions, val.y, cost).risk01c
 
         T = tune_temperature(model, val, cost)
@@ -307,7 +309,7 @@ class TestTuneDelta:
         big = AngleConfig(2, 2.0, delta=1e6)
         from csreject.core import compute_metrics
 
-        decisions = [angle_decide(g, big) for g in model.scores(val.X)]
+        decisions = angle_decide_batch(model.scores(val.X), big.vertices, big.delta)
         m = compute_metrics(decisions, val.y, RejectionCost(0.2))
         assert m.risk01c == pytest.approx(0.2)
 

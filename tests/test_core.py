@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from csreject.core import (
+    CODE_AMBIGUITY,
+    CODE_DISTANCE,
+    CODE_ORACLE,
     Dataset,
     Decision,
     MetricsRecord,
@@ -30,6 +33,14 @@ class TestDecision:
     def test_is_reject(self):
         assert Decision.reject("ambiguity").is_reject
         assert not Decision.predict(3).is_reject
+
+    def test_from_code(self):
+        table = {3: Decision.predict(3), CODE_DISTANCE: Decision.reject("distance"),
+                 CODE_AMBIGUITY: Decision.reject("ambiguity"), CODE_ORACLE: Decision.reject("oracle")}
+        for code, decision in table.items():
+            assert Decision.from_code(code) == decision
+        with pytest.raises(ValueError):
+            Decision.from_code(-3)
 
 
 class TestRejectionCost:
@@ -86,25 +97,20 @@ class TestZeroOneC:
 class TestComputeMetrics:
     def test_always_reject(self):
         cost = RejectionCost(0.2)
-        m = compute_metrics([Decision.reject("distance")] * 10, [1] * 10, cost)
+        m = compute_metrics([CODE_DISTANCE] * 10, [1] * 10, cost)
         assert m.risk01c == pytest.approx(0.2)
         assert m.rejection_ratio == 1.0
         assert m.accepted_error == 0.0
         assert m.nothing_accepted
 
     def test_all_correct(self):
-        m = compute_metrics([Decision.predict(1)] * 5, [1] * 5, RejectionCost(0.1))
+        m = compute_metrics([1] * 5, [1] * 5, RejectionCost(0.1))
         assert m.risk01c == 0.0
         assert m.rejection_ratio == 0.0
 
     def test_mixed_hand_example(self):
         # 2 rejects (1 distance, 1 ambiguity), 1 wrong, 1 right at c = 0.25
-        decisions = [
-            Decision.reject("distance"),
-            Decision.reject("ambiguity"),
-            Decision.predict(1),
-            Decision.predict(2),
-        ]
+        decisions = [CODE_DISTANCE, CODE_AMBIGUITY, 1, 2]
         labels = [1, 1, 2, 2]
         m = compute_metrics(decisions, labels, RejectionCost(0.25))
         assert m.risk01c == pytest.approx(0.375)
@@ -120,7 +126,7 @@ class TestComputeMetrics:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics([Decision.predict(1)], [1, 2], RejectionCost(0.2))
+            compute_metrics([1], [1, 2], RejectionCost(0.2))
 
     @given(
         st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=1, max_size=40),
@@ -134,11 +140,11 @@ class TestComputeMetrics:
         for kind, label in rows:
             labels.append(label)
             if kind == 0:
-                decisions.append(Decision.reject("distance"))
+                decisions.append(CODE_DISTANCE)
             elif kind == 1:
-                decisions.append(Decision.predict(label))
+                decisions.append(label)
             else:
-                decisions.append(Decision.predict(label % 3 + 1))
+                decisions.append(label % 3 + 1)
         m = compute_metrics(decisions, labels, cost)
         lhs = m.risk01c
         rhs = cost.c * m.rejection_ratio + (1.0 - m.rejection_ratio) * m.accepted_error

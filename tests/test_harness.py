@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from csreject import data as data_mod, harness
 from csreject.harness import (
     GridSpec,
     ResultRow,
@@ -58,7 +59,46 @@ class TestDatasetInfo:
         assert info.total_n == 20
 
 
+def _write_toy_csv(path, n):
+    path.write_text("".join("%f,%f,%d\n" % (i * 0.1, -i * 0.2 + (i % 2), (i % 2) + 1) for i in range(n)))
+
+
+class TestCsvLoading:
+    def test_grid_parses_file_once_and_rereads_changes(self, tmp_path, monkeypatch):
+        p = tmp_path / "toy.csv"
+        _write_toy_csv(p, 40)
+        calls = []
+        load = data_mod.load_csv
+        monkeypatch.setattr(data_mod, "load_csv", lambda *a, **kw: calls.append(a) or load(*a, **kw))
+        harness._parse_csv.cache_clear()
+        grid = GridSpec(datasets=(str(p),), methods=("cs-sigmoid", "sce", "always-reject"), costs=(0.2,), **FAST)
+        assert len(run_grid(grid)) == 3
+        assert len(calls) == 1
+        _write_toy_csv(p, 50)
+        assert dataset_info(str(p)).total_n == 50
+        assert len(calls) == 2
+
+    def test_shared_arrays_are_read_only(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        _write_toy_csv(p, 20)
+        ds = harness._csv_dataset(str(p))
+        with pytest.raises(ValueError):
+            ds.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ds.y[0] = 2
+
+
 class TestRunCell:
+    def test_nonfinite_scores_flag_the_row(self, monkeypatch):
+        def train_to_nan(model, data, loss_batch, config):
+            model.params["W"][:] = np.nan
+            return [0.0]
+
+        monkeypatch.setattr(harness, "train", train_to_nan)
+        grid = GridSpec(methods=("cs-sigmoid",), costs=(0.2,), **FAST)
+        row = run_cell(grid, ("twonorm", "cs-sigmoid", 0.2, 0))
+        assert row.flagged
+
     def test_deterministic(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.2,), **FAST)
         cell = ("twonorm", "cs-sigmoid", 0.2, 0)

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from csreject.checks import check_model_gradients
+from csreject.checks import check_model_gradients, run_gradcheck
 from csreject.core import Dataset, RejectionCost
 from csreject.losses import get_loss
 from csreject.models import (
@@ -65,6 +65,13 @@ class TestBackward:
         batch = lambda G, y: cs_loss_batch(loss, cost, G, y)
         err, ok = check_model_gradients(batch, 3, kind, seed=5)
         assert ok, f"max rel err {err}"
+
+    @pytest.mark.parametrize("seed", [13, 19])
+    def test_suite_avoids_kinks(self, seed):
+        # at these seeds the first draw puts a hinge, ramp, bent-hinge or ReLU kink inside the difference step
+        results = run_gradcheck(seed)
+        assert len(results) == 33
+        assert [name for name, (_, ok) in results.items() if not ok] == []
 
 
 class TestAdam:

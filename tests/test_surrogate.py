@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csreject.core import Dataset, RejectionCost
+from csreject.core import Dataset, Decision, RejectionCost
 from csreject.losses import get_loss
 from csreject.surrogate import (
     cs_loss_batch,
@@ -143,7 +143,7 @@ class TestDecide:
 
     def test_batch_matches_scalar(self):
         G = np.array([[0.1, -0.1], [-1.0, -2.0], [0.5, 0.5]])
-        assert [d.label for d in decide_batch(G)] == [decide(g).label for g in G]
+        assert [Decision.from_code(code) for code in decide_batch(G)] == [decide(g) for g in G]
 
 
 class TestPointwiseRisk:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import csreject
 
 from csreject.core import Decision, RejectionCost
 from csreject.theory import (
@@ -81,6 +87,27 @@ class TestEnsembleChow:
 
     def test_confident_posterior_predicts(self):
         assert ensemble_chow(np.array([0.85, 0.10, 0.05]), RejectionCost(0.2)).label == 1
+
+    def test_two_positive_verdicts_raise(self):
+        # within the 1e-9 simplex tolerance, yet both posteriors exceed 1 - c
+        with pytest.raises(ValueError):
+            ensemble_chow(np.array([0.5 + 3e-10] * 2), RejectionCost(0.5 - 1e-10))
+
+    def test_two_positive_verdicts_raise_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        script = (
+            "import numpy as np\n"
+            "from csreject.core import RejectionCost\n"
+            "from csreject.theory import ensemble_chow\n"
+            "try:\n"
+            "    print(ensemble_chow(np.array([0.5 + 3e-10] * 2), RejectionCost(0.5 - 1e-10)))\n"
+            "except ValueError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(csreject.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert out.stdout.strip() == "raised", out.stdout + out.stderr
 
     def test_random_agreement_sweep(self):
         checked, disagreements = audit_oracle_equivalence(n_draws=5000, seed=11)

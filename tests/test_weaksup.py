@@ -4,11 +4,12 @@ import pytest
 from csreject.core import Dataset, RejectionCost, compute_metrics
 from csreject.losses import get_loss
 from csreject.models import LinearModel, TrainConfig, make_model
+from csreject.surrogate import cs_loss_batch
 from csreject.weaksup import (
     PUConfig,
-    cs_pu_loss_term,
     inject_uniform_noise,
     make_pu_dataset,
+    pu_loss_term,
     pu_risk_nn,
     pu_risk_unbiased,
     train_pu,
@@ -16,19 +17,18 @@ from csreject.weaksup import (
 
 
 def _sigmoid_term():
-    """Plain binary sigmoid term: phi(g) for +1, phi(-g) for -1, on 1-column scores."""
+    """Plain binary sigmoid term: phi(g) for +1 (label 1), phi(-g) for -1 (label 2), on 1-column scores."""
     loss = get_loss("sigmoid")
 
-    def term(G, sign):
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        return loss.value(sign * G[:, 0])
+    def batch(G, y):
+        sign = np.where(y == 1, 1.0, -1.0)
+        return loss.value(sign * G[:, 0]), (sign * loss.grad(sign * G[:, 0]))[:, None]
 
-    def grad(G, sign):
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        return (sign * loss.grad(sign * G[:, 0]))[:, None]
+    return pu_loss_term(batch)
 
-    term.grad = grad
-    return term
+
+def _cs_term(loss, cost):
+    return pu_loss_term(lambda G, y: cs_loss_batch(loss, cost, G, y))
 
 
 class TestUniformNoise:
@@ -179,17 +179,32 @@ class TestCsPuLossTerm:
 
         cost = RejectionCost(0.2)
         loss = get_loss("sigmoid")
-        term = cs_pu_loss_term(loss, cost)
+        term = _cs_term(loss, cost)
         rng = np.random.default_rng(13)
         G = rng.normal(size=(6, 2))
-        vp = term(G, +1)
-        vn = term(G, -1)
+        vp = term(G, +1)[0]
+        vn = term(G, -1)[0]
         for i in range(6):
             assert vp[i] == pytest.approx(cs_surrogate_loss(loss, cost, G[i], 1))
             assert vn[i] == pytest.approx(cs_surrogate_loss(loss, cost, G[i], 2))
 
 
 class TestTrainPU:
+    def test_one_loss_call_per_scores_and_sign(self, monkeypatch):
+        from csreject import weaksup
+
+        calls, steps = [], []
+        cost, loss = RejectionCost(0.1), get_loss("sigmoid")
+        term = pu_loss_term(lambda G, y: calls.append(len(G)) or cs_loss_batch(loss, cost, G, y))
+        step = weaksup.adam_step
+        monkeypatch.setattr(weaksup, "adam_step", lambda *a: steps.append(1) or step(*a))
+        rng = np.random.default_rng(17)
+        pos, unl = rng.normal(loc=1.0, size=(40, 3)), rng.normal(size=(160, 3))
+        model = make_model("linear", 3, 2, np.random.default_rng(18))
+        train_pu(model, term, pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32, seed=19))
+        assert len(steps) > 0
+        assert len(calls) == 3 * len(steps)
+
     def test_small_run_learns_something(self):
         rng = np.random.default_rng(14)
         d = 5
@@ -197,7 +212,7 @@ class TestTrainPU:
         # unlabeled at prior 0.7
         unl = np.vstack([rng.normal(loc=1.0, size=(280, d)), rng.normal(loc=-1.0, size=(120, d))])
         cost = RejectionCost(0.1)
-        term = cs_pu_loss_term(get_loss("sigmoid"), cost)
+        term = _cs_term(get_loss("sigmoid"), cost)
         model = make_model("linear", d, 2, np.random.default_rng(15))
         trace, clamp_count = train_pu(model, term, pos, unl, 0.7, TrainConfig(epochs=30, batch_size=64, seed=16))
         assert np.isfinite(trace).all()
@@ -209,7 +224,7 @@ class TestTrainPU:
         assert gp[0, 0] > gn[0, 0]
 
     def test_empty_sets_rejected(self):
-        term = cs_pu_loss_term(get_loss("sigmoid"), RejectionCost(0.1))
+        term = _cs_term(get_loss("sigmoid"), RejectionCost(0.1))
         model = LinearModel(2, 2)
         with pytest.raises(ValueError):
             train_pu(model, term, np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1))
