@@ -40,7 +40,8 @@ def cmd_run(args) -> int:
     existing = []
     if args.resume and os.path.exists(args.out):
         existing = harness.read_csv(args.out)
-        skip = [r.key() for r in existing]
+        # a key omits the setting, so rows of another setting must not mask this grid's cells
+        skip = [r.key() for r in existing if r.setting == args.setting]
         print(f"resuming: {len(skip)} rows already present")
     rows = harness.run_grid(grid, skip_keys=skip, jobs=args.jobs)
     merged = sorted(existing + rows, key=lambda r: (r.dataset, r.method, r.cost, r.trial))

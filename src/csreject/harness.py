@@ -3,6 +3,7 @@ aggregation to mean +- standard error, and CSV emission."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import os
@@ -353,26 +354,26 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(CSV_HEADER.split(","))
         for r in rows:
-            fh.write(
-                f"{r.dataset},{r.method},{r.setting},{_fmt(r.cost)},{r.trial},"
-                f"{_fmt(r.risk01c)},{_fmt(r.rejection_ratio)},{_fmt(r.accepted_error)},"
-                f"{r.n_reject_distance},{r.n_reject_ambiguity},{_fmt(r.train_seconds)}\n"
+            rates = (r.risk01c, r.rejection_ratio, r.accepted_error)
+            out.writerow(
+                [r.dataset, r.method, r.setting, _fmt(r.cost), r.trial, *map(_fmt, rates)]
+                + [r.n_reject_distance, r.n_reject_ambiguity, _fmt(r.train_seconds)]
             )
 
 
 def read_csv(path) -> list[ResultRow]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if ",".join(next(reader, [])) != CSV_HEADER:
             raise ValueError("unexpected result CSV header")
-        for line in fh:
-            if not line.strip():
+        for f in reader:
+            if not f:
                 continue
-            f = line.strip().split(",")
             rows.append(
                 ResultRow(
                     dataset=f[0],
@@ -397,12 +398,10 @@ def write_summary_csv(summaries, path, rescale_0_100: bool = False) -> None:
         "dataset,method,setting,cost,n_trials,risk01c_mean,risk01c_se,"
         "rejection_ratio_mean,rejection_ratio_se,accepted_error_mean,accepted_error_se"
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header.split(","))
         for s in summaries:
-            fh.write(
-                f"{s.dataset},{s.method},{s.setting},{_fmt(s.cost)},{s.n_trials},"
-                f"{_fmt(s.risk01c_mean * scale)},{_fmt(s.risk01c_se * scale)},"
-                f"{_fmt(s.rejection_ratio_mean * scale)},{_fmt(s.rejection_ratio_se * scale)},"
-                f"{_fmt(s.accepted_error_mean * scale)},{_fmt(s.accepted_error_se * scale)}\n"
-            )
+            stats = (s.risk01c_mean, s.risk01c_se, s.rejection_ratio_mean, s.rejection_ratio_se)
+            stats += (s.accepted_error_mean, s.accepted_error_se)
+            out.writerow([s.dataset, s.method, s.setting, _fmt(s.cost), s.n_trials] + [_fmt(v * scale) for v in stats])

@@ -144,48 +144,55 @@ def binary_conditional_risk(loss: MarginLossSpec, eta1: float, v) -> float:
 
 def argmin_weighted_conditional_risk(
     loss: MarginLossSpec,
-    w_pos: float,
-    w_neg: float,
+    w_pos,
+    w_neg,
     bound: float = 20.0,
     grid_step: float = 1e-3,
-) -> float:
+):
     """Minimize v -> w_pos * phi(v) + w_neg * phi(-v) over [-bound, bound].
 
     A dense grid scan (guards the non-convex losses against local minima)
     followed by golden-section refinement around the best grid point. The
-    caller typically only consumes the sign of the result.
+    weights may be equal-shape arrays, one minimizer per pair; scalars give a
+    float. The caller typically only consumes the sign of the result.
     """
-    if w_pos < 0 or w_neg < 0:
+    w_pos, w_neg = np.broadcast_arrays(np.asarray(w_pos, dtype=float), np.asarray(w_neg, dtype=float))
+    if (w_pos < 0).any() or (w_neg < 0).any():
         raise ValueError("weights must be non-negative")
-    if w_pos + w_neg <= 0:
+    if (w_pos + w_neg <= 0).any():
         raise ValueError("at least one weight must be positive")
-    if w_pos == w_neg:
-        # the objective is even in v, so the minimizer set is symmetric; 0 is
-        # always a representative for every loss in the registry
-        return 0.0
+    out = np.zeros(w_pos.shape)
+    # at w_pos == w_neg the objective is even in v, so the minimizer set is
+    # symmetric; 0 is always a representative for every loss in the registry
+    todo = w_pos != w_neg
+    wp, wn = w_pos[todo], w_neg[todo]
 
     grid = np.arange(-bound, bound + grid_step / 2, grid_step)
-    obj = w_pos * loss.value(grid) + w_neg * loss.value(-grid)
-    i = int(np.argmin(obj))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
+    A, B = loss.value(grid), loss.value(-grid)
+    obj, scratch = np.empty_like(grid), np.empty_like(grid)
+    best = np.empty(len(wp), dtype=int)
+    for j in range(len(wp)):
+        # w_pos * A + w_neg * B, one pair at a time so memory stays one grid wide
+        np.add(np.multiply(wp[j], A, out=obj), np.multiply(wn[j], B, out=scratch), out=obj)
+        best[j] = np.argmin(obj)
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, len(grid) - 1)]
 
     def f(v):
-        return w_pos * float(loss.value(np.float64(v))) + w_neg * float(loss.value(np.float64(-v)))
+        return wp * loss.value(v) + wn * loss.value(-v)
 
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(60):
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
+        # where f1 < f2 the minimum lies in [a, x2], elsewhere in [x1, b];
+        # each side keeps one interior point and evaluates one new one
+        left = f1 < f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x_new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f_new = f(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    out[todo] = (a + b) / 2.0
+    return float(out) if out.ndim == 0 else out

@@ -170,5 +170,11 @@ def load_model(path):
             model = LinearModel(meta["d"], meta["n_out"])
         else:
             model = MlpModel(meta["d"], meta["n_out"], hidden=meta["hidden"])
-        model.params = {k: blob[k] for k in model.params}
+        params = {k: blob[k] for k in model.params}
+    for key, value in params.items():
+        if value.shape != model.params[key].shape:
+            raise ValueError(
+                f"parameter {key} has shape {value.shape}, the metadata implies {model.params[key].shape}"
+            )
+    model.params = params
     return model

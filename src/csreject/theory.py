@@ -12,16 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REASON_ORACLE, Decision, RejectionCost
+from .core import CODE_ORACLE, Decision, RejectionCost
 from .losses import MarginLossSpec, argmin_weighted_conditional_risk, get_loss
-from .surrogate import decide, decide_batch
+from .surrogate import decide_batch
+
+# draws per array block in the randomized audits: large enough that numpy does
+# the work, small enough that memory stays flat whatever the draw count
+_BLOCK = 500
 
 
 def _check_simplex(eta: np.ndarray) -> np.ndarray:
+    """Check that every row along the last axis is a probability simplex."""
     eta = np.asarray(eta, dtype=float)
-    if (eta < 0).any() or abs(eta.sum() - 1.0) > 1e-9:
+    if (eta < 0).any() or (np.abs(eta.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("eta must be a probability simplex")
     return eta
+
+
+def _check_costs(c) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    if not ((c > 0.0) & (c < 0.5)).all():
+        raise ValueError("rejection costs must lie in (0, 0.5)")
+    return c
+
+
+def _check_support(weights: np.ndarray, etas: np.ndarray) -> None:
+    """Check finite supports of any batch shape: weights (..., m), etas (..., m, K)."""
+    if (weights < 0).any() or (np.abs(weights.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("weights must be a probability vector")
+    _check_simplex(etas)
 
 
 @dataclass(frozen=True)
@@ -39,10 +58,7 @@ class FiniteDistribution:
         e = np.asarray(self.etas, dtype=float)
         if w.ndim != 1 or e.ndim != 2 or len(w) != len(e):
             raise ValueError("weights (m,) and etas (m, K) must align")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be a probability vector")
-        for eta in e:
-            _check_simplex(eta)
+        _check_support(w, e)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "etas", e)
 
@@ -51,12 +67,18 @@ class FiniteDistribution:
         return self.etas.shape[1]
 
 
+def chow_rule_batch(eta: np.ndarray, c) -> np.ndarray:
+    """Chow's rule over posteriors (..., K) and costs (...), as decision codes.
+
+    Reject (CODE_ORACLE) when max_y eta_y <= 1 - c, else predict the argmax class.
+    """
+    eta, c = _check_simplex(eta), _check_costs(c)
+    return np.where(eta.max(axis=-1) <= 1.0 - c, CODE_ORACLE, eta.argmax(axis=-1) + 1)
+
+
 def chow_rule(eta: np.ndarray, cost: RejectionCost) -> Decision:
-    """Reject when max_y eta_y <= 1 - c, else predict the argmax class."""
-    eta = _check_simplex(eta)
-    if eta.max() <= 1.0 - cost.c:
-        return Decision.reject(REASON_ORACLE)
-    return Decision.predict(int(np.argmax(eta)) + 1)
+    """chow_rule_batch for one posterior vector."""
+    return Decision.from_code(chow_rule_batch(eta, cost.c))
 
 
 def bayes_cs_binary(p_pos: float, alpha: float) -> int:
@@ -68,31 +90,45 @@ def bayes_cs_binary(p_pos: float, alpha: float) -> int:
     return 1 if p_pos > alpha else -1
 
 
-def binary_three_way(p_pos: float, cost: RejectionCost) -> Decision:
-    """Chow's rule for K=2 composed from the two cost-sensitive classifiers.
+def binary_three_way_batch(p_pos, c) -> np.ndarray:
+    """Chow's rule for K=2 composed from the two cost-sensitive classifiers, as codes.
 
-    Class 1 plays the role of +1 and class 2 the role of -1.
+    p_pos holds p(y=+1|x) per row. Class 1 plays the role of +1 and class 2
+    the role of -1: predict 1 when the alpha = 1-c classifier says +1, 2 when
+    the alpha = c classifier says -1, and reject (CODE_ORACLE) otherwise.
     """
-    c = cost.c
-    if bayes_cs_binary(p_pos, 1.0 - c) == 1:
-        return Decision.predict(1)
-    if bayes_cs_binary(p_pos, c) == -1:
-        return Decision.predict(2)
-    return Decision.reject(REASON_ORACLE)
+    p_pos, c = np.asarray(p_pos, dtype=float), _check_costs(c)
+    if ((p_pos < 0.0) | (p_pos > 1.0)).any():
+        raise ValueError("p_pos must lie in [0, 1]")
+    return np.where(p_pos > 1.0 - c, 1, np.where(p_pos > c, CODE_ORACLE, 2))
+
+
+def binary_three_way(p_pos: float, cost: RejectionCost) -> Decision:
+    """binary_three_way_batch for one posterior."""
+    return Decision.from_code(binary_three_way_batch(p_pos, cost.c))
+
+
+def ensemble_chow_batch(eta: np.ndarray, c) -> np.ndarray:
+    """Chow's rule reconstructed from K one-vs-rest verdicts at alpha = 1-c, as codes."""
+    eta, c = _check_simplex(eta), _check_costs(c)
+    verdicts = eta > (1.0 - c)[..., None]
+    n_pos = verdicts.sum(axis=-1)
+    # c < 0.5 forces 1-c > 0.5, so two posteriors of an exact simplex cannot
+    # both exceed it, but the 1e-9 tolerance of _check_simplex admits some
+    if (n_pos > 1).any():
+        raise ValueError("multiple positive one-vs-rest verdicts: eta is not a simplex at this cost")
+    return np.where(n_pos == 0, CODE_ORACLE, verdicts.argmax(axis=-1) + 1)
 
 
 def ensemble_chow(eta: np.ndarray, cost: RejectionCost) -> Decision:
-    """Chow's rule reconstructed from K one-vs-rest verdicts at alpha = 1-c."""
-    eta = _check_simplex(eta)
-    verdicts = eta > 1.0 - cost.c
-    n_pos = int(verdicts.sum())
-    if n_pos == 0:
-        return Decision.reject(REASON_ORACLE)
-    # c < 0.5 forces 1-c > 0.5, so two posteriors of an exact simplex cannot
-    # both exceed it, but the 1e-9 tolerance of _check_simplex admits some
-    if n_pos > 1:
-        raise ValueError("multiple positive one-vs-rest verdicts: eta is not a simplex at this cost")
-    return Decision.predict(int(np.argmax(verdicts)) + 1)
+    """ensemble_chow_batch for one posterior vector."""
+    return Decision.from_code(ensemble_chow_batch(eta, cost.c))
+
+
+def _codes_agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # oracles tag rejection differently; only the predict/reject split and
+    # the predicted label matter for equivalence
+    return (a == b) | ((a < 1) & (b < 1))
 
 
 def psi_transform(loss_name: str, cost: RejectionCost, theta: float) -> float:
@@ -122,36 +158,17 @@ def psi_inverse(loss_name: str, cost: RejectionCost, eps: float) -> float:
     """
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    c = cost.c
+    return float(_psi_inverse(loss_name, cost.c, eps))
+
+
+def _psi_inverse(loss_name: str, c, eps):
+    """psi_inverse elementwise over costs c and regrets eps >= 0."""
     if loss_name == "hinge":
-        return float(eps)
+        return eps
     if loss_name == "squared":
         b = 1.0 - 2.0 * c
-        return float((eps * b + np.sqrt(eps**2 * b**2 + 8.0 * c * (1.0 - c) * eps)) / 2.0)
+        return (eps * b + np.sqrt(eps**2 * b**2 + 8.0 * c * (1.0 - c) * eps)) / 2.0
     raise ValueError(f"psi_inverse has a closed form only for squared and hinge, not {loss_name!r}")
-
-
-# ---------------------------------------------------------------------------
-# pointwise risk pieces used by the excess-risk audit
-
-
-def pointwise_01c_risk(decision: Decision, eta: np.ndarray, cost: RejectionCost) -> float:
-    if decision.is_reject:
-        return cost.c
-    return 1.0 - float(eta[decision.label - 1])
-
-
-def _cs01_pointwise(g: np.ndarray, eta: np.ndarray, cost: RejectionCost) -> float:
-    # L_CS instantiated with the margin zero-one loss 1[z <= 0]
-    c = cost.c
-    pos = (np.asarray(g) <= 0).astype(float)
-    neg = (np.asarray(g) >= 0).astype(float)
-    return float((eta * c * pos + (1.0 - eta) * (1.0 - c) * neg).sum())
-
-
-def _cs01_pointwise_min(eta: np.ndarray, cost: RejectionCost) -> float:
-    c = cost.c
-    return float(np.minimum(eta * c, (1.0 - eta) * (1.0 - c)).sum())
 
 
 def _phi_pointwise_min(loss_name: str, w_pos: np.ndarray, w_neg: np.ndarray) -> np.ndarray:
@@ -168,8 +185,47 @@ class ExcessChainReport:
     lhs: float  # 0-1-c regret of the rule induced by the scores
     rhs: float  # regret of the cost-sensitive surrogate with the 0-1 margin loss
     violated: bool
-    psi_rhs: dict[str, float] | None = None  # psi-bounded form per loss, +inf if out of range
+    psi_rhs: dict[str, float] | None = None  # psi-bounded form per loss
     psi_violated: bool = False
+
+
+def _excess_chain_batch(w, etas, G, c, psi_losses, tol):
+    """The excess-risk chain on N finite instances of one shape.
+
+    w (N, m) weights, etas (N, m, K) posteriors, G (N, m, K) scores and
+    c (N,) costs. Returns per-instance arrays (lhs, rhs, violated, psi_rhs,
+    psi_violated); psi_rhs maps each loss name to its bound (None when
+    psi_losses is empty).
+    """
+    c_m = c[:, None]  # broadcasts over the support
+    c_mk = c[:, None, None]  # and over the classes
+    codes = decide_batch(G)
+    picked = np.take_along_axis(etas, np.maximum(codes, 1)[..., None] - 1, axis=-1)[..., 0]
+    # pointwise 0-1-c risk: c on a rejection, else the chance the label is wrong
+    r01c = (w * np.where(codes < 1, c_m, 1.0 - picked)).sum(axis=-1)
+    r01c_star = (w * np.minimum(c_m, 1.0 - etas.max(axis=-1))).sum(axis=-1)
+    # L_CS instantiated with the margin zero-one loss 1[z <= 0]
+    w_pos = etas * c_mk
+    w_neg = (1.0 - etas) * (1.0 - c_mk)
+    rcs = (w * (w_pos * (G <= 0) + w_neg * (G >= 0)).sum(axis=-1)).sum(axis=-1)
+    rcs_star = (w * np.minimum(w_pos, w_neg).sum(axis=-1)).sum(axis=-1)
+
+    lhs = r01c - r01c_star
+    rhs = rcs - rcs_star
+    violated = lhs > rhs + tol
+
+    psi_rhs = None
+    psi_violated = np.zeros(len(c), dtype=bool)
+    if psi_losses:
+        psi_rhs = {}
+        for name in psi_losses:
+            loss = get_loss(name)
+            phi_risk = (w[..., None] * (w_pos * loss.value(G) + w_neg * loss.value(-G))).sum(axis=1)
+            phi_star = (w[..., None] * _phi_pointwise_min(name, w_pos, w_neg)).sum(axis=1)
+            regrets = np.maximum(phi_risk - phi_star, 0.0)  # (N, K)
+            psi_rhs[name] = _psi_inverse(name, c_m, regrets).sum(axis=-1)
+            psi_violated |= rhs > psi_rhs[name] + tol
+    return lhs, rhs, violated, psi_rhs, psi_violated
 
 
 def audit_excess_chain(
@@ -188,43 +244,16 @@ def audit_excess_chain(
     G = np.asarray(score_table, dtype=float)
     if G.shape != dist.etas.shape:
         raise ValueError("score table must be (m, K) matching the distribution support")
-    w, etas = dist.weights, dist.etas
-    c = cost.c
-
-    r01c = r01c_star = rcs = rcs_star = 0.0
-    for wm, eta, g, code in zip(w, etas, G, decide_batch(G)):
-        r01c += wm * pointwise_01c_risk(Decision.from_code(code), eta, cost)
-        r01c_star += wm * min(c, 1.0 - float(eta.max()))
-        rcs += wm * _cs01_pointwise(g, eta, cost)
-        rcs_star += wm * _cs01_pointwise_min(eta, cost)
-
-    lhs = r01c - r01c_star
-    rhs = rcs - rcs_star
-    violated = lhs > rhs + tol
-
-    psi_rhs = None
-    psi_violated = False
-    if psi_losses:
-        psi_rhs = {}
-        for name in psi_losses:
-            loss = get_loss(name)
-            w_pos = etas * c  # (m, K)
-            w_neg = (1.0 - etas) * (1.0 - c)
-            phi_risk = (w[:, None] * (w_pos * loss.value(G) + w_neg * loss.value(-G))).sum(axis=0)
-            phi_star = (w[:, None] * _phi_pointwise_min(name, w_pos, w_neg)).sum(axis=0)
-            regrets = np.maximum(phi_risk - phi_star, 0.0)
-            total = 0.0
-            for eps in regrets:
-                try:
-                    total += psi_inverse(name, cost, float(eps))
-                except ValueError:
-                    total = np.inf
-                    break
-            psi_rhs[name] = total
-            if rhs > total + tol:
-                psi_violated = True
-
-    return ExcessChainReport(lhs=lhs, rhs=rhs, violated=violated, psi_rhs=psi_rhs, psi_violated=psi_violated)
+    lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(
+        dist.weights[None], dist.etas[None], G[None], np.array([cost.c]), psi_losses, tol
+    )
+    return ExcessChainReport(
+        lhs=float(lhs[0]),
+        rhs=float(rhs[0]),
+        violated=bool(violated[0]),
+        psi_rhs=None if psi_rhs is None else {name: float(v[0]) for name, v in psi_rhs.items()},
+        psi_violated=bool(psi_violated[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,33 +264,33 @@ def random_simplex(rng: np.random.Generator, K: int) -> np.ndarray:
     return rng.dirichlet(np.ones(K))
 
 
-def _decisions_agree(a: Decision, b: Decision) -> bool:
-    # oracles tag rejection differently; only the predict/reject split and
-    # the predicted label matter for equivalence
-    if a.is_reject and b.is_reject:
-        return True
-    if a.is_reject != b.is_reject:
-        return False
-    return a.label == b.label
+def _random_simplices(rng: np.random.Generator, K: np.ndarray, K_max: int) -> np.ndarray:
+    """One Dirichlet(1, ..., 1) draw of size K[i] per row, zero-padded to K_max columns."""
+    g = rng.standard_exponential((len(K), K_max)) * (np.arange(K_max) < K[:, None])
+    return g / g.sum(axis=1, keepdims=True)
 
 
 def audit_oracle_equivalence(n_draws: int = 100_000, seed: int = 0, boundary_eps: float = 1e-12):
-    """Props 3.1/3.2: ensemble and three-way rules agree with Chow's rule."""
+    """Props 3.1/3.2: ensemble and three-way rules agree with Chow's rule.
+
+    K is drawn from 2..6; padding columns hold eta = 0, which can never give
+    a positive one-vs-rest verdict or the argmax.
+    """
     rng = np.random.default_rng(seed)
     checked = disagreements = 0
-    for _ in range(n_draws):
-        K = int(rng.integers(2, 7))
-        eta = random_simplex(rng, K)
-        c = float(rng.uniform(0.01, 0.49))
-        if np.any(np.abs(eta - (1.0 - c)) < boundary_eps):
-            continue
-        cost = RejectionCost(c)
-        ref = chow_rule(eta, cost)
-        ok = _decisions_agree(ensemble_chow(eta, cost), ref)
-        if K == 2:
-            ok = ok and _decisions_agree(binary_three_way(float(eta[0]), cost), ref)
-        checked += 1
-        disagreements += 0 if ok else 1
+    for start in range(0, n_draws, _BLOCK):
+        n = min(_BLOCK, n_draws - start)
+        K = rng.integers(2, 7, size=n)
+        eta = _random_simplices(rng, K, 6)
+        c = rng.uniform(0.01, 0.49, size=n)
+        keep = ~(np.abs(eta - (1.0 - c)[:, None]) < boundary_eps).any(axis=1)
+        K, eta, c = K[keep], eta[keep], c[keep]
+        ref = chow_rule_batch(eta, c)
+        ok = _codes_agree(ensemble_chow_batch(eta, c), ref)
+        binary = K == 2
+        ok[binary] &= _codes_agree(binary_three_way_batch(eta[binary, 0], c[binary]), ref[binary])
+        checked += len(ref)
+        disagreements += int((~ok).sum())
     return checked, disagreements
 
 
@@ -269,9 +298,7 @@ def conditional_risk_minimizer(loss: MarginLossSpec, eta: np.ndarray, cost: Reje
     """Componentwise minimizer g* of the pointwise conditional surrogate risk."""
     eta = _check_simplex(eta)
     c = cost.c
-    return np.array(
-        [argmin_weighted_conditional_risk(loss, float(e) * c, (1.0 - float(e)) * (1.0 - c)) for e in eta]
-    )
+    return argmin_weighted_conditional_risk(loss, eta * c, (1.0 - eta) * (1.0 - c))
 
 
 def audit_calibration(
@@ -280,24 +307,30 @@ def audit_calibration(
     seed: int = 1,
     margin: float = 0.02,
 ):
-    """Thm 5.3 forward direction: decide(g*) matches Chow's rule."""
+    """Thm 5.3 forward direction: decide(g*) matches Chow's rule.
+
+    Draws whose posteriors lie within margin of 1 - c are redrawn. Padding
+    columns (eta = 0) get g* = 0, which decide never counts as positive.
+    """
     rng = np.random.default_rng(seed)
     results = {}
     for name in loss_names:
         loss = get_loss(name)
-        checked = disagreements = 0
+        blocks, checked = [], 0
         while checked < n_draws:
-            K = int(rng.integers(2, 6))
-            eta = random_simplex(rng, K)
-            c = float(rng.uniform(0.05, 0.45))
-            if np.any(np.abs(eta - (1.0 - c)) <= margin):
-                continue
-            cost = RejectionCost(c)
-            g_star = conditional_risk_minimizer(loss, eta, cost)
-            if not _decisions_agree(decide(g_star), chow_rule(eta, cost)):
-                disagreements += 1
-            checked += 1
-        results[name] = (checked, disagreements)
+            K = rng.integers(2, 6, size=_BLOCK)
+            eta = _random_simplices(rng, K, 5)
+            c = rng.uniform(0.05, 0.45, size=_BLOCK)
+            keep = ~(np.abs(eta - (1.0 - c)[:, None]) <= margin).any(axis=1)
+            blocks.append((K[keep], eta[keep], c[keep]))
+            checked += int(keep.sum())
+        K, eta, c = (np.concatenate(parts)[:n_draws] for parts in zip(*blocks))
+        real = np.arange(5) < K[:, None]
+        g_star = np.zeros_like(eta)
+        w_pos, w_neg = eta * c[:, None], (1.0 - eta) * (1.0 - c)[:, None]
+        g_star[real] = argmin_weighted_conditional_risk(loss, w_pos[real], w_neg[real])
+        disagreements = int((~_codes_agree(decide_batch(g_star), chow_rule_batch(eta, c))).sum())
+        results[name] = (len(c), disagreements)
     return results
 
 
@@ -318,7 +351,7 @@ def miscalibrated_witness(cost: RejectionCost) -> bool:
     )
     eta = np.array([0.9, 0.1])
     g_star = conditional_risk_minimizer(flipped, eta, cost)
-    return not _decisions_agree(decide(g_star), chow_rule(eta, cost))
+    return not _codes_agree(decide_batch(g_star), chow_rule_batch(eta, cost.c))
 
 
 def audit_excess_random(
@@ -328,18 +361,27 @@ def audit_excess_random(
     max_K: int = 4,
     psi_losses: tuple[str, ...] = ("squared", "hinge"),
 ):
-    """Thm 5.4 on random finite instances; returns (checked, violations, psi_violations)."""
+    """Thm 5.4 on random finite instances; returns (checked, violations, psi_violations).
+
+    Instances are drawn one at a time, then checked in blocks, one array
+    program per support size and class count.
+    """
     rng = np.random.default_rng(seed)
     violations = psi_violations = 0
-    for _ in range(n_instances):
-        m = int(rng.integers(1, max_support + 1))
-        K = int(rng.integers(2, max_K + 1))
-        w = rng.dirichlet(np.ones(m))
-        etas = rng.dirichlet(np.ones(K), size=m)
-        dist = FiniteDistribution(w, etas)
-        G = rng.normal(scale=2.0, size=(m, K))
-        cost = RejectionCost(float(rng.uniform(0.01, 0.49)))
-        report = audit_excess_chain(dist, G, cost, psi_losses=psi_losses)
-        violations += int(report.violated)
-        psi_violations += int(report.psi_violated)
+    for start in range(0, n_instances, _BLOCK):
+        groups: dict[tuple[int, int], list] = {}
+        for _ in range(min(_BLOCK, n_instances - start)):
+            m = int(rng.integers(1, max_support + 1))
+            K = int(rng.integers(2, max_K + 1))
+            w = rng.dirichlet(np.ones(m))
+            etas = rng.dirichlet(np.ones(K), size=m)
+            G = rng.normal(scale=2.0, size=(m, K))
+            c = float(rng.uniform(0.01, 0.49))
+            groups.setdefault((m, K), []).append((w, etas, G, c))
+        for members in groups.values():
+            w, etas, G, c = (np.array(part) for part in zip(*members))
+            _check_support(w, etas)
+            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c), psi_losses, tol=1e-12)
+            violations += int(violated.sum())
+            psi_violations += int(psi_violated.sum())
     return n_instances, violations, psi_violations

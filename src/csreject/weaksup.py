@@ -81,11 +81,12 @@ def make_pu_dataset(data: Dataset, config: PUConfig, rng: np.random.Generator):
 
 def pu_loss_term(loss_batch):
     """Adapt a K=2 loss_batch(G, y) to PU signs: term(G, sign) returns (per-sample
-    losses, score gradients) at +1 (class 1) or -1 (class 2) from one loss_batch call."""
+    losses, score gradients) at +1 (class 1) or -1 (class 2) from one loss_batch call.
+    sign is one value for every row or an array with one value per row."""
 
     def term(G, sign):
         G = np.atleast_2d(np.asarray(G, dtype=float))
-        return loss_batch(G, np.full(len(G), 1 if sign == +1 else 2))
+        return loss_batch(G, np.where(np.broadcast_to(sign, len(G)) == +1, 1, 2))
 
     return term
 
@@ -151,9 +152,11 @@ def train_pu(
             Xp, Xu = positives[ip], unlabeled[iu]
             Gp, cache_p = model.forward(Xp)
             Gu, cache_u = model.forward(Xu)
-            loss_p_pos, dGp_pos = loss_term(Gp, +1)
-            loss_u_neg, dGu_neg = loss_term(Gu, -1)
-            loss_p_neg, dGp_neg = loss_term(Gp, -1)
+            # one loss call on (Gp at +1, Gu at -1, Gp at -1); every loss works row by row
+            cuts = [len(ip), len(ip) + len(iu)]
+            losses, dG = loss_term(np.vstack([Gp, Gu, Gp]), np.repeat([+1, -1, -1], [len(ip), len(iu), len(ip)]))
+            loss_p_pos, loss_u_neg, loss_p_neg = np.split(losses, cuts)
+            dGp_pos, dGu_neg, dGp_neg = np.split(dG, cuts)
             pos_term = prior * loss_p_pos.mean()
             neg_term = float(loss_u_neg.mean()) - prior * float(loss_p_neg.mean())
             epoch_risk += pos_term + max(0.0, neg_term)

@@ -229,6 +229,16 @@ class TestCsv:
         with pytest.raises(ValueError):
             read_csv(p)
 
+    def test_comma_in_dataset_path_round_trips(self, tmp_path):
+        p = tmp_path / "r.csv"
+        rows = [dataclasses.replace(self._rows()[0], dataset="/tmp/a,b.csv"), self._rows()[1]]
+        write_csv(rows, p)
+        back = read_csv(p)
+        assert [r.dataset for r in back] == ["/tmp/a,b.csv", "twonorm"]
+        assert [r.key() for r in back] == [r.key() for r in rows]
+        # ordinary rows keep the unquoted form the golden files use
+        assert p.read_text().splitlines()[2] == "twonorm,cs-sigmoid,clean,0.1,1,0.0234567,0.5,0.02,4,0,2.6"
+
     def test_summary_rescale(self, tmp_path):
         rows = self._rows()
         summaries = aggregate(rows)
@@ -237,3 +247,18 @@ class TestCsv:
         line = p.read_text().strip().split("\n")[1].split(",")
         # mean risk 0.0179... rescaled to the 0-100 convention
         assert float(line[5]) == pytest.approx(100 * (0.0123456 + 0.0234567) / 2, rel=1e-4)
+
+
+class TestCliResume:
+    def test_resume_runs_cells_of_another_setting(self, tmp_path, capsys):
+        from csreject import cli
+
+        out = str(tmp_path / "r.csv")
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", out]
+        assert cli.main(args) == 0
+        assert cli.main(args + ["--setting", "noisy", "--resume"]) == 0
+        assert "resuming: 0 rows" in capsys.readouterr().out
+        assert sorted(r.setting for r in read_csv(out)) == ["clean", "noisy"]
+        # the same setting again finds its row and runs nothing
+        assert cli.main(args + ["--resume"]) == 0
+        assert len(read_csv(out)) == 2

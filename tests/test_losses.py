@@ -154,3 +154,34 @@ class TestArgmin:
                 continue
             v = argmin_weighted_conditional_risk(loss, eta1, 1.0 - eta1)
             assert np.sign(v) == np.sign(2 * eta1 - 1), (name, eta1, v)
+
+
+class TestBatchedArgmin:
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
+    def test_matches_per_pair_scalar_calls(self, name):
+        loss = get_loss(name)
+        rng = np.random.default_rng(41)
+        w_pos, w_neg = rng.uniform(0, 1, size=40), rng.uniform(0, 1, size=40)
+        w_pos[:4] = w_neg[:4]  # ties report 0
+        w_pos[4:6] = 0.0
+        w_neg[6:8] = 0.0
+        batched = argmin_weighted_conditional_risk(loss, w_pos, w_neg)
+        assert batched.shape == (40,)
+        scalar = np.array([argmin_weighted_conditional_risk(loss, float(p), float(n)) for p, n in zip(w_pos, w_neg)])
+        assert isinstance(argmin_weighted_conditional_risk(loss, 0.0, 0.4), float)
+        np.testing.assert_allclose(batched, scalar, atol=1e-6)
+        np.testing.assert_array_equal(np.sign(batched), np.sign(scalar))
+        assert (batched[:4] == 0.0).all()
+
+    def test_array_shapes_are_kept(self):
+        w = np.array([[0.8, 0.3], [0.1, 0.5]])
+        out = argmin_weighted_conditional_risk(get_loss("squared"), w, 1.0 - w)
+        assert out.shape == (2, 2)
+        # closed form for the squared loss: v* = w_pos - w_neg over w_pos + w_neg = 1
+        np.testing.assert_allclose(out, 2 * w - 1, atol=1e-6)
+
+    def test_any_bad_pair_raises(self):
+        with pytest.raises(ValueError):
+            argmin_weighted_conditional_risk(get_loss("hinge"), np.array([0.2, -0.1]), np.array([0.3, 0.3]))
+        with pytest.raises(ValueError):
+            argmin_weighted_conditional_risk(get_loss("hinge"), np.array([0.2, 0.0]), np.array([0.3, 0.0]))

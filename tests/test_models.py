@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ class TestSerialization:
         assert loaded.kind == kind
         X = rng.normal(size=(6, 4))
         np.testing.assert_array_equal(model.scores(X), loaded.scores(X))
+
+    def test_rejects_parameters_that_disagree_with_the_metadata(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(make_model("linear", 4, 3, np.random.default_rng(16)), path)
+        with np.load(path) as blob:
+            params = {k: blob[k] for k in blob.files if k != "meta"}
+            meta = json.loads(str(blob["meta"][0]))
+        meta["d"] = 7
+        np.savez(path, meta=np.array([json.dumps(meta)]), **params)
+        with pytest.raises(ValueError, match="shape"):
+            load_model(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.npz"

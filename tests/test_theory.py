@@ -7,18 +7,24 @@ import pytest
 
 import csreject
 
-from csreject.core import Decision, RejectionCost
+from csreject.core import CODE_ORACLE, Decision, RejectionCost
+from csreject.losses import get_loss
+from csreject.surrogate import decide_batch
 from csreject.theory import (
     FiniteDistribution,
+    _excess_chain_batch,
     audit_calibration,
     audit_excess_chain,
     audit_excess_random,
     audit_oracle_equivalence,
     bayes_cs_binary,
     binary_three_way,
+    binary_three_way_batch,
     chow_rule,
+    chow_rule_batch,
     conditional_risk_minimizer,
     ensemble_chow,
+    ensemble_chow_batch,
     miscalibrated_witness,
     psi_inverse,
     psi_transform,
@@ -115,6 +121,71 @@ class TestEnsembleChow:
         assert disagreements == 0
 
 
+def _chow_reference(eta, c):
+    return CODE_ORACLE if max(eta) <= 1.0 - c else int(np.argmax(eta)) + 1
+
+
+def _ensemble_reference(eta, c):
+    positive = [k + 1 for k, e in enumerate(eta) if e > 1.0 - c]
+    return positive[0] if positive else CODE_ORACLE
+
+
+def _three_way_reference(p_pos, c):
+    if p_pos > 1.0 - c:
+        return 1
+    return 2 if p_pos <= c else CODE_ORACLE
+
+
+class TestArrayOracles:
+    def _boundary_rows(self):
+        """(eta, c) rows on every inequality of the rules, with ties, per K."""
+        rows = []
+        for c in (0.05, 0.2, 0.25, 0.3, 0.45):
+            for K in range(2, 7):
+                rest = np.full(K - 1, c / (K - 1))
+                rows.append((np.concatenate([[1.0 - c], rest]), c))  # max eta == 1 - c exactly
+                rows.append((np.concatenate([rest, [1.0 - c]]), c))
+                rows.append((np.full(K, 1.0 / K), c))  # all tied
+                if K >= 3:
+                    rows.append((np.concatenate([[0.4, 0.4], np.full(K - 2, 0.2 / (K - 2))]), c))
+        return rows
+
+    def test_rows_agree_with_reference_loops(self):
+        rng = np.random.default_rng(23)
+        for K in range(2, 7):
+            eta = rng.dirichlet(np.ones(K), size=400)
+            c = rng.uniform(0.01, 0.49, size=400)
+            np.testing.assert_array_equal(chow_rule_batch(eta, c), [_chow_reference(e, ci) for e, ci in zip(eta, c)])
+            np.testing.assert_array_equal(
+                ensemble_chow_batch(eta, c), [_ensemble_reference(e, ci) for e, ci in zip(eta, c)]
+            )
+        for eta, c in self._boundary_rows():
+            assert int(chow_rule_batch(eta, c)) == _chow_reference(eta, c), (eta, c)
+            assert int(ensemble_chow_batch(eta, c)) == _ensemble_reference(eta, c), (eta, c)
+            assert chow_rule(eta, RejectionCost(c)) == Decision.from_code(_chow_reference(eta, c))
+
+    def test_binary_three_way_agrees_with_reference_loop(self):
+        rng = np.random.default_rng(29)
+        c = rng.uniform(0.01, 0.49, size=300)
+        # random posteriors, then posteriors exactly at c and at 1 - c
+        p = np.concatenate([rng.uniform(0, 1, size=300), c, 1.0 - c, [0.0, 1.0, 0.5]])
+        c = np.concatenate([c, c, c, [0.2, 0.2, 0.2]])
+        np.testing.assert_array_equal(binary_three_way_batch(p, c), [_three_way_reference(*pc) for pc in zip(p, c)])
+        assert binary_three_way(float(c[0]), RejectionCost(float(c[0]))).label == 2
+        assert binary_three_way(float(1.0 - c[0]), RejectionCost(float(c[0]))).is_reject
+
+    def test_batch_of_rows_raises_on_any_bad_row(self):
+        eta = np.array([[0.9, 0.1], [0.5 + 3e-10, 0.5 + 3e-10]])
+        with pytest.raises(ValueError):
+            ensemble_chow_batch(eta, np.array([0.2, 0.5 - 1e-10]))
+        with pytest.raises(ValueError):
+            chow_rule_batch(np.array([[0.9, 0.1], [0.7, 0.7]]), np.array([0.2, 0.2]))
+        with pytest.raises(ValueError):
+            chow_rule_batch(np.array([[0.9, 0.1]]), np.array([0.5]))
+        with pytest.raises(ValueError):
+            binary_three_way_batch(np.array([0.5, 1.2]), np.array([0.2, 0.2]))
+
+
 class TestPsi:
     def test_hinge_is_identity(self):
         cost = RejectionCost(0.3)
@@ -200,10 +271,77 @@ class TestExcessChain:
         with pytest.raises(ValueError):
             audit_excess_chain(dist, np.zeros((3, 2)), cost)
 
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            m, K = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+            dist = FiniteDistribution(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(K), size=m))
+            G = rng.normal(scale=2.0, size=(m, K))
+            G[rng.random((m, K)) < 0.1] = 0.0  # exact zeros sit on both 0-1 margin terms
+            cost = RejectionCost(float(rng.uniform(0.01, 0.49)))
+            rep = audit_excess_chain(dist, G, cost, psi_losses=("squared", "hinge"))
+            ref = _excess_reference(dist, G, cost)
+            assert rep.lhs == pytest.approx(ref["lhs"], abs=1e-12)
+            assert rep.rhs == pytest.approx(ref["rhs"], abs=1e-12)
+            for name in ("squared", "hinge"):
+                assert rep.psi_rhs[name] == pytest.approx(ref[name], abs=1e-12)
+            assert rep.violated == (ref["lhs"] > ref["rhs"] + 1e-12)
+
+    def test_single_instance_equals_its_row_of_the_batch(self):
+        rng = np.random.default_rng(37)
+        N, m, K = 40, 3, 4
+        w = rng.dirichlet(np.ones(m), size=N)
+        etas = rng.dirichlet(np.ones(K), size=(N, m))
+        G = rng.normal(scale=2.0, size=(N, m, K))
+        c = rng.uniform(0.01, 0.49, size=N)
+        lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(w, etas, G, c, ("squared", "hinge"), 1e-12)
+        for i in range(N):
+            rep = audit_excess_chain(
+                FiniteDistribution(w[i], etas[i]), G[i], RejectionCost(float(c[i])), psi_losses=("squared", "hinge")
+            )
+            assert (rep.lhs, rep.rhs, rep.violated, rep.psi_violated) == (lhs[i], rhs[i], violated[i], psi_violated[i])
+            assert rep.psi_rhs == {name: v[i] for name, v in psi_rhs.items()}
+
     def test_random_instances_small(self):
         n, violations, psi_violations = audit_excess_random(500, seed=13)
         assert violations == 0
         assert psi_violations == 0
+
+
+def _excess_reference(dist, G, cost):
+    """The excess-risk chain one support point at a time."""
+    c = cost.c
+    out = dict(lhs=0.0, rhs=0.0, squared=0.0, hinge=0.0)
+    for wm, eta, g in zip(dist.weights, dist.etas, G):
+        pos = [k for k in range(len(g)) if g[k] > 0]
+        risk = 1.0 - eta[pos[0]] if len(pos) == 1 else c
+        out["lhs"] += wm * (risk - min(c, 1.0 - max(eta)))
+        for k in range(len(g)):
+            w_pos, w_neg = eta[k] * c, (1.0 - eta[k]) * (1.0 - c)
+            out["rhs"] += wm * (w_pos * (g[k] <= 0) + w_neg * (g[k] >= 0) - min(w_pos, w_neg))
+    for name in ("squared", "hinge"):
+        loss = get_loss(name)
+        for k in range(dist.K):
+            regret = 0.0
+            for wm, eta, g in zip(dist.weights, dist.etas, G):
+                w_pos, w_neg = eta[k] * c, (1.0 - eta[k]) * (1.0 - c)
+                best = 4 * w_pos * w_neg / (w_pos + w_neg) if name == "squared" else 2 * min(w_pos, w_neg)
+                regret += wm * (w_pos * loss.value(g[k]) + w_neg * loss.value(-g[k]) - best)
+            out[name] += psi_inverse(name, cost, max(regret, 0.0))
+    return out
+
+
+class TestAuditDeterminism:
+    def test_fixed_seed_repeats(self):
+        assert audit_oracle_equivalence(3000, seed=5) == audit_oracle_equivalence(3000, seed=5)
+        assert audit_calibration(("hinge",), n_draws=40, seed=5) == audit_calibration(("hinge",), n_draws=40, seed=5)
+        assert audit_excess_random(700, seed=5) == audit_excess_random(700, seed=5)
+
+    def test_counts_span_several_blocks(self):
+        # draw counts that are not a multiple of the block size are honoured exactly
+        assert audit_oracle_equivalence(1234, seed=3) == (1234, 0)
+        assert audit_calibration(("squared",), n_draws=777, seed=3) == {"squared": (777, 0)}
+        assert audit_excess_random(1234, seed=3) == (1234, 0, 0)
 
 
 class TestCalibrationAudit:
@@ -221,6 +359,16 @@ class TestCalibrationAudit:
         cost = RejectionCost(0.2)
         g = conditional_risk_minimizer(get_loss("logistic"), eta, cost)
         assert decide(g).label == chow_rule(eta, cost).label == 1
+
+    def test_minimizer_is_the_per_class_argmin(self):
+        from csreject.losses import argmin_weighted_conditional_risk
+
+        eta, cost = np.array([0.6, 0.25, 0.15]), RejectionCost(0.3)
+        g = conditional_risk_minimizer(get_loss("savage"), eta, cost)
+        ref = [argmin_weighted_conditional_risk(get_loss("savage"), e * 0.3, (1 - e) * 0.7) for e in eta]
+        np.testing.assert_allclose(g, ref, atol=1e-6)
+        # max eta = 0.6 <= 1 - c: both rules reject
+        assert int(decide_batch(g)) < 1 and int(chow_rule_batch(eta, 0.3)) == CODE_ORACLE
 
     def test_miscalibrated_loss_disagrees(self):
         assert miscalibrated_witness(RejectionCost(0.2))

@@ -190,6 +190,16 @@ class TestCsPuLossTerm:
 
 
 class TestTrainPU:
+    def test_per_row_signs_match_one_call_per_sign(self):
+        rng = np.random.default_rng(20)
+        Gp, Gu = rng.normal(size=(7, 2)), rng.normal(size=(11, 2))
+        for name in ("sigmoid", "ramp"):
+            term = _cs_term(get_loss(name), RejectionCost(0.2))
+            losses, dG = term(np.vstack([Gp, Gu, Gp]), np.repeat([+1, -1, -1], [7, 11, 7]))
+            parts = [term(Gp, +1), term(Gu, -1), term(Gp, -1)]
+            np.testing.assert_array_equal(losses, np.concatenate([p[0] for p in parts]))
+            np.testing.assert_array_equal(dG, np.vstack([p[1] for p in parts]))
+
     def test_one_loss_call_per_scores_and_sign(self, monkeypatch):
         from csreject import weaksup
 
@@ -203,7 +213,8 @@ class TestTrainPU:
         model = make_model("linear", 3, 2, np.random.default_rng(18))
         train_pu(model, term, pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32, seed=19))
         assert len(steps) > 0
-        assert len(calls) == 3 * len(steps)
+        # one call per step holds the positives at +1, the unlabeled at -1 and the positives at -1
+        assert len(calls) == len(steps)
 
     def test_small_run_learns_something(self):
         rng = np.random.default_rng(14)
