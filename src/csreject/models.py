@@ -25,9 +25,16 @@ class LinearModel:
         else:
             self.params = {"W": init_scale * rng.standard_normal((n_out, d)), "b": np.zeros(n_out)}
 
-    def forward(self, X: np.ndarray):
+    def forward(self, X: np.ndarray, params: dict | None = None):
+        """Scores (n, n_out) and the backward cache.
+
+        params defaults to self.params. Any parameter may carry leading copy
+        axes (a stack of perturbed models); they broadcast, and the scores
+        get the shape (copies..., n, n_out).
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X @ self.params["W"].T + self.params["b"], X
+        p = self.params if params is None else params
+        return X @ p["W"].swapaxes(-1, -2) + p["b"][..., None, :], X
 
     def backward(self, cache, dG: np.ndarray):
         X = cache
@@ -55,11 +62,13 @@ class MlpModel:
             w2 = rng.standard_normal((n_out, hidden)) * np.sqrt(1.0 / hidden)
         self.params = {"W1": w1, "b1": np.zeros(hidden), "W2": w2, "b2": np.zeros(n_out)}
 
-    def forward(self, X: np.ndarray):
+    def forward(self, X: np.ndarray, params: dict | None = None):
+        """Scores and the backward cache; params as in LinearModel.forward."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pre = X @ self.params["W1"].T + self.params["b1"]
+        p = self.params if params is None else params
+        pre = X @ p["W1"].swapaxes(-1, -2) + p["b1"][..., None, :]
         h = np.maximum(pre, 0.0)
-        out = h @ self.params["W2"].T + self.params["b2"]
+        out = h @ p["W2"].swapaxes(-1, -2) + p["b2"][..., None, :]
         return out, (X, pre, h)
 
     def backward(self, cache, dG: np.ndarray):

@@ -363,25 +363,27 @@ def audit_excess_random(
 ):
     """Thm 5.4 on random finite instances; returns (checked, violations, psi_violations).
 
-    Instances are drawn one at a time, then checked in blocks, one array
-    program per support size and class count.
+    Each block draws its support sizes, class counts and costs as arrays,
+    then each (m, K) group's weights, posteriors (Dirichlet(1, ..., 1) as
+    normalized exponential draws) and scores, and checks the group in one
+    array program.
     """
     rng = np.random.default_rng(seed)
     violations = psi_violations = 0
     for start in range(0, n_instances, _BLOCK):
-        groups: dict[tuple[int, int], list] = {}
-        for _ in range(min(_BLOCK, n_instances - start)):
-            m = int(rng.integers(1, max_support + 1))
-            K = int(rng.integers(2, max_K + 1))
-            w = rng.dirichlet(np.ones(m))
-            etas = rng.dirichlet(np.ones(K), size=m)
-            G = rng.normal(scale=2.0, size=(m, K))
-            c = float(rng.uniform(0.01, 0.49))
-            groups.setdefault((m, K), []).append((w, etas, G, c))
-        for members in groups.values():
-            w, etas, G, c = (np.array(part) for part in zip(*members))
+        n = min(_BLOCK, n_instances - start)
+        m = rng.integers(1, max_support + 1, size=n)
+        K = rng.integers(2, max_K + 1, size=n)
+        c = rng.uniform(0.01, 0.49, size=n)
+        for m_g, K_g in sorted(set(zip(m.tolist(), K.tolist()))):
+            c_g = c[(m == m_g) & (K == K_g)]
+            w = rng.standard_exponential((len(c_g), m_g))
+            w /= w.sum(axis=-1, keepdims=True)
+            etas = rng.standard_exponential((len(c_g), m_g, K_g))
+            etas /= etas.sum(axis=-1, keepdims=True)
+            G = rng.normal(scale=2.0, size=(len(c_g), m_g, K_g))
             _check_support(w, etas)
-            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c), psi_losses, tol=1e-12)
+            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), psi_losses, tol=1e-12)
             violations += int(violated.sum())
             psi_violations += int(psi_violated.sum())
     return n_instances, violations, psi_violations
