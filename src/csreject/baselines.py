@@ -6,17 +6,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax, softmax as _softmax
 
 from .core import CODE_DISTANCE, Dataset, Decision, RejectionCost, zero_one_c_risk
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """log(softmax(x)) over the last axis, stabilized by max subtraction."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def softmax(g: np.ndarray, T=1.0) -> np.ndarray:
     """Temperature-scaled softmax over the last axis, stabilized by max subtraction; T may be an array."""
     if np.any(np.asarray(T) <= 0):
         raise ValueError("temperature must be positive")
-    g = np.asarray(g, dtype=float)
-    return _softmax(g / T, axis=-1)
+    x = np.asarray(g, dtype=float) / T
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def default_candidates() -> list[float]:
@@ -51,7 +57,7 @@ def tune_threshold(decide_all, labels, cost: RejectionCost, candidates=None) -> 
 
 def sce_loss_grad(g: np.ndarray, y: int):
     g = np.asarray(g, dtype=float)
-    logp = log_softmax(g)
+    logp = _log_softmax(g)
     grad = np.exp(logp)
     grad[y - 1] -= 1.0
     return float(-logp[y - 1]), grad
@@ -60,7 +66,7 @@ def sce_loss_grad(g: np.ndarray, y: int):
 def sce_loss_batch(G: np.ndarray, y: np.ndarray):
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=int)
-    logp = log_softmax(G, axis=1)
+    logp = _log_softmax(G)
     rows = np.arange(len(G))
     losses = -logp[rows, y - 1]
     dG = np.exp(logp)
@@ -95,7 +101,7 @@ def defer_loss_grad(g: np.ndarray, y: int, cost: RejectionCost, raw_printed_form
     printed form (unnegated) is available behind the debug flag only.
     """
     g = np.asarray(g, dtype=float)
-    logp = log_softmax(g)
+    logp = _log_softmax(g)
     p = np.exp(logp)
     K1 = len(g)
     loss = -logp[y - 1] - (1.0 - cost.c) * logp[K1 - 1]
@@ -112,7 +118,7 @@ def defer_loss_batch(cost: RejectionCost):
     def batch(G: np.ndarray, y: np.ndarray):
         G = np.asarray(G, dtype=float)
         y = np.asarray(y, dtype=int)
-        logp = log_softmax(G, axis=1)
+        logp = _log_softmax(G)
         rows = np.arange(len(G))
         losses = -logp[rows, y - 1] - (1.0 - cost.c) * logp[:, -1]
         dG = (2.0 - cost.c) * np.exp(logp)

@@ -6,9 +6,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Dataset
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, kept as a length-1 axis.
+
+    Stabilized by max subtraction; a -inf entry (a zero prior) adds nothing.
+    """
+    a_max = a.max(axis=-1, keepdims=True)
+    return a_max + np.log(np.exp(a - a_max).sum(axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,7 @@ class PosteriorOracle:
             sol = np.linalg.solve(self.spec.covs[k], diff.T).T
             maha = (diff * sol).sum(axis=1)
             logj[:, k] = np.log(self.spec.priors[k]) - 0.5 * (maha + self._logdets[k])
-        eta = np.exp(logj - logsumexp(logj, axis=1, keepdims=True))
+        eta = np.exp(logj - _logsumexp(logj))
         return eta
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

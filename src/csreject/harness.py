@@ -207,10 +207,17 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
     elif grid.setting == "pu":
         if info.K != 2:
             raise ValueError("the PU setting requires a binary dataset")
-        # the synthetic source pool for PU draws is regenerated large enough
-        # to honor the without-replacement protocol at prior 0.7
-        pu_pool = _source_dataset(info, 3 * train_ds.n if info.csv_path is None else info.total_n, data_rng)
-        pu_cfg = weaksup.PUConfig.from_train_size(train_ds.n, grid.prior)
+        if info.csv_path is None:
+            # the synthetic source pool for PU draws is regenerated large enough
+            # to honor the without-replacement protocol at prior 0.7
+            pu_pool = _source_dataset(info, 3 * train_ds.n, data_rng)
+            pu_cfg = weaksup.PUConfig.from_train_size(train_ds.n, grid.prior)
+        else:
+            # a file cannot be regenerated: draw from the training split only,
+            # so that no validation or test row is trained on
+            pu_pool = train_ds
+            n_pos = int(np.count_nonzero(train_ds.y == 1))
+            pu_cfg = weaksup.PUConfig.from_class_counts(n_pos, train_ds.n - n_pos, grid.prior)
         positives, unlabeled = weaksup.make_pu_dataset(pu_pool, pu_cfg, data_rng)
         feats = np.vstack([positives, unlabeled])
         scaler = data_mod.Standardizer(

@@ -6,11 +6,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 # exp(-z) is clamped at exp(30) so steep losses stay finite during training;
 # the raw formula is used everywhere z > -30.
 _EXP_CLAMP = 30.0
+
+
+def _expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), elementwise.
+
+    For x below about -709, exp(-x) overflows to inf and the result is the
+    exact limit 0, so the overflow is silenced rather than reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,7 @@ def _logistic(z):
 
 
 def _logistic_grad(z):
-    return -expit(-np.asarray(z, dtype=float))
+    return -_expit(-np.asarray(z, dtype=float))
 
 
 def _hinge(z):
@@ -66,12 +75,12 @@ def _hinge_grad(z):
 
 
 def _savage(z):
-    s = expit(-2.0 * np.asarray(z, dtype=float))
+    s = _expit(-2.0 * np.asarray(z, dtype=float))
     return s**2
 
 
 def _savage_grad(z):
-    s = expit(-2.0 * np.asarray(z, dtype=float))
+    s = _expit(-2.0 * np.asarray(z, dtype=float))
     return -4.0 * s**2 * (1.0 - s)
 
 
@@ -95,12 +104,12 @@ def _ramp_grad(z):
 
 
 def _sigmoid(z):
-    return expit(-np.asarray(z, dtype=float))
+    return _expit(-np.asarray(z, dtype=float))
 
 
 def _sigmoid_grad(z):
     z = np.asarray(z, dtype=float)
-    return -expit(z) * expit(-z)
+    return -_expit(z) * _expit(-z)
 
 
 MARGIN_LOSSES: dict[str, MarginLossSpec] = {

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,29 +96,42 @@ def make_model(kind: str, d: int, n_out: int, rng: np.random.Generator | None = 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments of all parameters, flat, plus the step counter.
+
+    m and v hold the moments of every gradient entry, concatenated in the
+    order of the grads dict; they are created on the first step.
+    """
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    All gradients are concatenated and updated in one pass; each entry sees
+    the same arithmetic as a per-parameter update.
+    """
     state.step += 1
     t = state.step
-    for key, g in grads.items():
-        if key not in state.m:
-            state.m[key] = np.zeros_like(params[key])
-            state.v[key] = np.zeros_like(params[key])
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g**2
-        m_hat = state.m[key] / (1.0 - state.beta1**t)
-        v_hat = state.v[key] / (1.0 - state.beta2**t)
-        params[key] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g = np.concatenate([grad.ravel() for grad in grads.values()])
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
+    m_hat = state.m / (1.0 - state.beta1**t)
+    v_hat = state.v / (1.0 - state.beta2**t)
+    update = lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    start = 0
+    for key in grads:
+        p = params[key]
+        p -= update[start : start + p.size].reshape(p.shape)
+        start += p.size
 
 
 @dataclass(frozen=True)

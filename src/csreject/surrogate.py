@@ -35,13 +35,17 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=int)
     c = cost.c
-    rows = np.arange(len(G))
+    n, K = G.shape
+    rows = np.arange(n)
     k = y - 1
-    gy = G[rows, k]
-    neg = loss.value(-G)
-    losses = c * loss.value(gy) + (1.0 - c) * (neg.sum(axis=1) - neg[rows, k])
-    dG = -(1.0 - c) * loss.grad(-G)
-    dG[rows, k] = c * loss.grad(gy)
+    # phi is elementwise, so one value and one grad call on the stacked
+    # margins [-G, g_y] give the same numbers as one call per part
+    z = np.concatenate([-G.ravel(), G[rows, k]])
+    phi, dphi = loss.value(z), loss.grad(z)
+    neg = phi[: n * K].reshape(n, K)
+    losses = c * phi[n * K :] + (1.0 - c) * (neg.sum(axis=1) - neg[rows, k])
+    dG = -(1.0 - c) * dphi[: n * K].reshape(n, K)
+    dG[rows, k] = c * dphi[n * K :]
     return losses, dG
 
 

@@ -50,6 +50,16 @@ class PUConfig:
             raise ValueError("training pool too small for the PU protocol")
         return cls(prior=prior, n_unlabeled=n_u, n_positive=n_u // 5)
 
+    @classmethod
+    def from_class_counts(cls, n_pos: int, n_neg: int, prior: float = 0.7) -> "PUConfig":
+        """The largest sets, unlabeled size a multiple of 200 and positive size a
+        fifth of it, that make_pu_dataset can draw from a pool with these counts."""
+        for n_u in range((n_pos + n_neg) // 200 * 200, 0, -200):
+            n_u_pos = int(prior * n_u)
+            if n_u // 5 + n_u_pos <= n_pos and n_u - n_u_pos <= n_neg:
+                return cls(prior=prior, n_unlabeled=n_u, n_positive=n_u // 5)
+        raise ValueError("training pool too small for the PU protocol")
+
 
 def make_pu_dataset(data: Dataset, config: PUConfig, rng: np.random.Generator):
     """Draw (positives, unlabeled) feature sets from a K=2 dataset.

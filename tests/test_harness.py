@@ -131,6 +131,33 @@ class TestRunCell:
         assert np.isfinite(row.risk01c)
         assert not row.flagged
 
+    def test_pu_on_csv_draws_only_training_rows(self, tmp_path, monkeypatch):
+        # distinct rows, so a positive or unlabeled row that equals a
+        # validation or test row can only be that row
+        rng = np.random.default_rng(4)
+        path = tmp_path / "pu.csv"
+        X = rng.normal(size=(2000, 3))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=2000) > 0, 1, 2)
+        path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
+        parts, drawn = [], []
+        split, make_pu = data_mod.split, harness.weaksup.make_pu_dataset
+        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
+        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
+        grid = GridSpec(datasets=(str(path),), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
+        row = run_cell(grid, (str(path), "cs-sigmoid", 0.1, 0))
+        assert np.isfinite(row.risk01c)
+        train_ds, val_ds, test_ds = parts
+        held_out = {tuple(x) for x in np.vstack([val_ds.X, test_ds.X])}
+        positives, unlabeled = drawn
+        assert len(positives) > 0 and len(unlabeled) > 0
+        assert not any(tuple(x) in held_out for x in np.vstack([positives, unlabeled]))
+        # the largest multiple of 200 that the training split's classes allow
+        n_pos, n_neg = int((train_ds.y == 1).sum()), int((train_ds.y == 2).sum())
+        n_u = len(unlabeled)
+        assert n_u % 200 == 0 and len(positives) == n_u // 5
+        fits = lambda m: m // 5 + int(0.7 * m) <= n_pos and m - int(0.7 * m) <= n_neg
+        assert fits(n_u) and not fits(n_u + 200)
+
     def test_pu_requires_binary(self):
         grid = GridSpec(datasets=("gauss3",), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
         with pytest.raises(ValueError):

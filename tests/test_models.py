@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from csreject import models as models_mod, weaksup
 from csreject.checks import check_model_gradients, run_gradcheck
 from csreject.core import Dataset, RejectionCost
 from csreject.losses import get_loss
@@ -100,6 +101,73 @@ class TestAdam:
             return params["w"]
 
         np.testing.assert_array_equal(run(), run())
+
+
+def _per_key_adam(state, params, grads, lr):
+    """Reference: one Adam update per parameter, moments kept per key."""
+    state["t"] += 1
+    t = state["t"]
+    for key, g in grads.items():
+        m = state["m"].setdefault(key, np.zeros_like(params[key]))
+        v = state["v"].setdefault(key, np.zeros_like(params[key]))
+        state["m"][key] = m = 0.9 * m + (1.0 - 0.9) * g
+        state["v"][key] = v = 0.999 * v + (1.0 - 0.999) * g**2
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        params[key] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_equals_per_key_updates(self, kind):
+        rng = np.random.default_rng(3)
+        flat = make_model(kind, 4, 3, np.random.default_rng(1)).params
+        ref = copy.deepcopy(flat)
+        state, ref_state = AdamState(), {"t": 0, "m": {}, "v": {}}
+        # the backward passes return the keys in another order than params
+        keys = list(flat)[::-1]
+        for _ in range(30):
+            grads = {k: rng.normal(size=flat[k].shape) * rng.choice([1e-6, 1.0, 1e3]) for k in keys}
+            adam_step(state, flat, grads, lr=0.01)
+            _per_key_adam(ref_state, ref, grads, lr=0.01)
+        for k in flat:
+            np.testing.assert_array_equal(flat[k], ref[k])
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_training_equals_per_key_training(self, kind, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 3))
+        data = Dataset(X, np.where(X[:, 0] + 0.3 * rng.normal(size=200) > 0, 1, 2), K=2)
+        batch = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y)
+        config = TrainConfig(epochs=20, batch_size=32, seed=6, learning_rate=0.01, weight_decay=1e-3)
+        flat = make_model(kind, 3, 2, np.random.default_rng(7))
+        flat_trace = train(flat, data, batch, config)
+        ref_state = {"t": 0, "m": {}, "v": {}}
+        monkeypatch.setattr(models_mod, "AdamState", lambda: ref_state)
+        monkeypatch.setattr(models_mod, "adam_step", _per_key_adam)
+        ref = make_model(kind, 3, 2, np.random.default_rng(7))
+        ref_trace = train(ref, data, batch, config)
+        assert ref_state["t"] == 20 * 7
+        assert flat_trace == ref_trace
+        for k in flat.params:
+            np.testing.assert_array_equal(flat.params[k], ref.params[k])
+
+
+    def test_pu_training_equals_per_key_training(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        positives, unlabeled = rng.normal(size=(60, 3)) + 1.0, rng.normal(size=(200, 3))
+        term = weaksup.pu_loss_term(lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y))
+        config = TrainConfig(epochs=10, batch_size=32, seed=9, learning_rate=0.01)
+        flat = make_model("mlp", 3, 2, np.random.default_rng(10))
+        flat_out = weaksup.train_pu(flat, term, positives, unlabeled, 0.7, config)
+        ref_state = {"t": 0, "m": {}, "v": {}}
+        monkeypatch.setattr(weaksup, "AdamState", lambda: ref_state)
+        monkeypatch.setattr(weaksup, "adam_step", _per_key_adam)
+        ref = make_model("mlp", 3, 2, np.random.default_rng(10))
+        assert weaksup.train_pu(ref, term, positives, unlabeled, 0.7, config) == flat_out
+        assert ref_state["t"] > 0
+        for k in flat.params:
+            np.testing.assert_array_equal(flat.params[k], ref.params[k])
 
 
 class TestTrain:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csreject.core import Dataset, Decision, RejectionCost
-from csreject.losses import get_loss
+from csreject.losses import MARGIN_LOSSES, get_loss
 from csreject.surrogate import (
     cs_loss_batch,
     cs_surrogate_grad,
@@ -42,6 +42,27 @@ class TestSurrogateLoss:
             for i in range(20):
                 assert losses[i] == pytest.approx(cs_surrogate_loss(loss, COST, G[i], y[i]))
                 np.testing.assert_allclose(dG[i], cs_surrogate_grad(loss, COST, G[i], y[i]))
+
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
+    def test_stacked_call_equals_one_call_per_part(self, name, K):
+        # one value and one grad call on [-G, g_y] against the formula with
+        # separate calls on -G and g_y; kinks, zeros and +-800 included
+        rng = np.random.default_rng(K)
+        G = rng.normal(size=(120, K)) * 3.0
+        G.flat[:6] = [0.0, 1.0, -1.0, 800.0, -800.0, 0.0][: G.size]
+        y = rng.integers(1, K + 1, size=120)
+        loss, c = get_loss(name), COST.c
+        rows, k = np.arange(120), y - 1
+        gy = G[rows, k]
+        neg = loss.value(-G)
+        ref_losses = c * loss.value(gy) + (1.0 - c) * (neg.sum(axis=1) - neg[rows, k])
+        ref_dG = -(1.0 - c) * loss.grad(-G)
+        ref_dG[rows, k] = c * loss.grad(gy)
+        losses, dG = cs_loss_batch(loss, COST, G, y)
+        np.testing.assert_array_equal(losses, ref_losses)
+        np.testing.assert_array_equal(dG, ref_dG)
 
 
 class TestSurrogateGrad:

@@ -78,6 +78,15 @@ class TestPUConfig:
         assert cfg.n_positive == 720
         assert cfg.prior == 0.7
 
+    def test_from_class_counts_takes_the_largest_multiple_of_200(self):
+        # 400 needs 80 + 280 positives and 120 negatives; 600 needs 540 positives
+        cfg = PUConfig.from_class_counts(500, 500)
+        assert (cfg.n_unlabeled, cfg.n_positive, cfg.prior) == (400, 80, 0.7)
+        # the negatives bind: 400 would need 120
+        assert PUConfig.from_class_counts(5000, 100).n_unlabeled == 200
+        with pytest.raises(ValueError):
+            PUConfig.from_class_counts(179, 1000)
+
     def test_tiny_pool_rejected(self):
         with pytest.raises(ValueError):
             PUConfig.from_train_size(150)
