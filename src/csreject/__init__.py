@@ -12,13 +12,10 @@ from .core import (
     MetricsRecord,
     RejectionCost,
     compute_metrics,
-    zero_one_c_loss,
 )
 from .losses import MARGIN_LOSSES, MarginLossSpec, get_loss
 from .surrogate import (
     cs_loss_batch,
-    cs_surrogate_grad,
-    cs_surrogate_loss,
     decide,
     decide_batch,
     empirical_risk,
@@ -31,11 +28,8 @@ from .theory import (
     audit_excess_random,
     audit_oracle_equivalence,
     bayes_cs_binary,
-    binary_three_way,
     binary_three_way_batch,
-    chow_rule,
     chow_rule_batch,
-    ensemble_chow,
     ensemble_chow_batch,
     psi_inverse,
     psi_transform,
@@ -61,70 +55,6 @@ from .weaksup import (
     pu_risk_unbiased,
     train_pu,
 )
-from .harness import GridSpec, ResultRow, SummaryRow, aggregate, run_cell, run_grid
+from .harness import METHODS, GridSpec, Method, ResultRow, SummaryRow, aggregate, run_cell, run_grid
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Dataset",
-    "Decision",
-    "MetricsRecord",
-    "RejectionCost",
-    "compute_metrics",
-    "zero_one_c_loss",
-    "MARGIN_LOSSES",
-    "MarginLossSpec",
-    "get_loss",
-    "cs_loss_batch",
-    "cs_surrogate_grad",
-    "cs_surrogate_loss",
-    "decide",
-    "decide_batch",
-    "empirical_risk",
-    "pointwise_conditional_risk",
-    "FiniteDistribution",
-    "audit_calibration",
-    "audit_excess_chain",
-    "audit_excess_random",
-    "audit_oracle_equivalence",
-    "bayes_cs_binary",
-    "binary_three_way",
-    "binary_three_way_batch",
-    "chow_rule",
-    "chow_rule_batch",
-    "ensemble_chow",
-    "ensemble_chow_batch",
-    "psi_inverse",
-    "psi_transform",
-    "AdamState",
-    "LinearModel",
-    "MlpModel",
-    "TrainConfig",
-    "adam_step",
-    "load_model",
-    "make_model",
-    "save_model",
-    "train",
-    "GaussianMixtureSpec",
-    "PosteriorOracle",
-    "Standardizer",
-    "gen_gauss_mixture",
-    "gen_twonorm",
-    "load_csv",
-    "split",
-    "standardize",
-    "twonorm_spec",
-    "PUConfig",
-    "inject_uniform_noise",
-    "make_pu_dataset",
-    "pu_loss_term",
-    "pu_risk_nn",
-    "pu_risk_unbiased",
-    "train_pu",
-    "GridSpec",
-    "ResultRow",
-    "SummaryRow",
-    "aggregate",
-    "run_cell",
-    "run_grid",
-]

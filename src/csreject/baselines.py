@@ -55,14 +55,6 @@ def tune_threshold(decide_all, labels, cost: RejectionCost, candidates=None) -> 
 # SCE: softmax cross-entropy with temperature-scaled Chow plug-in
 
 
-def sce_loss_grad(g: np.ndarray, y: int):
-    g = np.asarray(g, dtype=float)
-    logp = _log_softmax(g)
-    grad = np.exp(logp)
-    grad[y - 1] -= 1.0
-    return float(-logp[y - 1]), grad
-
-
 def sce_loss_batch(G: np.ndarray, y: np.ndarray):
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -92,26 +84,6 @@ def tune_temperature(model, val: Dataset, cost: RejectionCost, candidates=None) 
 
 # ---------------------------------------------------------------------------
 # DEFER: augmented rejection class K+1 on a cross-entropy objective
-
-
-def defer_loss_grad(g: np.ndarray, y: int, cost: RejectionCost, raw_printed_form: bool = False):
-    """-log p_y - (1-c) log p_{K+1} over a (K+1)-way softmax.
-
-    The sign-negated form is the sensible minimization objective; the raw
-    printed form (unnegated) is available behind the debug flag only.
-    """
-    g = np.asarray(g, dtype=float)
-    logp = _log_softmax(g)
-    p = np.exp(logp)
-    K1 = len(g)
-    loss = -logp[y - 1] - (1.0 - cost.c) * logp[K1 - 1]
-    total = 2.0 - cost.c  # combined one-hot mass of the two CE terms
-    grad = total * p
-    grad[y - 1] -= 1.0
-    grad[K1 - 1] -= 1.0 - cost.c
-    if raw_printed_form:
-        return -loss, -grad
-    return float(loss), grad
 
 
 def defer_loss_batch(cost: RejectionCost):
@@ -198,19 +170,6 @@ class AngleConfig:
     @property
     def vertices(self) -> np.ndarray:
         return angle_vertices(self.K)
-
-
-def angle_loss_grad(g: np.ndarray, y: int, config: AngleConfig):
-    """Sum over wrong classes y' of bent_hinge(-v_{y'} . g), with its gradient."""
-    g = np.asarray(g, dtype=float)
-    V = config.vertices
-    u = -V @ g  # (K,)
-    mask = np.ones(config.K, dtype=bool)
-    mask[y - 1] = False
-    loss = float(bent_hinge(u[mask], config.bend_slope).sum())
-    du = bent_hinge_grad(u, config.bend_slope)
-    grad = -(du[mask, None] * V[mask]).sum(axis=0)
-    return loss, grad
 
 
 def angle_loss_batch(config: AngleConfig):

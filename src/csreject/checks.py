@@ -6,9 +6,9 @@ import numpy as np
 
 from . import baselines
 from .core import RejectionCost
+from .harness import METHODS
 from .losses import MARGIN_LOSSES
 from .models import make_model
-from .surrogate import cs_loss_batch
 
 # kink locations per margin loss; points within KINK_EPS are skipped
 KINKS = {
@@ -109,15 +109,14 @@ def check_model_gradients(
 
 
 def run_gradcheck(seed: int = 0):
-    """Full gradient suite: margin losses, L_CS through both model kinds,
-    SCE, DEFER, and ANGLE. Returns {name: (max_rel_err, ok)}."""
+    """Full gradient suite: margin losses, then the grid's training losses
+    (L_CS, SCE, DEFER and ANGLE) through both model kinds. Returns {name: (max_rel_err, ok)}."""
     results = dict(check_margin_losses())
 
     cost = RejectionCost(0.25)
     K = 3
-    for name in ("sigmoid", "hinge", "squared", "logistic", "savage", "tangent", "ramp", "exponential", "squared_hinge"):
-        loss = MARGIN_LOSSES[name]
-        batch = lambda G, y, _l=loss: cs_loss_batch(_l, cost, G, y)
+    for name in MARGIN_LOSSES:
+        batch = METHODS[f"cs-{name}"].loss_batch(K, cost)
         for kind in ("linear", "mlp"):
             # L_CS evaluates phi at g_y and at -g_y' for the other classes
             results[f"cs-{name}/{kind}"] = check_model_gradients(
@@ -125,13 +124,12 @@ def run_gradcheck(seed: int = 0):
             )
 
     for kind in ("linear", "mlp"):
-        results[f"sce/{kind}"] = check_model_gradients(baselines.sce_loss_batch, K, kind, seed=seed)
-        results[f"defer/{kind}"] = check_model_gradients(baselines.defer_loss_batch(cost), K + 1, kind, seed=seed)
+        results[f"sce/{kind}"] = check_model_gradients(METHODS["sce"].loss_batch(K, cost), K, kind, seed=seed)
+        results[f"defer/{kind}"] = check_model_gradients(METHODS["defer"].loss_batch(K, cost), K + 1, kind, seed=seed)
 
     # ANGLE scores live in R^{K-1}, its labels in 1..K, and its bent hinge
     # has kinks at u = 0 and u = 1 of u = -V g
-    a1, _ = baselines.bend_slopes(K, cost)
-    angle_batch = baselines.angle_loss_batch(baselines.AngleConfig(K, a1))
+    angle_batch = METHODS["angle"].loss_batch(K, cost)
     V = baselines.angle_vertices(K)
     for kind in ("linear", "mlp"):
         results[f"angle/{kind}"] = check_model_gradients(

@@ -111,13 +111,6 @@ class MetricsRecord:
     nothing_accepted: bool = False
 
 
-def zero_one_c_loss(decision: Decision, label: int, cost: RejectionCost) -> float:
-    """0 on a correct prediction, 1 on a wrong one, c on rejection."""
-    if decision.is_reject:
-        return cost.c
-    return 0.0 if decision.label == label else 1.0
-
-
 def zero_one_c_risk(codes, labels, cost: RejectionCost):
     """Zero-one-c risk along the last axis of decision codes (..., n)."""
     codes = np.asarray(codes)

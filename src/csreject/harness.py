@@ -8,13 +8,14 @@ import functools
 import hashlib
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import baselines, data as data_mod, weaksup
-from .core import CODE_DISTANCE, Dataset, MetricsRecord, RejectionCost, compute_metrics
-from .losses import MARGIN_LOSSES, get_loss
+from .core import CODE_DISTANCE, Dataset, RejectionCost, compute_metrics
+from .losses import MARGIN_LOSSES
 from .models import TrainConfig, make_model, train
 from .surrogate import cs_loss_batch, decide_batch
 
@@ -48,6 +49,8 @@ class GridSpec:
             raise ValueError("trials must be >= 1")
         for c in self.costs:
             RejectionCost(c)
+        if unknown := [m for m in self.methods if m not in METHODS]:
+            raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
 
     def cells(self):
         for ds in self.datasets:
@@ -136,55 +139,83 @@ def _source_dataset(info: DatasetInfo, n: int, rng: np.random.Generator) -> Data
 
 
 # ---------------------------------------------------------------------------
+# method registry
+
+
+@dataclass(frozen=True)
+class Method:
+    """One method of the grid. n_out(K): the score width. loss_batch(K, cost):
+    the training loss (G, y) -> (losses, dG), or None for a rule that trains
+    nothing. decide(G, K, cost, tuned): decision codes of test scores G.
+    tune(model, val, K, cost): `tuned`, picked on the standardized validation split."""
+
+    n_out: Callable[[int], int]
+    loss_batch: Callable | None
+    decide: Callable[..., np.ndarray]
+    tune: Callable | None = None
+
+
+def _cs_method(loss) -> Method:
+    """The paper's method: L_CS with one margin loss, decided by the ensemble rule."""
+    return Method(
+        n_out=lambda K: K,
+        loss_batch=lambda K, cost: lambda G, y: cs_loss_batch(loss, cost, G, y),
+        decide=lambda G, K, cost, tuned: decide_batch(G),
+    )
+
+
+def _angle_config(K: int, cost: RejectionCost):
+    return baselines.AngleConfig(K, baselines.bend_slopes(K, cost)[0])
+
+
+# Each callable looks the package's functions up when it is called, so a
+# wrapper installed on a module attribute sees every cell's calls.
+METHODS: dict[str, Method] = {
+    **{f"cs-{name}": _cs_method(loss) for name, loss in MARGIN_LOSSES.items()},
+    # Chow 1970: softmax cross-entropy, then Chow's rule on tempered
+    # probabilities; T = 1 is on the tuning grid, so tuning never loses to it
+    "sce": Method(
+        n_out=lambda K: K,
+        loss_batch=lambda K, cost: baselines.sce_loss_batch,
+        decide=lambda G, K, cost, T: baselines.sce_decide_batch(G, T, cost),
+        tune=lambda model, val, K, cost: baselines.tune_temperature(model, val, cost),
+    ),
+    # Mozannar & Sontag 2020: a (K+1)-th rejection class
+    "defer": Method(
+        n_out=lambda K: K + 1,
+        loss_batch=lambda K, cost: baselines.defer_loss_batch(cost),
+        decide=lambda G, K, cost, tuned: baselines.defer_decide_batch(G),
+    ),
+    # Zhang, Wang & Qiao 2018: simplex-vertex scores and a bent hinge; the
+    # untuned delta = 0 leads the candidates, so tuning never loses to it
+    "angle": Method(
+        n_out=lambda K: K - 1,
+        loss_batch=lambda K, cost: baselines.angle_loss_batch(_angle_config(K, cost)),
+        decide=lambda G, K, cost, delta: baselines.angle_decide_batch(G, baselines.angle_vertices(K), delta),
+        tune=lambda model, val, K, cost: baselines.tune_delta(
+            model, val, cost, _angle_config(K, cost), [0.0] + baselines.default_candidates()
+        ),
+    ),
+    # the trivial reference: reject every row, for a risk of exactly c
+    "always-reject": Method(
+        n_out=lambda K: K, loss_batch=None, decide=lambda G, K, cost, tuned: np.full(len(G), CODE_DISTANCE)
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # per-cell execution
-
-
-def _method_n_out(method: str, K: int) -> int:
-    if method.startswith("cs-") or method == "sce":
-        return K
-    if method == "defer":
-        return K + 1
-    if method == "angle":
-        return K - 1
-    if method == "always-reject":
-        return K
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _loss_batch_for(method: str, K: int, cost: RejectionCost):
-    if method.startswith("cs-"):
-        loss = get_loss(method[3:])
-        return lambda G, y: cs_loss_batch(loss, cost, G, y)
-    if method == "sce":
-        return baselines.sce_loss_batch
-    if method == "defer":
-        return baselines.defer_loss_batch(cost)
-    if method == "angle":
-        a1, _ = baselines.bend_slopes(K, cost)
-        return baselines.angle_loss_batch(baselines.AngleConfig(K, a1))
-    raise ValueError(f"method {method!r} has no trainable loss")
-
-
-def _decisions(method: str, G: np.ndarray, K: int, cost: RejectionCost, tuned: float | None) -> np.ndarray:
-    """Decision codes of a trained method on its test scores G."""
-    if method.startswith("cs-"):
-        return decide_batch(G)
-    if method == "sce":
-        return baselines.sce_decide_batch(G, tuned if tuned is not None else 1.0, cost)
-    if method == "defer":
-        return baselines.defer_decide_batch(G)
-    if method == "angle":
-        return baselines.angle_decide_batch(G, baselines.angle_vertices(K), tuned if tuned is not None else 0.0)
-    raise ValueError(method)
 
 
 def run_cell(grid: GridSpec, cell) -> ResultRow:
     """Train and evaluate one (dataset, method, cost, trial) cell."""
-    ds_name, method, cost_value, trial = cell
+    ds_name, method_name, cost_value, trial = cell
+    method = METHODS[method_name]
     cost = RejectionCost(cost_value)
     info = dataset_info(ds_name)
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
-    train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method, f"{cost_value:.6g}", "train")
+    train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, f"{cost_value:.6g}", "train")
+    model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
 
     data_rng = np.random.default_rng(data_seed)
     source = _source_dataset(info, info.total_n, data_rng)
@@ -196,14 +227,9 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
     config = TrainConfig(learning_rate=grid.learning_rate, batch_size=batch, epochs=epochs, seed=train_seed)
 
     t0 = time.perf_counter()
-    tuned = None
-    flagged = False
-
-    if method == "always-reject":
-        scaler = None
-        model = None
-        trace = []
-        test_eval = test_ds
+    model, trace, tuned, test_eval = None, [], None, test_ds
+    if method.loss_batch is None:
+        pass  # a fixed rule: nothing to train
     elif grid.setting == "pu":
         if info.K != 2:
             raise ValueError("the PU setting requires a binary dataset")
@@ -225,41 +251,31 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
         )
         positives = (positives - scaler.mean) / scaler.scale
         unlabeled = (unlabeled - scaler.mean) / scaler.scale
-        model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
-        model = make_model(info.model_kind, train_ds.d, _method_n_out(method, info.K), model_rng)
-        term = weaksup.pu_loss_term(_loss_batch_for(method, info.K, cost))
+        model = make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng)
+        term = weaksup.pu_loss_term(method.loss_batch(info.K, cost))
         trace, _ = weaksup.train_pu(model, term, positives, unlabeled, grid.prior, config)
-        test_eval = scaler.apply(test_ds)
-        if method in ("sce", "angle"):
-            val_eval = scaler.apply(val_ds)
-            tuned = _tune(method, model, val_eval, info.K, cost)
     else:
         if grid.setting == "noisy":
             noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
             train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
         scaler, train_std = data_mod.standardize(train_ds)
-        model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
-        model = make_model(info.model_kind, train_ds.d, _method_n_out(method, info.K), model_rng)
-        trace = train(model, train_std, _loss_batch_for(method, info.K, cost), config)
+        model = make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng)
+        trace = train(model, train_std, method.loss_batch(info.K, cost), config)
+    if model is not None:
         test_eval = scaler.apply(test_ds)
-        if method in ("sce", "angle"):
-            tuned = _tune(method, model, scaler.apply(val_ds), info.K, cost)
+        if method.tune is not None:
+            tuned = method.tune(model, scaler.apply(val_ds), info.K, cost)
 
     train_seconds = time.perf_counter() - t0
-    if trace and not np.isfinite(trace[-1]):
-        flagged = True
-
-    if model is None:
-        codes = np.full(test_eval.n, CODE_DISTANCE)
-    else:
-        G = model.scores(test_eval.X)
-        # a non-finite score would otherwise pass silently as a rejection
-        flagged = flagged or not np.isfinite(G).all()
-        codes = _decisions(method, G, info.K, cost, tuned)
+    # a rule without a model decides on scores of width 0
+    G = model.scores(test_eval.X) if model is not None else np.empty((test_eval.n, 0))
+    # a non-finite score would otherwise pass silently as a rejection
+    flagged = bool(trace and not np.isfinite(trace[-1])) or not np.isfinite(G).all()
+    codes = method.decide(G, info.K, cost, tuned)
     metrics = compute_metrics(codes, test_eval.y, cost)
     return ResultRow(
         dataset=ds_name,
-        method=method,
+        method=method_name,
         setting=grid.setting,
         cost=cost_value,
         trial=trial,
@@ -271,16 +287,6 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
         train_seconds=train_seconds,
         flagged=flagged,
     )
-
-
-def _tune(method: str, model, val: Dataset, K: int, cost: RejectionCost) -> float:
-    if method == "sce":
-        # T = 1 is on the log grid, so tuning can never lose to the default
-        return baselines.tune_temperature(model, val, cost)
-    a1, _ = baselines.bend_slopes(K, cost)
-    # delta = 0 (the untuned default) is prepended so tuning cannot regress
-    candidates = [0.0] + baselines.default_candidates()
-    return baselines.tune_delta(model, val, cost, baselines.AngleConfig(K, a1), candidates)
 
 
 def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:

@@ -135,14 +135,6 @@ def get_loss(name: str) -> MarginLossSpec:
         raise KeyError(f"unknown margin loss {name!r}; choose from {sorted(MARGIN_LOSSES)}") from None
 
 
-def phi_eval(loss: MarginLossSpec, z):
-    return loss.value(z)
-
-
-def phi_grad(loss: MarginLossSpec, z):
-    return loss.grad(z)
-
-
 def binary_conditional_risk(loss: MarginLossSpec, eta1: float, v) -> float:
     """eta1 * phi(v) + (1 - eta1) * phi(-v) for a scalar score v."""
     if not (0.0 <= eta1 <= 1.0):

@@ -8,25 +8,6 @@ from .core import CODE_AMBIGUITY, CODE_DISTANCE, Dataset, Decision, RejectionCos
 from .losses import MarginLossSpec
 
 
-def cs_surrogate_loss(loss: MarginLossSpec, cost: RejectionCost, g: np.ndarray, y: int) -> float:
-    """c * phi(g_y) + (1 - c) * sum_{y' != y} phi(-g_{y'})."""
-    g = np.asarray(g, dtype=float)
-    c = cost.c
-    k = y - 1
-    rest = np.delete(g, k)
-    return float(c * loss.value(g[k]) + (1.0 - c) * loss.value(-rest).sum())
-
-
-def cs_surrogate_grad(loss: MarginLossSpec, cost: RejectionCost, g: np.ndarray, y: int) -> np.ndarray:
-    """Gradient of cs_surrogate_loss with respect to the score vector."""
-    g = np.asarray(g, dtype=float)
-    c = cost.c
-    k = y - 1
-    grad = -(1.0 - c) * loss.grad(-g)
-    grad[k] = c * loss.grad(g[k])
-    return grad
-
-
 def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: np.ndarray):
     """Vectorized per-sample losses and score gradients for a batch.
 
@@ -43,7 +24,10 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     z = np.concatenate([-G.ravel(), G[rows, k]])
     phi, dphi = loss.value(z), loss.grad(z)
     neg = phi[: n * K].reshape(n, K)
-    losses = c * phi[n * K :] + (1.0 - c) * (neg.sum(axis=1) - neg[rows, k])
+    # sum the other classes column by column: a full row sum minus the own
+    # class cancels when phi(-g_y) is large
+    neg[rows, k] = 0.0
+    losses = c * phi[n * K :] + (1.0 - c) * sum(neg[:, j] for j in range(K))
     dG = -(1.0 - c) * dphi[: n * K].reshape(n, K)
     dG[rows, k] = c * dphi[n * K :]
     return losses, dG
@@ -79,8 +63,8 @@ def pointwise_conditional_risk(loss: MarginLossSpec, cost: RejectionCost, g: np.
     eta = np.asarray(eta, dtype=float)
     if abs(eta.sum() - 1.0) > 1e-9 or (eta < 0).any():
         raise ValueError("eta must be a probability simplex")
-    g = np.asarray(g, dtype=float)
-    return float(sum(eta[y - 1] * cs_surrogate_loss(loss, cost, g, y) for y in range(1, len(eta) + 1)))
+    losses, _ = cs_loss_batch(loss, cost, np.tile(g, (len(eta), 1)), np.arange(1, len(eta) + 1))
+    return float(eta @ losses)
 
 
 def pointwise_conditional_risk_per_class(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CODE_ORACLE, Decision, RejectionCost
+from .core import CODE_ORACLE, RejectionCost
 from .losses import MarginLossSpec, argmin_weighted_conditional_risk, get_loss
 from .surrogate import decide_batch
 
@@ -76,11 +76,6 @@ def chow_rule_batch(eta: np.ndarray, c) -> np.ndarray:
     return np.where(eta.max(axis=-1) <= 1.0 - c, CODE_ORACLE, eta.argmax(axis=-1) + 1)
 
 
-def chow_rule(eta: np.ndarray, cost: RejectionCost) -> Decision:
-    """chow_rule_batch for one posterior vector."""
-    return Decision.from_code(chow_rule_batch(eta, cost.c))
-
-
 def bayes_cs_binary(p_pos: float, alpha: float) -> int:
     """Optimal cost-sensitive binary verdict: +1 iff p(y=+1|x) > alpha."""
     if not (0.0 <= p_pos <= 1.0):
@@ -103,11 +98,6 @@ def binary_three_way_batch(p_pos, c) -> np.ndarray:
     return np.where(p_pos > 1.0 - c, 1, np.where(p_pos > c, CODE_ORACLE, 2))
 
 
-def binary_three_way(p_pos: float, cost: RejectionCost) -> Decision:
-    """binary_three_way_batch for one posterior."""
-    return Decision.from_code(binary_three_way_batch(p_pos, cost.c))
-
-
 def ensemble_chow_batch(eta: np.ndarray, c) -> np.ndarray:
     """Chow's rule reconstructed from K one-vs-rest verdicts at alpha = 1-c, as codes."""
     eta, c = _check_simplex(eta), _check_costs(c)
@@ -118,11 +108,6 @@ def ensemble_chow_batch(eta: np.ndarray, c) -> np.ndarray:
     if (n_pos > 1).any():
         raise ValueError("multiple positive one-vs-rest verdicts: eta is not a simplex at this cost")
     return np.where(n_pos == 0, CODE_ORACLE, verdicts.argmax(axis=-1) + 1)
-
-
-def ensemble_chow(eta: np.ndarray, cost: RejectionCost) -> Decision:
-    """ensemble_chow_batch for one posterior vector."""
-    return Decision.from_code(ensemble_chow_batch(eta, cost.c))
 
 
 def _codes_agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from csreject import baselines, data as data_mod, harness, theory, weaksup
+from csreject import data as data_mod, harness, theory, weaksup
 from csreject.checks import run_gradcheck
 from csreject.core import RejectionCost, compute_metrics
 from csreject.losses import get_loss
@@ -203,13 +203,9 @@ def test_criterion_9_chow_agreement_of_trained_model():
     grid_pts = np.array([[x, y] for x in xs for y in xs])
     eta = oracle.posterior(grid_pts)
     decisions = decide_batch(model.scores((grid_pts - scaler.mean) / scaler.scale))
-    agree = 0
-    for dec, e in zip(decisions, eta):
-        ref = theory.chow_rule(e, cost)
-        if dec < 1 and ref.is_reject:
-            agree += 1
-        elif dec >= 1 and not ref.is_reject and dec == ref.label:
-            agree += 1
+    ref = theory.chow_rule_batch(eta, cost.c)
+    # agreement: both reject, or both predict the same class
+    agree = int((((decisions < 1) & (ref < 1)) | ((decisions >= 1) & (decisions == ref))).sum())
     rate = agree / len(grid_pts)
     elapsed = time.perf_counter() - t0
     ok = rate >= 0.90 and elapsed < 120.0
@@ -231,7 +227,8 @@ def test_criterion_10_baseline_sanity():
     # untuned default (T=1, delta=0) against the tuned choice
     grid = harness.GridSpec(datasets=("twonorm",), methods=("sce", "angle"), costs=GRID_COSTS, trials=trials)
     info = harness.dataset_info("twonorm")
-    for method in ("sce", "angle"):
+    for method, untuned in (("sce", 1.0), ("angle", 0.0)):
+        spec = harness.METHODS[method]
         for cost_value in GRID_COSTS:
             cost = RejectionCost(cost_value)
             for trial in range(trials):
@@ -244,24 +241,15 @@ def test_criterion_10_baseline_sanity():
                 train_ds, val_ds, test_ds = data_mod.split(source, (0.5, 0.1, 0.4), seed=data_seed)
                 scaler, train_std = data_mod.standardize(train_ds)
                 model = make_model(
-                    "linear", train_ds.d, harness._method_n_out(method, 2), np.random.default_rng(harness._mix_seed(train_seed, "init"))
+                    "linear", train_ds.d, spec.n_out(2), np.random.default_rng(harness._mix_seed(train_seed, "init"))
                 )
-                train(model, train_std, harness._loss_batch_for(method, 2, cost), TrainConfig(seed=train_seed))
+                train(model, train_std, spec.loss_batch(2, cost), TrainConfig(seed=train_seed))
                 val = scaler.apply(val_ds)
                 G_val = model.scores(val.X)
 
-                if method == "sce":
-                    default_dec = baselines.sce_decide_batch(G_val, 1.0, cost)
-                    tuned = baselines.tune_temperature(model, val, cost)
-                    tuned_dec = baselines.sce_decide_batch(G_val, tuned, cost)
-                else:
-                    a1, _ = baselines.bend_slopes(2, cost)
-                    V = baselines.angle_vertices(2)
-                    default_dec = baselines.angle_decide_batch(G_val, V, 0.0)
-                    tuned = baselines.tune_delta(
-                        model, val, cost, baselines.AngleConfig(2, a1), [0.0] + baselines.default_candidates()
-                    )
-                    tuned_dec = baselines.angle_decide_batch(G_val, V, tuned)
+                default_dec = spec.decide(G_val, 2, cost, untuned)
+                tuned = spec.tune(model, val, 2, cost)
+                tuned_dec = spec.decide(G_val, 2, cost, tuned)
 
                 default_risk = compute_metrics(default_dec, val.y, cost).risk01c
                 tuned_risk = compute_metrics(tuned_dec, val.y, cost).risk01c
@@ -269,10 +257,7 @@ def test_criterion_10_baseline_sanity():
                     tuning_regressed.append((method, cost_value, trial, default_risk, tuned_risk))
 
                 test_eval = scaler.apply(test_ds)
-                if method == "sce":
-                    test_dec = baselines.sce_decide_batch(model.scores(test_eval.X), tuned, cost)
-                else:
-                    test_dec = baselines.angle_decide_batch(model.scores(test_eval.X), V, tuned)
+                test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
                 finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
 
     elapsed = time.perf_counter() - t0

@@ -5,23 +5,29 @@ from csreject.baselines import (
     AngleConfig,
     angle_decide,
     angle_decide_batch,
-    angle_loss_grad,
+    angle_loss_batch,
     angle_vertices,
     bend_slopes,
     bent_hinge,
     bent_hinge_grad,
     default_candidates,
     defer_decide,
-    defer_loss_grad,
+    defer_loss_batch,
     sce_decide,
     sce_decide_batch,
-    sce_loss_grad,
+    sce_loss_batch,
     softmax,
     tune_delta,
     tune_temperature,
 )
 from csreject.core import Dataset, RejectionCost
 from csreject.models import LinearModel
+
+
+def _row(loss_batch, g, y):
+    """A batch loss on one row: (loss, score gradient)."""
+    losses, dG = loss_batch(np.asarray(g, dtype=float)[None], np.array([y]))
+    return float(losses[0]), dG[0]
 
 
 class TestSoftmax:
@@ -60,24 +66,24 @@ class TestCandidates:
 
 class TestSce:
     def test_uniform_loss_is_log2(self):
-        loss, _ = sce_loss_grad(np.zeros(2), 1)
+        loss, _ = _row(sce_loss_batch, np.zeros(2), 1)
         assert loss == pytest.approx(np.log(2))
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            _, grad = sce_loss_grad(rng.normal(size=4), int(rng.integers(1, 5)))
+            _, grad = _row(sce_loss_batch, rng.normal(size=4), int(rng.integers(1, 5)))
             assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(2)
         h = 1e-6
         g = rng.normal(size=3)
-        _, grad = sce_loss_grad(g, 2)
+        _, grad = _row(sce_loss_batch, g, 2)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            num = (sce_loss_grad(g + e, 2)[0] - sce_loss_grad(g - e, 2)[0]) / (2 * h)
+            num = (_row(sce_loss_batch, g + e, 2)[0] - _row(sce_loss_batch, g - e, 2)[0]) / (2 * h)
             assert grad[k] == pytest.approx(num, abs=1e-6)
 
     def test_decide_confident(self):
@@ -139,13 +145,13 @@ class TestTuneTemperature:
 
 class TestDefer:
     def test_uniform_hand_value(self):
-        loss, _ = defer_loss_grad(np.zeros(3), 1, RejectionCost(0.25))
+        loss, _ = _row(defer_loss_batch(RejectionCost(0.25)), np.zeros(3), 1)
         assert loss == pytest.approx(1.75 * np.log(3))
 
     def test_gradient_sums_to_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            _, grad = defer_loss_grad(rng.normal(size=4), int(rng.integers(1, 4)), RejectionCost(0.3))
+            _, grad = _row(defer_loss_batch(RejectionCost(0.3)), rng.normal(size=4), int(rng.integers(1, 4)))
             assert grad.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference(self):
@@ -153,19 +159,13 @@ class TestDefer:
         cost = RejectionCost(0.3)
         h = 1e-6
         g = rng.normal(size=4)
-        _, grad = defer_loss_grad(g, 2, cost)
+        batch = defer_loss_batch(cost)
+        _, grad = _row(batch, g, 2)
         for k in range(4):
             e = np.zeros(4)
             e[k] = h
-            num = (defer_loss_grad(g + e, 2, cost)[0] - defer_loss_grad(g - e, 2, cost)[0]) / (2 * h)
+            num = (_row(batch, g + e, 2)[0] - _row(batch, g - e, 2)[0]) / (2 * h)
             assert grad[k] == pytest.approx(num, abs=1e-6)
-
-    def test_raw_printed_form_is_negation(self):
-        g = np.array([0.3, -0.5, 0.1])
-        l1, g1 = defer_loss_grad(g, 1, RejectionCost(0.25))
-        l2, g2 = defer_loss_grad(g, 1, RejectionCost(0.25), raw_printed_form=True)
-        assert l2 == pytest.approx(-l1)
-        np.testing.assert_allclose(g2, -g1)
 
     def test_decide_rejection_slot(self):
         assert defer_decide(np.array([1.0, 2.0, 5.0])).is_reject
@@ -230,18 +230,19 @@ class TestBentHinge:
 class TestAngleLoss:
     def test_zero_scores(self):
         cfg = AngleConfig(3, 2.0)
-        loss, _ = angle_loss_grad(np.zeros(2), 1, cfg)
+        loss, _ = _row(angle_loss_batch(cfg), np.zeros(2), 1)
         assert loss == pytest.approx(2.0)  # (K-1) * bent_hinge(0)
 
     def test_binary_confident_score_has_zero_loss(self):
         cfg = AngleConfig(2, 2.0)
-        loss, grad = angle_loss_grad(np.array([3.0]), 1, cfg)
+        loss, grad = _row(angle_loss_batch(cfg), np.array([3.0]), 1)
         assert loss == 0.0
         np.testing.assert_allclose(grad, 0.0)
 
     def test_finite_difference_away_from_kinks(self):
         rng = np.random.default_rng(6)
         cfg = AngleConfig(4, 1.7)
+        batch = angle_loss_batch(cfg)
         h = 1e-6
         for _ in range(20):
             g = rng.normal(size=3) + 0.01
@@ -249,11 +250,11 @@ class TestAngleLoss:
             if np.any(np.abs(u) < 1e-3) or np.any(np.abs(u - 1) < 1e-3):
                 continue
             y = int(rng.integers(1, 5))
-            _, grad = angle_loss_grad(g, y, cfg)
+            _, grad = _row(batch, g, y)
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = h
-                num = (angle_loss_grad(g + e, y, cfg)[0] - angle_loss_grad(g - e, y, cfg)[0]) / (2 * h)
+                num = (_row(batch, g + e, y)[0] - _row(batch, g - e, y)[0]) / (2 * h)
                 assert grad[k] == pytest.approx(num, abs=1e-5)
 
 

@@ -11,7 +11,7 @@ from csreject.core import (
     MetricsRecord,
     RejectionCost,
     compute_metrics,
-    zero_one_c_loss,
+    zero_one_c_risk,
 )
 
 
@@ -76,20 +76,20 @@ class TestDataset:
 
 class TestZeroOneC:
     def test_reject_costs_c(self):
-        assert zero_one_c_loss(Decision.reject("distance"), 2, RejectionCost(0.3)) == 0.3
+        assert zero_one_c_risk([CODE_DISTANCE], [2], RejectionCost(0.3)) == 0.3
 
     def test_correct_prediction_is_free(self):
-        assert zero_one_c_loss(Decision.predict(2), 2, RejectionCost(0.3)) == 0.0
+        assert zero_one_c_risk([2], [2], RejectionCost(0.3)) == 0.0
 
     def test_misclassification_costs_one(self):
-        assert zero_one_c_loss(Decision.predict(1), 2, RejectionCost(0.3)) == 1.0
+        assert zero_one_c_risk([1], [2], RejectionCost(0.3)) == 1.0
 
     def test_range_is_zero_c_one(self):
         cost = RejectionCost(0.2)
         values = {
-            zero_one_c_loss(Decision.predict(1), 1, cost),
-            zero_one_c_loss(Decision.predict(1), 2, cost),
-            zero_one_c_loss(Decision.reject("ambiguity"), 1, cost),
+            zero_one_c_risk([1], [1], cost),
+            zero_one_c_risk([1], [2], cost),
+            zero_one_c_risk([CODE_AMBIGUITY], [1], cost),
         }
         assert values == {0.0, 1.0, 0.2}
 

@@ -34,6 +34,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(costs=(0.6,))
 
+    def test_unknown_method_is_rejected_with_the_valid_names(self):
+        for bad in ("cs-sigmod", "svm"):
+            with pytest.raises(ValueError, match=rf"unknown methods \['{bad}'\].*'always-reject'.*'cs-sigmoid'"):
+                GridSpec(methods=("cs-sigmoid", bad))
+
+    def test_registry_has_a_cs_entry_per_margin_loss(self):
+        from csreject.losses import MARGIN_LOSSES
+
+        assert set(harness.METHODS) == {f"cs-{n}" for n in MARGIN_LOSSES} | {"sce", "defer", "angle", "always-reject"}
+        assert [harness.METHODS[m].n_out(3) for m in ("cs-ramp", "sce", "defer", "angle")] == [3, 3, 4, 2]
+
     def test_cell_cardinality(self):
         grid = GridSpec(datasets=("twonorm",), methods=("cs-sigmoid", "cs-hinge"), costs=tuple(np.arange(0.1, 0.41, 0.05)), trials=10)
         assert len(list(grid.cells())) == 2 * 7 * 10
@@ -274,6 +285,18 @@ class TestCsv:
         line = p.read_text().strip().split("\n")[1].split(",")
         # mean risk 0.0179... rescaled to the 0-100 convention
         assert float(line[5]) == pytest.approx(100 * (0.0123456 + 0.0234567) / 2, rel=1e-4)
+
+
+class TestCliRun:
+    def test_unknown_method_fails_before_any_cell(self, tmp_path, monkeypatch):
+        from csreject import cli
+
+        monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a cell ran"))
+        out = tmp_path / "r.csv"
+        args = ["run", "--methods", "cs-sigmoid,cs-sigmod", "--costs", "0.2", "--trials", "1", "--out", str(out)]
+        with pytest.raises(ValueError, match="cs-sigmod"):
+            cli.main(args)
+        assert not out.exists()
 
 
 class TestCliResume:

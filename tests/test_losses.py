@@ -7,8 +7,6 @@ from csreject.losses import (
     argmin_weighted_conditional_risk,
     binary_conditional_risk,
     get_loss,
-    phi_eval,
-    phi_grad,
 )
 
 CONVEX = {"squared", "squared_hinge", "exponential", "logistic", "hinge"}
@@ -42,49 +40,49 @@ class TestRegistry:
 
 class TestValues:
     def test_sigmoid_at_zero(self):
-        assert phi_eval(get_loss("sigmoid"), 0.0) == pytest.approx(0.5)
+        assert get_loss("sigmoid").value(0.0) == pytest.approx(0.5)
 
     def test_hinge_at_one(self):
-        assert phi_eval(get_loss("hinge"), 1.0) == 0.0
+        assert get_loss("hinge").value(1.0) == 0.0
 
     def test_squared_at_minus_one(self):
-        assert phi_eval(get_loss("squared"), -1.0) == pytest.approx(4.0)
+        assert get_loss("squared").value(-1.0) == pytest.approx(4.0)
 
     def test_point_values_against_formulas(self):
         z = np.linspace(-4, 4, 17)
-        np.testing.assert_allclose(phi_eval(get_loss("squared_hinge"), z), np.maximum(0, 1 - z) ** 2)
-        np.testing.assert_allclose(phi_eval(get_loss("exponential"), z), np.exp(-z))
-        np.testing.assert_allclose(phi_eval(get_loss("logistic"), z), np.log1p(np.exp(-z)))
-        np.testing.assert_allclose(phi_eval(get_loss("savage"), z), (1 + np.exp(2 * z)) ** -2)
-        np.testing.assert_allclose(phi_eval(get_loss("tangent"), z), (2 * np.arctan(z) - 1) ** 2)
-        np.testing.assert_allclose(phi_eval(get_loss("ramp"), z), np.clip(0.5 - 0.5 * z, 0, 1))
-        np.testing.assert_allclose(phi_eval(get_loss("sigmoid"), z), 1 / (1 + np.exp(z)))
+        np.testing.assert_allclose(get_loss("squared_hinge").value(z), np.maximum(0, 1 - z) ** 2)
+        np.testing.assert_allclose(get_loss("exponential").value(z), np.exp(-z))
+        np.testing.assert_allclose(get_loss("logistic").value(z), np.log1p(np.exp(-z)))
+        np.testing.assert_allclose(get_loss("savage").value(z), (1 + np.exp(2 * z)) ** -2)
+        np.testing.assert_allclose(get_loss("tangent").value(z), (2 * np.arctan(z) - 1) ** 2)
+        np.testing.assert_allclose(get_loss("ramp").value(z), np.clip(0.5 - 0.5 * z, 0, 1))
+        np.testing.assert_allclose(get_loss("sigmoid").value(z), 1 / (1 + np.exp(z)))
 
     def test_logistic_stable_for_huge_arguments(self):
         loss = get_loss("logistic")
-        assert np.isfinite(phi_eval(loss, -800.0))
-        assert phi_eval(loss, -800.0) == pytest.approx(800.0)
-        assert phi_eval(loss, 800.0) == 0.0
+        assert np.isfinite(loss.value(-800.0))
+        assert loss.value(-800.0) == pytest.approx(800.0)
+        assert loss.value(800.0) == 0.0
 
     def test_exponential_clamped(self):
-        assert phi_eval(get_loss("exponential"), -1000.0) == pytest.approx(np.exp(30))
+        assert get_loss("exponential").value(-1000.0) == pytest.approx(np.exp(30))
 
 
 class TestGradients:
     def test_sigmoid_grad_at_zero(self):
-        assert phi_grad(get_loss("sigmoid"), 0.0) == pytest.approx(-0.25)
+        assert get_loss("sigmoid").grad(0.0) == pytest.approx(-0.25)
 
     def test_squared_grad_at_zero(self):
-        assert phi_grad(get_loss("squared"), 0.0) == pytest.approx(-2.0)
+        assert get_loss("squared").grad(0.0) == pytest.approx(-2.0)
 
     def test_hinge_flat_region(self):
-        assert phi_grad(get_loss("hinge"), 2.0) == 0.0
+        assert get_loss("hinge").grad(2.0) == 0.0
 
     def test_subgradient_conventions_at_kinks(self):
-        assert phi_grad(get_loss("hinge"), 1.0) == 0.0
-        assert phi_grad(get_loss("squared_hinge"), 1.0) == 0.0
-        assert phi_grad(get_loss("ramp"), -1.0) == -0.5
-        assert phi_grad(get_loss("ramp"), 1.0) == 0.0
+        assert get_loss("hinge").grad(1.0) == 0.0
+        assert get_loss("squared_hinge").grad(1.0) == 0.0
+        assert get_loss("ramp").grad(-1.0) == -0.5
+        assert get_loss("ramp").grad(1.0) == 0.0
 
     def test_finite_difference_grid(self):
         results = check_margin_losses()

@@ -5,8 +5,6 @@ from csreject.core import Dataset, Decision, RejectionCost
 from csreject.losses import MARGIN_LOSSES, get_loss
 from csreject.surrogate import (
     cs_loss_batch,
-    cs_surrogate_grad,
-    cs_surrogate_loss,
     decide,
     decide_batch,
     empirical_risk,
@@ -17,19 +15,34 @@ from csreject.surrogate import (
 COST = RejectionCost(0.25)
 
 
+def _loss(loss, g, y):
+    """cs_loss_batch on one row: (loss, score gradient)."""
+    losses, dG = cs_loss_batch(loss, COST, np.asarray(g, dtype=float)[None], np.array([y]))
+    return float(losses[0]), dG[0]
+
+
+def _row_reference(loss, g, y):
+    """c * phi(g_y) + (1 - c) * sum_{y' != y} phi(-g_y') and its gradient, one row."""
+    c, k = COST.c, y - 1
+    value = c * loss.value(g[k]) + (1.0 - c) * loss.value(-np.delete(g, k)).sum()
+    grad = -(1.0 - c) * loss.grad(-g)
+    grad[k] = c * loss.grad(g[k])
+    return value, grad
+
+
 class TestSurrogateLoss:
     def test_hinge_hand_value(self):
         # c*phi(0.5) + (1-c)*phi(0.5) with phi the hinge
-        v = cs_surrogate_loss(get_loss("hinge"), COST, np.array([0.5, -0.5]), 1)
+        v, _ = _loss(get_loss("hinge"), [0.5, -0.5], 1)
         assert v == pytest.approx(0.5)
 
     def test_sigmoid_zero_scores(self):
-        v = cs_surrogate_loss(get_loss("sigmoid"), COST, np.array([0.0, 0.0]), 1)
+        v, _ = _loss(get_loss("sigmoid"), [0.0, 0.0], 1)
         assert v == pytest.approx(0.5)
 
     def test_sigmoid_vanishes_at_confident_scores(self):
         g = np.array([50.0, -50.0, -50.0])
-        v = cs_surrogate_loss(get_loss("sigmoid"), COST, g, 1)
+        v, _ = _loss(get_loss("sigmoid"), g, 1)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_matches_scalar(self):
@@ -40,9 +53,16 @@ class TestSurrogateLoss:
             loss = get_loss(name)
             losses, dG = cs_loss_batch(loss, COST, G, y)
             for i in range(20):
-                assert losses[i] == pytest.approx(cs_surrogate_loss(loss, COST, G[i], y[i]))
-                np.testing.assert_allclose(dG[i], cs_surrogate_grad(loss, COST, G[i], y[i]))
+                value, grad = _row_reference(loss, G[i], y[i])
+                assert losses[i] == pytest.approx(value)
+                np.testing.assert_allclose(dG[i], grad)
 
+    def test_large_own_class_margin_keeps_the_other_classes_exact(self):
+        # phi(-40) of the own class is clamped to e^30 ~ 1e13; a row sum that
+        # includes it and subtracts it again loses the other classes' digits
+        G, y = np.array([[40.0, 2.0, 3.0]]), np.array([1])
+        losses, _ = cs_loss_batch(get_loss("exponential"), RejectionCost(0.2), G, y)
+        assert losses[0] == pytest.approx(21.979674417694657, rel=1e-12)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 5])
     @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
@@ -57,7 +77,8 @@ class TestSurrogateLoss:
         rows, k = np.arange(120), y - 1
         gy = G[rows, k]
         neg = loss.value(-G)
-        ref_losses = c * loss.value(gy) + (1.0 - c) * (neg.sum(axis=1) - neg[rows, k])
+        neg[rows, k] = 0.0
+        ref_losses = c * loss.value(gy) + (1.0 - c) * sum(neg[:, j] for j in range(K))
         ref_dG = -(1.0 - c) * loss.grad(-G)
         ref_dG[rows, k] = c * loss.grad(gy)
         losses, dG = cs_loss_batch(loss, COST, G, y)
@@ -67,11 +88,11 @@ class TestSurrogateLoss:
 
 class TestSurrogateGrad:
     def test_sigmoid_hand_value(self):
-        grad = cs_surrogate_grad(get_loss("sigmoid"), COST, np.array([0.0, 0.0]), 1)
+        _, grad = _loss(get_loss("sigmoid"), [0.0, 0.0], 1)
         np.testing.assert_allclose(grad, [-0.0625, 0.1875])
 
     def test_hinge_flat_component(self):
-        grad = cs_surrogate_grad(get_loss("hinge"), COST, np.array([2.0, 0.0]), 1)
+        _, grad = _loss(get_loss("hinge"), [2.0, 0.0], 1)
         assert grad[0] == 0.0
 
     def test_finite_difference_agreement(self):
@@ -82,13 +103,11 @@ class TestSurrogateGrad:
             for _ in range(20):
                 g = rng.normal(size=3)
                 y = int(rng.integers(1, 4))
-                grad = cs_surrogate_grad(loss, COST, g, y)
+                _, grad = _loss(loss, g, y)
                 for k in range(3):
                     e = np.zeros(3)
                     e[k] = h
-                    num = (
-                        cs_surrogate_loss(loss, COST, g + e, y) - cs_surrogate_loss(loss, COST, g - e, y)
-                    ) / (2 * h)
+                    num = (_loss(loss, g + e, y)[0] - _loss(loss, g - e, y)[0]) / (2 * h)
                     assert grad[k] == pytest.approx(num, abs=1e-5)
 
     def test_permutation_equivariance(self):
@@ -97,11 +116,9 @@ class TestSurrogateGrad:
         g = rng.normal(size=4)
         y = 2
         perm = np.array([2, 0, 3, 1])
-        v1 = cs_surrogate_loss(loss, COST, g, y)
-        v2 = cs_surrogate_loss(loss, COST, g[perm], int(np.where(perm == y - 1)[0][0]) + 1)
+        v1, g1 = _loss(loss, g, y)
+        v2, g2 = _loss(loss, g[perm], int(np.where(perm == y - 1)[0][0]) + 1)
         assert v1 == pytest.approx(v2)
-        g1 = cs_surrogate_grad(loss, COST, g, y)
-        g2 = cs_surrogate_grad(loss, COST, g[perm], int(np.where(perm == y - 1)[0][0]) + 1)
         np.testing.assert_allclose(g1[perm], g2)
 
 
@@ -110,9 +127,7 @@ class TestEmpiricalRisk:
         loss = get_loss("sigmoid")
         ds = Dataset(np.array([[1.0, 2.0]]), np.array([1]), K=2)
         score_fn = lambda X: np.tile([0.3, -0.4], (len(X), 1))
-        assert empirical_risk(loss, COST, score_fn, ds) == pytest.approx(
-            cs_surrogate_loss(loss, COST, np.array([0.3, -0.4]), 1)
-        )
+        assert empirical_risk(loss, COST, score_fn, ds) == pytest.approx(_loss(loss, [0.3, -0.4], 1)[0])
 
     def test_duplication_invariance(self):
         loss = get_loss("hinge")
@@ -128,8 +143,7 @@ class TestEmpiricalRisk:
         ds = Dataset(np.zeros((2, 1)), np.array([1, 1]), K=2)
         G = np.array([[0.5, -0.5], [1.0, 0.6]])
         score_fn = lambda X: G
-        v0 = cs_surrogate_loss(loss, COST, G[0], 1)
-        v1 = cs_surrogate_loss(loss, COST, G[1], 1)
+        v0, v1 = _loss(loss, G[0], 1)[0], _loss(loss, G[1], 1)[0]
         assert empirical_risk(loss, COST, score_fn, ds) == pytest.approx((v0 + v1) / 2)
 
 
@@ -172,9 +186,7 @@ class TestPointwiseRisk:
         loss = get_loss("squared")
         g = np.array([0.2, -0.7, 0.1])
         eta = np.array([0.0, 1.0, 0.0])
-        assert pointwise_conditional_risk(loss, COST, g, eta) == pytest.approx(
-            cs_surrogate_loss(loss, COST, g, 2)
-        )
+        assert pointwise_conditional_risk(loss, COST, g, eta) == pytest.approx(_loss(loss, g, 2)[0])
 
     def test_balanced_sigmoid_hand_value(self):
         v = pointwise_conditional_risk(get_loss("sigmoid"), COST, np.zeros(2), np.array([0.5, 0.5]))

@@ -7,7 +7,7 @@ import pytest
 
 import csreject
 
-from csreject.core import CODE_ORACLE, Decision, RejectionCost
+from csreject.core import CODE_ORACLE, RejectionCost
 from csreject.losses import get_loss
 from csreject.surrogate import decide_batch
 from csreject.theory import (
@@ -18,12 +18,9 @@ from csreject.theory import (
     audit_excess_random,
     audit_oracle_equivalence,
     bayes_cs_binary,
-    binary_three_way,
     binary_three_way_batch,
-    chow_rule,
     chow_rule_batch,
     conditional_risk_minimizer,
-    ensemble_chow,
     ensemble_chow_batch,
     miscalibrated_witness,
     psi_inverse,
@@ -34,24 +31,22 @@ from csreject.theory import (
 
 class TestChowRule:
     def test_confident_posterior_predicts(self):
-        d = chow_rule(np.array([0.85, 0.10, 0.05]), RejectionCost(0.2))
-        assert d.label == 1
+        assert chow_rule_batch(np.array([0.85, 0.10, 0.05]), 0.2) == 1
 
     def test_uncertain_posterior_rejects(self):
-        assert chow_rule(np.array([0.6, 0.3, 0.1]), RejectionCost(0.2)).is_reject
+        assert chow_rule_batch(np.array([0.6, 0.3, 0.1]), 0.2) == CODE_ORACLE
 
     def test_boundary_tie_rejects(self):
         # max eta exactly 1 - c: the non-strict inequality rejects
-        assert chow_rule(np.array([0.80, 0.15, 0.05]), RejectionCost(0.2)).is_reject
+        assert chow_rule_batch(np.array([0.80, 0.15, 0.05]), 0.2) == CODE_ORACLE
 
     def test_near_half_cost_degenerates_continuously(self):
-        cost = RejectionCost(0.499)
-        assert chow_rule(np.array([0.502, 0.498]), cost).label == 1
-        assert chow_rule(np.array([0.501, 0.499]), cost).is_reject
+        assert chow_rule_batch(np.array([0.502, 0.498]), 0.499) == 1
+        assert chow_rule_batch(np.array([0.501, 0.499]), 0.499) == CODE_ORACLE
 
     def test_invalid_simplex(self):
         with pytest.raises(ValueError):
-            chow_rule(np.array([0.7, 0.7]), RejectionCost(0.2))
+            chow_rule_batch(np.array([0.7, 0.7]), 0.2)
 
 
 class TestBayesBinary:
@@ -74,39 +69,36 @@ class TestBayesBinary:
 
 class TestBinaryThreeWay:
     def test_confident_positive(self):
-        assert binary_three_way(0.9, RejectionCost(0.2)).label == 1
+        assert binary_three_way_batch(0.9, 0.2) == 1
 
     def test_confident_negative(self):
-        assert binary_three_way(0.1, RejectionCost(0.2)).label == 2
+        assert binary_three_way_batch(0.1, 0.2) == 2
 
     def test_middle_band_rejects(self):
-        assert binary_three_way(0.5, RejectionCost(0.2)).is_reject
+        assert binary_three_way_batch(0.5, 0.2) == CODE_ORACLE
 
 
 class TestEnsembleChow:
     def test_tied_posteriors_reject_and_agree(self):
         eta = np.array([0.5, 0.5, 0.0])
-        cost = RejectionCost(0.2)
-        d = ensemble_chow(eta, cost)
-        assert d.is_reject
-        assert chow_rule(eta, cost).is_reject
+        assert ensemble_chow_batch(eta, 0.2) == CODE_ORACLE
+        assert chow_rule_batch(eta, 0.2) == CODE_ORACLE
 
     def test_confident_posterior_predicts(self):
-        assert ensemble_chow(np.array([0.85, 0.10, 0.05]), RejectionCost(0.2)).label == 1
+        assert ensemble_chow_batch(np.array([0.85, 0.10, 0.05]), 0.2) == 1
 
     def test_two_positive_verdicts_raise(self):
         # within the 1e-9 simplex tolerance, yet both posteriors exceed 1 - c
         with pytest.raises(ValueError):
-            ensemble_chow(np.array([0.5 + 3e-10] * 2), RejectionCost(0.5 - 1e-10))
+            ensemble_chow_batch(np.array([0.5 + 3e-10] * 2), 0.5 - 1e-10)
 
     def test_two_positive_verdicts_raise_under_optimize(self):
         # python -O strips assert statements; the check must survive it
         script = (
             "import numpy as np\n"
-            "from csreject.core import RejectionCost\n"
-            "from csreject.theory import ensemble_chow\n"
+            "from csreject.theory import ensemble_chow_batch\n"
             "try:\n"
-            "    print(ensemble_chow(np.array([0.5 + 3e-10] * 2), RejectionCost(0.5 - 1e-10)))\n"
+            "    print(ensemble_chow_batch(np.array([0.5 + 3e-10] * 2), 0.5 - 1e-10))\n"
             "except ValueError:\n"
             "    print('raised')\n"
         )
@@ -162,7 +154,6 @@ class TestArrayOracles:
         for eta, c in self._boundary_rows():
             assert int(chow_rule_batch(eta, c)) == _chow_reference(eta, c), (eta, c)
             assert int(ensemble_chow_batch(eta, c)) == _ensemble_reference(eta, c), (eta, c)
-            assert chow_rule(eta, RejectionCost(c)) == Decision.from_code(_chow_reference(eta, c))
 
     def test_binary_three_way_agrees_with_reference_loop(self):
         rng = np.random.default_rng(29)
@@ -171,8 +162,8 @@ class TestArrayOracles:
         p = np.concatenate([rng.uniform(0, 1, size=300), c, 1.0 - c, [0.0, 1.0, 0.5]])
         c = np.concatenate([c, c, c, [0.2, 0.2, 0.2]])
         np.testing.assert_array_equal(binary_three_way_batch(p, c), [_three_way_reference(*pc) for pc in zip(p, c)])
-        assert binary_three_way(float(c[0]), RejectionCost(float(c[0]))).label == 2
-        assert binary_three_way(float(1.0 - c[0]), RejectionCost(float(c[0]))).is_reject
+        assert binary_three_way_batch(c[0], c[0]) == 2
+        assert binary_three_way_batch(1.0 - c[0], c[0]) == CODE_ORACLE
 
     def test_batch_of_rows_raises_on_any_bad_row(self):
         eta = np.array([[0.9, 0.1], [0.5 + 3e-10, 0.5 + 3e-10]])
@@ -358,7 +349,7 @@ class TestCalibrationAudit:
         eta = np.array([0.9, 0.07, 0.03])
         cost = RejectionCost(0.2)
         g = conditional_risk_minimizer(get_loss("logistic"), eta, cost)
-        assert decide(g).label == chow_rule(eta, cost).label == 1
+        assert decide(g).label == chow_rule_batch(eta, cost.c) == 1
 
     def test_minimizer_is_the_per_class_argmin(self):
         from csreject.losses import argmin_weighted_conditional_risk

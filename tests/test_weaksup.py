@@ -184,8 +184,6 @@ class TestRiskEstimators:
 
 class TestCsPuLossTerm:
     def test_matches_full_surrogate(self):
-        from csreject.surrogate import cs_surrogate_loss
-
         cost = RejectionCost(0.2)
         loss = get_loss("sigmoid")
         term = _cs_term(loss, cost)
@@ -193,9 +191,10 @@ class TestCsPuLossTerm:
         G = rng.normal(size=(6, 2))
         vp = term(G, +1)[0]
         vn = term(G, -1)[0]
-        for i in range(6):
-            assert vp[i] == pytest.approx(cs_surrogate_loss(loss, cost, G[i], 1))
-            assert vn[i] == pytest.approx(cs_surrogate_loss(loss, cost, G[i], 2))
+        for g1, g2, p, n in zip(G[:, 0], G[:, 1], vp, vn):
+            # c * phi(g_y) + (1 - c) * phi(-g_other), one row at a time
+            assert p == pytest.approx(0.2 * loss.value(g1) + 0.8 * loss.value(-g2))
+            assert n == pytest.approx(0.2 * loss.value(g2) + 0.8 * loss.value(-g1))
 
 
 class TestTrainPU:
