@@ -13,29 +13,42 @@ from .checks import run_gradcheck
 def _parse_costs(text: str) -> tuple[float, ...]:
     """Either a comma list '0.1,0.2' or a range 'start:stop:step' (inclusive)."""
     if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"a cost range is start:stop:step, got {text!r}")
+        start, stop, step = (float(v) for v in parts)
+        if not step > 0:
+            raise ValueError(f"the step of a cost range must be > 0, got {step:g}")
         costs = []
         c = start
         while c <= stop + 1e-12:
             costs.append(round(c, 10))
             c += step
-        return tuple(costs)
-    return tuple(float(v) for v in text.split(","))
+    else:
+        costs = [float(v) for v in text.split(",")]
+    if not costs:
+        raise ValueError(f"no costs in {text!r}")
+    return tuple(costs)
 
 
 def cmd_run(args) -> int:
-    grid = harness.GridSpec(
-        datasets=tuple(args.dataset.split(",")),
-        methods=tuple(args.methods.split(",")),
-        costs=_parse_costs(args.costs),
-        trials=args.trials,
-        setting=args.setting,
-        master_seed=args.seed,
-        noise_rate=args.noise_rate,
-        prior=args.prior,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-    )
+    # a bad value ends the command with a usage error before any cell trains
+    try:
+        grid = harness.GridSpec(
+            datasets=tuple(args.dataset.split(",")),
+            methods=tuple(args.methods.split(",")),
+            costs=_parse_costs(args.costs),
+            trials=args.trials,
+            setting=args.setting,
+            master_seed=args.seed,
+            noise_rate=args.noise_rate,
+            prior=args.prior,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+        )
+        grid.dataset_infos()
+    except (ValueError, OSError) as exc:
+        args.usage_error(str(exc))
     skip = []
     existing = []
     if args.resume and os.path.exists(args.out):
@@ -115,7 +128,7 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, usage_error=p.error)
 
     p = sub.add_parser("aggregate", help="aggregate result rows to mean +- SE")
     p.add_argument("--in", dest="infile", required=True)

@@ -9,6 +9,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable
 
 import numpy as np
@@ -51,6 +52,19 @@ class GridSpec:
             RejectionCost(c)
         if unknown := [m for m in self.methods if m not in METHODS]:
             raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
+        if self.epochs is not None and self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+
+    def dataset_infos(self) -> dict[str, DatasetInfo]:
+        """Every dataset of the grid, resolved and checked against the setting."""
+        infos = {name: dataset_info(name) for name in self.datasets}
+        if self.setting == "pu" and (multiclass := [name for name, info in infos.items() if info.K != 2]):
+            raise ValueError(f"the PU setting requires binary datasets; {multiclass} have more than two classes")
+        return infos
 
     def cells(self):
         for ds in self.datasets:
@@ -204,19 +218,47 @@ METHODS: dict[str, Method] = {
 
 
 # ---------------------------------------------------------------------------
-# per-cell execution
+# grouped training and per-cell execution
 
 
-def run_cell(grid: GridSpec, cell) -> ResultRow:
-    """Train and evaluate one (dataset, method, cost, trial) cell."""
-    ds_name, method_name, cost_value, trial = cell
-    method = METHODS[method_name]
-    cost = RejectionCost(cost_value)
-    info = dataset_info(ds_name)
+@dataclass(frozen=True)
+class Trained:
+    """A cell's part of its group's training: the model (None for a rule that
+    trains nothing) and its trace, the split it is tuned and scored on, and
+    its share of the group's training seconds."""
+
+    model: object
+    trace: list
+    scaler: data_mod.Standardizer | None
+    val_ds: Dataset
+    test_ds: Dataset
+    seconds: float
+
+
+def cell_groups(grid: GridSpec, cells) -> list[list]:
+    """The cells grouped by (dataset, trial, score width), in first-seen order.
+
+    A cell's data seed depends on dataset, setting and trial only, so a
+    group's cells share one split, and those that train share parameter
+    shapes: one stack. Rules that train nothing form groups of their own.
+    """
+    infos = grid.dataset_infos()
+    groups: dict = {}
+    for cell in cells:
+        ds_name, method_name, _, trial = cell
+        method = METHODS[method_name]
+        width = None if method.loss_batch is None else method.n_out(infos[ds_name].K)
+        groups.setdefault((ds_name, trial, width), []).append(cell)
+    return list(groups.values())
+
+
+def train_group(grid: GridSpec, cells) -> list[Trained]:
+    """Build the split of a group (see cell_groups) once and train its cells
+    as one stack. Each cell keeps its hashed seeds for its init and its
+    shuffles, so it gets the model and trace it gets when trained alone."""
+    ds_name, _, _, trial = cells[0]
+    info = grid.dataset_infos()[ds_name]
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
-    train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, f"{cost_value:.6g}", "train")
-    model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
-
     data_rng = np.random.default_rng(data_seed)
     source = _source_dataset(info, info.total_n, data_rng)
     fractions = (0.5, 0.2, 0.3) if grid.setting == "pu" else (0.5, 0.1, 0.4)
@@ -224,15 +266,22 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
 
     epochs = grid.epochs if grid.epochs is not None else 100
     batch = grid.batch_size if grid.batch_size is not None else (64 if grid.setting == "pu" else 256)
-    config = TrainConfig(learning_rate=grid.learning_rate, batch_size=batch, epochs=epochs, seed=train_seed)
 
     t0 = time.perf_counter()
-    model, trace, tuned, test_eval = None, [], None, test_ds
-    if method.loss_batch is None:
-        pass  # a fixed rule: nothing to train
+    trains = [METHODS[method_name].loss_batch is not None for _, method_name, _, _ in cells]
+    models, losses, configs = [], [], []
+    for _, method_name, cost_value, _ in compress(cells, trains):
+        method = METHODS[method_name]
+        train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, f"{cost_value:.6g}", "train")
+        model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
+        models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
+        losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
+        configs.append(TrainConfig(learning_rate=grid.learning_rate, batch_size=batch, epochs=epochs, seed=train_seed))
+
+    scaler, traces = None, []
+    if not models:
+        pass  # rules that train nothing
     elif grid.setting == "pu":
-        if info.K != 2:
-            raise ValueError("the PU setting requires a binary dataset")
         if info.csv_path is None:
             # the synthetic source pool for PU draws is regenerated large enough
             # to honor the without-replacement protocol at prior 0.7
@@ -251,27 +300,46 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
         )
         positives = (positives - scaler.mean) / scaler.scale
         unlabeled = (unlabeled - scaler.mean) / scaler.scale
-        model = make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng)
-        term = weaksup.pu_loss_term(method.loss_batch(info.K, cost))
-        trace, _ = weaksup.train_pu(model, term, positives, unlabeled, grid.prior, config)
+        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, grid.prior, configs)
     else:
         if grid.setting == "noisy":
             noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
             train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
         scaler, train_std = data_mod.standardize(train_ds)
-        model = make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng)
-        trace = train(model, train_std, method.loss_batch(info.K, cost), config)
-    if model is not None:
-        test_eval = scaler.apply(test_ds)
-        if method.tune is not None:
-            tuned = method.tune(model, scaler.apply(val_ds), info.K, cost)
+        traces = train(models, train_std, losses, configs)
 
-    train_seconds = time.perf_counter() - t0
+    seconds = (time.perf_counter() - t0) / len(cells)
+    results = iter(zip(models, traces))
+    return [Trained(*(next(results) if t else (None, [])), scaler, val_ds, test_ds, seconds) for t in trains]
+
+
+def run_cell(grid: GridSpec, cell, trained: Trained | None = None) -> ResultRow:
+    """Tune, decide and score one (dataset, method, cost, trial) cell.
+
+    trained is the cell's part of its group's training (train_group);
+    without it the cell trains alone, as a group of one.
+    """
+    if trained is None:
+        (trained,) = train_group(grid, [cell])
+    ds_name, method_name, cost_value, trial = cell
+    method = METHODS[method_name]
+    cost = RejectionCost(cost_value)
+    K = dataset_info(ds_name).K
+
+    t0 = time.perf_counter()
+    model, trace, tuned, test_eval = trained.model, trained.trace, None, trained.test_ds
+    if model is not None:
+        test_eval = trained.scaler.apply(trained.test_ds)
+        if method.tune is not None:
+            tuned = method.tune(model, trained.scaler.apply(trained.val_ds), K, cost)
+
+    # the cell's share of its group's training time plus its own tuning time
+    train_seconds = trained.seconds + (time.perf_counter() - t0)
     # a rule without a model decides on scores of width 0
     G = model.scores(test_eval.X) if model is not None else np.empty((test_eval.n, 0))
     # a non-finite score would otherwise pass silently as a rejection
     flagged = bool(trace and not np.isfinite(trace[-1])) or not np.isfinite(G).all()
-    codes = method.decide(G, info.K, cost, tuned)
+    codes = method.decide(G, K, cost, tuned)
     metrics = compute_metrics(codes, test_eval.y, cost)
     return ResultRow(
         dataset=ds_name,
@@ -289,17 +357,23 @@ def run_cell(grid: GridSpec, cell) -> ResultRow:
     )
 
 
+def _run_group(grid: GridSpec, cells) -> list[ResultRow]:
+    return [run_cell(grid, cell, trained) for cell, trained in zip(cells, train_group(grid, cells))]
+
+
 def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
-    """Execute all cells not in skip_keys; output is canonically ordered."""
+    """Execute all cells not in skip_keys, one group of cell_groups at a time
+    (jobs > 1: groups in parallel); output is canonically ordered."""
     skip = set(skip_keys)
-    cells = [c for c in grid.cells() if c not in skip]
+    groups = cell_groups(grid, [c for c in grid.cells() if c not in skip])
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_cell, [grid] * len(cells), cells))
+            parts = list(pool.map(_run_group, [grid] * len(groups), groups))
     else:
-        rows = [run_cell(grid, c) for c in cells]
+        parts = [_run_group(grid, cells) for cells in groups]
+    rows = [row for part in parts for row in part]
     return sorted(rows, key=lambda r: (r.dataset, r.method, r.cost, r.trial))
 
 

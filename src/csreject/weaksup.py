@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .models import AdamState, TrainConfig, adam_step
+from .models import AdamState, TrainConfig, adam_step, stack_cells, unstack_cells
 
 
 def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
@@ -125,62 +125,77 @@ def pu_risk_nn(loss_term, prior: float, positives, unlabeled, score_fn) -> float
 
 def train_pu(
     model,
-    loss_term,
+    loss_batch,
     positives: np.ndarray,
     unlabeled: np.ndarray,
     prior: float,
     config: TrainConfig,
 ):
-    """Mini-batch minimization of the non-negative PU risk for a pu_loss_term.
+    """Mini-batch minimization of the non-negative PU risk.
 
-    Each batch draws positives and unlabeled proportionally so both empirical
-    means stay defined. When the implied-negative bracket of a batch goes
-    negative, its gradient is zeroed for that step (the clamp is active).
-    Returns (risk trace per epoch, clamp activation count).
+    loss_batch(G, y) is a K=2 loss: label 1 stands for +1, label 2 for -1.
+    Each batch draws positives and unlabeled proportionally so both
+    empirical means stay defined. When the implied-negative bracket of a
+    batch goes negative, its gradient is zeroed for that step (the clamp is
+    active). Returns (risk trace per epoch, clamp activation count).
+
+    model, loss_batch and config may also be sequences with one entry per
+    cell, as in models.train: the cells train as one stack, each with its
+    own draws, loss and clamp, and the call returns one trace per cell and
+    the clamp activations of all cells together.
     """
-    rng = np.random.default_rng(config.seed)
-    state = AdamState()
+    stack, models, losses, configs, one = stack_cells(model, loss_batch, config)
+    config = configs[0]
     n_p, n_u = len(positives), len(unlabeled)
     if n_p == 0 or n_u == 0:
         raise ValueError("both sample sets must be non-empty")
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    state, work_p, work_u = AdamState(), {}, {}
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
     b_u = max(1, config.batch_size - b_p)
     steps = max(1, int(np.ceil(n_u / b_u)))
-    trace = []
+    labels = {}  # (positive rows, unlabeled rows) -> labels of the stacked loss rows
+    traces = [[] for _ in models]
     clamp_count = 0
     for _ in range(config.epochs):
-        p_order = rng.permutation(n_p)
-        u_order = rng.permutation(n_u)
-        epoch_risk = 0.0
+        orders = [(rng.permutation(n_p), rng.permutation(n_u)) for rng in rngs]
+        p_order = np.stack([p for p, _ in orders])
+        u_order = np.stack([u for _, u in orders])
+        epoch_risk = np.zeros(len(models))
         for step in range(steps):
-            ip = p_order[(step * b_p) % n_p : (step * b_p) % n_p + b_p]
-            if len(ip) < b_p:
-                ip = np.concatenate([ip, p_order[: b_p - len(ip)]])
-            iu = u_order[step * b_u : (step + 1) * b_u]
-            if len(iu) == 0:
+            ip = p_order[:, (step * b_p) % n_p : (step * b_p) % n_p + b_p]
+            if ip.shape[1] < b_p:
+                ip = np.concatenate([ip, p_order[:, : b_p - ip.shape[1]]], axis=1)
+            iu = u_order[:, step * b_u : (step + 1) * b_u]
+            m_p, m_u = ip.shape[1], iu.shape[1]
+            if m_u == 0:
                 continue
-            Xp, Xu = positives[ip], unlabeled[iu]
-            Gp, cache_p = model.forward(Xp)
-            Gu, cache_u = model.forward(Xu)
-            # one loss call on (Gp at +1, Gu at -1, Gp at -1); every loss works row by row
-            cuts = [len(ip), len(ip) + len(iu)]
-            losses, dG = loss_term(np.vstack([Gp, Gu, Gp]), np.repeat([+1, -1, -1], [len(ip), len(iu), len(ip)]))
-            loss_p_pos, loss_u_neg, loss_p_neg = np.split(losses, cuts)
-            dGp_pos, dGu_neg, dGp_neg = np.split(dG, cuts)
-            pos_term = prior * loss_p_pos.mean()
-            neg_term = float(loss_u_neg.mean()) - prior * float(loss_p_neg.mean())
-            epoch_risk += pos_term + max(0.0, neg_term)
+            Gp, cache_p = stack.forward(positives[ip], work=work_p)
+            Gu, cache_u = stack.forward(unlabeled[iu], work=work_u)
+            # one loss call per cell on (Gp at +1, Gu at -1, Gp at -1); every loss works row by row
+            y = labels.get((m_p, m_u))
+            if y is None:
+                y = labels[m_p, m_u] = np.repeat([1, 2, 2], [m_p, m_u, m_p])
+            G = np.concatenate([Gp, Gu, Gp], axis=1)
+            loss, dG = np.empty(G.shape[:2]), np.empty_like(G)
+            for c, cell_loss in enumerate(losses):
+                loss[c], dG[c] = cell_loss(G[c], y)
+            # a sum over the last axis divided by the count is exactly numpy's mean
+            pos_term = prior * (loss[:, :m_p].sum(axis=1) / m_p)
+            neg_term = loss[:, m_p : m_p + m_u].sum(axis=1) / m_u - prior * (loss[:, m_p + m_u :].sum(axis=1) / m_p)
+            epoch_risk += pos_term + np.where(neg_term > 0.0, neg_term, 0.0)
 
-            dGp = prior * dGp_pos / len(ip)
-            if neg_term >= 0.0:
-                dGp = dGp - prior * dGp_neg / len(ip)
-                dGu = dGu_neg / len(iu)
-            else:
-                clamp_count += 1
-                dGu = np.zeros_like(Gu)
-            grads_p = model.backward(cache_p, dGp)
-            grads_u = model.backward(cache_u, dGu)
+            # the clamp, per cell: a negative bracket contributes no gradient
+            kept = (neg_term >= 0.0)[:, None, None]
+            clamp_count += int(np.count_nonzero(~kept))
+            dGp = prior * dG[:, :m_p] / m_p
+            dGp = np.where(kept, dGp - prior * dG[:, m_p + m_u :] / m_p, dGp)
+            dGu = np.where(kept, dG[:, m_p : m_p + m_u] / m_u, 0.0)
+            grads_p = stack.backward(cache_p, dGp, work_p)
+            grads_u = stack.backward(cache_u, dGu, work_u)
             grads = {k: grads_p[k] + grads_u[k] for k in grads_p}
-            adam_step(state, model.params, grads, config.learning_rate)
-        trace.append(epoch_risk / steps)
-    return trace, clamp_count
+            adam_step(state, stack.params, grads, config.learning_rate)
+        for trace, risk in zip(traces, epoch_risk):
+            trace.append(risk / steps)
+    unstack_cells(stack, models)
+    return (traces[0] if one else traces), clamp_count

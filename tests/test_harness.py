@@ -101,9 +101,10 @@ class TestCsvLoading:
 
 class TestRunCell:
     def test_nonfinite_scores_flag_the_row(self, monkeypatch):
-        def train_to_nan(model, data, loss_batch, config):
-            model.params["W"][:] = np.nan
-            return [0.0]
+        def train_to_nan(models, data, loss_batches, configs):
+            for model in models:
+                model.params["W"][:] = np.nan
+            return [[0.0] for _ in models]
 
         monkeypatch.setattr(harness, "train", train_to_nan)
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.2,), **FAST)
@@ -198,6 +199,31 @@ class TestRunGrid:
         parallel = run_grid(grid, jobs=2)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
+    @pytest.mark.parametrize(
+        "dataset, setting",
+        [("twonorm", "clean"), ("twonorm", "noisy"), ("twonorm", "pu"), ("gauss3", "clean"), ("gauss3", "noisy")],
+    )
+    def test_grouping_is_invisible_in_the_rows(self, dataset, setting, monkeypatch):
+        # per trial, two losses x three costs and sce train as one stack,
+        # angle (width K - 1) as another, and always-reject trains nothing
+        methods = ("cs-sigmoid", "cs-ramp", "sce", "angle", "always-reject")
+        grid = GridSpec(datasets=(dataset,), methods=methods, costs=(0.1, 0.25, 0.4), setting=setting, trials=2, epochs=2)
+        # the skipped cells leave parts of three groups
+        skip = [(dataset, "cs-sigmoid", 0.25, 0), (dataset, "cs-ramp", 0.1, 1), (dataset, "angle", 0.4, 1)]
+        calls = []
+        trainer = (harness.weaksup, "train_pu") if setting == "pu" else (harness, "train")
+        original = getattr(*trainer)
+        monkeypatch.setattr(*trainer, lambda models, *args: calls.append(len(models)) or original(models, *args))
+
+        rows = run_grid(grid, skip_keys=skip)
+        assert sorted(calls) == [2, 3, 8, 8]
+        calls.clear()
+        alone = [run_cell(grid, cell) for cell in grid.cells() if cell not in skip]
+        assert calls == [1] * 21  # always-reject trains nothing
+        alone.sort(key=lambda r: (r.dataset, r.method, r.cost, r.trial))
+        assert len(rows) == 27
+        assert [_strip_timing(r) for r in rows] == [_strip_timing(r) for r in alone]
+
     def test_skip_keys_resume(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1,), trials=3, epochs=2)
         full = run_grid(grid)
@@ -287,16 +313,86 @@ class TestCsv:
         assert float(line[5]) == pytest.approx(100 * (0.0123456 + 0.0234567) / 2, rel=1e-4)
 
 
+def _no_training(monkeypatch):
+    fail = lambda *args, **kwargs: pytest.fail("a cell trained")
+    monkeypatch.setattr(harness, "train", fail)
+    monkeypatch.setattr(harness.weaksup, "train_pu", fail)
+    monkeypatch.setattr(harness, "run_cell", fail)
+
+
 class TestCliRun:
-    def test_unknown_method_fails_before_any_cell(self, tmp_path, monkeypatch):
+    BAD_ARGS = [
+        ("--methods", "svm"),
+        ("--methods", "cs-sigmoid,cs-sigmod"),
+        ("--costs", "0.7"),
+        ("--trials", "0"),
+        ("--epochs", "-1"),
+        ("--batch-size", "0"),
+        ("--dataset", "imagenet"),
+        ("--dataset", "twonorm,gauss3", "--setting", "pu"),
+        ("--costs", "0.4:0.1:0.05"),
+        # a step <= 0 used to append costs forever
+        ("--costs", "0.1:0.4:0"),
+        ("--costs", "0.1:0.4:-0.05"),
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
+    def test_bad_argument_is_a_usage_error_before_any_cell(self, bad, tmp_path, monkeypatch, capsys):
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out = tmp_path / "r.csv"
+        args = ["run", "--methods", "cs-sigmoid", "--costs", "0.2", "--trials", "1", "--out", str(out), *bad]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_method_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
         from csreject import cli
 
         monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a cell ran"))
         out = tmp_path / "r.csv"
         args = ["run", "--methods", "cs-sigmoid,cs-sigmod", "--costs", "0.2", "--trials", "1", "--out", str(out)]
-        with pytest.raises(ValueError, match="cs-sigmod"):
+        with pytest.raises(SystemExit) as exc:
             cli.main(args)
+        assert exc.value.code == 2
+        assert "cs-sigmod" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
+    def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
+        from csreject import cli
+
+        with pytest.raises(ValueError):
+            cli._parse_costs(text)
+
+    def test_parse_costs_forms(self):
+        from csreject import cli
+
+        assert cli._parse_costs("0.1,0.25") == (0.1, 0.25)
+        assert cli._parse_costs("0.1:0.4:0.05") == (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
+        assert cli._parse_costs("0.2:0.2:0.1") == (0.2,)
+
+
+class TestGridSpecTraining:
+    @pytest.mark.parametrize(
+        "bad", [dict(epochs=-1), dict(batch_size=0), dict(learning_rate=0.0), dict(learning_rate=-1e-3)]
+    )
+    def test_bad_training_settings_are_rejected(self, bad):
+        with pytest.raises(ValueError):
+            GridSpec(**bad)
+
+    def test_defaults_and_zero_epochs_are_accepted(self):
+        GridSpec()
+        GridSpec(epochs=0, batch_size=1)
+
+    def test_pu_with_a_multiclass_dataset_fails_before_any_cell_trains(self, monkeypatch):
+        _no_training(monkeypatch)
+        grid = GridSpec(datasets=("twonorm", "gauss3"), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
+        with pytest.raises(ValueError, match="gauss3"):
+            run_grid(grid)
 
 
 class TestCliResume:

@@ -213,13 +213,13 @@ class TestTrainPU:
 
         calls, steps = [], []
         cost, loss = RejectionCost(0.1), get_loss("sigmoid")
-        term = pu_loss_term(lambda G, y: calls.append(len(G)) or cs_loss_batch(loss, cost, G, y))
+        counted = lambda G, y: calls.append(len(G)) or cs_loss_batch(loss, cost, G, y)
         step = weaksup.adam_step
         monkeypatch.setattr(weaksup, "adam_step", lambda *a: steps.append(1) or step(*a))
         rng = np.random.default_rng(17)
         pos, unl = rng.normal(loc=1.0, size=(40, 3)), rng.normal(size=(160, 3))
         model = make_model("linear", 3, 2, np.random.default_rng(18))
-        train_pu(model, term, pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32, seed=19))
+        train_pu(model, counted, pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32, seed=19))
         assert len(steps) > 0
         # one call per step holds the positives at +1, the unlabeled at -1 and the positives at -1
         assert len(calls) == len(steps)
@@ -231,9 +231,9 @@ class TestTrainPU:
         # unlabeled at prior 0.7
         unl = np.vstack([rng.normal(loc=1.0, size=(280, d)), rng.normal(loc=-1.0, size=(120, d))])
         cost = RejectionCost(0.1)
-        term = _cs_term(get_loss("sigmoid"), cost)
+        loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y)
         model = make_model("linear", d, 2, np.random.default_rng(15))
-        trace, clamp_count = train_pu(model, term, pos, unl, 0.7, TrainConfig(epochs=30, batch_size=64, seed=16))
+        trace, clamp_count = train_pu(model, loss, pos, unl, 0.7, TrainConfig(epochs=30, batch_size=64, seed=16))
         assert np.isfinite(trace).all()
         assert trace[-1] <= trace[0]
         assert clamp_count >= 0
@@ -243,7 +243,7 @@ class TestTrainPU:
         assert gp[0, 0] > gn[0, 0]
 
     def test_empty_sets_rejected(self):
-        term = _cs_term(get_loss("sigmoid"), RejectionCost(0.1))
+        loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.1), G, y)
         model = LinearModel(2, 2)
         with pytest.raises(ValueError):
-            train_pu(model, term, np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1))
+            train_pu(model, loss, np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1))
