@@ -323,7 +323,6 @@ def _no_training(monkeypatch):
 class TestCliRun:
     BAD_ARGS = [
         ("--methods", "svm"),
-        ("--methods", "cs-sigmoid,cs-sigmod"),
         ("--costs", "0.7"),
         ("--trials", "0"),
         ("--epochs", "-1"),
