@@ -92,7 +92,7 @@ def check_model_gradients(
         G, cache = model.forward(X)
         near = [margins(G) - k for k in kinks] if margins is not None else []
         if kind == "mlp":
-            near.append(cache[1])  # the MLP cache is (X, pre-activation, hidden)
+            near.append(X @ model.params["W1"].T + model.params["b1"])  # the pre-activation
         if all((np.abs(v) >= KINK_EPS).all() for v in near):
             break
     else:

@@ -47,14 +47,13 @@ def cmd_run(args) -> int:
             batch_size=args.batch_size,
         )
         grid.dataset_infos()
+        resume = args.resume and os.path.exists(args.out)
+        existing = harness.read_csv(args.out) if resume else []
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
-    skip = []
-    existing = []
-    if args.resume and os.path.exists(args.out):
-        existing = harness.read_csv(args.out)
-        # a key omits the setting, so rows of another setting must not mask this grid's cells
-        skip = [r.key() for r in existing if r.setting == args.setting]
+    # a key omits the setting, so rows of another setting must not mask this grid's cells
+    skip = [r.key() for r in existing if r.setting == args.setting]
+    if resume:
         print(f"resuming: {len(skip)} rows already present")
     rows = harness.run_grid(grid, skip_keys=skip, jobs=args.jobs)
     merged = sorted(existing + rows, key=lambda r: (r.dataset, r.method, r.cost, r.trial))

@@ -8,7 +8,7 @@ import functools
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import compress
 from typing import Callable
 
@@ -27,6 +27,8 @@ CSV_HEADER = (
     "dataset,method,setting,cost,trial,risk01c,rejection_ratio,"
     "accepted_error,n_reject_distance,n_reject_ambiguity,train_seconds"
 )
+# the type of each CSV_HEADER column, in the order of ResultRow's fields
+_CSV_TYPES = (str, str, str, float, int, float, float, float, int, int, float)
 
 
 @dataclass(frozen=True)
@@ -445,37 +447,26 @@ def write_csv(rows, path) -> None:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(CSV_HEADER.split(","))
         for r in rows:
-            rates = (r.risk01c, r.rejection_ratio, r.accepted_error)
-            out.writerow(
-                [r.dataset, r.method, r.setting, _fmt(r.cost), r.trial, *map(_fmt, rates)]
-                + [r.n_reject_distance, r.n_reject_ambiguity, _fmt(r.train_seconds)]
-            )
+            out.writerow([_fmt(v) if parse is float else v for parse, v in zip(_CSV_TYPES, astuple(r))])
 
 
 def read_csv(path) -> list[ResultRow]:
+    """The rows of a result CSV; a wrong header or a malformed row, such as a
+    last row a crash cut short, raises ValueError naming its line."""
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if ",".join(next(reader, [])) != CSV_HEADER:
-            raise ValueError("unexpected result CSV header")
+            raise ValueError(f"{path}: line 1: unexpected result CSV header")
         for f in reader:
             if not f:
                 continue
-            rows.append(
-                ResultRow(
-                    dataset=f[0],
-                    method=f[1],
-                    setting=f[2],
-                    cost=float(f[3]),
-                    trial=int(f[4]),
-                    risk01c=float(f[5]),
-                    rejection_ratio=float(f[6]),
-                    accepted_error=float(f[7]),
-                    n_reject_distance=int(f[8]),
-                    n_reject_ambiguity=int(f[9]),
-                    train_seconds=float(f[10]),
-                )
-            )
+            try:
+                if len(f) != len(_CSV_TYPES):
+                    raise ValueError(f"{len(f)} fields, expected {len(_CSV_TYPES)}")
+                rows.append(ResultRow(*(parse(v) for parse, v in zip(_CSV_TYPES, f))))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: not a result row: {exc}") from None
     return rows
 
 

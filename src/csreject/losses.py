@@ -25,35 +25,41 @@ def _expit(x):
 @dataclass(frozen=True)
 class MarginLossSpec:
     name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value: Callable[[np.ndarray], np.ndarray]  # phi(z)
+    value_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # (phi(z), phi'(z)) in one pass
     convex: bool
     symmetric: bool
     calibrated: bool = True
+
+    def grad(self, z):
+        return self.value_grad(z)[1]
 
 
 def _squared(z):
     return (1.0 - z) ** 2
 
 
-def _squared_grad(z):
-    return -2.0 * (1.0 - z)
+def _squared_vg(z):
+    t = 1.0 - z
+    return t**2, -2.0 * t
 
 
 def _squared_hinge(z):
     return np.maximum(0.0, 1.0 - z) ** 2
 
 
-def _squared_hinge_grad(z):
-    return -2.0 * np.maximum(0.0, 1.0 - z)
+def _squared_hinge_vg(z):
+    t = np.maximum(0.0, 1.0 - z)
+    return t**2, -2.0 * t
 
 
 def _exponential(z):
     return np.exp(np.minimum(-np.asarray(z, dtype=float), _EXP_CLAMP))
 
 
-def _exponential_grad(z):
-    return -np.exp(np.minimum(-np.asarray(z, dtype=float), _EXP_CLAMP))
+def _exponential_vg(z):
+    phi = _exponential(z)
+    return phi, -phi
 
 
 def _logistic(z):
@@ -61,17 +67,17 @@ def _logistic(z):
     return np.logaddexp(0.0, -np.asarray(z, dtype=float))
 
 
-def _logistic_grad(z):
-    return -_expit(-np.asarray(z, dtype=float))
+def _logistic_vg(z):
+    return _logistic(z), -_expit(-np.asarray(z, dtype=float))
 
 
 def _hinge(z):
     return np.maximum(0.0, 1.0 - z)
 
 
-def _hinge_grad(z):
+def _hinge_vg(z):
     # subgradient 0 at the kink z = 1
-    return np.where(np.asarray(z, dtype=float) < 1.0, -1.0, 0.0)
+    return _hinge(z), np.where(np.asarray(z, dtype=float) < 1.0, -1.0, 0.0)
 
 
 def _savage(z):
@@ -79,51 +85,55 @@ def _savage(z):
     return s**2
 
 
-def _savage_grad(z):
+def _savage_vg(z):
     s = _expit(-2.0 * np.asarray(z, dtype=float))
-    return -4.0 * s**2 * (1.0 - s)
+    s2 = s**2
+    return s2, -4.0 * s2 * (1.0 - s)
 
 
 def _tangent(z):
     return (2.0 * np.arctan(z) - 1.0) ** 2
 
 
-def _tangent_grad(z):
+def _tangent_vg(z):
     z = np.asarray(z, dtype=float)
-    return 4.0 * (2.0 * np.arctan(z) - 1.0) / (1.0 + z**2)
+    t = 2.0 * np.arctan(z) - 1.0
+    return t**2, 4.0 * t / (1.0 + z**2)
 
 
 def _ramp(z):
     return np.clip(0.5 - 0.5 * np.asarray(z, dtype=float), 0.0, 1.0)
 
 
-def _ramp_grad(z):
+def _ramp_vg(z):
     # subgradients: -0.5 at z = -1, 0 at z = +1
     z = np.asarray(z, dtype=float)
-    return np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
+    return _ramp(z), np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
 
 
 def _sigmoid(z):
     return _expit(-np.asarray(z, dtype=float))
 
 
-def _sigmoid_grad(z):
+def _sigmoid_vg(z):
     z = np.asarray(z, dtype=float)
-    return -_expit(z) * _expit(-z)
+    with np.errstate(over="ignore"):  # _expit(-z) and _expit(z), as in _expit
+        phi = 1.0 / (1.0 + np.exp(z))
+        return phi, -(1.0 / (1.0 + np.exp(-z))) * phi
 
 
 MARGIN_LOSSES: dict[str, MarginLossSpec] = {
     spec.name: spec
     for spec in [
-        MarginLossSpec("squared", _squared, _squared_grad, convex=True, symmetric=False),
-        MarginLossSpec("squared_hinge", _squared_hinge, _squared_hinge_grad, convex=True, symmetric=False),
-        MarginLossSpec("exponential", _exponential, _exponential_grad, convex=True, symmetric=False),
-        MarginLossSpec("logistic", _logistic, _logistic_grad, convex=True, symmetric=False),
-        MarginLossSpec("hinge", _hinge, _hinge_grad, convex=True, symmetric=False),
-        MarginLossSpec("savage", _savage, _savage_grad, convex=False, symmetric=False),
-        MarginLossSpec("tangent", _tangent, _tangent_grad, convex=False, symmetric=False),
-        MarginLossSpec("ramp", _ramp, _ramp_grad, convex=False, symmetric=True),
-        MarginLossSpec("sigmoid", _sigmoid, _sigmoid_grad, convex=False, symmetric=True),
+        MarginLossSpec("squared", _squared, _squared_vg, convex=True, symmetric=False),
+        MarginLossSpec("squared_hinge", _squared_hinge, _squared_hinge_vg, convex=True, symmetric=False),
+        MarginLossSpec("exponential", _exponential, _exponential_vg, convex=True, symmetric=False),
+        MarginLossSpec("logistic", _logistic, _logistic_vg, convex=True, symmetric=False),
+        MarginLossSpec("hinge", _hinge, _hinge_vg, convex=True, symmetric=False),
+        MarginLossSpec("savage", _savage, _savage_vg, convex=False, symmetric=False),
+        MarginLossSpec("tangent", _tangent, _tangent_vg, convex=False, symmetric=False),
+        MarginLossSpec("ramp", _ramp, _ramp_vg, convex=False, symmetric=True),
+        MarginLossSpec("sigmoid", _sigmoid, _sigmoid_vg, convex=False, symmetric=True),
     ]
 }
 

@@ -81,17 +81,17 @@ class MlpModel:
         # the leading axes of each argument are absent or one and the same
         # (a stack), so the longest are those of the result
         shape = (*max(X.shape[:-2], W1.shape[:-2], b1.shape[:-1], key=len), X.shape[-2], self.hidden)
-        pre = np.matmul(X, W1.swapaxes(-1, -2), out=_buffer(work, "pre", shape))
-        pre += b1[..., None, :]
-        h = np.maximum(pre, 0.0, out=_buffer(work, "h", shape))
+        h = np.matmul(X, W1.swapaxes(-1, -2), out=_buffer(work, "h", shape))
+        h += b1[..., None, :]
+        np.maximum(h, 0.0, out=h)
         out = h @ p["W2"].swapaxes(-1, -2) + p["b2"][..., None, :]
-        return out, (X, pre, h)
+        return out, (X, h)
 
     def backward(self, cache, dG: np.ndarray, work: dict | None = None):
         """Parameter gradients; dG as in LinearModel.backward, work as in forward."""
-        X, pre, h = cache
-        dpre = np.matmul(dG, self.params["W2"], out=_buffer(work, "dpre", pre.shape))
-        dpre *= pre > 0  # subgradient 0 at exactly 0
+        X, h = cache
+        dpre = np.matmul(dG, self.params["W2"], out=_buffer(work, "dpre", h.shape))
+        dpre *= h > 0  # h > 0 exactly where pre > 0, NaN failing both: subgradient 0 at 0
         return {
             "W2": dG.swapaxes(-1, -2) @ h,
             "b2": dG.sum(axis=-2),
@@ -227,21 +227,21 @@ def train(model, data: Dataset, loss_batch, config: TrainConfig):
     n = data.n
     for _ in range(config.epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
-        epoch_loss = [0.0] * len(models)
+        epoch_loss = np.zeros(len(models))
         for start in range(0, n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
             G, cache = stack.forward(data.X[idx], work=work)
             y = data.y[idx]
-            dG = np.empty_like(G)
+            loss, dG = np.empty(idx.shape), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
-                cell_losses, dG[c] = cell_loss(G[c], y[c])
-                epoch_loss[c] += float(cell_losses.sum())
-            grads = stack.backward(cache, dG / idx.shape[1], work)
+                loss[c], dG[c] = cell_loss(G[c], y[c])
+            epoch_loss += loss.sum(axis=1)  # each row's sum is exactly its own .sum()
+            grads = stack.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
             if config.weight_decay > 0:
                 for key in grads:
-                    grads[key] = grads[key] + config.weight_decay * stack.params[key]
+                    grads[key] += config.weight_decay * stack.params[key]
             adam_step(state, stack.params, grads, config.learning_rate)
-        for trace, total in zip(traces, epoch_loss):
+        for trace, total in zip(traces, epoch_loss.tolist()):
             trace.append(total / n)
     unstack_cells(stack, models)
     return traces[0] if one else traces

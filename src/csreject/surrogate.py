@@ -17,20 +17,19 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     y = np.asarray(y, dtype=int)
     c = cost.c
     n, K = G.shape
-    rows = np.arange(n)
-    k = y - 1
-    # phi is elementwise, so one value and one grad call on the stacked
-    # margins [-G, g_y] give the same numbers as one call per part
-    z = np.concatenate([-G.ravel(), G[rows, k]])
-    phi, dphi = loss.value(z), loss.grad(z)
-    neg = phi[: n * K].reshape(n, K)
+    # flat index of each row's own score g_y in G.ravel()
+    own = np.arange(-1, n * K - 1, K) + y
+    # phi is elementwise, so one call on the stacked margins [-G, g_y] gives
+    # the same numbers as one call per part
+    phi, dphi = loss.value_grad(np.concatenate([-G.ravel(), G.take(own)]))
     # sum the other classes column by column: a full row sum minus the own
     # class cancels when phi(-g_y) is large
-    neg[rows, k] = 0.0
-    losses = c * phi[n * K :] + (1.0 - c) * sum(neg[:, j] for j in range(K))
-    dG = -(1.0 - c) * dphi[: n * K].reshape(n, K)
-    dG[rows, k] = c * dphi[n * K :]
-    return losses, dG
+    phi[own] = 0.0
+    losses = c * phi[n * K :] + (1.0 - c) * sum(phi[j : n * K : K] for j in range(K))
+    dG = dphi[: n * K]
+    dG *= -(1.0 - c)
+    dG[own] = c * dphi[n * K :]
+    return losses, dG.reshape(n, K)
 
 
 def empirical_risk(loss: MarginLossSpec, cost: RejectionCost, score_fn, data: Dataset) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CODE_ORACLE, RejectionCost
-from .losses import MarginLossSpec, argmin_weighted_conditional_risk, get_loss
+from .losses import MarginLossSpec, _expit, argmin_weighted_conditional_risk, get_loss
 from .surrogate import decide_batch
 
 # draws per array block in the randomized audits: large enough that numpy does
@@ -329,7 +329,7 @@ def miscalibrated_witness(cost: RejectionCost) -> bool:
     flipped = MarginLossSpec(
         "flipped_sigmoid",
         value=lambda z: 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float))),
-        grad=lambda z: np.exp(-np.asarray(z, dtype=float)) / (1.0 + np.exp(-np.asarray(z, dtype=float))) ** 2,
+        value_grad=lambda z: (_expit(z), _expit(z) * _expit(-np.asarray(z, dtype=float))),
         convex=False,
         symmetric=True,
         calibrated=False,

@@ -186,14 +186,15 @@ def train_pu(
             epoch_risk += pos_term + np.where(neg_term > 0.0, neg_term, 0.0)
 
             # the clamp, per cell: a negative bracket contributes no gradient
-            kept = (neg_term >= 0.0)[:, None, None]
+            kept = neg_term >= 0.0
             clamp_count += int(np.count_nonzero(~kept))
             dGp = prior * dG[:, :m_p] / m_p
-            dGp = np.where(kept, dGp - prior * dG[:, m_p + m_u :] / m_p, dGp)
-            dGu = np.where(kept, dG[:, m_p : m_p + m_u] / m_u, 0.0)
-            grads_p = stack.backward(cache_p, dGp, work_p)
-            grads_u = stack.backward(cache_u, dGu, work_u)
-            grads = {k: grads_p[k] + grads_u[k] for k in grads_p}
+            np.subtract(dGp, prior * dG[:, m_p + m_u :] / m_p, out=dGp, where=kept[:, None, None])
+            dGu = dG[:, m_p : m_p + m_u] / m_u
+            dGu[~kept] = 0.0
+            grads = stack.backward(cache_p, dGp, work_p)
+            for k, g in stack.backward(cache_u, dGu, work_u).items():
+                grads[k] += g
             adam_step(state, stack.params, grads, config.learning_rate)
         for trace, risk in zip(traces, epoch_risk):
             trace.append(risk / steps)

@@ -223,42 +223,30 @@ def test_criterion_10_baseline_sanity():
     defer_rows = harness.run_grid(defer_grid)
     finite = finite and all(np.isfinite(r.risk01c) and not r.flagged for r in defer_rows)
 
-    # SCE and ANGLE: train once per cell, then compare validation risk at the
-    # untuned default (T=1, delta=0) against the tuned choice
+    # SCE and ANGLE: train each (method, trial) group of cells as one stack,
+    # then compare validation risk at the untuned default (T=1, delta=0)
+    # against the tuned choice
     grid = harness.GridSpec(datasets=("twonorm",), methods=("sce", "angle"), costs=GRID_COSTS, trials=trials)
-    info = harness.dataset_info("twonorm")
-    for method, untuned in (("sce", 1.0), ("angle", 0.0)):
-        spec = harness.METHODS[method]
-        for cost_value in GRID_COSTS:
-            cost = RejectionCost(cost_value)
-            for trial in range(trials):
-                data_seed = harness._mix_seed(grid.master_seed, "twonorm", "clean", trial, "data")
-                train_seed = harness._mix_seed(
-                    grid.master_seed, "twonorm", "clean", trial, method, f"{cost_value:.6g}", "train"
-                )
-                data_rng = np.random.default_rng(data_seed)
-                source, _ = data_mod.gen_gauss_mixture(info.spec, info.total_n, data_rng)
-                train_ds, val_ds, test_ds = data_mod.split(source, (0.5, 0.1, 0.4), seed=data_seed)
-                scaler, train_std = data_mod.standardize(train_ds)
-                model = make_model(
-                    "linear", train_ds.d, spec.n_out(2), np.random.default_rng(harness._mix_seed(train_seed, "init"))
-                )
-                train(model, train_std, spec.loss_batch(2, cost), TrainConfig(seed=train_seed))
-                val = scaler.apply(val_ds)
-                G_val = model.scores(val.X)
+    untuned = {"sce": 1.0, "angle": 0.0}
+    for cells in harness.cell_groups(grid, list(grid.cells())):
+        for (_, method, cost_value, trial), trained in zip(cells, harness.train_group(grid, cells)):
+            spec, cost = harness.METHODS[method], RejectionCost(cost_value)
+            model, scaler = trained.model, trained.scaler
+            val = scaler.apply(trained.val_ds)
+            G_val = model.scores(val.X)
 
-                default_dec = spec.decide(G_val, 2, cost, untuned)
-                tuned = spec.tune(model, val, 2, cost)
-                tuned_dec = spec.decide(G_val, 2, cost, tuned)
+            default_dec = spec.decide(G_val, 2, cost, untuned[method])
+            tuned = spec.tune(model, val, 2, cost)
+            tuned_dec = spec.decide(G_val, 2, cost, tuned)
 
-                default_risk = compute_metrics(default_dec, val.y, cost).risk01c
-                tuned_risk = compute_metrics(tuned_dec, val.y, cost).risk01c
-                if tuned_risk > default_risk + 1e-12:
-                    tuning_regressed.append((method, cost_value, trial, default_risk, tuned_risk))
+            default_risk = compute_metrics(default_dec, val.y, cost).risk01c
+            tuned_risk = compute_metrics(tuned_dec, val.y, cost).risk01c
+            if tuned_risk > default_risk + 1e-12:
+                tuning_regressed.append((method, cost_value, trial, default_risk, tuned_risk))
 
-                test_eval = scaler.apply(test_ds)
-                test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
-                finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
+            test_eval = scaler.apply(trained.test_ds)
+            test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
+            finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
 
     elapsed = time.perf_counter() - t0
     ok = finite and not tuning_regressed and elapsed < 600.0

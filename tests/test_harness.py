@@ -290,7 +290,24 @@ class TestCsv:
     def test_foreign_header_rejected(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("a,b,c\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1"):
+            read_csv(p)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            "twonorm,cs-sigmoid,clean,0.1,1,0.02\n",
+            "twonorm,cs-sigmoid,clean,0.1,one,0.02,0.5,0.02,4,0,2.6\n",
+            "twonorm,cs-sigmoid,clean,0.1,1,0.02,0.5,0.02,4,0,2.6,extra\n",
+        ],
+        ids=["truncated", "non-integer trial", "extra field"],
+    )
+    def test_a_malformed_row_is_a_value_error_naming_its_line(self, tmp_path, tail):
+        p = tmp_path / "r.csv"
+        write_csv(self._rows(), p)  # a header and two rows
+        with open(p, "a") as fh:
+            fh.write(tail)
+        with pytest.raises(ValueError, match="line 4"):
             read_csv(p)
 
     def test_comma_in_dataset_path_round_trips(self, tmp_path):
@@ -407,3 +424,24 @@ class TestCliResume:
         # the same setting again finds its row and runs nothing
         assert cli.main(args + ["--resume"]) == 0
         assert len(read_csv(out)) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\n",
+            harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0\ntwonorm,always-reject,clean,0.2,1,0.2\n",
+        ],
+        ids=["wrong header", "truncated last row"],
+    )
+    def test_an_unreadable_out_is_a_usage_error_before_any_cell(self, tmp_path, monkeypatch, capsys, text):
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out = tmp_path / "r.csv"
+        out.write_text(text)
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", str(out), "--resume"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert f"{out}: line " in capsys.readouterr().err
+        assert out.read_text() == text

@@ -4,6 +4,7 @@ import pytest
 from csreject.checks import check_margin_losses
 from csreject.losses import (
     MARGIN_LOSSES,
+    _expit,
     argmin_weighted_conditional_risk,
     binary_conditional_risk,
     get_loss,
@@ -88,6 +89,43 @@ class TestGradients:
         results = check_margin_losses()
         for name, (err, ok) in results.items():
             assert ok, f"{name}: max rel err {err}"
+
+
+# each loss's gradient as a formula of its own, apart from the value
+UNFUSED_GRADS = {
+    "squared": lambda z: -2.0 * (1.0 - z),
+    "squared_hinge": lambda z: -2.0 * np.maximum(0.0, 1.0 - z),
+    "exponential": lambda z: -np.exp(np.minimum(-z, 30.0)),
+    "logistic": lambda z: -_expit(-z),
+    "hinge": lambda z: np.where(z < 1.0, -1.0, 0.0),
+    "savage": lambda z: -4.0 * _expit(-2.0 * z) ** 2 * (1.0 - _expit(-2.0 * z)),
+    "tangent": lambda z: 4.0 * (2.0 * np.arctan(z) - 1.0) / (1.0 + z**2),
+    "ramp": lambda z: np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0),
+    "sigmoid": lambda z: -_expit(z) * _expit(-z),
+}
+# signed zeros, the kinks and their neighbours, the exponential's clamp at
+# -30 and below it, and |z| > 709, where exp overflows
+EDGE_Z = np.array(
+    [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 5e-324, -5e-324]
+    + [-29.999, -30.0, -30.001, -31.0, -100.0, -700.0]
+    + [709.0, -709.0, 709.79, -709.79, 710.0, -710.0, 1e4, -1e4, 1e300, -1e300]
+)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestValueGrad:
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
+    def test_value_and_gradient_equal_the_unfused_formulas_bit_for_bit(self, name):
+        loss = MARGIN_LOSSES[name]
+        z = np.concatenate([EDGE_Z, np.linspace(-40.0, 40.0, 801)])
+        with np.errstate(all="ignore"):
+            phi, dphi = loss.value_grad(z)
+            assert _bits(phi) == _bits(loss.value(z))
+            assert _bits(dphi) == _bits(UNFUSED_GRADS[name](z))
+            assert _bits(loss.grad(z)) == _bits(dphi)
 
 
 class TestShapeProperties:

@@ -60,6 +60,26 @@ class TestBackward:
         for g in grads.values():
             assert (g == 0).all()
 
+    @pytest.mark.parametrize("work", [None, {}])
+    def test_relu_mask_of_the_hidden_layer_equals_that_of_the_pre_activation(self, work):
+        # a hidden unit with zero weights has a pre-activation of exactly 0 on
+        # finite rows, and a NaN feature makes a row's pre-activations NaN
+        model = MlpModel(2, 2, np.random.default_rng(0), hidden=4)
+        model.params["W1"][0] = 0.0
+        X = np.array([[0.5, -1.0], [np.nan, 1.0], [2.0, 0.3]])
+        dG = np.random.default_rng(1).normal(size=(3, 2))
+        p = model.params
+        pre = X @ p["W1"].T + p["b1"]
+        assert (pre == 0.0).any() and np.isnan(pre).any()
+        h = np.maximum(pre, 0.0)
+        dpre = (dG @ p["W2"]) * (pre > 0)
+        expected = {"W2": dG.T @ h, "b2": dG.sum(axis=0), "W1": dpre.T @ X, "b1": dpre.sum(axis=0)}
+        _, cache = model.forward(X, work=work)
+        grads = model.backward(cache, dG, work)
+        for key, value in expected.items():
+            np.testing.assert_array_equal(grads[key], value)
+            np.testing.assert_array_equal(np.signbit(grads[key]), np.signbit(value))
+
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_full_model_finite_differences(self, kind):
         cost = RejectionCost(0.25)

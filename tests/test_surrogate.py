@@ -67,8 +67,9 @@ class TestSurrogateLoss:
     @pytest.mark.parametrize("K", [1, 2, 3, 5])
     @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
     def test_stacked_call_equals_one_call_per_part(self, name, K):
-        # one value and one grad call on [-G, g_y] against the formula with
-        # separate calls on -G and g_y; kinks, zeros and +-800 included
+        # one value_grad call on [-G, g_y], indexed by flat position, against
+        # the formula with 2-D indexing and separate calls on -G and g_y;
+        # kinks, zeros and +-800 included
         rng = np.random.default_rng(K)
         G = rng.normal(size=(120, K)) * 3.0
         G.flat[:6] = [0.0, 1.0, -1.0, 800.0, -800.0, 0.0][: G.size]
