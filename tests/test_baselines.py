@@ -322,3 +322,145 @@ class TestTuneDelta:
         val = Dataset(np.array([[0.5], [2.0]]), np.array([2, 1]), K=2)
         chosen = tune_delta(model, val, RejectionCost(0.25), cfg, [0.0, 1.0, 3.0])
         assert chosen == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The loss bodies as they were before the flat-index rewrite, kept as the
+# references the current ones must equal bit for bit.
+
+
+def _ref_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _ref_sce(G, y):
+    G = np.asarray(G, dtype=float)
+    y = np.asarray(y, dtype=int)
+    logp = _ref_log_softmax(G)
+    rows = np.arange(len(G))
+    losses = -logp[rows, y - 1]
+    dG = np.exp(logp)
+    dG[rows, y - 1] -= 1.0
+    return losses, dG
+
+
+def _ref_defer(cost):
+    def batch(G, y):
+        G = np.asarray(G, dtype=float)
+        y = np.asarray(y, dtype=int)
+        logp = _ref_log_softmax(G)
+        rows = np.arange(len(G))
+        losses = -logp[rows, y - 1] - (1.0 - cost.c) * logp[:, -1]
+        dG = (2.0 - cost.c) * np.exp(logp)
+        dG[rows, y - 1] -= 1.0
+        dG[:, -1] -= 1.0 - cost.c
+        return losses, dG
+
+    return batch
+
+
+def _ref_bent_hinge(u, a):
+    u = np.asarray(u, dtype=float)
+    return np.where(u < 0, 1.0 - a * u, np.maximum(0.0, 1.0 - u))
+
+
+def _ref_bent_hinge_grad(u, a):
+    u = np.asarray(u, dtype=float)
+    return np.where(u < 0, -a, np.where(u < 1.0, -1.0, 0.0))
+
+
+def _ref_angle(config):
+    V = config.vertices
+    a = config.bend_slope
+
+    def batch(G, y):
+        G = np.asarray(G, dtype=float)
+        y = np.asarray(y, dtype=int)
+        U = -G @ V.T
+        vals = _ref_bent_hinge(U, a)
+        rows = np.arange(len(G))
+        losses = vals.sum(axis=1) - vals[rows, y - 1]
+        dU = _ref_bent_hinge_grad(U, a)
+        dU[rows, y - 1] = 0.0
+        dG = -dU @ V
+        return losses, dG
+
+    return batch
+
+
+def _assert_same_bits(new, ref):
+    """Equal shapes, NaN at the same places and equal bit patterns elsewhere,
+    so the sign of zero counts too."""
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    assert new.shape == ref.shape
+    np.testing.assert_array_equal(np.isnan(new), np.isnan(ref))
+    keep = ~np.isnan(ref)
+    np.testing.assert_array_equal(new[keep].view(np.int64), ref[keep].view(np.int64))
+
+
+def _scores(width, seed):
+    """Rows at scales up to 800, where exp underflows, plus signed zeros,
+    ties, infinities and NaN."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((64, width)) * s for s in (1e-3, 1.0, 30.0, 800.0)]
+    special = np.array([[0.0], [-0.0], [np.nan], [np.inf], [-np.inf], [745.0], [-745.0], [1.0]])
+    for v in special:
+        row = rng.standard_normal((3, width))
+        row[0, :] = v
+        row[1, 0] = v[0]
+        row[2, -1] = v[0]
+        blocks.append(row)
+    return np.concatenate(blocks)
+
+
+WIDTHS = range(1, 8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLossesMatchTheFormerBodies:
+    @pytest.mark.parametrize("K", WIDTHS)
+    def test_log_softmax(self, K):
+        from csreject.baselines import _log_softmax
+
+        X = _scores(K, K)
+        _assert_same_bits(_log_softmax(X), _ref_log_softmax(X))
+        _assert_same_bits(_log_softmax(X.reshape(4, -1, K)), _ref_log_softmax(X.reshape(4, -1, K)))
+        for row in X[::17]:
+            _assert_same_bits(_log_softmax(row), _ref_log_softmax(row))
+
+    @pytest.mark.parametrize("K", WIDTHS)
+    def test_sce(self, K):
+        G = _scores(K, 10 + K)
+        y = np.random.default_rng(K).integers(1, K + 1, len(G))
+        for new, ref in zip(sce_loss_batch(G, y), _ref_sce(G, y)):
+            _assert_same_bits(new, ref)
+
+    @pytest.mark.parametrize("K", WIDTHS)
+    @pytest.mark.parametrize("c", [0.05, 0.2, 0.45])
+    def test_defer(self, K, c):
+        # K classes and the rejection slot; a width of 1 is the slot alone
+        G = _scores(K + 1, 20 + K)
+        y = np.random.default_rng(K).integers(1, K + 1, len(G))
+        cost = RejectionCost(c)
+        for new, ref in zip(defer_loss_batch(cost)(G, y), _ref_defer(cost)(G, y)):
+            _assert_same_bits(new, ref)
+
+    @pytest.mark.parametrize("K", range(2, 9))
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.7])
+    def test_angle(self, K, a):
+        config = AngleConfig(K, a)
+        G = _scores(K - 1, 30 + K)
+        # rows whose projections sit on the kinks u = 0 and u = 1
+        G = np.concatenate([G, np.zeros((1, K - 1)), -config.vertices[:1], config.vertices[1:2]])
+        y = np.random.default_rng(K).integers(1, K + 1, len(G))
+        for new, ref in zip(angle_loss_batch(config)(G, y), _ref_angle(config)(G, y)):
+            _assert_same_bits(new, ref)
+
+    def test_bent_hinge_value_grad(self):
+        tiny = np.nextafter(0.0, 1.0)
+        u = np.array([-np.inf, -2.0, -tiny, -0.0, 0.0, tiny, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.5, np.inf, np.nan])
+        for a in (0.3, 1.0, 4.0):
+            value, grad = bent_hinge_value_grad(u, a)
+            _assert_same_bits(value, _ref_bent_hinge(u, a))
+            _assert_same_bits(grad, _ref_bent_hinge_grad(u, a))

@@ -131,6 +131,79 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="integer"):
             load_csv(p)
 
+    @pytest.mark.parametrize("label", ["2.00001", "inf", "-inf", "nan"])
+    def test_labels_must_be_exact_finite_integers(self, tmp_path, label):
+        # allclose let 2.00001 through as a third class and inf as a class of its own
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,2,1\n3,4,2\n5,6,{label}\n")
+        with pytest.raises(ValueError, match="integer"):
+            load_csv(p)
+
+
+class TestLoadCsvContract:
+    """The file forms load_csv reads and the errors it raises."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"a,b,label\n1.5,2,1\n3,4.25,-1\n5,6,1\n",
+            b"\n\na,b,label\n\n1.5,2,1\n\n3,4.25,-1\n5,6,1\n\n",
+            b"a,b,label\r\n1.5,2,1\r\n\r\n3,4.25,-1\r\n5,6,1\r\n",
+            b"a,b,label\n1.5,2,1\n3,4.25,-1\n5,6,1",
+        ],
+        ids=["plain", "blank lines", "CRLF", "no final newline"],
+    )
+    def test_header_blank_lines_and_line_ends(self, tmp_path, raw):
+        p = tmp_path / "d.csv"
+        p.write_bytes(raw)
+        ds = load_csv(p, has_header=True)
+        np.testing.assert_array_equal(ds.X, [[1.5, 2.0], [3.0, 4.25], [5.0, 6.0]])
+        assert list(ds.y) == [2, 1, 2] and ds.K == 2
+        # without the flag the header is a malformed row, counted from the first line
+        with pytest.raises(ValueError, match=f"malformed row {raw.splitlines().index(b'a,b,label')}"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "a,b,label\n", "\na,b,label\n\n"], ids=repr)
+    def test_no_data_rows_is_an_empty_csv(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="empty CSV"):
+            load_csv(p, has_header=bool(text.strip()))
+
+    @pytest.mark.parametrize("text", ["1,2,1\n#3,4,2\n", "1,2,1\n# a comment\n", "1,2,1\n3,4,2 # note\n"])
+    def test_a_hash_is_no_comment(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="malformed row 1"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("bad", ["5,6", "5,6,1,7", "5,x,1", "5,,1", "5,6,1,", "   "])
+    def test_ragged_and_non_numeric_rows_name_the_same_index(self, tmp_path, bad):
+        p = tmp_path / "d.csv"
+        p.write_text(f"1,2,1\n3,4,2\n{bad}\n7,8,1\n")
+        with pytest.raises(ValueError, match="^malformed row 2: "):
+            load_csv(p)
+
+    @pytest.mark.parametrize("bad", ["5,6", "5,x,1"])
+    def test_a_row_index_counts_the_header_and_blank_lines(self, tmp_path, bad):
+        # a ragged row used to be counted among the data rows only
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,label\n\n1,2,1\n{bad}\n")
+        with pytest.raises(ValueError, match="^malformed row 3: "):
+            load_csv(p, has_header=True)
+
+    @pytest.mark.parametrize("fmt", ["%.6f", "repr"])
+    def test_numbers_parse_bit_identical_to_float(self, tmp_path, fmt):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-12, 12, (200, 4))
+        values[:3] = [[-0.0, 0.0, -1e-9, 1e300], [5e-324, -2.5e-308, 1.7976931348623157e308, 0.1], [1 / 3, 2 / 3, -0.5, 7.0]]
+        fields = [[repr(v) if fmt == "repr" else fmt % v for v in row] for row in values.tolist()]
+        p = tmp_path / "d.csv"
+        p.write_text("".join(",".join(row) + f",{i % 2}\n" for i, row in enumerate(fields)))
+        expected = np.array([[float(v) for v in row] for row in fields])
+        # a bit pattern view compares the sign of zero as well
+        np.testing.assert_array_equal(load_csv(p).X.view(np.int64), expected.view(np.int64))
+
 
 class TestSplit:
     def _data(self, n=100):

@@ -445,3 +445,37 @@ class TestCliResume:
         assert exc.value.code == 2
         assert f"{out}: line " in capsys.readouterr().err
         assert out.read_text() == text
+
+
+class TestCliAggregate:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "",
+            harness.CSV_HEADER + "\n",
+            "a,b,c\ntwonorm,always-reject\n",
+            harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2\n",
+        ],
+        ids=["missing file", "empty file", "header only", "foreign header", "short row"],
+    )
+    def test_an_unreadable_in_is_a_usage_error(self, tmp_path, capsys, text):
+        from csreject import cli
+
+        infile, out = tmp_path / "r.csv", tmp_path / "s.csv"
+        if text is not None:
+            infile.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["aggregate", "--in", str(infile), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_result_file_aggregates(self, tmp_path, capsys):
+        from csreject import cli
+
+        infile, out = tmp_path / "r.csv", tmp_path / "s.csv"
+        infile.write_text(harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0\n")
+        assert cli.main(["aggregate", "--in", str(infile), "--out", str(out)]) == 0
+        assert "wrote 1 summary rows" in capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 2
