@@ -3,6 +3,7 @@ rejection-class loss (DEFER), and the angle-based bent-hinge method (ANGLE)."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,9 +12,15 @@ from .core import CODE_DISTANCE, Dataset, Decision, RejectionCost, zero_one_c_ri
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """log(softmax(x)) over the last axis, stabilized by max subtraction."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """log(softmax(x)) over the last axis, stabilized by max subtraction. The
+    max and the sum run column by column, cheaper than axis reductions for few
+    columns and equal to them up to 7; from 8 on, numpy's pairwise sum may round
+    differently."""
+    cols = range(x.shape[-1])
+    shifted = x - functools.reduce(np.maximum, [x[..., j] for j in cols])[..., None]
+    e = np.exp(shifted)
+    shifted -= np.log(sum(e[..., j] for j in cols))[..., None]
+    return shifted
 
 
 def softmax(g: np.ndarray, T=1.0) -> np.ndarray:
@@ -55,14 +62,20 @@ def tune_threshold(decide_all, labels, cost: RejectionCost, candidates=None) -> 
 # SCE: softmax cross-entropy with temperature-scaled Chow plug-in
 
 
+def _own_index(G: np.ndarray, y) -> np.ndarray:
+    """Flat index of each row's own score g_y in G.ravel(); y holds labels in 1..K."""
+    n, K = G.shape
+    return np.arange(-1, n * K - 1, K) + np.asarray(y, dtype=int)
+
+
 def sce_loss_batch(G: np.ndarray, y: np.ndarray):
-    G = np.asarray(G, dtype=float)
-    y = np.asarray(y, dtype=int)
+    """Per-sample cross-entropy losses (n,) and score gradients (n, K); exact up to K = 7 (see _log_softmax)."""
+    G = np.ascontiguousarray(G, dtype=float)
+    own = _own_index(G, y)
     logp = _log_softmax(G)
-    rows = np.arange(len(G))
-    losses = -logp[rows, y - 1]
-    dG = np.exp(logp)
-    dG[rows, y - 1] -= 1.0
+    losses = -logp.take(own)
+    dG = np.exp(logp, out=logp)
+    dG.ravel()[own] -= 1.0
     return losses, dG
 
 
@@ -88,13 +101,14 @@ def tune_temperature(model, val: Dataset, cost: RejectionCost, candidates=None) 
 
 def defer_loss_batch(cost: RejectionCost):
     def batch(G: np.ndarray, y: np.ndarray):
-        G = np.asarray(G, dtype=float)
-        y = np.asarray(y, dtype=int)
+        """Losses (n,) and score gradients (n, K+1); exact up to K+1 = 7 (see _log_softmax)."""
+        G = np.ascontiguousarray(G, dtype=float)
+        own = _own_index(G, y)
         logp = _log_softmax(G)
-        rows = np.arange(len(G))
-        losses = -logp[rows, y - 1] - (1.0 - cost.c) * logp[:, -1]
-        dG = (2.0 - cost.c) * np.exp(logp)
-        dG[rows, y - 1] -= 1.0
+        losses = -logp.take(own) - (1.0 - cost.c) * logp[:, -1]
+        dG = np.exp(logp, out=logp)
+        dG *= 2.0 - cost.c
+        dG.ravel()[own] -= 1.0
         dG[:, -1] -= 1.0 - cost.c
         return losses, dG
 
@@ -143,18 +157,14 @@ def bend_slopes(K: int, cost: RejectionCost) -> tuple[float, float]:
     return a1, a2
 
 
-def bent_hinge(u, a: float):
-    """Value of the bent hinge: 1-au for u<0, 1-u for 0<=u<=1, else 0."""
+def bent_hinge_value_grad(u, a: float):
+    """Value and derivative of the bent hinge: 1-au for u<0, 1-u for 0<=u<=1,
+    else 0. The derivative takes the right-hand pieces at the kinks u = 0 and u = 1."""
     if a <= 0:
         raise ValueError("bend slope must be positive")
     u = np.asarray(u, dtype=float)
-    return np.where(u < 0, 1.0 - a * u, np.maximum(0.0, 1.0 - u))
-
-
-def bent_hinge_grad(u, a: float):
-    # right-hand pieces at the kinks u = 0 and u = 1
-    u = np.asarray(u, dtype=float)
-    return np.where(u < 0, -a, np.where(u < 1.0, -1.0, 0.0))
+    neg = u < 0
+    return np.where(neg, 1.0 - a * u, np.maximum(0.0, 1.0 - u)), np.where(neg, -a, np.where(u < 1.0, -1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -177,16 +187,13 @@ def angle_loss_batch(config: AngleConfig):
     a = config.bend_slope
 
     def batch(G: np.ndarray, y: np.ndarray):
-        G = np.asarray(G, dtype=float)
-        y = np.asarray(y, dtype=int)
-        U = -G @ V.T  # (n, K)
-        vals = bent_hinge(U, a)
-        rows = np.arange(len(G))
-        losses = vals.sum(axis=1) - vals[rows, y - 1]
-        dU = bent_hinge_grad(U, a)
-        dU[rows, y - 1] = 0.0
-        dG = -dU @ V
-        return losses, dG
+        """Losses (n,), summed over classes column by column (a row sum's numbers up to K = 7), and dG (n, K-1)."""
+        U = -np.asarray(G, dtype=float) @ V.T  # (n, K)
+        own = _own_index(U, y)
+        vals, dU = bent_hinge_value_grad(U, a)
+        losses = sum(vals[:, j] for j in range(config.K)) - vals.take(own)
+        dU.ravel()[own] = 0.0
+        return losses, -dU @ V
 
     return batch
 

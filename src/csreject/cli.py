@@ -8,6 +8,7 @@ import sys
 
 from . import harness, theory
 from .checks import run_gradcheck
+from .core import RejectionCost
 
 
 def _parse_costs(text: str) -> tuple[float, ...]:
@@ -64,49 +65,37 @@ def cmd_run(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    rows = harness.read_csv(args.infile)
-    summaries = harness.aggregate(rows)
+    try:
+        summaries = harness.aggregate(harness.read_csv(args.infile))
+    except (ValueError, OSError) as exc:
+        args.usage_error(str(exc))
     harness.write_summary_csv(summaries, args.out, rescale_0_100=args.rescale)
     print(f"wrote {len(summaries)} summary rows to {args.out}")
     return 0
 
 
+def _report(passed, text: str) -> bool:
+    print(f"[{'PASS' if passed else 'FAIL'}] {text}")
+    return bool(passed)
+
+
 def cmd_audit(args) -> int:
-    ok = True
-
-    checked, disagreements = theory.audit_oracle_equivalence(args.draws, seed=args.seed)
-    line_ok = disagreements == 0
-    ok &= line_ok
-    print(f"[{'PASS' if line_ok else 'FAIL'}] oracle equivalence: {checked} draws, {disagreements} disagreements")
-
+    checked, dis = theory.audit_oracle_equivalence(args.draws, seed=args.seed)
+    ok = [_report(dis == 0, f"oracle equivalence: {checked} draws, {dis} disagreements")]
     for name, (n, dis) in theory.audit_calibration(n_draws=args.calibration_draws, seed=args.seed + 1).items():
-        line_ok = dis == 0
-        ok &= line_ok
-        print(f"[{'PASS' if line_ok else 'FAIL'}] calibration ({name}): {n} draws, {dis} disagreements")
-
-    n, viol, psi_viol = theory.audit_excess_random(args.excess_instances, seed=args.seed + 2)
-    line_ok = viol == 0 and psi_viol == 0
-    ok &= line_ok
-    print(
-        f"[{'PASS' if line_ok else 'FAIL'}] excess-risk chain: {n} instances, "
-        f"{viol} violations, {psi_viol} psi-bound violations"
-    )
-
-    from .core import RejectionCost
-
+        ok.append(_report(dis == 0, f"calibration ({name}): {n} draws, {dis} disagreements"))
+    n, viol, psi = theory.audit_excess_random(args.excess_instances, seed=args.seed + 2)
+    text = f"excess-risk chain: {n} instances, {viol} violations, {psi} psi-bound violations"
+    ok.append(_report(viol == psi == 0, text))
     witness = theory.miscalibrated_witness(RejectionCost(0.2))
-    ok &= witness
-    print(f"[{'PASS' if witness else 'FAIL'}] miscalibrated-loss witness disagrees with the oracle")
-    return 0 if ok else 1
+    ok.append(_report(witness, "miscalibrated-loss witness disagrees with the oracle"))
+    return 0 if all(ok) else 1
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradcheck(seed=args.seed)
-    ok = True
-    for name, (err, passed) in sorted(results.items()):
-        ok &= passed
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}: max rel err {err:.2e}")
-    return 0 if ok else 1
+    results = sorted(run_gradcheck(seed=args.seed).items())
+    ok = [_report(passed, f"{name}: max rel err {err:.2e}") for name, (err, passed) in results]
+    return 0 if all(ok) else 1
 
 
 def main(argv=None) -> int:
@@ -133,7 +122,7 @@ def main(argv=None) -> int:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rescale", action="store_true", help="report on the 0-100 scale")
-    p.set_defaults(func=cmd_aggregate)
+    p.set_defaults(func=cmd_aggregate, usage_error=p.error)
 
     p = sub.add_parser("audit", help="run the theorem audits")
     p.add_argument("--draws", type=int, default=100_000)

@@ -3,6 +3,8 @@ splitting, and standardization."""
 
 from __future__ import annotations
 
+import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,43 +107,45 @@ def gen_twonorm(n: int, rng: np.random.Generator, d: int = 20):
 def load_csv(path, label_column=-1, has_header: bool = False) -> Dataset:
     """Read a numeric CSV into a Dataset, remapping labels to 1..K.
 
-    Distinct raw labels are sorted and mapped in order, so {-1, +1} becomes
-    {1, 2} with -1 -> 1.
+    Blank lines are skipped, and with has_header the first other line; a
+    field may be quoted, and '#' starts no comment. Distinct raw labels, which
+    must be finite integers, are sorted and mapped in order, so {-1, +1}
+    becomes {1, 2} with -1 -> 1. Raises "empty CSV" without data rows, and
+    "malformed row i" for a non-numeric field or a row of another width than
+    the first, i its 0-based line number (blank lines and the header counted).
     """
-    import csv
-
-    rows = []
-    raw_labels = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if has_header and header is None:
-                header = row
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ValueError(f"malformed row {i}: {exc}") from None
-            rows.append(values)
-    if not rows:
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows is reported below
+        if has_header:
+            next((line for line in fh if line != "\n"), None)
+        try:
+            arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise ValueError(_malformed_row(path, has_header) or str(exc)) from None
+    if len(arr) == 0:
         raise ValueError("empty CSV")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"malformed row {i}: expected {width} columns, got {len(row)}")
-    col = label_column if label_column >= 0 else width + label_column
-    arr = np.asarray(rows, dtype=float)
+    col = label_column if label_column >= 0 else arr.shape[1] + label_column
     raw_labels = arr[:, col]
-    if not np.allclose(raw_labels, np.round(raw_labels)):
-        raise ValueError(f"label column {col} must hold integers")
-    X = np.delete(arr, col, axis=1)
-    distinct = np.unique(raw_labels)
-    remap = {v: i + 1 for i, v in enumerate(distinct)}
-    y = np.array([remap[v] for v in raw_labels], dtype=int)
-    return Dataset(X, y, K=len(distinct))
+    if not (np.isfinite(raw_labels).all() and (raw_labels == np.round(raw_labels)).all()):
+        raise ValueError(f"label column {col} must hold finite integers")
+    distinct, y = np.unique(raw_labels, return_inverse=True)
+    return Dataset(np.delete(arr, col, axis=1), y + 1, K=len(distinct))
+
+
+def _malformed_row(path, has_header: bool) -> str | None:
+    """load_csv's message for the first row float() cannot read or that is not
+    as wide as the first data row; None if there is none. loadtxt's own
+    messages count rows one way for a bad field and another for a bad width."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(i, row) for i, row in enumerate(csv.reader(fh)) if row][has_header:]
+    for i, row in rows:
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            return f"malformed row {i}: {exc}"
+        if len(values) != len(rows[0][1]):
+            return f"malformed row {i}: expected {len(rows[0][1])} columns, got {len(values)}"
+    return None
 
 
 def split(data: Dataset, fractions, seed: int) -> list[Dataset]:

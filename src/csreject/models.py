@@ -230,8 +230,8 @@ def train(model, data: Dataset, loss_batch, config: TrainConfig):
         epoch_loss = np.zeros(len(models))
         for start in range(0, n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
-            G, cache = stack.forward(data.X[idx], work=work)
-            y = data.y[idx]
+            G, cache = stack.forward(data.X.take(idx, axis=0), work=work)
+            y = data.y.take(idx)
             loss, dG = np.empty(idx.shape), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y[c])

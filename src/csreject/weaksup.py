@@ -170,8 +170,8 @@ def train_pu(
             m_p, m_u = ip.shape[1], iu.shape[1]
             if m_u == 0:
                 continue
-            Gp, cache_p = stack.forward(positives[ip], work=work_p)
-            Gu, cache_u = stack.forward(unlabeled[iu], work=work_u)
+            Gp, cache_p = stack.forward(positives.take(ip, axis=0), work=work_p)
+            Gu, cache_u = stack.forward(unlabeled.take(iu, axis=0), work=work_u)
             # one loss call per cell on (Gp at +1, Gu at -1, Gp at -1); every loss works row by row
             y = labels.get((m_p, m_u))
             if y is None:

@@ -158,3 +158,29 @@ class TestGradcheckCli:
         assert all(line.startswith("[PASS] ") for line in lines)
         names = [line[len("[PASS] ") :].split(":")[0] for line in lines]
         assert names == sorted(names) and len(set(names)) == 33
+
+    def test_a_failed_case_prints_every_line_and_exits_1(self, monkeypatch, capsys):
+        results = {"b": (1e-3, False), "a": (1e-9, True), "c": (0.0, True)}
+        monkeypatch.setattr(cli, "run_gradcheck", lambda seed: results)
+        assert cli.main(["gradcheck"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] a: max rel err 1.00e-09",
+            "[FAIL] b: max rel err 1.00e-03",
+            "[PASS] c: max rel err 0.00e+00",
+        ]
+
+
+class TestAuditCli:
+    def test_a_failed_audit_prints_every_line_and_exits_1(self, monkeypatch, capsys):
+        from csreject import theory
+
+        monkeypatch.setattr(theory, "audit_calibration", lambda n_draws, seed: {"a": (3, 1), "b": (3, 0)})
+        monkeypatch.setattr(theory, "audit_excess_random", lambda n, seed: (5, 0, 2))
+        assert cli.main(["audit", "--draws", "100"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[PASS] oracle equivalence: 100 draws, 0 disagreements",
+            "[FAIL] calibration (a): 3 draws, 1 disagreements",
+            "[PASS] calibration (b): 3 draws, 0 disagreements",
+            "[FAIL] excess-risk chain: 5 instances, 0 violations, 2 psi-bound violations",
+            "[PASS] miscalibrated-loss witness disagrees with the oracle",
+        ]

@@ -184,6 +184,14 @@ class TestLoadCsvContract:
         with pytest.raises(ValueError, match="^malformed row 2: "):
             load_csv(p)
 
+    def test_a_field_only_python_reads_is_an_error(self, tmp_path):
+        # float() takes digit underscores, numpy's parser does not: no row is
+        # named then, and the parser's own message stands
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,1\n1_0,4,2\n")
+        with pytest.raises(ValueError, match="1_0"):
+            load_csv(p)
+
     @pytest.mark.parametrize("bad", ["5,6", "5,x,1"])
     def test_a_row_index_counts_the_header_and_blank_lines(self, tmp_path, bad):
         # a ragged row used to be counted among the data rows only
@@ -196,7 +204,8 @@ class TestLoadCsvContract:
     def test_numbers_parse_bit_identical_to_float(self, tmp_path, fmt):
         rng = np.random.default_rng(3)
         values = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-12, 12, (200, 4))
-        values[:3] = [[-0.0, 0.0, -1e-9, 1e300], [5e-324, -2.5e-308, 1.7976931348623157e308, 0.1], [1 / 3, 2 / 3, -0.5, 7.0]]
+        values[0] = [-0.0, 0.0, -1e-9, 1e300]
+        values[1] = [5e-324, -2.5e-308, 1.7976931348623157e308, 1 / 3]
         fields = [[repr(v) if fmt == "repr" else fmt % v for v in row] for row in values.tolist()]
         p = tmp_path / "d.csv"
         p.write_text("".join(",".join(row) + f",{i % 2}\n" for i, row in enumerate(fields)))
