@@ -37,6 +37,33 @@ def _per_entry_grad(model, X, y, loss_batch, h=1e-5):
     return grads
 
 
+def _former_numeric_grad(model, X, y, loss_batch, h=1e-5, block=16):
+    """The stacked differences as they were: a fresh np.tile of 16 entries per pass."""
+    n = len(X)
+    grads = {}
+    for key, arr in model.params.items():
+        flat = arr.ravel()
+        g = np.empty(flat.size)
+        for start in range(0, flat.size, block):
+            idx = np.arange(start, min(start + block, flat.size))
+            rows = np.arange(len(idx))
+            copies = np.tile(flat, (2, len(idx), 1))
+            copies[0, rows, idx] = flat[idx] + h
+            copies[1, rows, idx] = flat[idx] - h
+            G, _ = model.forward(X, {**model.params, key: copies.reshape(-1, *arr.shape)})
+            losses, _ = loss_batch(G.reshape(-1, G.shape[-1]), np.tile(y, 2 * len(idx)))
+            hi, lo = losses.reshape(2, len(idx), n).mean(axis=-1)
+            g[idx] = (hi - lo) / (2.0 * h)
+        grads[key] = g.reshape(arr.shape)
+    return grads
+
+
+def _assert_grads_equal(numeric, ref):
+    assert numeric.keys() == ref.keys()
+    for key in ref:
+        np.testing.assert_array_equal(numeric[key], ref[key], err_msg=key)
+
+
 def _assert_grads_match(numeric, ref):
     assert numeric.keys() == ref.keys()
     for key in ref:
@@ -60,8 +87,10 @@ class TestStackedNumericGradient:
         assert len(results) == 33 and len(calls) == 24
         for model, X, y, loss_batch, grads in calls:
             _assert_grads_match(grads, _per_entry_grad(model, X, y, loss_batch))
+            # each copy is scored by its own forward and loss rows, whatever the block
+            _assert_grads_equal(grads, _former_numeric_grad(model, X, y, loss_batch))
 
-    @pytest.mark.parametrize("block", [1, 7, 16, 1000])
+    @pytest.mark.parametrize("block", [1, 7, 16, 64, 1000])
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_any_block_size_matches_per_entry_loop(self, monkeypatch, kind, block):
         # MLP sizes W1 320, b1 64, W2 192, b2 3; linear W 15, b 3: full and partial blocks
@@ -74,6 +103,24 @@ class TestStackedNumericGradient:
         for key in before:
             np.testing.assert_array_equal(model.params[key], before[key])
         _assert_grads_match(grads, _per_entry_grad(model, X, y, _logistic_batch))
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_nothing_carries_over_between_parameters_or_calls(self, kind):
+        # a second call on the same model, with other rows of the same shape and
+        # every parameter changed, equals a fresh evaluation; a repeated call repeats it
+        rng = np.random.default_rng(8)
+        model = make_model(kind, 5, 3, rng)
+        X, y = rng.normal(size=(8, 5)), rng.integers(1, 4, size=8)
+        X2, y2 = rng.normal(size=(8, 5)), rng.integers(1, 4, size=8)
+        first = checks._numeric_param_grad(model, X, y, _logistic_batch)
+        _assert_grads_equal(first, _former_numeric_grad(model, X, y, _logistic_batch))
+        for arr in model.params.values():
+            arr += rng.normal(scale=0.1, size=arr.shape)
+        second = checks._numeric_param_grad(model, X2, y2, _logistic_batch)
+        _assert_grads_equal(second, _former_numeric_grad(model, X2, y2, _logistic_batch))
+        _assert_grads_match(second, _per_entry_grad(model, X2, y2, _logistic_batch))
+        third = checks._numeric_param_grad(model, X2, y2, _logistic_batch)
+        _assert_grads_equal(third, second)
 
     def test_margin_losses_match_per_point_loop(self):
         grid, h = np.linspace(-5.0, 5.0, 201), 1e-6

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csreject
+from csreject import theory
 
 from csreject.core import CODE_ORACLE, RejectionCost
 from csreject.losses import get_loss
@@ -371,3 +372,127 @@ def test_random_simplex_is_valid():
         eta = random_simplex(rng, int(rng.integers(2, 8)))
         assert eta.min() >= 0
         assert eta.sum() == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the randomized audits against the former one-block-at-a-time loops
+
+
+def _recording(monkeypatch, name, log):
+    """Replace theory.<name> by a wrapper that logs (args, result) per call."""
+    fn = getattr(theory, name)
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.append((args, out))
+        return out
+
+    monkeypatch.setattr(theory, name, wrapped)
+
+
+def _former_oracle_audit(n_draws, seed, boundary_eps=1e-12):
+    """The oracle audit as it checked each 500-draw block on its own; returns
+    the counts and, in draw order, the oracles' inputs and codes."""
+    rng = np.random.default_rng(seed)
+    checked = disagreements = 0
+    log = {"eta": [], "c": [], "chow": [], "ensemble": [], "p_pos": [], "c_binary": [], "binary": []}
+    for start in range(0, n_draws, 500):
+        n = min(500, n_draws - start)
+        K = rng.integers(2, 7, size=n)
+        eta = theory._random_simplices(rng, K, 6)
+        c = rng.uniform(0.01, 0.49, size=n)
+        keep = ~(np.abs(eta - (1.0 - c)[:, None]) < boundary_eps).any(axis=1)
+        K, eta, c = K[keep], eta[keep], c[keep]
+        ref, ens = chow_rule_batch(eta, c), ensemble_chow_batch(eta, c)
+        ok = theory._codes_agree(ens, ref)
+        binary = K == 2
+        codes = binary_three_way_batch(eta[binary, 0], c[binary])
+        ok[binary] &= theory._codes_agree(codes, ref[binary])
+        checked += len(ref)
+        disagreements += int((~ok).sum())
+        for key, v in zip(log, (eta, c, ref, ens, eta[binary, 0], c[binary], codes)):
+            log[key].append(v)
+    return (checked, disagreements), {key: np.concatenate(v) for key, v in log.items()}
+
+
+def _former_excess_audit(n_instances, seed, psi_losses=("squared", "hinge")):
+    """The excess-chain audit as it checked each (m, K) group of each
+    500-draw block on its own; returns the counts and the chain's calls."""
+    rng = np.random.default_rng(seed)
+    violations = psi_violations = 0
+    calls = []
+    for start in range(0, n_instances, 500):
+        n = min(500, n_instances - start)
+        m = rng.integers(1, 6, size=n)
+        K = rng.integers(2, 5, size=n)
+        c = rng.uniform(0.01, 0.49, size=n)
+        for m_g, K_g in sorted(set(zip(m.tolist(), K.tolist()))):
+            c_g = c[(m == m_g) & (K == K_g)]
+            w = rng.standard_exponential((len(c_g), m_g))
+            w /= w.sum(axis=-1, keepdims=True)
+            etas = rng.standard_exponential((len(c_g), m_g, K_g))
+            etas /= etas.sum(axis=-1, keepdims=True)
+            G = rng.normal(scale=2.0, size=(len(c_g), m_g, K_g))
+            theory._check_support(w, etas)
+            out = _excess_chain_batch(w, etas, G, theory._check_costs(c_g), psi_losses, tol=1e-12)
+            calls.append(((w, etas, G, c_g), out))
+            violations += int(out[2].sum())
+            psi_violations += int(out[4].sum())
+    return (n_instances, violations, psi_violations), calls
+
+
+def _by_group(calls):
+    """Per (m, K): each input and output of the chain, concatenated in call order."""
+    groups = {}
+    for (w, etas, G, c, *_), (lhs, rhs, violated, psi_rhs, psi_violated) in calls:
+        fields = {"w": w, "etas": etas, "G": G, "c": c, "lhs": lhs, "rhs": rhs, "violated": violated}
+        fields.update({f"psi_rhs/{name}": v for name, v in psi_rhs.items()}, psi_violated=psi_violated)
+        groups.setdefault(etas.shape[1:], []).append(fields)
+    return {
+        shape: {key: np.concatenate([f[key] for f in parts]) for key in parts[0]} for shape, parts in groups.items()
+    }
+
+
+class TestAuditsMatchTheFormerLoops:
+    COUNTS = [1, 499, 500, 501, 4001, 8999]
+    # None keeps the default evaluation chunk; 500 is one block; 10**6 exceeds every count
+    CHUNKS = [None, 500, 10**6]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n_draws", COUNTS)
+    def test_oracle_codes_per_draw(self, monkeypatch, n_draws, chunk):
+        expected, ref = _former_oracle_audit(n_draws, seed=n_draws)
+        if chunk is not None:
+            monkeypatch.setattr(theory, "_CHUNK", chunk, raising=False)
+        logs = {name: [] for name in ("chow_rule_batch", "ensemble_chow_batch", "binary_three_way_batch")}
+        for name, log in logs.items():
+            _recording(monkeypatch, name, log)
+        assert theory.audit_oracle_equivalence(n_draws, seed=n_draws) == expected
+        got = {}
+        for name, keys in (
+            ("chow_rule_batch", ("eta", "c", "chow")),
+            ("ensemble_chow_batch", ("eta", "c", "ensemble")),
+            ("binary_three_way_batch", ("p_pos", "c_binary", "binary")),
+        ):
+            for i, key in enumerate(keys):
+                got[key] = np.concatenate([(*args, out)[i] for args, out in logs[name]])
+        assert got.keys() == ref.keys()
+        for key in ref:
+            np.testing.assert_array_equal(got[key], ref[key], err_msg=key)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n_instances", COUNTS)
+    def test_excess_chain_per_instance(self, monkeypatch, n_instances, chunk):
+        expected, ref_calls = _former_excess_audit(n_instances, seed=n_instances)
+        if chunk is not None:
+            monkeypatch.setattr(theory, "_CHUNK", chunk, raising=False)
+        calls = []
+        _recording(monkeypatch, "_excess_chain_batch", calls)
+        assert theory.audit_excess_random(n_instances, seed=n_instances) == expected
+        ref, got = _by_group(ref_calls), _by_group(calls)
+        assert sorted(got) == sorted(ref)
+        assert sum(len(g["c"]) for g in got.values()) == n_instances
+        for shape in ref:
+            assert got[shape].keys() == ref[shape].keys()
+            for key in ref[shape]:
+                np.testing.assert_array_equal(got[shape][key], ref[shape][key], err_msg=f"{shape} {key}")
