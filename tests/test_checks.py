@@ -218,6 +218,21 @@ class TestGradcheckCli:
 
 
 class TestAuditCli:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--draws", "0"), ("--draws", "-3"), ("--calibration-draws", "0"), ("--excess-instances", "-1")],
+    )
+    def test_a_count_below_one_is_a_usage_error_before_any_audit(self, monkeypatch, capsys, flag, value):
+        from csreject import theory
+
+        for name in ("audit_oracle_equivalence", "audit_calibration", "audit_excess_random", "miscalibrated_witness"):
+            monkeypatch.setattr(theory, name, lambda *args, **kwargs: pytest.fail("an audit ran"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["audit", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
     def test_a_failed_audit_prints_every_line_and_exits_1(self, monkeypatch, capsys):
         from csreject import theory
 

@@ -446,6 +446,19 @@ class TestCliResume:
         assert f"{out}: line " in capsys.readouterr().err
         assert out.read_text() == text
 
+    @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
+    def test_an_out_in_a_missing_directory_is_a_usage_error_before_any_cell(self, tmp_path, monkeypatch, capsys, resume):
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out = tmp_path / "missing" / "r.csv"
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", str(out), *resume]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert str(out.parent) in capsys.readouterr().err
+        assert not out.parent.exists()
+
 
 class TestCliAggregate:
     @pytest.mark.parametrize(

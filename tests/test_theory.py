@@ -336,6 +336,16 @@ class TestAuditDeterminism:
         assert audit_excess_random(1234, seed=3) == (1234, 0, 0)
 
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_count_below_one_raises(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            audit_oracle_equivalence(n)
+        with pytest.raises(ValueError, match="at least 1"):
+            audit_calibration(("hinge",), n_draws=n)
+        with pytest.raises(ValueError, match="at least 1"):
+            audit_excess_random(n)
+
+
 class TestCalibrationAudit:
     def test_small_sweep_agrees(self):
         results = audit_calibration(loss_names=("sigmoid", "hinge"), n_draws=60, seed=17)
