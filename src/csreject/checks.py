@@ -22,9 +22,9 @@ KINK_DRAWS = 20
 
 
 # parameter entries per stacked forward pass in the numeric gradient: each
-# entry gives a +h and a -h copy, so a pass carries 32 perturbed models,
-# enough to amortize the per-call overhead while peak memory stays flat
-_BLOCK = 16
+# entry gives a +h and a -h copy, so a pass carries 128 perturbed models, in
+# buffers reused from pass to pass so that peak memory stays flat
+_BLOCK = 64
 
 
 def check_margin_losses(grid=None, h: float = 1e-6, tol: float = 1e-5):
@@ -46,24 +46,25 @@ def check_margin_losses(grid=None, h: float = 1e-6, tol: float = 1e-5):
 def _numeric_param_grad(model, X, y, loss_batch, h: float = 1e-5):
     """Central differences of the mean loss in every parameter entry.
 
-    Each block of _BLOCK entries of one parameter becomes a stack of +h and
-    -h copies of that parameter; the other parameters broadcast. One forward
-    pass and one loss call score the whole stack, and each copy's mean loss
-    comes from a reshape. Per entry this is the arithmetic of perturbing one
-    entry at a time.
+    Each parameter gets one stack of copies, in which each block of _BLOCK
+    entries sets its +h and -h entries and then restores them; the other
+    parameters broadcast. One forward pass (reusing one work dict) and one
+    loss call score the stack, and each copy's mean loss comes from a reshape.
+    Per entry this is the arithmetic of perturbing one entry at a time.
     """
     n = len(X)
-    grads = {}
+    grads, work = {}, {}
     for key, arr in model.params.items():
         flat = arr.ravel()
         g = np.empty(flat.size)
+        copies = np.tile(flat, (2, min(_BLOCK, flat.size), 1))
         for start in range(0, flat.size, _BLOCK):
             idx = np.arange(start, min(start + _BLOCK, flat.size))
             rows = np.arange(len(idx))
-            copies = np.tile(flat, (2, len(idx), 1))
             copies[0, rows, idx] = flat[idx] + h
             copies[1, rows, idx] = flat[idx] - h
-            G, _ = model.forward(X, {**model.params, key: copies.reshape(-1, *arr.shape)})
+            G, _ = model.forward(X, {**model.params, key: copies[:, : len(idx)].reshape(-1, *arr.shape)}, work)
+            copies[:, rows, idx] = flat[idx]
             losses, _ = loss_batch(G.reshape(-1, G.shape[-1]), np.tile(y, 2 * len(idx)))
             hi, lo = losses.reshape(2, len(idx), n).mean(axis=-1)
             g[idx] = (hi - lo) / (2.0 * h)

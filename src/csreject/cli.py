@@ -48,6 +48,8 @@ def cmd_run(args) -> int:
             batch_size=args.batch_size,
         )
         grid.dataset_infos()
+        if not os.path.isdir(out_dir := os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"the directory of --out does not exist: {out_dir}")
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
     except (ValueError, OSError) as exc:
@@ -80,6 +82,11 @@ def _report(passed, text: str) -> bool:
 
 
 def cmd_audit(args) -> int:
+    try:
+        for flag in ("--draws", "--calibration-draws", "--excess-instances"):
+            theory._check_count(getattr(args, flag[2:].replace("-", "_")), flag)
+    except ValueError as exc:
+        args.usage_error(str(exc))
     checked, dis = theory.audit_oracle_equivalence(args.draws, seed=args.seed)
     ok = [_report(dis == 0, f"oracle equivalence: {checked} draws, {dis} disagreements")]
     for name, (n, dis) in theory.audit_calibration(n_draws=args.calibration_draws, seed=args.seed + 1).items():
@@ -129,7 +136,7 @@ def main(argv=None) -> int:
     p.add_argument("--calibration-draws", type=int, default=1000)
     p.add_argument("--excess-instances", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_audit)
+    p.set_defaults(func=cmd_audit, usage_error=p.error)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=0)

@@ -19,6 +19,7 @@ from .surrogate import decide_batch
 # draws per array block in the randomized audits: large enough that numpy does
 # the work, small enough that memory stays flat whatever the draw count
 _BLOCK = 500
+_CHUNK = 8 * _BLOCK  # rows per check in the oracle and excess-chain audits, a multiple of _BLOCK
 
 
 def _check_simplex(eta: np.ndarray) -> np.ndarray:
@@ -34,6 +35,11 @@ def _check_costs(c) -> np.ndarray:
     if not ((c > 0.0) & (c < 0.5)).all():
         raise ValueError("rejection costs must lie in (0, 0.5)")
     return c
+
+
+def _check_count(n: int, name: str) -> None:
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1, got {n}")
 
 
 def _check_support(weights: np.ndarray, etas: np.ndarray) -> None:
@@ -261,13 +267,15 @@ def audit_oracle_equivalence(n_draws: int = 100_000, seed: int = 0, boundary_eps
     K is drawn from 2..6; padding columns hold eta = 0, which can never give
     a positive one-vs-rest verdict or the argmax.
     """
+    _check_count(n_draws, "n_draws")
     rng = np.random.default_rng(seed)
     checked = disagreements = 0
-    for start in range(0, n_draws, _BLOCK):
-        n = min(_BLOCK, n_draws - start)
-        K = rng.integers(2, 7, size=n)
-        eta = _random_simplices(rng, K, 6)
-        c = rng.uniform(0.01, 0.49, size=n)
+    for chunk in range(0, n_draws, _CHUNK):
+        blocks = []  # drawn one at a time, as the random stream requires
+        for start in range(chunk, min(chunk + _CHUNK, n_draws), _BLOCK):
+            K = rng.integers(2, 7, size=min(_BLOCK, n_draws - start))
+            blocks.append((K, _random_simplices(rng, K, 6), rng.uniform(0.01, 0.49, size=len(K))))
+        K, eta, c = (np.concatenate(parts) for parts in zip(*blocks))
         keep = ~(np.abs(eta - (1.0 - c)[:, None]) < boundary_eps).any(axis=1)
         K, eta, c = K[keep], eta[keep], c[keep]
         ref = chow_rule_batch(eta, c)
@@ -297,6 +305,7 @@ def audit_calibration(
     Draws whose posteriors lie within margin of 1 - c are redrawn. Padding
     columns (eta = 0) get g* = 0, which decide never counts as positive.
     """
+    _check_count(n_draws, "n_draws")
     rng = np.random.default_rng(seed)
     results = {}
     for name in loss_names:
@@ -350,16 +359,17 @@ def audit_excess_random(
 
     Each block draws its support sizes, class counts and costs as arrays,
     then each (m, K) group's weights, posteriors (Dirichlet(1, ..., 1) as
-    normalized exponential draws) and scores, and checks the group in one
-    array program.
+    normalized exponential draws) and scores. A group's draws are checked in
+    one array program once _CHUNK of them are collected, and after the last block.
     """
+    _check_count(n_instances, "n_instances")
     rng = np.random.default_rng(seed)
     violations = psi_violations = 0
+    pending = {}  # each (m, K) group's draws not yet checked
     for start in range(0, n_instances, _BLOCK):
-        n = min(_BLOCK, n_instances - start)
-        m = rng.integers(1, max_support + 1, size=n)
-        K = rng.integers(2, max_K + 1, size=n)
-        c = rng.uniform(0.01, 0.49, size=n)
+        m = rng.integers(1, max_support + 1, size=min(_BLOCK, n_instances - start))
+        K = rng.integers(2, max_K + 1, size=len(m))
+        c = rng.uniform(0.01, 0.49, size=len(m))
         for m_g, K_g in sorted(set(zip(m.tolist(), K.tolist()))):
             c_g = c[(m == m_g) & (K == K_g)]
             w = rng.standard_exponential((len(c_g), m_g))
@@ -367,6 +377,10 @@ def audit_excess_random(
             etas = rng.standard_exponential((len(c_g), m_g, K_g))
             etas /= etas.sum(axis=-1, keepdims=True)
             G = rng.normal(scale=2.0, size=(len(c_g), m_g, K_g))
+            pending.setdefault((m_g, K_g), []).append((w, etas, G, c_g))
+        last = start + _BLOCK >= n_instances
+        for group in [g for g, parts in pending.items() if last or sum(len(p[-1]) for p in parts) >= _CHUNK]:
+            w, etas, G, c_g = (np.concatenate(arrays) for arrays in zip(*pending.pop(group)))
             _check_support(w, etas)
             _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), psi_losses, tol=1e-12)
             violations += int(violated.sum())

@@ -37,8 +37,9 @@ def _per_entry_grad(model, X, y, loss_batch, h=1e-5):
     return grads
 
 
-def _former_numeric_grad(model, X, y, loss_batch, h=1e-5, block=16):
+def _former_numeric_grad(model, X, y, loss_batch, h=1e-5):
     """The stacked differences as they were: a fresh np.tile of 16 entries per pass."""
+    block = 16
     n = len(X)
     grads = {}
     for key, arr in model.params.items():

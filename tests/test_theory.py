@@ -473,7 +473,7 @@ class TestAuditsMatchTheFormerLoops:
     def test_oracle_codes_per_draw(self, monkeypatch, n_draws, chunk):
         expected, ref = _former_oracle_audit(n_draws, seed=n_draws)
         if chunk is not None:
-            monkeypatch.setattr(theory, "_CHUNK", chunk, raising=False)
+            monkeypatch.setattr(theory, "_CHUNK", chunk)
         logs = {name: [] for name in ("chow_rule_batch", "ensemble_chow_batch", "binary_three_way_batch")}
         for name, log in logs.items():
             _recording(monkeypatch, name, log)
@@ -495,7 +495,7 @@ class TestAuditsMatchTheFormerLoops:
     def test_excess_chain_per_instance(self, monkeypatch, n_instances, chunk):
         expected, ref_calls = _former_excess_audit(n_instances, seed=n_instances)
         if chunk is not None:
-            monkeypatch.setattr(theory, "_CHUNK", chunk, raising=False)
+            monkeypatch.setattr(theory, "_CHUNK", chunk)
         calls = []
         _recording(monkeypatch, "_excess_chain_batch", calls)
         assert theory.audit_excess_random(n_instances, seed=n_instances) == expected
@@ -506,3 +506,11 @@ class TestAuditsMatchTheFormerLoops:
             assert got[shape].keys() == ref[shape].keys()
             for key in ref[shape]:
                 np.testing.assert_array_equal(got[shape][key], ref[shape][key], err_msg=f"{shape} {key}")
+
+    def test_excess_chain_checks_each_group_once_per_chunk(self, monkeypatch):
+        # 2 000 instances fall in 15 (m, K) groups of under 4 000 draws each:
+        # one chain call per group, where one per group and block made 60
+        calls = []
+        _recording(monkeypatch, "_excess_chain_batch", calls)
+        theory.audit_excess_random(2000, seed=2)
+        assert len(calls) == 15 and len(_former_excess_audit(2000, seed=2)[1]) == 60
