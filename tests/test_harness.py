@@ -350,6 +350,11 @@ class TestCliRun:
         # a step <= 0 used to append costs forever
         ("--costs", "0.1:0.4:0"),
         ("--costs", "0.1:0.4:-0.05"),
+        # out-of-range weak-supervision rates used to fail inside the first cell
+        ("--setting", "noisy", "--noise-rate", "1.5"),
+        ("--setting", "pu", "--prior", "0"),
+        ("--setting", "pu", "--prior", "1.5"),
+        ("--noise-rate", "-0.1"),
     ]
 
     @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
@@ -399,6 +404,15 @@ class TestGridSpecTraining:
     def test_bad_training_settings_are_rejected(self, bad):
         with pytest.raises(ValueError):
             GridSpec(**bad)
+
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    @pytest.mark.parametrize("bad", [dict(noise_rate=-0.1), dict(noise_rate=1.0), dict(prior=0.0), dict(prior=1.5)])
+    def test_rates_out_of_range_are_rejected_in_every_setting(self, bad, setting):
+        with pytest.raises(ValueError):
+            GridSpec(setting=setting, **bad)
+
+    def test_rates_at_the_ends_of_their_ranges_are_accepted(self):
+        GridSpec(noise_rate=0.0, prior=1.0)
 
     def test_defaults_and_zero_epochs_are_accepted(self):
         GridSpec()
@@ -458,6 +472,18 @@ class TestCliResume:
         assert exc.value.code == 2
         assert str(out.parent) in capsys.readouterr().err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
+    def test_an_out_that_names_a_directory_is_a_usage_error_before_any_cell(self, tmp_path, monkeypatch, capsys, resume):
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", str(tmp_path), *resume]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliAggregate:
