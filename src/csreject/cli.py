@@ -48,6 +48,8 @@ def cmd_run(args) -> int:
             batch_size=args.batch_size,
         )
         grid.dataset_infos()
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out names a directory: {args.out}")
         if not os.path.isdir(out_dir := os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"the directory of --out does not exist: {out_dir}")
         resume = args.resume and os.path.exists(args.out)

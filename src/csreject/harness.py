@@ -58,6 +58,10 @@ class GridSpec:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.noise_rate < 1.0:
+            raise ValueError(f"noise rate must lie in [0, 1), got {self.noise_rate}")
+        if not 0.0 < self.prior <= 1.0:
+            raise ValueError(f"class prior must lie in (0, 1], got {self.prior}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
 
