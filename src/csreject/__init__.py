@@ -50,7 +50,6 @@ from .weaksup import (
     PUConfig,
     inject_uniform_noise,
     make_pu_dataset,
-    pu_loss_term,
     pu_risk_nn,
     pu_risk_unbiased,
     train_pu,

@@ -4,7 +4,6 @@ rejection-class loss (DEFER), and the angle-based bent-hinge method (ANGLE)."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,31 +166,16 @@ def bent_hinge_value_grad(u, a: float):
     return np.where(neg, 1.0 - a * u, np.maximum(0.0, 1.0 - u)), np.where(neg, -a, np.where(u < 1.0, -1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class AngleConfig:
-    K: int
-    bend_slope: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.bend_slope <= 0 or self.delta < 0:
-            raise ValueError("invalid angle configuration")
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return angle_vertices(self.K)
-
-
-def angle_loss_batch(config: AngleConfig):
-    V = config.vertices
-    a = config.bend_slope
+def angle_loss_batch(K: int, a: float):
+    """The bent-hinge loss of K classes at bend slope a, on scores of width K-1."""
+    V = angle_vertices(K)
 
     def batch(G: np.ndarray, y: np.ndarray):
         """Losses (n,), summed over classes column by column (a row sum's numbers up to K = 7), and dG (n, K-1)."""
         U = -np.asarray(G, dtype=float) @ V.T  # (n, K)
         own = _own_index(U, y)
         vals, dU = bent_hinge_value_grad(U, a)
-        losses = sum(vals[:, j] for j in range(config.K)) - vals.take(own)
+        losses = sum(vals[:, j] for j in range(K)) - vals.take(own)
         dU.ravel()[own] = 0.0
         return losses, -dU @ V
 
@@ -218,11 +202,11 @@ def angle_decide_batch(G: np.ndarray, vertices: np.ndarray, delta) -> np.ndarray
     return np.where(np.abs(proj).max(axis=-1) <= delta, CODE_DISTANCE, proj.argmax(axis=-1) + 1)
 
 
-def angle_decide(g: np.ndarray, config: AngleConfig) -> Decision:
-    return Decision.from_code(angle_decide_batch(g, config.vertices, config.delta))
+def angle_decide(g: np.ndarray, K: int, delta: float) -> Decision:
+    return Decision.from_code(angle_decide_batch(g, angle_vertices(K), delta))
 
 
-def tune_delta(model, val: Dataset, cost: RejectionCost, config: AngleConfig, candidates=None) -> float:
-    """Pick the threshold minimizing validation 0-1-c risk; ties go low."""
-    G, V = model.scores(val.X), config.vertices
+def tune_delta(model, val: Dataset, cost: RejectionCost, candidates=None) -> float:
+    """Pick the threshold minimizing validation 0-1-c risk; ties go low. The vertices are those of val.K."""
+    G, V = model.scores(val.X), angle_vertices(val.K)
     return tune_threshold(lambda deltas: angle_decide_batch(G, V, deltas[:, None]), val.y, cost, candidates)

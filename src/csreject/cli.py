@@ -48,10 +48,8 @@ def cmd_run(args) -> int:
             batch_size=args.batch_size,
         )
         grid.dataset_infos()
-        if os.path.isdir(args.out):
-            raise ValueError(f"--out names a directory: {args.out}")
-        if not os.path.isdir(out_dir := os.path.dirname(os.path.abspath(args.out))):
-            raise ValueError(f"the directory of --out does not exist: {out_dir}")
+        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out must name a file in an existing directory: {args.out}")
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
     except (ValueError, OSError) as exc:

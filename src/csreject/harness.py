@@ -43,7 +43,6 @@ class GridSpec:
     prior: float = 0.7
     epochs: int | None = None  # None -> the per-setting default (100)
     batch_size: int | None = None  # None -> 256 (64 for PU)
-    learning_rate: float = 0.001
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -62,8 +61,6 @@ class GridSpec:
             raise ValueError(f"noise rate must lie in [0, 1), got {self.noise_rate}")
         if not 0.0 < self.prior <= 1.0:
             raise ValueError(f"class prior must lie in (0, 1], got {self.prior}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
 
     def dataset_infos(self) -> dict[str, DatasetInfo]:
         """Every dataset of the grid, resolved and checked against the setting."""
@@ -184,10 +181,6 @@ def _cs_method(loss) -> Method:
     )
 
 
-def _angle_config(K: int, cost: RejectionCost):
-    return baselines.AngleConfig(K, baselines.bend_slopes(K, cost)[0])
-
-
 # Each callable looks the package's functions up when it is called, so a
 # wrapper installed on a module attribute sees every cell's calls.
 METHODS: dict[str, Method] = {
@@ -210,11 +203,9 @@ METHODS: dict[str, Method] = {
     # untuned delta = 0 leads the candidates, so tuning never loses to it
     "angle": Method(
         n_out=lambda K: K - 1,
-        loss_batch=lambda K, cost: baselines.angle_loss_batch(_angle_config(K, cost)),
+        loss_batch=lambda K, cost: baselines.angle_loss_batch(K, baselines.bend_slopes(K, cost)[0]),
         decide=lambda G, K, cost, delta: baselines.angle_decide_batch(G, baselines.angle_vertices(K), delta),
-        tune=lambda model, val, K, cost: baselines.tune_delta(
-            model, val, cost, _angle_config(K, cost), [0.0] + baselines.default_candidates()
-        ),
+        tune=lambda model, val, K, cost: baselines.tune_delta(model, val, cost, [0.0] + baselines.default_candidates()),
     ),
     # the trivial reference: reject every row, for a risk of exactly c
     "always-reject": Method(
@@ -282,7 +273,7 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
         models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
         losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
-        configs.append(TrainConfig(learning_rate=grid.learning_rate, batch_size=batch, epochs=epochs, seed=train_seed))
+        configs.append(TrainConfig(batch_size=batch, epochs=epochs, seed=train_seed))
 
     scaler, traces = None, []
     if not models:

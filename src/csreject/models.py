@@ -18,13 +18,13 @@ class LinearModel:
 
     kind = "linear"
 
-    def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None, init_scale: float = 0.01):
+    def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None):
         self.d = d
         self.n_out = n_out
         if rng is None:
             self.params = {"W": np.zeros((n_out, d)), "b": np.zeros(n_out)}
         else:
-            self.params = {"W": init_scale * rng.standard_normal((n_out, d)), "b": np.zeros(n_out)}
+            self.params = {"W": 0.01 * rng.standard_normal((n_out, d)), "b": np.zeros(n_out)}
 
     def forward(self, X: np.ndarray, params: dict | None = None, work: dict | None = None):
         """Scores (n, n_out) and the backward cache.
@@ -130,9 +130,7 @@ class AdamState:
     order of the grads dict; they are created on the first step.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # class constants, not constructor options
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -176,7 +174,6 @@ class TrainConfig:
     batch_size: int = 256
     epochs: int = 100
     seed: int = 0
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
@@ -237,9 +234,6 @@ def train(model, data: Dataset, loss_batch, config: TrainConfig):
                 loss[c], dG[c] = cell_loss(G[c], y[c])
             epoch_loss += loss.sum(axis=1)  # each row's sum is exactly its own .sum()
             grads = stack.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
-            if config.weight_decay > 0:
-                for key in grads:
-                    grads[key] += config.weight_decay * stack.params[key]
             adam_step(state, stack.params, grads, config.learning_rate)
         for trace, total in zip(traces, epoch_loss.tolist()):
             trace.append(total / n)

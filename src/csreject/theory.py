@@ -20,6 +20,8 @@ from .surrogate import decide_batch
 # the work, small enough that memory stays flat whatever the draw count
 _BLOCK = 500
 _CHUNK = 8 * _BLOCK  # rows per check in the oracle and excess-chain audits, a multiple of _BLOCK
+ORACLE_BOUNDARY_EPS = 1e-12  # the oracle audit skips draws with a posterior this close to 1 - c
+CALIBRATION_MARGIN = 0.02  # the calibration audit redraws draws with a posterior this close to 1 - c
 
 
 def _check_simplex(eta: np.ndarray) -> np.ndarray:
@@ -261,7 +263,7 @@ def _random_simplices(rng: np.random.Generator, K: np.ndarray, K_max: int) -> np
     return g / g.sum(axis=1, keepdims=True)
 
 
-def audit_oracle_equivalence(n_draws: int = 100_000, seed: int = 0, boundary_eps: float = 1e-12):
+def audit_oracle_equivalence(n_draws: int = 100_000, seed: int = 0):
     """Props 3.1/3.2: ensemble and three-way rules agree with Chow's rule.
 
     K is drawn from 2..6; padding columns hold eta = 0, which can never give
@@ -276,7 +278,7 @@ def audit_oracle_equivalence(n_draws: int = 100_000, seed: int = 0, boundary_eps
             K = rng.integers(2, 7, size=min(_BLOCK, n_draws - start))
             blocks.append((K, _random_simplices(rng, K, 6), rng.uniform(0.01, 0.49, size=len(K))))
         K, eta, c = (np.concatenate(parts) for parts in zip(*blocks))
-        keep = ~(np.abs(eta - (1.0 - c)[:, None]) < boundary_eps).any(axis=1)
+        keep = ~(np.abs(eta - (1.0 - c)[:, None]) < ORACLE_BOUNDARY_EPS).any(axis=1)
         K, eta, c = K[keep], eta[keep], c[keep]
         ref = chow_rule_batch(eta, c)
         ok = _codes_agree(ensemble_chow_batch(eta, c), ref)
@@ -294,16 +296,11 @@ def conditional_risk_minimizer(loss: MarginLossSpec, eta: np.ndarray, cost: Reje
     return argmin_weighted_conditional_risk(loss, eta * c, (1.0 - eta) * (1.0 - c))
 
 
-def audit_calibration(
-    loss_names=("sigmoid", "hinge", "squared", "logistic"),
-    n_draws: int = 1000,
-    seed: int = 1,
-    margin: float = 0.02,
-):
+def audit_calibration(loss_names=("sigmoid", "hinge", "squared", "logistic"), n_draws: int = 1000, seed: int = 1):
     """Thm 5.3 forward direction: decide(g*) matches Chow's rule.
 
-    Draws whose posteriors lie within margin of 1 - c are redrawn. Padding
-    columns (eta = 0) get g* = 0, which decide never counts as positive.
+    Draws whose posteriors lie within CALIBRATION_MARGIN of 1 - c are redrawn.
+    Padding columns (eta = 0) get g* = 0, which decide never counts as positive.
     """
     _check_count(n_draws, "n_draws")
     rng = np.random.default_rng(seed)
@@ -315,7 +312,7 @@ def audit_calibration(
             K = rng.integers(2, 6, size=_BLOCK)
             eta = _random_simplices(rng, K, 5)
             c = rng.uniform(0.05, 0.45, size=_BLOCK)
-            keep = ~(np.abs(eta - (1.0 - c)[:, None]) <= margin).any(axis=1)
+            keep = ~(np.abs(eta - (1.0 - c)[:, None]) <= CALIBRATION_MARGIN).any(axis=1)
             blocks.append((K[keep], eta[keep], c[keep]))
             checked += int(keep.sum())
         K, eta, c = (np.concatenate(parts)[:n_draws] for parts in zip(*blocks))

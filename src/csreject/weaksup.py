@@ -89,37 +89,36 @@ def make_pu_dataset(data: Dataset, config: PUConfig, rng: np.random.Generator):
     return positives, unlabeled
 
 
-def pu_loss_term(loss_batch):
-    """Adapt a K=2 loss_batch(G, y) to PU signs: term(G, sign) returns (per-sample
-    losses, score gradients) at +1 (class 1) or -1 (class 2) from one loss_batch call.
-    sign is one value for every row or an array with one value per row."""
-
-    def term(G, sign):
-        G = np.atleast_2d(np.asarray(G, dtype=float))
-        return loss_batch(G, np.where(np.broadcast_to(sign, len(G)) == +1, 1, 2))
-
-    return term
+def _pu_terms(loss, prior: float, m_p: int, m_u: int):
+    """The PU risk's positive term and implied-negative bracket from the per-row losses (..., m_p + m_u + m_p)
+    of the rows [Gp, Gu, Gp] at the labels [1, 2, 2]; a sum over the last axis divided by the count is exactly
+    numpy's mean."""
+    pos_term = prior * (loss[..., :m_p].sum(axis=-1) / m_p)
+    neg_term = loss[..., m_p : m_p + m_u].sum(axis=-1) / m_u - prior * (loss[..., m_p + m_u :].sum(axis=-1) / m_p)
+    return pos_term, neg_term
 
 
-def pu_risk_unbiased(loss_term, prior: float, positives, unlabeled, score_fn) -> float:
-    """Unbiased PU risk: pi*mean_p L(+1) - pi*mean_p L(-1) + mean_u L(-1)."""
-    if len(positives) == 0 or len(unlabeled) == 0:
+def _pu_risk_terms(loss_batch, prior: float, positives, unlabeled, score_fn):
+    """_pu_terms of one loss_batch call on the scores of both sets."""
+    m_p, m_u = len(positives), len(unlabeled)
+    if m_p == 0 or m_u == 0:
         raise ValueError("both sample sets must be non-empty")
     Gp = score_fn(positives)
-    Gu = score_fn(unlabeled)
-    return float(
-        prior * loss_term(Gp, +1)[0].mean() - prior * loss_term(Gp, -1)[0].mean() + loss_term(Gu, -1)[0].mean()
-    )
+    losses, _ = loss_batch(np.concatenate([Gp, score_fn(unlabeled), Gp]), np.repeat([1, 2, 2], [m_p, m_u, m_p]))
+    return _pu_terms(losses, prior, m_p, m_u)
 
 
-def pu_risk_nn(loss_term, prior: float, positives, unlabeled, score_fn) -> float:
-    """Non-negative PU risk: positive term + clamped implied-negative term."""
-    if len(positives) == 0 or len(unlabeled) == 0:
-        raise ValueError("both sample sets must be non-empty")
-    Gp = score_fn(positives)
-    Gu = score_fn(unlabeled)
-    pos_term = prior * loss_term(Gp, +1)[0].mean()
-    neg_term = loss_term(Gu, -1)[0].mean() - prior * loss_term(Gp, -1)[0].mean()
+def pu_risk_unbiased(loss_batch, prior: float, positives, unlabeled, score_fn) -> float:
+    """Unbiased PU risk: pi*mean_p L(+1) - pi*mean_p L(-1) + mean_u L(-1).
+
+    loss_batch(G, y) is a K=2 loss, as in train_pu: label 1 for +1, label 2 for -1."""
+    pos_term, neg_term = _pu_risk_terms(loss_batch, prior, positives, unlabeled, score_fn)
+    return float(pos_term + neg_term)
+
+
+def pu_risk_nn(loss_batch, prior: float, positives, unlabeled, score_fn) -> float:
+    """Non-negative PU risk: positive term + clamped implied-negative term; loss_batch as in pu_risk_unbiased."""
+    pos_term, neg_term = _pu_risk_terms(loss_batch, prior, positives, unlabeled, score_fn)
     return float(pos_term + max(0.0, neg_term))
 
 
@@ -153,7 +152,7 @@ def train_pu(
     state, work_p, work_u = AdamState(), {}, {}
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
     b_u = max(1, config.batch_size - b_p)
-    steps = max(1, int(np.ceil(n_u / b_u)))
+    steps = int(np.ceil(n_u / b_u))  # so every step has unlabeled rows
     labels = {}  # (positive rows, unlabeled rows) -> labels of the stacked loss rows
     traces = [[] for _ in models]
     clamp_count = 0
@@ -168,8 +167,6 @@ def train_pu(
                 ip = np.concatenate([ip, p_order[:, : b_p - ip.shape[1]]], axis=1)
             iu = u_order[:, step * b_u : (step + 1) * b_u]
             m_p, m_u = ip.shape[1], iu.shape[1]
-            if m_u == 0:
-                continue
             Gp, cache_p = stack.forward(positives.take(ip, axis=0), work=work_p)
             Gu, cache_u = stack.forward(unlabeled.take(iu, axis=0), work=work_u)
             # one loss call per cell on (Gp at +1, Gu at -1, Gp at -1); every loss works row by row
@@ -180,9 +177,7 @@ def train_pu(
             loss, dG = np.empty(G.shape[:2]), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y)
-            # a sum over the last axis divided by the count is exactly numpy's mean
-            pos_term = prior * (loss[:, :m_p].sum(axis=1) / m_p)
-            neg_term = loss[:, m_p : m_p + m_u].sum(axis=1) / m_u - prior * (loss[:, m_p + m_u :].sum(axis=1) / m_p)
+            pos_term, neg_term = _pu_terms(loss, prior, m_p, m_u)
             epoch_risk += pos_term + np.where(neg_term > 0.0, neg_term, 0.0)
 
             # the clamp, per cell: a negative bracket contributes no gradient

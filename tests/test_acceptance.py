@@ -138,7 +138,7 @@ def test_criterion_8_pu_estimator_soundness():
     t0 = time.perf_counter()
     prior = 0.7
     cost = RejectionCost(0.1)
-    loss_term = weaksup.pu_loss_term(lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y))
+    loss_batch = lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y)  # label 1 is +1, label 2 is -1
     d = 20
     spec = data_mod.twonorm_spec(d)
     model = make_model("linear", d, 2, np.random.default_rng(100))
@@ -150,8 +150,8 @@ def test_criterion_8_pu_estimator_soundness():
     Xp = rng.multivariate_normal(spec.means[0], spec.covs[0], size=n_pos)
     Xn = rng.multivariate_normal(spec.means[1], spec.covs[1], size=n_big - n_pos)
     supervised = (
-        prior * loss_term(model.scores(Xp), +1)[0].mean()
-        + (1 - prior) * loss_term(model.scores(Xn), -1)[0].mean()
+        prior * loss_batch(model.scores(Xp), np.full(n_pos, 1))[0].mean()
+        + (1 - prior) * loss_batch(model.scores(Xn), np.full(n_big - n_pos, 2))[0].mean()
     )
 
     n_p, n_u = 200, 1000
@@ -166,8 +166,8 @@ def test_criterion_8_pu_estimator_soundness():
                 rng.multivariate_normal(spec.means[1], spec.covs[1], size=n_u - n_u_pos),
             ]
         )
-        u = weaksup.pu_risk_unbiased(loss_term, prior, pos, unl, model.scores)
-        n = weaksup.pu_risk_nn(loss_term, prior, pos, unl, model.scores)
+        u = weaksup.pu_risk_unbiased(loss_batch, prior, pos, unl, model.scores)
+        n = weaksup.pu_risk_nn(loss_batch, prior, pos, unl, model.scores)
         eq13.append(u)
         eq14.append(n)
         dominance = dominance and (n >= u - 1e-12)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from csreject.baselines import (
-    AngleConfig,
     angle_decide,
     angle_decide_batch,
     angle_loss_batch,
@@ -228,24 +227,21 @@ class TestBentHinge:
 
 class TestAngleLoss:
     def test_zero_scores(self):
-        cfg = AngleConfig(3, 2.0)
-        loss, _ = _row(angle_loss_batch(cfg), np.zeros(2), 1)
+        loss, _ = _row(angle_loss_batch(3, 2.0), np.zeros(2), 1)
         assert loss == pytest.approx(2.0)  # (K-1) * bent_hinge(0)
 
     def test_binary_confident_score_has_zero_loss(self):
-        cfg = AngleConfig(2, 2.0)
-        loss, grad = _row(angle_loss_batch(cfg), np.array([3.0]), 1)
+        loss, grad = _row(angle_loss_batch(2, 2.0), np.array([3.0]), 1)
         assert loss == 0.0
         np.testing.assert_allclose(grad, 0.0)
 
     def test_finite_difference_away_from_kinks(self):
         rng = np.random.default_rng(6)
-        cfg = AngleConfig(4, 1.7)
-        batch = angle_loss_batch(cfg)
+        batch = angle_loss_batch(4, 1.7)
         h = 1e-6
         for _ in range(20):
             g = rng.normal(size=3) + 0.01
-            u = -cfg.vertices @ g
+            u = -angle_vertices(4) @ g
             if np.any(np.abs(u) < 1e-3) or np.any(np.abs(u - 1) < 1e-3):
                 continue
             y = int(rng.integers(1, 5))
@@ -259,21 +255,18 @@ class TestAngleLoss:
 
 class TestAngleDecide:
     def test_small_projections_reject(self):
-        cfg = AngleConfig(3, 2.0, delta=1.0)
-        assert angle_decide(np.array([0.1, -0.1]), cfg).is_reject
+        assert angle_decide(np.array([0.1, -0.1]), 3, 1.0).is_reject
 
     def test_binary_confident_predicts(self):
-        cfg = AngleConfig(2, 2.0, delta=0.5)
-        assert angle_decide(np.array([2.0]), cfg).label == 1
+        assert angle_decide(np.array([2.0]), 2, 0.5).label == 1
 
     def test_zero_delta_never_rejects_nonzero_scores(self):
-        cfg = AngleConfig(2, 2.0, delta=0.0)
         rng = np.random.default_rng(7)
         for _ in range(50):
             g = rng.normal(size=1)
             if g[0] == 0:
                 continue
-            assert not angle_decide(g, cfg).is_reject
+            assert not angle_decide(g, 2, 0.0).is_reject
 
 
 class TestSoftThreshold:
@@ -295,21 +288,19 @@ class TestTuneDelta:
     def _setup(self):
         model = LinearModel(1, 1)
         model.params["W"] = np.array([[1.0]])
-        cfg = AngleConfig(2, 2.0)
-        return model, cfg
+        return model
 
     def test_single_candidate(self):
-        model, cfg = self._setup()
+        model = self._setup()
         val = Dataset(np.array([[1.0], [-1.0]]), np.array([1, 2]), K=2)
-        assert tune_delta(model, val, RejectionCost(0.2), cfg, [0.4]) == 0.4
+        assert tune_delta(model, val, RejectionCost(0.2), [0.4]) == 0.4
 
     def test_huge_delta_rejects_everything(self):
-        model, cfg = self._setup()
+        model = self._setup()
         val = Dataset(np.array([[1.0], [-1.0]]), np.array([1, 2]), K=2)
-        big = AngleConfig(2, 2.0, delta=1e6)
         from csreject.core import compute_metrics
 
-        decisions = angle_decide_batch(model.scores(val.X), big.vertices, big.delta)
+        decisions = angle_decide_batch(model.scores(val.X), angle_vertices(2), 1e6)
         m = compute_metrics(decisions, val.y, RejectionCost(0.2))
         assert m.risk01c == pytest.approx(0.2)
 
@@ -317,9 +308,9 @@ class TestTuneDelta:
         # one confidently wrong point (better rejected) and one confidently
         # right point: delta = 1 beats both 0 (accepts the error) and 3
         # (rejects the good prediction too)
-        model, cfg = self._setup()
+        model = self._setup()
         val = Dataset(np.array([[0.5], [2.0]]), np.array([2, 1]), K=2)
-        chosen = tune_delta(model, val, RejectionCost(0.25), cfg, [0.0, 1.0, 3.0])
+        chosen = tune_delta(model, val, RejectionCost(0.25), [0.0, 1.0, 3.0])
         assert chosen == 1.0
 
 
@@ -369,9 +360,8 @@ def _ref_bent_hinge_grad(u, a):
     return np.where(u < 0, -a, np.where(u < 1.0, -1.0, 0.0))
 
 
-def _ref_angle(config):
-    V = config.vertices
-    a = config.bend_slope
+def _ref_angle(K, a):
+    V = angle_vertices(K)
 
     def batch(G, y):
         G = np.asarray(G, dtype=float)
@@ -448,12 +438,11 @@ class TestLossesMatchTheFormerBodies:
     @pytest.mark.parametrize("K", range(2, 8))
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.7])
     def test_angle(self, K, a):
-        config = AngleConfig(K, a)
         G = _scores(K - 1, 30 + K)
         # rows whose projections sit on the kinks u = 0 and u = 1
-        G = np.concatenate([G, np.zeros((1, K - 1)), -config.vertices[:1], config.vertices[1:2]])
+        G = np.concatenate([G, np.zeros((1, K - 1)), -angle_vertices(K)[:1], angle_vertices(K)[1:2]])
         y = np.random.default_rng(K).integers(1, K + 1, len(G))
-        for new, ref in zip(angle_loss_batch(config)(G, y), _ref_angle(config)(G, y)):
+        for new, ref in zip(angle_loss_batch(K, a)(G, y), _ref_angle(K, a)(G, y)):
             _assert_same_bits(new, ref)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
@@ -465,8 +454,7 @@ class TestLossesMatchTheFormerBodies:
         for batch, ref in [(sce_loss_batch, _ref_sce), (defer_loss_batch(cost), _ref_defer(cost))]:
             for new, old in zip(batch(view, y), ref(G, y)):
                 _assert_same_bits(new, old)
-        config = AngleConfig(4, 2.0)
-        for new, old in zip(angle_loss_batch(config)(view, y), _ref_angle(config)(G, y)):
+        for new, old in zip(angle_loss_batch(4, 2.0)(view, y), _ref_angle(4, 2.0)(G, y)):
             _assert_same_bits(new, old)
 
     def test_bent_hinge_value_grad(self):

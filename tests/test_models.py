@@ -159,7 +159,7 @@ class TestFlatAdam:
         X = rng.normal(size=(200, 3))
         data = Dataset(X, np.where(X[:, 0] + 0.3 * rng.normal(size=200) > 0, 1, 2), K=2)
         batch = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y)
-        config = TrainConfig(epochs=20, batch_size=32, seed=6, learning_rate=0.01, weight_decay=1e-3)
+        config = TrainConfig(epochs=20, batch_size=32, seed=6, learning_rate=0.01)
         flat = make_model(kind, 3, 2, np.random.default_rng(7))
         flat_trace = train(flat, data, batch, config)
         ref_state = {"t": 0, "m": {}, "v": {}}

@@ -62,10 +62,10 @@ class TestStackedTrain:
         assert traces == ref
         _assert_same_models(models, separate)
 
-    def test_multiclass_mlp_with_weight_decay(self):
+    def test_multiclass_mlp(self):
         data = _toy(300, 3, 3, seed=2)
         cells = [("cs-sigmoid", 0.2), ("cs-hinge", 0.3), ("sce", 0.1)]
-        models, losses, configs = _cells("mlp", 3, 3, cells, seed=20, epochs=5, batch_size=64, weight_decay=1e-3)
+        models, losses, configs = _cells("mlp", 3, 3, cells, seed=20, epochs=5, batch_size=64)
         separate = copy.deepcopy(models)
         traces = train(models, data, losses, configs)
         assert traces == [train(m, data, loss, config) for m, loss, config in zip(separate, losses, configs)]

@@ -9,26 +9,32 @@ from csreject.weaksup import (
     PUConfig,
     inject_uniform_noise,
     make_pu_dataset,
-    pu_loss_term,
     pu_risk_nn,
     pu_risk_unbiased,
     train_pu,
 )
 
 
-def _sigmoid_term():
-    """Plain binary sigmoid term: phi(g) for +1 (label 1), phi(-g) for -1 (label 2), on 1-column scores."""
+def _sigmoid_loss(G, y):
+    """Plain binary sigmoid loss: phi(g) for +1 (label 1), phi(-g) for -1 (label 2), on 1-column scores."""
     loss = get_loss("sigmoid")
-
-    def batch(G, y):
-        sign = np.where(y == 1, 1.0, -1.0)
-        return loss.value(sign * G[:, 0]), (sign * loss.grad(sign * G[:, 0]))[:, None]
-
-    return pu_loss_term(batch)
+    sign = np.where(y == 1, 1.0, -1.0)
+    return loss.value(sign * G[:, 0]), (sign * loss.grad(sign * G[:, 0]))[:, None]
 
 
-def _cs_term(loss, cost):
-    return pu_loss_term(lambda G, y: cs_loss_batch(loss, cost, G, y))
+def _cs_loss(loss, cost):
+    return lambda G, y: cs_loss_batch(loss, cost, G, y)
+
+
+def _former_pu_risks(loss_batch, prior, positives, unlabeled, score_fn):
+    """The estimators as they were before one loss call on [Gp, Gu, Gp]: one
+    call per scores and sign, numpy means, (unbiased, non-negative)."""
+    Gp, Gu = score_fn(positives), score_fn(unlabeled)
+    p_pos = loss_batch(Gp, np.full(len(Gp), 1))[0].mean()
+    p_neg = loss_batch(Gp, np.full(len(Gp), 2))[0].mean()
+    u_neg = loss_batch(Gu, np.full(len(Gu), 2))[0].mean()
+    unbiased = float(prior * p_pos - prior * p_neg + u_neg)
+    return unbiased, float(prior * p_pos + max(0.0, u_neg - prior * p_neg))
 
 
 class TestUniformNoise:
@@ -139,58 +145,74 @@ class TestMakePU:
 
 class TestRiskEstimators:
     def test_unbiased_hand_value_at_zero_scores(self):
-        term = _sigmoid_term()
         score_fn = lambda X: np.zeros((len(X), 1))
         pos = np.zeros((10, 1))
         unl = np.zeros((20, 1))
         # 0.7*0.5 - 0.7*0.5 + 0.5
-        assert pu_risk_unbiased(term, 0.7, pos, unl, score_fn) == pytest.approx(0.5)
+        assert pu_risk_unbiased(_sigmoid_loss, 0.7, pos, unl, score_fn) == pytest.approx(0.5)
 
     def test_nn_hand_value_at_zero_scores(self):
-        term = _sigmoid_term()
         score_fn = lambda X: np.zeros((len(X), 1))
         pos = np.zeros((10, 1))
         unl = np.zeros((20, 1))
         # 0.35 + max(0, 0.5 - 0.35)
-        assert pu_risk_nn(term, 0.7, pos, unl, score_fn) == pytest.approx(0.5)
+        assert pu_risk_nn(_sigmoid_loss, 0.7, pos, unl, score_fn) == pytest.approx(0.5)
 
     def test_zero_prior_reduces_to_unlabeled_mean(self):
-        term = _sigmoid_term()
         rng = np.random.default_rng(11)
         unl = rng.normal(size=(30, 1))
         score_fn = lambda X: X
         loss = get_loss("sigmoid")
         expected = loss.value(-unl[:, 0]).mean()
-        assert pu_risk_unbiased(term, 0.0, np.zeros((5, 1)), unl, score_fn) == pytest.approx(expected)
+        assert pu_risk_unbiased(_sigmoid_loss, 0.0, np.zeros((5, 1)), unl, score_fn) == pytest.approx(expected)
 
     def test_nn_dominates_unbiased(self):
-        term = _sigmoid_term()
         rng = np.random.default_rng(12)
         for _ in range(50):
             pos = rng.normal(loc=1.0, size=(15, 1))
             unl = rng.normal(size=(40, 1))
             score_fn = lambda X: X
-            u = pu_risk_unbiased(term, 0.7, pos, unl, score_fn)
-            n = pu_risk_nn(term, 0.7, pos, unl, score_fn)
+            u = pu_risk_unbiased(_sigmoid_loss, 0.7, pos, unl, score_fn)
+            n = pu_risk_nn(_sigmoid_loss, 0.7, pos, unl, score_fn)
             assert n >= u - 1e-12
 
     def test_empty_inputs_rejected(self):
-        term = _sigmoid_term()
         with pytest.raises(ValueError):
-            pu_risk_unbiased(term, 0.7, np.zeros((0, 1)), np.zeros((5, 1)), lambda X: X)
+            pu_risk_unbiased(_sigmoid_loss, 0.7, np.zeros((0, 1)), np.zeros((5, 1)), lambda X: X)
         with pytest.raises(ValueError):
-            pu_risk_nn(term, 0.7, np.zeros((5, 1)), np.zeros((0, 1)), lambda X: X)
+            pu_risk_nn(_sigmoid_loss, 0.7, np.zeros((5, 1)), np.zeros((0, 1)), lambda X: X)
+
+
+    @pytest.mark.parametrize("name", ["sigmoid", "ramp", "logistic"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_match_the_former_per_sign_calls(self, name, kind):
+        # nn keeps the former grouping, pos_term + max(0, bracket), so it is
+        # bit-identical; unbiased now adds the bracket to the positive term
+        rng = np.random.default_rng(30)
+        loss = _cs_loss(get_loss(name), RejectionCost(0.15))
+        clamped = 0
+        for _ in range(40):
+            n_p, n_u = (int(v) for v in rng.integers(1, 300, size=2))
+            d = int(rng.integers(1, 6))
+            model = make_model(kind, d, 2, rng)
+            pos, unl = rng.normal(loc=0.5, size=(n_p, d)), rng.normal(size=(n_u, d))
+            prior = float(rng.uniform(0.05, 1.0))
+            unbiased, nn = _former_pu_risks(loss, prior, pos, unl, model.scores)
+            clamped += nn != unbiased
+            assert pu_risk_nn(loss, prior, pos, unl, model.scores) == nn
+            assert pu_risk_unbiased(loss, prior, pos, unl, model.scores) == pytest.approx(unbiased, rel=1e-12, abs=0)
+        assert 0 < clamped < 40, "the draws should clamp the bracket in some cases but not all"
 
 
 class TestCsPuLossTerm:
     def test_matches_full_surrogate(self):
         cost = RejectionCost(0.2)
         loss = get_loss("sigmoid")
-        term = _cs_term(loss, cost)
+        batch = _cs_loss(loss, cost)
         rng = np.random.default_rng(13)
         G = rng.normal(size=(6, 2))
-        vp = term(G, +1)[0]
-        vn = term(G, -1)[0]
+        vp = batch(G, np.full(6, 1))[0]
+        vn = batch(G, np.full(6, 2))[0]
         for g1, g2, p, n in zip(G[:, 0], G[:, 1], vp, vn):
             # c * phi(g_y) + (1 - c) * phi(-g_other), one row at a time
             assert p == pytest.approx(0.2 * loss.value(g1) + 0.8 * loss.value(-g2))
@@ -202,9 +224,9 @@ class TestTrainPU:
         rng = np.random.default_rng(20)
         Gp, Gu = rng.normal(size=(7, 2)), rng.normal(size=(11, 2))
         for name in ("sigmoid", "ramp"):
-            term = _cs_term(get_loss(name), RejectionCost(0.2))
-            losses, dG = term(np.vstack([Gp, Gu, Gp]), np.repeat([+1, -1, -1], [7, 11, 7]))
-            parts = [term(Gp, +1), term(Gu, -1), term(Gp, -1)]
+            batch = _cs_loss(get_loss(name), RejectionCost(0.2))
+            losses, dG = batch(np.vstack([Gp, Gu, Gp]), np.repeat([1, 2, 2], [7, 11, 7]))
+            parts = [batch(Gp, np.full(7, 1)), batch(Gu, np.full(11, 2)), batch(Gp, np.full(7, 2))]
             np.testing.assert_array_equal(losses, np.concatenate([p[0] for p in parts]))
             np.testing.assert_array_equal(dG, np.vstack([p[1] for p in parts]))
 
