@@ -409,12 +409,10 @@ class TestGridSpecTraining:
         with pytest.raises(ValueError):
             GridSpec(setting=setting, **bad)
 
-    def test_rates_at_the_ends_of_their_ranges_are_accepted(self):
-        GridSpec(noise_rate=0.0, prior=1.0)
-
     def test_defaults_and_zero_epochs_are_accepted(self):
         GridSpec()
         GridSpec(epochs=0, batch_size=1)
+        GridSpec(noise_rate=0.0, prior=1.0)  # the closed ends of the rates' ranges
 
     def test_pu_with_a_multiclass_dataset_fails_before_any_cell_trains(self, monkeypatch):
         _no_training(monkeypatch)
