@@ -320,6 +320,21 @@ class TestCsv:
         # ordinary rows keep the unquoted form the golden files use
         assert p.read_text().splitlines()[2] == "twonorm,cs-sigmoid,clean,0.1,1,0.0234567,0.5,0.02,4,0,2.6"
 
+    def test_both_schemas_as_literal_lines(self, tmp_path):
+        # golden files, --resume and downstream readers rely on these columns
+        rows = self._rows()
+        write_csv(rows, tmp_path / "r.csv")
+        write_summary_csv(aggregate(rows), tmp_path / "s.csv", rescale_0_100=True)
+        assert (tmp_path / "r.csv").read_text().splitlines()[0] == (
+            "dataset,method,setting,cost,trial,risk01c,rejection_ratio,"
+            "accepted_error,n_reject_distance,n_reject_ambiguity,train_seconds"
+        )
+        assert (tmp_path / "s.csv").read_text().splitlines() == [
+            "dataset,method,setting,cost,n_trials,risk01c_mean,risk01c_se,"
+            "rejection_ratio_mean,rejection_ratio_se,accepted_error_mean,accepted_error_se",
+            "twonorm,cs-sigmoid,clean,0.1,2,1.79012,0.555555,37.5,12.5,1.5,0.5",
+        ]
+
     def test_summary_rescale(self, tmp_path):
         rows = self._rows()
         summaries = aggregate(rows)

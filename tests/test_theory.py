@@ -9,7 +9,7 @@ import csreject
 from csreject import theory
 
 from csreject.core import CODE_ORACLE, RejectionCost
-from csreject.losses import get_loss
+from csreject.losses import argmin_weighted_conditional_risk, get_loss
 from csreject.surrogate import decide_batch
 from csreject.theory import (
     FiniteDistribution,
@@ -214,6 +214,20 @@ class TestPsi:
             psi_inverse("sigmoid", RejectionCost(0.2), 0.1)
 
 
+class TestPhiPointwiseMin:
+    @pytest.mark.parametrize("name", ["squared", "hinge"])
+    def test_closed_form_matches_the_numerical_minimum(self, name):
+        rng = np.random.default_rng(4)
+        w_pos, w_neg = rng.uniform(0.0, 1.0, size=(2, 200))
+        w_pos[:5] = w_neg[:5]  # equal weights: an even objective
+        loss = get_loss(name)
+        v = argmin_weighted_conditional_risk(loss, w_pos, w_neg)
+        numeric = w_pos * loss.value(v) + w_neg * loss.value(-v)
+        closed = theory._phi_pointwise_min(name, w_pos, w_neg)
+        np.testing.assert_allclose(closed, numeric, rtol=0, atol=1e-9)
+        assert (closed <= numeric + 1e-12).all()  # no scanned point lies below the minimum
+
+
 class TestFiniteDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -363,8 +377,6 @@ class TestCalibrationAudit:
         assert decide(g).label == chow_rule_batch(eta, cost.c) == 1
 
     def test_minimizer_is_the_per_class_argmin(self):
-        from csreject.losses import argmin_weighted_conditional_risk
-
         eta, cost = np.array([0.6, 0.25, 0.15]), RejectionCost(0.3)
         g = conditional_risk_minimizer(get_loss("savage"), eta, cost)
         ref = [argmin_weighted_conditional_risk(get_loss("savage"), e * 0.3, (1 - e) * 0.7) for e in eta]
