@@ -370,6 +370,9 @@ class TestCliRun:
         ("--setting", "pu", "--prior", "0"),
         ("--setting", "pu", "--prior", "1.5"),
         ("--noise-rate", "-0.1"),
+        # a worker count below 1 used to run serially without a word
+        ("--jobs", "0"),
+        ("--jobs", "-2"),
     ]
 
     @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
@@ -520,6 +523,18 @@ class TestCliAggregate:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_an_unwritable_out_is_a_usage_error_before_the_input_is_read(self, tmp_path, monkeypatch, capsys, where):
+        from csreject import cli
+
+        monkeypatch.setattr(harness, "read_csv", lambda path: pytest.fail("the input was read"))
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["aggregate", "--in", str(tmp_path / "r.csv"), "--out", str(out)])
+        assert exc.value.code == 2
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_result_file_aggregates(self, tmp_path, capsys):
         from csreject import cli
