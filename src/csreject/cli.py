@@ -32,6 +32,11 @@ def _parse_costs(text: str) -> tuple[float, ...]:
     return tuple(costs)
 
 
+def _check_out(path: str) -> None:
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"--out must name a file in an existing directory: {path}")
+
+
 def cmd_run(args) -> int:
     # a bad value ends the command with a usage error before any cell trains
     try:
@@ -48,8 +53,8 @@ def cmd_run(args) -> int:
             batch_size=args.batch_size,
         )
         grid.dataset_infos()
-        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise ValueError(f"--out must name a file in an existing directory: {args.out}")
+        theory._check_count(args.jobs, "--jobs")
+        _check_out(args.out)
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
     except (ValueError, OSError) as exc:
@@ -68,6 +73,7 @@ def cmd_run(args) -> int:
 
 def cmd_aggregate(args) -> int:
     try:
+        _check_out(args.out)
         summaries = harness.aggregate(harness.read_csv(args.infile))
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
