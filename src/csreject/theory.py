@@ -9,6 +9,7 @@ small finite distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ _BLOCK = 500
 _CHUNK = 8 * _BLOCK  # rows per check in the oracle and excess-chain audits, a multiple of _BLOCK
 ORACLE_BOUNDARY_EPS = 1e-12  # the oracle audit skips draws with a posterior this close to 1 - c
 CALIBRATION_MARGIN = 0.02  # the calibration audit redraws draws with a posterior this close to 1 - c
+EXCESS_CHAIN_TOL = 1e-12  # the excess-chain audit counts a bound as violated beyond this slack
 
 
 def _check_simplex(eta: np.ndarray) -> np.ndarray:
@@ -124,53 +126,56 @@ def _codes_agree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a == b) | ((a < 1) & (b < 1))
 
 
-def psi_transform(loss_name: str, cost: RejectionCost, theta: float) -> float:
-    """Calibration function translating 0-1 cost-sensitive regret to surrogate regret.
+class _ClosedForms(NamedTuple):
+    """A loss's closed forms, each elementwise over arrays."""
 
-    For the squared loss, psi(theta) = theta^2 / (2c(1-c) + theta(1-2c)),
-    obtained as the worst-case surrogate regret over posteriors whose
-    0-1 regret is exactly theta (the constrained minimum sits at v = 0).
-    The hinge transform is the identity. Closed forms exist for these two only.
-    """
+    psi: Callable  # (c, theta) -> the surrogate regret bound psi(theta)
+    inverse: Callable  # (c, eps) -> psi^-1(eps), eps >= 0
+    phi_min: Callable  # (w_pos, w_neg) -> min over v of w_pos*phi(v) + w_neg*phi(-v)
+
+
+def _squared_psi_inverse(c, eps):
+    b = 1.0 - 2.0 * c
+    return (eps * b + np.sqrt(eps**2 * b**2 + 8.0 * c * (1.0 - c) * eps)) / 2.0
+
+
+# For the squared loss, psi(theta) = theta^2 / (2c(1-c) + theta(1-2c)) is the
+# worst-case surrogate regret over posteriors whose 0-1 regret is exactly
+# theta (the constrained minimum sits at v = 0); its inverse is the
+# non-negative root of theta^2 - eps*theta*(1-2c) - 2c(1-c)*eps = 0. For the
+# hinge loss psi is the identity. No other loss has closed forms here.
+_PSI_CLOSED_FORMS = {
+    "squared": _ClosedForms(
+        psi=lambda c, theta: theta**2 / (2.0 * c * (1.0 - c) + theta * (1.0 - 2.0 * c)),
+        inverse=_squared_psi_inverse,
+        phi_min=lambda w_pos, w_neg: 4.0 * w_pos * w_neg / (w_pos + w_neg),
+    ),
+    "hinge": _ClosedForms(
+        psi=lambda c, theta: theta,
+        inverse=lambda c, eps: eps,
+        phi_min=lambda w_pos, w_neg: 2.0 * np.minimum(w_pos, w_neg),
+    ),
+}
+
+
+def _closed_forms(loss_name: str) -> _ClosedForms:
+    if loss_name not in _PSI_CLOSED_FORMS:
+        raise ValueError(f"psi has a closed form only for squared and hinge, not {loss_name!r}")
+    return _PSI_CLOSED_FORMS[loss_name]
+
+
+def psi_transform(loss_name: str, cost: RejectionCost, theta: float) -> float:
+    """Calibration function translating 0-1 cost-sensitive regret to surrogate regret."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
-    c = cost.c
-    if loss_name == "hinge":
-        return float(theta)
-    if loss_name == "squared":
-        return float(theta**2 / (2.0 * c * (1.0 - c) + theta * (1.0 - 2.0 * c)))
-    raise ValueError(f"psi_transform has a closed form only for squared and hinge, not {loss_name!r}")
+    return float(_closed_forms(loss_name).psi(cost.c, theta))
 
 
 def psi_inverse(loss_name: str, cost: RejectionCost, eps: float) -> float:
-    """Inverse psi-transform translating surrogate regret to 0-1 regret.
-
-    Closed forms are available for the squared and hinge losses only. The
-    squared-loss inverse solves theta^2 - eps*theta*(1-2c) - 2c(1-c)*eps = 0
-    for its non-negative root.
-    """
+    """Inverse psi-transform translating surrogate regret to 0-1 regret."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
-    return float(_psi_inverse(loss_name, cost.c, eps))
-
-
-def _psi_inverse(loss_name: str, c, eps):
-    """psi_inverse elementwise over costs c and regrets eps >= 0."""
-    if loss_name == "hinge":
-        return eps
-    if loss_name == "squared":
-        b = 1.0 - 2.0 * c
-        return (eps * b + np.sqrt(eps**2 * b**2 + 8.0 * c * (1.0 - c) * eps)) / 2.0
-    raise ValueError(f"psi_inverse has a closed form only for squared and hinge, not {loss_name!r}")
-
-
-def _phi_pointwise_min(loss_name: str, w_pos: np.ndarray, w_neg: np.ndarray) -> np.ndarray:
-    """Closed-form min_v of w_pos*phi(v) + w_neg*phi(-v), per entry."""
-    if loss_name == "squared":
-        return 4.0 * w_pos * w_neg / (w_pos + w_neg)
-    if loss_name == "hinge":
-        return 2.0 * np.minimum(w_pos, w_neg)
-    raise ValueError(loss_name)
+    return float(_closed_forms(loss_name).inverse(cost.c, eps))
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ class ExcessChainReport:
     psi_violated: bool = False
 
 
-def _excess_chain_batch(w, etas, G, c, psi_losses, tol):
+def _excess_chain_batch(w, etas, G, c, psi_losses):
     """The excess-risk chain on N finite instances of one shape.
 
     w (N, m) weights, etas (N, m, K) posteriors, G (N, m, K) scores and
@@ -205,19 +210,19 @@ def _excess_chain_batch(w, etas, G, c, psi_losses, tol):
 
     lhs = r01c - r01c_star
     rhs = rcs - rcs_star
-    violated = lhs > rhs + tol
+    violated = lhs > rhs + EXCESS_CHAIN_TOL
 
     psi_rhs = None
     psi_violated = np.zeros(len(c), dtype=bool)
     if psi_losses:
         psi_rhs = {}
         for name in psi_losses:
-            loss = get_loss(name)
+            loss, forms = get_loss(name), _closed_forms(name)
             phi_risk = (w[..., None] * (w_pos * loss.value(G) + w_neg * loss.value(-G))).sum(axis=1)
-            phi_star = (w[..., None] * _phi_pointwise_min(name, w_pos, w_neg)).sum(axis=1)
+            phi_star = (w[..., None] * forms.phi_min(w_pos, w_neg)).sum(axis=1)
             regrets = np.maximum(phi_risk - phi_star, 0.0)  # (N, K)
-            psi_rhs[name] = _psi_inverse(name, c_m, regrets).sum(axis=-1)
-            psi_violated |= rhs > psi_rhs[name] + tol
+            psi_rhs[name] = forms.inverse(c_m, regrets).sum(axis=-1)
+            psi_violated |= rhs > psi_rhs[name] + EXCESS_CHAIN_TOL
     return lhs, rhs, violated, psi_rhs, psi_violated
 
 
@@ -226,7 +231,6 @@ def audit_excess_chain(
     score_table: np.ndarray,
     cost: RejectionCost,
     psi_losses: tuple[str, ...] = (),
-    tol: float = 1e-12,
 ) -> ExcessChainReport:
     """Exhaustively check the excess-risk chain on a finite instance.
 
@@ -238,7 +242,7 @@ def audit_excess_chain(
     if G.shape != dist.etas.shape:
         raise ValueError("score table must be (m, K) matching the distribution support")
     lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(
-        dist.weights[None], dist.etas[None], G[None], np.array([cost.c]), psi_losses, tol
+        dist.weights[None], dist.etas[None], G[None], np.array([cost.c]), psi_losses
     )
     return ExcessChainReport(
         lhs=float(lhs[0]),
@@ -379,7 +383,7 @@ def audit_excess_random(
         for group in [g for g, parts in pending.items() if last or sum(len(p[-1]) for p in parts) >= _CHUNK]:
             w, etas, G, c_g = (np.concatenate(arrays) for arrays in zip(*pending.pop(group)))
             _check_support(w, etas)
-            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), psi_losses, tol=1e-12)
+            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), psi_losses)
             violations += int(violated.sum())
             psi_violations += int(psi_violated.sum())
     return n_instances, violations, psi_violations

@@ -223,7 +223,7 @@ class TestPhiPointwiseMin:
         loss = get_loss(name)
         v = argmin_weighted_conditional_risk(loss, w_pos, w_neg)
         numeric = w_pos * loss.value(v) + w_neg * loss.value(-v)
-        closed = theory._phi_pointwise_min(name, w_pos, w_neg)
+        closed = theory._closed_forms(name).phi_min(w_pos, w_neg)
         np.testing.assert_allclose(closed, numeric, rtol=0, atol=1e-9)
         assert (closed <= numeric + 1e-12).all()  # no scanned point lies below the minimum
 
@@ -300,7 +300,7 @@ class TestExcessChain:
         etas = rng.dirichlet(np.ones(K), size=(N, m))
         G = rng.normal(scale=2.0, size=(N, m, K))
         c = rng.uniform(0.01, 0.49, size=N)
-        lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(w, etas, G, c, ("squared", "hinge"), 1e-12)
+        lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(w, etas, G, c, ("squared", "hinge"))
         for i in range(N):
             rep = audit_excess_chain(
                 FiniteDistribution(w[i], etas[i]), G[i], RejectionCost(float(c[i])), psi_losses=("squared", "hinge")
@@ -456,7 +456,7 @@ def _former_excess_audit(n_instances, seed, psi_losses=("squared", "hinge")):
             etas /= etas.sum(axis=-1, keepdims=True)
             G = rng.normal(scale=2.0, size=(len(c_g), m_g, K_g))
             theory._check_support(w, etas)
-            out = _excess_chain_batch(w, etas, G, theory._check_costs(c_g), psi_losses, tol=1e-12)
+            out = _excess_chain_batch(w, etas, G, theory._check_costs(c_g), psi_losses)
             calls.append(((w, etas, G, c_g), out))
             violations += int(out[2].sum())
             psi_violations += int(out[4].sum())
