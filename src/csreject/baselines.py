@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 
-from .core import CODE_DISTANCE, Dataset, Decision, RejectionCost, zero_one_c_risk
+from .core import CODE_DISTANCE, Dataset, Decision, RejectionCost, own_index, zero_one_c_risk
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -61,16 +61,10 @@ def tune_threshold(decide_all, labels, cost: RejectionCost, candidates=None) -> 
 # SCE: softmax cross-entropy with temperature-scaled Chow plug-in
 
 
-def _own_index(G: np.ndarray, y) -> np.ndarray:
-    """Flat index of each row's own score g_y in G.ravel(); y holds labels in 1..K."""
-    n, K = G.shape
-    return np.arange(-1, n * K - 1, K) + np.asarray(y, dtype=int)
-
-
 def sce_loss_batch(G: np.ndarray, y: np.ndarray):
     """Per-sample cross-entropy losses (n,) and score gradients (n, K); exact up to K = 7 (see _log_softmax)."""
     G = np.ascontiguousarray(G, dtype=float)
-    own = _own_index(G, y)
+    own = own_index(G, y)
     logp = _log_softmax(G)
     losses = -logp.take(own)
     dG = np.exp(logp, out=logp)
@@ -102,7 +96,7 @@ def defer_loss_batch(cost: RejectionCost):
     def batch(G: np.ndarray, y: np.ndarray):
         """Losses (n,) and score gradients (n, K+1); exact up to K+1 = 7 (see _log_softmax)."""
         G = np.ascontiguousarray(G, dtype=float)
-        own = _own_index(G, y)
+        own = own_index(G, y)
         logp = _log_softmax(G)
         losses = -logp.take(own) - (1.0 - cost.c) * logp[:, -1]
         dG = np.exp(logp, out=logp)
@@ -173,7 +167,7 @@ def angle_loss_batch(K: int, a: float):
     def batch(G: np.ndarray, y: np.ndarray):
         """Losses (n,), summed over classes column by column (a row sum's numbers up to K = 7), and dG (n, K-1)."""
         U = -np.asarray(G, dtype=float) @ V.T  # (n, K)
-        own = _own_index(U, y)
+        own = own_index(U, y)
         vals, dU = bent_hinge_value_grad(U, a)
         losses = sum(vals[:, j] for j in range(K)) - vals.take(own)
         dU.ravel()[own] = 0.0

@@ -99,6 +99,12 @@ class Dataset:
         return Dataset(self.X[idx], self.y[idx], self.K)
 
 
+def own_index(G: np.ndarray, y) -> np.ndarray:
+    """Flat index of each row's own score g_y in G.ravel(); G is (n, K), y holds labels in 1..K."""
+    n, K = G.shape
+    return np.arange(-1, n * K - 1, K) + np.asarray(y, dtype=int)
+
+
 @dataclass(frozen=True)
 class MetricsRecord:
     n: int

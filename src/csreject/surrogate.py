@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CODE_AMBIGUITY, CODE_DISTANCE, Dataset, Decision, RejectionCost
+from .core import CODE_AMBIGUITY, CODE_DISTANCE, Dataset, Decision, RejectionCost, own_index
 from .losses import MarginLossSpec
 
 
@@ -14,11 +14,9 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     G is (n, K); y holds labels in 1..K. Returns (losses (n,), dG (n, K)).
     """
     G = np.asarray(G, dtype=float)
-    y = np.asarray(y, dtype=int)
     c = cost.c
     n, K = G.shape
-    # flat index of each row's own score g_y in G.ravel()
-    own = np.arange(-1, n * K - 1, K) + y
+    own = own_index(G, y)
     # phi is elementwise, so one call on the stacked margins [-G, g_y] gives
     # the same numbers as one call per part
     phi, dphi = loss.value_grad(np.concatenate([-G.ravel(), G.take(own)]))
