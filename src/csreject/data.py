@@ -165,14 +165,16 @@ class Standardizer:
     mean: np.ndarray
     scale: np.ndarray
 
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "Standardizer":
+        """Per-feature mean and standard deviation of X (n, d); the variance is floored at 1e-12."""
+        return cls(X.mean(axis=0), np.sqrt(np.maximum(X.var(axis=0), 1e-12)))
+
     def apply(self, data: Dataset) -> Dataset:
         return Dataset((data.X - self.mean) / self.scale, data.y, data.K)
 
 
 def standardize(train: Dataset):
-    """Fit per-feature zero-mean unit-variance on train; variance floored."""
-    mean = train.X.mean(axis=0)
-    var = train.X.var(axis=0)
-    scale = np.sqrt(np.maximum(var, 1e-12))
-    transform = Standardizer(mean, scale)
+    """Fit per-feature zero-mean unit-variance on train, and apply it to train."""
+    transform = Standardizer.fit(train.X)
     return transform, transform.apply(train)

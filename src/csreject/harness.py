@@ -8,9 +8,9 @@ import functools
 import hashlib
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import compress
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -22,13 +22,6 @@ from .surrogate import cs_loss_batch, decide_batch
 
 DEFAULT_COSTS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 SETTINGS = ("clean", "noisy", "pu")
-
-CSV_HEADER = (
-    "dataset,method,setting,cost,trial,risk01c,rejection_ratio,"
-    "accepted_error,n_reject_distance,n_reject_ambiguity,train_seconds"
-)
-# the type of each CSV_HEADER column, in the order of ResultRow's fields
-_CSV_TYPES = (str, str, str, float, int, float, float, float, int, int, float)
 
 
 @dataclass(frozen=True)
@@ -94,6 +87,17 @@ class ResultRow:
 
     def key(self):
         return (self.dataset, self.method, self.cost, self.trial)
+
+
+def _csv_columns(row_class, omitted: str) -> dict[str, type]:
+    """The CSV columns of a row dataclass: each field but `omitted`, in order, with its type."""
+    types = get_type_hints(row_class)
+    return {f.name: types[f.name] for f in fields(row_class) if f.name != omitted}
+
+
+# a result CSV holds every ResultRow field but flagged
+_CSV_TYPES = _csv_columns(ResultRow, "flagged")
+CSV_HEADER = ",".join(_CSV_TYPES)
 
 
 def _mix_seed(*parts) -> int:
@@ -291,12 +295,8 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
             n_pos = int(np.count_nonzero(train_ds.y == 1))
             pu_cfg = weaksup.PUConfig.from_class_counts(n_pos, train_ds.n - n_pos, grid.prior)
         positives, unlabeled = weaksup.make_pu_dataset(pu_pool, pu_cfg, data_rng)
-        feats = np.vstack([positives, unlabeled])
-        scaler = data_mod.Standardizer(
-            feats.mean(axis=0), np.sqrt(np.maximum(feats.var(axis=0), 1e-12))
-        )
-        positives = (positives - scaler.mean) / scaler.scale
-        unlabeled = (unlabeled - scaler.mean) / scaler.scale
+        scaler = data_mod.Standardizer.fit(np.vstack([positives, unlabeled]))
+        positives, unlabeled = ((part - scaler.mean) / scaler.scale for part in (positives, unlabeled))
         traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, grid.prior, configs)
     else:
         if grid.setting == "noisy":
@@ -394,6 +394,12 @@ class SummaryRow:
     single_trial: bool = False
 
 
+# a summary CSV holds every SummaryRow field but single_trial
+_SUMMARY_TYPES = _csv_columns(SummaryRow, "single_trial")
+# the metrics that a SummaryRow reports as a mean and a standard error
+_SUMMARY_STATS = tuple(name.removesuffix("_mean") for name in _SUMMARY_TYPES if name.endswith("_mean"))
+
+
 def _mean_se(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     if len(arr) == 1:
@@ -410,26 +416,11 @@ def aggregate(rows) -> list[SummaryRow]:
     for row in rows:
         groups.setdefault((row.dataset, row.method, row.setting, row.cost), []).append(row)
     out = []
-    for (ds, method, setting, cost), members in sorted(groups.items()):
-        risk_m, risk_se = _mean_se([m.risk01c for m in members])
-        rej_m, rej_se = _mean_se([m.rejection_ratio for m in members])
-        err_m, err_se = _mean_se([m.accepted_error for m in members])
-        out.append(
-            SummaryRow(
-                dataset=ds,
-                method=method,
-                setting=setting,
-                cost=cost,
-                n_trials=len(members),
-                risk01c_mean=risk_m,
-                risk01c_se=risk_se,
-                rejection_ratio_mean=rej_m,
-                rejection_ratio_se=rej_se,
-                accepted_error_mean=err_m,
-                accepted_error_se=err_se,
-                single_trial=(len(members) == 1),
-            )
-        )
+    for key, members in sorted(groups.items()):
+        stats = {}
+        for name in _SUMMARY_STATS:
+            stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se([getattr(m, name) for m in members])
+        out.append(SummaryRow(*key, n_trials=len(members), **stats, single_trial=len(members) == 1))
     return out
 
 
@@ -437,12 +428,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def write_csv(rows, path) -> None:
+def _write_rows(rows, path, columns: dict[str, type]) -> None:
+    """A header of the columns, then one line per row dataclass; a float as _fmt."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(CSV_HEADER.split(","))
+        out.writerow(columns)
         for r in rows:
-            out.writerow([_fmt(v) if parse is float else v for parse, v in zip(_CSV_TYPES, astuple(r))])
+            out.writerow([_fmt(v) if parse is float else v for parse, v in zip(columns.values(), astuple(r))])
+
+
+def write_csv(rows, path) -> None:
+    _write_rows(rows, path, _CSV_TYPES)
 
 
 def read_csv(path) -> list[ResultRow]:
@@ -459,7 +455,7 @@ def read_csv(path) -> list[ResultRow]:
             try:
                 if len(f) != len(_CSV_TYPES):
                     raise ValueError(f"{len(f)} fields, expected {len(_CSV_TYPES)}")
-                rows.append(ResultRow(*(parse(v) for parse, v in zip(_CSV_TYPES, f))))
+                rows.append(ResultRow(*(parse(v) for parse, v in zip(_CSV_TYPES.values(), f))))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: not a result row: {exc}") from None
     return rows
@@ -467,14 +463,5 @@ def read_csv(path) -> list[ResultRow]:
 
 def write_summary_csv(summaries, path, rescale_0_100: bool = False) -> None:
     scale = 100.0 if rescale_0_100 else 1.0
-    header = (
-        "dataset,method,setting,cost,n_trials,risk01c_mean,risk01c_se,"
-        "rejection_ratio_mean,rejection_ratio_se,accepted_error_mean,accepted_error_se"
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header.split(","))
-        for s in summaries:
-            stats = (s.risk01c_mean, s.risk01c_se, s.rejection_ratio_mean, s.rejection_ratio_se)
-            stats += (s.accepted_error_mean, s.accepted_error_se)
-            out.writerow([s.dataset, s.method, s.setting, _fmt(s.cost), s.n_trials] + [_fmt(v * scale) for v in stats])
+    stats = [f"{name}_{part}" for name in _SUMMARY_STATS for part in ("mean", "se")]
+    _write_rows([replace(s, **{k: getattr(s, k) * scale for k in stats}) for s in summaries], path, _SUMMARY_TYPES)
