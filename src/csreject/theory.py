@@ -165,14 +165,14 @@ def _closed_forms(loss_name: str) -> _ClosedForms:
 
 
 def psi_transform(loss_name: str, cost: RejectionCost, theta: float) -> float:
-    """Calibration function translating 0-1 cost-sensitive regret to surrogate regret."""
+    """Calibration function translating 0-1 cost-sensitive regret to surrogate regret (squared, hinge)."""
     if theta < 0:
         raise ValueError("theta must be non-negative")
     return float(_closed_forms(loss_name).psi(cost.c, theta))
 
 
 def psi_inverse(loss_name: str, cost: RejectionCost, eps: float) -> float:
-    """Inverse psi-transform translating surrogate regret to 0-1 regret."""
+    """Inverse psi-transform translating surrogate regret to 0-1 regret (squared, hinge)."""
     if eps < 0:
         raise ValueError("eps must be non-negative")
     return float(_closed_forms(loss_name).inverse(cost.c, eps))
