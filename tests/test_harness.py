@@ -17,6 +17,11 @@ from csreject.harness import (
 )
 
 FAST = dict(trials=1, epochs=3)
+# the result header before the flagged column; golden files and old --resume files use it
+LEGACY_HEADER = (
+    "dataset,method,setting,cost,trial,risk01c,rejection_ratio,"
+    "accepted_error,n_reject_distance,n_reject_ambiguity,train_seconds"
+)
 
 
 def _strip_timing(row: ResultRow) -> tuple:
@@ -68,6 +73,13 @@ class TestDatasetInfo:
         info = dataset_info(str(p))
         assert info.K == 2
         assert info.total_n == 20
+
+    @pytest.mark.parametrize("K, kind", [(2, "linear"), (3, "mlp")])
+    def test_csv_model_kind_follows_the_class_count(self, tmp_path, K, kind):
+        p = tmp_path / "toy.csv"
+        p.write_text("".join("%f,%f,%d\n" % (i * 0.1, -i * 0.2, i % K) for i in range(30)))
+        info = dataset_info(str(p))
+        assert (info.K, info.model_kind) == (K, kind)
 
 
 def _write_toy_csv(path, n):
@@ -185,6 +197,26 @@ class TestRunCell:
         assert _strip_timing(r1) == _strip_timing(r2)
 
 
+class TestTrainGroup:
+    @pytest.mark.parametrize("setting", ["clean", "noisy", "pu"])
+    def test_splits_come_standardized_on_the_training_rows(self, setting, monkeypatch):
+        parts, drawn = [], []
+        split, make_pu = data_mod.split, harness.weaksup.make_pu_dataset
+        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
+        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
+        grid = GridSpec(methods=("cs-sigmoid", "cs-hinge"), costs=(0.2,), setting=setting, **FAST)
+        first, second = harness.train_group(grid, list(grid.cells()))
+        train_ds, val_ds, test_ds = parts
+        # the PU setting trains on its positive and unlabeled draws
+        scaler = data_mod.Standardizer.fit(np.vstack(drawn) if setting == "pu" else train_ds.X)
+        for got, raw in ((first.val_ds, val_ds), (first.test_ds, test_ds)):
+            want = scaler.apply(raw)
+            np.testing.assert_array_equal(got.X, want.X)
+            np.testing.assert_array_equal(got.y, want.y)
+        # one standardized split per group, shared by its cells
+        assert second.val_ds is first.val_ds and second.test_ds is first.test_ds
+
+
 class TestRunGrid:
     def test_cardinality_and_order(self):
         grid = GridSpec(methods=("cs-sigmoid", "always-reject"), costs=(0.1, 0.2), trials=2, epochs=2)
@@ -256,6 +288,11 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    def test_a_repeated_row_is_rejected(self):
+        # a copy used to count as one more trial in n_trials and the SE
+        with pytest.raises(ValueError, match="repeated"):
+            aggregate([self._row(0.5, 0), self._row(0.5, 1), self._row(0.6, 0)])
 
     def test_grouping(self):
         rows = [self._row(0.5, 0, cost=0.1), self._row(0.6, 0, cost=0.2)]
@@ -335,6 +372,19 @@ class TestCsv:
             "twonorm,cs-sigmoid,clean,0.1,2,1.79012,0.555555,37.5,12.5,1.5,0.5",
         ]
 
+    def test_flagged_round_trips(self, tmp_path):
+        # the flag used to be dropped, so --resume and aggregate saw a good row
+        p = tmp_path / "r.csv"
+        rows = [dataclasses.replace(self._rows()[0], flagged=True), self._rows()[1]]
+        write_csv(rows, p)
+        assert [r.flagged for r in read_csv(p)] == [True, False]
+
+    def test_a_legacy_file_without_the_flag_column_reads_as_unflagged(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text(LEGACY_HEADER + "\ntwonorm,cs-sigmoid,clean,0.1,0,0.0123456,0.25,0.01,3,1,2.5\n")
+        (row,) = read_csv(p)
+        assert row == self._rows()[0] and not row.flagged
+
     def test_summary_rescale(self, tmp_path):
         rows = self._rows()
         summaries = aggregate(rows)
@@ -373,6 +423,12 @@ class TestCliRun:
         # a worker count below 1 used to run serially without a word
         ("--jobs", "0"),
         ("--jobs", "-2"),
+        # a repeated entry used to write one row per copy under one key
+        ("--dataset", "twonorm,twonorm"),
+        ("--methods", "cs-sigmoid,cs-hinge,cs-sigmoid"),
+        ("--costs", "0.2,0.2"),
+        # costs the result CSV writes alike share one key and one seed
+        ("--costs", "0.2,0.2000001"),
     ]
 
     @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
@@ -453,6 +509,17 @@ class TestCliResume:
         assert cli.main(args + ["--resume"]) == 0
         assert len(read_csv(out)) == 2
 
+    def test_resume_reads_a_legacy_file_and_writes_the_flag_column(self, tmp_path, capsys):
+        from csreject import cli
+
+        out = tmp_path / "r.csv"
+        out.write_text(LEGACY_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0\n")
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "2", "--out", str(out), "--resume"]
+        assert cli.main(args) == 0
+        assert "resuming: 1 rows already present" in capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        assert lines[0] == LEGACY_HEADER + ",flagged" and len(lines) == 3
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -509,8 +576,9 @@ class TestCliAggregate:
             harness.CSV_HEADER + "\n",
             "a,b,c\ntwonorm,always-reject\n",
             harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2\n",
+            LEGACY_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0\n" * 2,
         ],
-        ids=["missing file", "empty file", "header only", "foreign header", "short row"],
+        ids=["missing file", "empty file", "header only", "foreign header", "short row", "repeated row"],
     )
     def test_an_unreadable_in_is_a_usage_error(self, tmp_path, capsys, text):
         from csreject import cli
