@@ -124,7 +124,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--noise-rate", type=float, default=0.25)
     p.add_argument("--prior", type=float, default=0.7)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", action="store_true")

@@ -104,40 +104,37 @@ def gen_twonorm(n: int, rng: np.random.Generator, d: int = 20):
     return gen_gauss_mixture(twonorm_spec(d), n, rng)
 
 
-def load_csv(path, label_column=-1, has_header: bool = False) -> Dataset:
-    """Read a numeric CSV into a Dataset, remapping labels to 1..K.
+def load_csv(path) -> Dataset:
+    """Read a numeric CSV without a header into a Dataset, remapping the labels
+    in its last column to 1..K.
 
-    Blank lines are skipped, and with has_header the first other line; a
-    field may be quoted, and '#' starts no comment. Distinct raw labels, which
-    must be finite integers, are sorted and mapped in order, so {-1, +1}
-    becomes {1, 2} with -1 -> 1. Raises "empty CSV" without data rows, and
-    "malformed row i" for a non-numeric field or a row of another width than
-    the first, i its 0-based line number (blank lines and the header counted).
+    Blank lines are skipped; a field may be quoted, and '#' starts no comment.
+    Distinct raw labels, which must be finite integers, are sorted and mapped
+    in order, so {-1, +1} becomes {1, 2} with -1 -> 1. Raises "empty CSV"
+    without data rows, and "malformed row i" for a non-numeric field or a row of
+    another width than the first, i its 0-based line number (blank lines counted).
     """
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows is reported below
-        if has_header:
-            next((line for line in fh if line != "\n"), None)
         try:
             arr = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
-            raise ValueError(_malformed_row(path, has_header) or str(exc)) from None
+            raise ValueError(_malformed_row(path) or str(exc)) from None
     if len(arr) == 0:
         raise ValueError("empty CSV")
-    col = label_column if label_column >= 0 else arr.shape[1] + label_column
-    raw_labels = arr[:, col]
+    raw_labels = arr[:, -1]
     if not (np.isfinite(raw_labels).all() and (raw_labels == np.round(raw_labels)).all()):
-        raise ValueError(f"label column {col} must hold finite integers")
+        raise ValueError(f"label column {arr.shape[1] - 1} (the last) must hold finite integers")
     distinct, y = np.unique(raw_labels, return_inverse=True)
-    return Dataset(np.delete(arr, col, axis=1), y + 1, K=len(distinct))
+    return Dataset(np.delete(arr, -1, axis=1), y + 1, K=len(distinct))
 
 
-def _malformed_row(path, has_header: bool) -> str | None:
+def _malformed_row(path) -> str | None:
     """load_csv's message for the first row float() cannot read or that is not
     as wide as the first data row; None if there is none. loadtxt's own
     messages count rows one way for a bad field and another for a bad width."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(i, row) for i, row in enumerate(csv.reader(fh)) if row][has_header:]
+        rows = [(i, row) for i, row in enumerate(csv.reader(fh)) if row]
     for i, row in rows:
         try:
             values = [float(v) for v in row]

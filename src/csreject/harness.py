@@ -9,7 +9,6 @@ import hashlib
 import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from itertools import compress
 from typing import Callable, get_type_hints
 
 import numpy as np
@@ -34,7 +33,7 @@ class GridSpec:
     master_seed: int = 0
     noise_rate: float = 0.25
     prior: float = 0.7
-    epochs: int | None = None  # None -> the per-setting default (100)
+    epochs: int = 100
     batch_size: int | None = None  # None -> 256 (64 for PU)
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ class GridSpec:
             RejectionCost(c)
         if unknown := [m for m in self.methods if m not in METHODS]:
             raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
-        if self.epochs is not None and self.epochs < 0:
+        if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
@@ -89,7 +88,7 @@ class ResultRow:
         return (self.dataset, self.method, self.cost, self.trial)
 
 
-def _csv_columns(row_class, omitted: str) -> dict[str, type]:
+def _csv_columns(row_class, omitted: str = "") -> dict[str, type]:
     """The CSV columns of a row dataclass: each field but `omitted`, in order, with its type."""
     types = get_type_hints(row_class)
     return {f.name: types[f.name] for f in fields(row_class) if f.name != omitted}
@@ -113,10 +112,13 @@ def _mix_seed(*parts) -> int:
 class DatasetInfo:
     name: str
     K: int
-    model_kind: str
     total_n: int
     spec: data_mod.GaussianMixtureSpec | None = None
     csv_path: str | None = None
+
+    @property
+    def model_kind(self) -> str:
+        return "linear" if self.K == 2 else "mlp"
 
 
 def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
@@ -127,13 +129,12 @@ def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
 
 def dataset_info(name: str) -> DatasetInfo:
     if name == "twonorm":
-        return DatasetInfo(name, K=2, model_kind="linear", total_n=7400, spec=data_mod.twonorm_spec())
+        return DatasetInfo(name, K=2, total_n=7400, spec=data_mod.twonorm_spec())
     if name == "gauss3":
-        return DatasetInfo(name, K=3, model_kind="mlp", total_n=12000, spec=_gauss3_spec())
+        return DatasetInfo(name, K=3, total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
         loaded = _csv_dataset(name)
-        kind = "linear" if loaded.K == 2 else "mlp"
-        return DatasetInfo(name, K=loaded.K, model_kind=kind, total_n=loaded.n, csv_path=name)
+        return DatasetInfo(name, K=loaded.K, total_n=loaded.n, csv_path=name)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
 
 
@@ -225,12 +226,11 @@ METHODS: dict[str, Method] = {
 @dataclass(frozen=True)
 class Trained:
     """A cell's part of its group's training: the model (None for a rule that
-    trains nothing) and its trace, the split it is tuned and scored on, and
-    its share of the group's training seconds."""
+    trains nothing) and its trace, the validation and test splits, standardized
+    as the training rows when a model trains, and its share of the training seconds."""
 
     model: object
     trace: list
-    scaler: data_mod.Standardizer | None
     val_ds: Dataset
     test_ds: Dataset
     seconds: float
@@ -264,25 +264,22 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     source = _source_dataset(info, info.total_n, data_rng)
     fractions = (0.5, 0.2, 0.3) if grid.setting == "pu" else (0.5, 0.1, 0.4)
     train_ds, val_ds, test_ds = data_mod.split(source, fractions, seed=data_seed)
-
-    epochs = grid.epochs if grid.epochs is not None else 100
     batch = grid.batch_size if grid.batch_size is not None else (64 if grid.setting == "pu" else 256)
 
+    if METHODS[cells[0][1]].loss_batch is None:  # a group of rules that train nothing, see cell_groups
+        return [Trained(None, [], val_ds, test_ds, 0.0) for _ in cells]
+
     t0 = time.perf_counter()
-    trains = [METHODS[method_name].loss_batch is not None for _, method_name, _, _ in cells]
     models, losses, configs = [], [], []
-    for _, method_name, cost_value, _ in compress(cells, trains):
+    for _, method_name, cost_value, _ in cells:
         method = METHODS[method_name]
         train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, f"{cost_value:.6g}", "train")
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
         models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
         losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
-        configs.append(TrainConfig(batch_size=batch, epochs=epochs, seed=train_seed))
+        configs.append(TrainConfig(batch_size=batch, epochs=grid.epochs, seed=train_seed))
 
-    scaler, traces = None, []
-    if not models:
-        pass  # rules that train nothing
-    elif grid.setting == "pu":
+    if grid.setting == "pu":
         if info.csv_path is None:
             # the synthetic source pool for PU draws is regenerated large enough
             # to honor the without-replacement protocol at prior 0.7
@@ -304,10 +301,10 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
             train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
         scaler, train_std = data_mod.standardize(train_ds)
         traces = train(models, train_std, losses, configs)
+    val_ds, test_ds = scaler.apply(val_ds), scaler.apply(test_ds)
 
     seconds = (time.perf_counter() - t0) / len(cells)
-    results = iter(zip(models, traces))
-    return [Trained(*(next(results) if t else (None, [])), scaler, val_ds, test_ds, seconds) for t in trains]
+    return [Trained(model, trace, val_ds, test_ds, seconds) for model, trace in zip(models, traces)]
 
 
 def run_cell(grid: GridSpec, cell, trained: Trained | None = None) -> ResultRow:
@@ -321,23 +318,18 @@ def run_cell(grid: GridSpec, cell, trained: Trained | None = None) -> ResultRow:
     ds_name, method_name, cost_value, trial = cell
     method = METHODS[method_name]
     cost = RejectionCost(cost_value)
-    K = dataset_info(ds_name).K
+    model, test_ds, K = trained.model, trained.test_ds, trained.test_ds.K
 
     t0 = time.perf_counter()
-    model, trace, tuned, test_eval = trained.model, trained.trace, None, trained.test_ds
-    if model is not None:
-        test_eval = trained.scaler.apply(trained.test_ds)
-        if method.tune is not None:
-            tuned = method.tune(model, trained.scaler.apply(trained.val_ds), K, cost)
-
+    tuned = method.tune(model, trained.val_ds, K, cost) if method.tune is not None else None
     # the cell's share of its group's training time plus its own tuning time
     train_seconds = trained.seconds + (time.perf_counter() - t0)
     # a rule without a model decides on scores of width 0
-    G = model.scores(test_eval.X) if model is not None else np.empty((test_eval.n, 0))
+    G = model.scores(test_ds.X) if model is not None else np.empty((test_ds.n, 0))
     # a non-finite score would otherwise pass silently as a rejection
-    flagged = bool(trace and not np.isfinite(trace[-1])) or not np.isfinite(G).all()
+    flagged = bool(trained.trace and not np.isfinite(trained.trace[-1])) or not np.isfinite(G).all()
     codes = method.decide(G, K, cost, tuned)
-    metrics = compute_metrics(codes, test_eval.y, cost)
+    metrics = compute_metrics(codes, test_ds.y, cost)
     return ResultRow(
         dataset=ds_name,
         method=method_name,
@@ -391,11 +383,13 @@ class SummaryRow:
     rejection_ratio_se: float
     accepted_error_mean: float
     accepted_error_se: float
-    single_trial: bool = False
+
+    @property
+    def single_trial(self) -> bool:
+        return self.n_trials == 1
 
 
-# a summary CSV holds every SummaryRow field but single_trial
-_SUMMARY_TYPES = _csv_columns(SummaryRow, "single_trial")
+_SUMMARY_TYPES = _csv_columns(SummaryRow)
 # the metrics that a SummaryRow reports as a mean and a standard error
 _SUMMARY_STATS = tuple(name.removesuffix("_mean") for name in _SUMMARY_TYPES if name.endswith("_mean"))
 
@@ -420,7 +414,7 @@ def aggregate(rows) -> list[SummaryRow]:
         stats = {}
         for name in _SUMMARY_STATS:
             stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se([getattr(m, name) for m in members])
-        out.append(SummaryRow(*key, n_trials=len(members), **stats, single_trial=len(members) == 1))
+        out.append(SummaryRow(*key, n_trials=len(members), **stats))
     return out
 
 

@@ -24,6 +24,8 @@ _CHUNK = 8 * _BLOCK  # rows per check in the oracle and excess-chain audits, a m
 ORACLE_BOUNDARY_EPS = 1e-12  # the oracle audit skips draws with a posterior this close to 1 - c
 CALIBRATION_MARGIN = 0.02  # the calibration audit redraws draws with a posterior this close to 1 - c
 EXCESS_CHAIN_TOL = 1e-12  # the excess-chain audit counts a bound as violated beyond this slack
+CALIBRATION_LOSSES = ("sigmoid", "hinge", "squared", "logistic")  # the losses the calibration audit checks
+EXCESS_MAX_SUPPORT, EXCESS_MAX_K = 5, 4  # the largest support and class count of a random excess-chain instance
 
 
 def _check_simplex(eta: np.ndarray) -> np.ndarray:
@@ -156,6 +158,7 @@ _PSI_CLOSED_FORMS = {
         phi_min=lambda w_pos, w_neg: 2.0 * np.minimum(w_pos, w_neg),
     ),
 }
+PSI_LOSSES = tuple(_PSI_CLOSED_FORMS)  # the random excess-chain audit checks the psi bound of each
 
 
 def _closed_forms(loss_name: str) -> _ClosedForms:
@@ -300,8 +303,8 @@ def conditional_risk_minimizer(loss: MarginLossSpec, eta: np.ndarray, cost: Reje
     return argmin_weighted_conditional_risk(loss, eta * c, (1.0 - eta) * (1.0 - c))
 
 
-def audit_calibration(loss_names=("sigmoid", "hinge", "squared", "logistic"), n_draws: int = 1000, seed: int = 1):
-    """Thm 5.3 forward direction: decide(g*) matches Chow's rule.
+def audit_calibration(n_draws: int = 1000, seed: int = 1):
+    """Thm 5.3 forward direction: decide(g*) matches Chow's rule, per loss of CALIBRATION_LOSSES.
 
     Draws whose posteriors lie within CALIBRATION_MARGIN of 1 - c are redrawn.
     Padding columns (eta = 0) get g* = 0, which decide never counts as positive.
@@ -309,7 +312,7 @@ def audit_calibration(loss_names=("sigmoid", "hinge", "squared", "logistic"), n_
     _check_count(n_draws, "n_draws")
     rng = np.random.default_rng(seed)
     results = {}
-    for name in loss_names:
+    for name in CALIBRATION_LOSSES:
         loss = get_loss(name)
         blocks, checked = [], 0
         while checked < n_draws:
@@ -349,14 +352,8 @@ def miscalibrated_witness(cost: RejectionCost) -> bool:
     return not _codes_agree(decide_batch(g_star), chow_rule_batch(eta, cost.c))
 
 
-def audit_excess_random(
-    n_instances: int = 10_000,
-    seed: int = 2,
-    max_support: int = 5,
-    max_K: int = 4,
-    psi_losses: tuple[str, ...] = ("squared", "hinge"),
-):
-    """Thm 5.4 on random finite instances; returns (checked, violations, psi_violations).
+def audit_excess_random(n_instances: int = 10_000, seed: int = 2):
+    """Thm 5.4 on random finite instances and PSI_LOSSES; returns (checked, violations, psi_violations).
 
     Each block draws its support sizes, class counts and costs as arrays,
     then each (m, K) group's weights, posteriors (Dirichlet(1, ..., 1) as
@@ -368,8 +365,8 @@ def audit_excess_random(
     violations = psi_violations = 0
     pending = {}  # each (m, K) group's draws not yet checked
     for start in range(0, n_instances, _BLOCK):
-        m = rng.integers(1, max_support + 1, size=min(_BLOCK, n_instances - start))
-        K = rng.integers(2, max_K + 1, size=len(m))
+        m = rng.integers(1, EXCESS_MAX_SUPPORT + 1, size=min(_BLOCK, n_instances - start))
+        K = rng.integers(2, EXCESS_MAX_K + 1, size=len(m))
         c = rng.uniform(0.01, 0.49, size=len(m))
         for m_g, K_g in sorted(set(zip(m.tolist(), K.tolist()))):
             c_g = c[(m == m_g) & (K == K_g)]
@@ -383,7 +380,7 @@ def audit_excess_random(
         for group in [g for g, parts in pending.items() if last or sum(len(p[-1]) for p in parts) >= _CHUNK]:
             w, etas, G, c_g = (np.concatenate(arrays) for arrays in zip(*pending.pop(group)))
             _check_support(w, etas)
-            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), psi_losses)
+            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), PSI_LOSSES)
             violations += int(violated.sum())
             psi_violations += int(psi_violated.sum())
     return n_instances, violations, psi_violations

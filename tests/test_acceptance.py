@@ -35,10 +35,9 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_calibration_audit():
     t0 = time.perf_counter()
-    results = theory.audit_calibration(
-        loss_names=("sigmoid", "hinge", "squared", "logistic"), n_draws=1000, seed=1
-    )
+    results = theory.audit_calibration(n_draws=1000, seed=1)
     elapsed = time.perf_counter() - t0
+    assert theory.CALIBRATION_LOSSES == ("sigmoid", "hinge", "squared", "logistic")
     total_bad = sum(d for _, d in results.values())
     ok = total_bad == 0 and all(n == 1000 for n, _ in results.values()) and elapsed < 60.0
     _report(2, ok, f"4 losses x 1000 draws, {total_bad} disagreements, {elapsed:.1f}s (< 60s)")
@@ -46,10 +45,9 @@ def test_criterion_2_calibration_audit():
 
 def test_criterion_3_excess_risk_chain():
     t0 = time.perf_counter()
-    n, violations, psi_violations = theory.audit_excess_random(
-        n_instances=10_000, seed=2, max_support=5, max_K=4, psi_losses=("squared", "hinge")
-    )
+    n, violations, psi_violations = theory.audit_excess_random(n_instances=10_000, seed=2)
     elapsed = time.perf_counter() - t0
+    assert (theory.EXCESS_MAX_SUPPORT, theory.EXCESS_MAX_K, theory.PSI_LOSSES) == (5, 4, ("squared", "hinge"))
     ok = violations == 0 and psi_violations == 0 and elapsed < 60.0
     _report(
         3,
@@ -231,8 +229,7 @@ def test_criterion_10_baseline_sanity():
     for cells in harness.cell_groups(grid, list(grid.cells())):
         for (_, method, cost_value, trial), trained in zip(cells, harness.train_group(grid, cells)):
             spec, cost = harness.METHODS[method], RejectionCost(cost_value)
-            model, scaler = trained.model, trained.scaler
-            val = scaler.apply(trained.val_ds)
+            model, val = trained.model, trained.val_ds
             G_val = model.scores(val.X)
 
             default_dec = spec.decide(G_val, 2, cost, untuned[method])
@@ -244,7 +241,7 @@ def test_criterion_10_baseline_sanity():
             if tuned_risk > default_risk + 1e-12:
                 tuning_regressed.append((method, cost_value, trial, default_risk, tuned_risk))
 
-            test_eval = scaler.apply(trained.test_ds)
+            test_eval = trained.test_ds
             test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
             finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
 

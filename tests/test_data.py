@@ -100,12 +100,6 @@ class TestLoadCsv:
         assert ds.K == 2
         assert list(ds.y) == [2, 1, 2]  # -1 -> 1, +1 -> 2
 
-    def test_header_skipped(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("a,b,label\n1,2,1\n3,4,2\n")
-        ds = load_csv(p, has_header=True)
-        assert ds.n == 2
-
     def test_malformed_row_names_index(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("1,2,1\nx,4,2\n")
@@ -117,13 +111,6 @@ class TestLoadCsv:
         p.write_text("1,2,1\n3,4\n")
         with pytest.raises(ValueError, match="row 1"):
             load_csv(p)
-
-    def test_label_column_selection(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1,0.5,0.6\n2,0.7,0.8\n")
-        ds = load_csv(p, label_column=0)
-        assert ds.d == 2
-        assert list(ds.y) == [1, 2]
 
     def test_non_integer_labels_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -146,29 +133,33 @@ class TestLoadCsvContract:
     @pytest.mark.parametrize(
         "raw",
         [
-            b"a,b,label\n1.5,2,1\n3,4.25,-1\n5,6,1\n",
-            b"\n\na,b,label\n\n1.5,2,1\n\n3,4.25,-1\n5,6,1\n\n",
-            b"a,b,label\r\n1.5,2,1\r\n\r\n3,4.25,-1\r\n5,6,1\r\n",
-            b"a,b,label\n1.5,2,1\n3,4.25,-1\n5,6,1",
+            b"1.5,2,1\n3,4.25,-1\n5,6,1\n",
+            b"\n\n\n1.5,2,1\n\n3,4.25,-1\n5,6,1\n\n",
+            b"1.5,2,1\r\n\r\n3,4.25,-1\r\n5,6,1\r\n",
+            b"1.5,2,1\n3,4.25,-1\n5,6,1",
         ],
         ids=["plain", "blank lines", "CRLF", "no final newline"],
     )
-    def test_header_blank_lines_and_line_ends(self, tmp_path, raw):
+    def test_blank_lines_and_line_ends(self, tmp_path, raw):
         p = tmp_path / "d.csv"
         p.write_bytes(raw)
-        ds = load_csv(p, has_header=True)
+        ds = load_csv(p)
         np.testing.assert_array_equal(ds.X, [[1.5, 2.0], [3.0, 4.25], [5.0, 6.0]])
         assert list(ds.y) == [2, 1, 2] and ds.K == 2
-        # without the flag the header is a malformed row, counted from the first line
-        with pytest.raises(ValueError, match=f"malformed row {raw.splitlines().index(b'a,b,label')}"):
+
+    def test_a_header_is_a_malformed_row(self, tmp_path):
+        # the label is the last column and no line is skipped but blank ones
+        p = tmp_path / "d.csv"
+        p.write_text("\na,b,label\n1,2,1\n")
+        with pytest.raises(ValueError, match="^malformed row 1: "):
             load_csv(p)
 
-    @pytest.mark.parametrize("text", ["", "\n\n", "a,b,label\n", "\na,b,label\n\n"], ids=repr)
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=repr)
     def test_no_data_rows_is_an_empty_csv(self, tmp_path, text):
         p = tmp_path / "d.csv"
         p.write_text(text)
         with pytest.raises(ValueError, match="empty CSV"):
-            load_csv(p, has_header=bool(text.strip()))
+            load_csv(p)
 
     @pytest.mark.parametrize("text", ["1,2,1\n#3,4,2\n", "1,2,1\n# a comment\n", "1,2,1\n3,4,2 # note\n"])
     def test_a_hash_is_no_comment(self, tmp_path, text):
@@ -193,12 +184,12 @@ class TestLoadCsvContract:
             load_csv(p)
 
     @pytest.mark.parametrize("bad", ["5,6", "5,x,1"])
-    def test_a_row_index_counts_the_header_and_blank_lines(self, tmp_path, bad):
+    def test_a_row_index_counts_the_blank_lines(self, tmp_path, bad):
         # a ragged row used to be counted among the data rows only
         p = tmp_path / "d.csv"
-        p.write_text(f"a,b,label\n\n1,2,1\n{bad}\n")
+        p.write_text(f"\n\n1,2,1\n{bad}\n")
         with pytest.raises(ValueError, match="^malformed row 3: "):
-            load_csv(p, has_header=True)
+            load_csv(p)
 
     @pytest.mark.parametrize("fmt", ["%.6f", "repr"])
     def test_numbers_parse_bit_identical_to_float(self, tmp_path, fmt):

@@ -12,6 +12,7 @@ from csreject.core import CODE_ORACLE, RejectionCost
 from csreject.losses import argmin_weighted_conditional_risk, get_loss
 from csreject.surrogate import decide_batch
 from csreject.theory import (
+    CALIBRATION_LOSSES,
     FiniteDistribution,
     _excess_chain_batch,
     audit_calibration,
@@ -340,13 +341,13 @@ def _excess_reference(dist, G, cost):
 class TestAuditDeterminism:
     def test_fixed_seed_repeats(self):
         assert audit_oracle_equivalence(3000, seed=5) == audit_oracle_equivalence(3000, seed=5)
-        assert audit_calibration(("hinge",), n_draws=40, seed=5) == audit_calibration(("hinge",), n_draws=40, seed=5)
+        assert audit_calibration(n_draws=40, seed=5) == audit_calibration(n_draws=40, seed=5)
         assert audit_excess_random(700, seed=5) == audit_excess_random(700, seed=5)
 
     def test_counts_span_several_blocks(self):
         # draw counts that are not a multiple of the block size are honoured exactly
         assert audit_oracle_equivalence(1234, seed=3) == (1234, 0)
-        assert audit_calibration(("squared",), n_draws=777, seed=3) == {"squared": (777, 0)}
+        assert audit_calibration(n_draws=777, seed=3) == {name: (777, 0) for name in CALIBRATION_LOSSES}
         assert audit_excess_random(1234, seed=3) == (1234, 0, 0)
 
 
@@ -355,14 +356,15 @@ class TestAuditDeterminism:
         with pytest.raises(ValueError, match="at least 1"):
             audit_oracle_equivalence(n)
         with pytest.raises(ValueError, match="at least 1"):
-            audit_calibration(("hinge",), n_draws=n)
+            audit_calibration(n_draws=n)
         with pytest.raises(ValueError, match="at least 1"):
             audit_excess_random(n)
 
 
 class TestCalibrationAudit:
     def test_small_sweep_agrees(self):
-        results = audit_calibration(loss_names=("sigmoid", "hinge"), n_draws=60, seed=17)
+        results = audit_calibration(n_draws=60, seed=17)
+        assert tuple(results) == CALIBRATION_LOSSES
         for name, (checked, disagreements) in results.items():
             assert checked == 60
             assert disagreements == 0, name
