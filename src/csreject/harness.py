@@ -88,14 +88,19 @@ class ResultRow:
         return (self.dataset, self.method, self.cost, self.trial)
 
 
-def _csv_columns(row_class, omitted: str = "") -> dict[str, type]:
-    """The CSV columns of a row dataclass: each field but `omitted`, in order, with its type."""
+def _parse_flag(text: str) -> bool:
+    if text not in ("True", "False"):  # bool() would read "False" as True
+        raise ValueError(f"flagged must be True or False, got {text!r}")
+    return text == "True"
+
+
+def _csv_columns(row_class) -> dict[str, Callable]:
+    """The CSV columns of a row dataclass: each field, in order, with the parser of its type."""
     types = get_type_hints(row_class)
-    return {f.name: types[f.name] for f in fields(row_class) if f.name != omitted}
+    return {f.name: _parse_flag if types[f.name] is bool else types[f.name] for f in fields(row_class)}
 
 
-# a result CSV holds every ResultRow field but flagged
-_CSV_TYPES = _csv_columns(ResultRow, "flagged")
+_CSV_TYPES = _csv_columns(ResultRow)
 CSV_HEADER = ",".join(_CSV_TYPES)
 
 
@@ -441,15 +446,18 @@ def read_csv(path) -> list[ResultRow]:
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if ",".join(next(reader, [])) != CSV_HEADER:
+        header = ",".join(next(reader, []))
+        # a file written before the flagged column reads as unflagged rows
+        if header not in (CSV_HEADER, CSV_HEADER.removesuffix(",flagged")):
             raise ValueError(f"{path}: line 1: unexpected result CSV header")
+        parsers = list(_CSV_TYPES.values())[: header.count(",") + 1]
         for f in reader:
             if not f:
                 continue
             try:
-                if len(f) != len(_CSV_TYPES):
-                    raise ValueError(f"{len(f)} fields, expected {len(_CSV_TYPES)}")
-                rows.append(ResultRow(*(parse(v) for parse, v in zip(_CSV_TYPES.values(), f))))
+                if len(f) != len(parsers):
+                    raise ValueError(f"{len(f)} fields, expected {len(parsers)}")
+                rows.append(ResultRow(*(parse(v) for parse, v in zip(parsers, f))))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: not a result row: {exc}") from None
     return rows

@@ -334,10 +334,11 @@ class TestCsv:
         "tail",
         [
             "twonorm,cs-sigmoid,clean,0.1,1,0.02\n",
-            "twonorm,cs-sigmoid,clean,0.1,one,0.02,0.5,0.02,4,0,2.6\n",
-            "twonorm,cs-sigmoid,clean,0.1,1,0.02,0.5,0.02,4,0,2.6,extra\n",
+            "twonorm,cs-sigmoid,clean,0.1,one,0.02,0.5,0.02,4,0,2.6,False\n",
+            "twonorm,cs-sigmoid,clean,0.1,1,0.02,0.5,0.02,4,0,2.6,False,extra\n",
+            "twonorm,cs-sigmoid,clean,0.1,1,0.02,0.5,0.02,4,0,2.6,no\n",
         ],
-        ids=["truncated", "non-integer trial", "extra field"],
+        ids=["truncated", "non-integer trial", "extra field", "flag neither True nor False"],
     )
     def test_a_malformed_row_is_a_value_error_naming_its_line(self, tmp_path, tail):
         p = tmp_path / "r.csv"
@@ -355,7 +356,7 @@ class TestCsv:
         assert [r.dataset for r in back] == ["/tmp/a,b.csv", "twonorm"]
         assert [r.key() for r in back] == [r.key() for r in rows]
         # ordinary rows keep the unquoted form the golden files use
-        assert p.read_text().splitlines()[2] == "twonorm,cs-sigmoid,clean,0.1,1,0.0234567,0.5,0.02,4,0,2.6"
+        assert p.read_text().splitlines()[2] == "twonorm,cs-sigmoid,clean,0.1,1,0.0234567,0.5,0.02,4,0,2.6,False"
 
     def test_both_schemas_as_literal_lines(self, tmp_path):
         # golden files, --resume and downstream readers rely on these columns
@@ -364,7 +365,7 @@ class TestCsv:
         write_summary_csv(aggregate(rows), tmp_path / "s.csv", rescale_0_100=True)
         assert (tmp_path / "r.csv").read_text().splitlines()[0] == (
             "dataset,method,setting,cost,trial,risk01c,rejection_ratio,"
-            "accepted_error,n_reject_distance,n_reject_ambiguity,train_seconds"
+            "accepted_error,n_reject_distance,n_reject_ambiguity,train_seconds,flagged"
         )
         assert (tmp_path / "s.csv").read_text().splitlines() == [
             "dataset,method,setting,cost,n_trials,risk01c_mean,risk01c_se,"
@@ -524,7 +525,7 @@ class TestCliResume:
         "text",
         [
             "a,b,c\n",
-            harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0\ntwonorm,always-reject,clean,0.2,1,0.2\n",
+            harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0,False\ntwonorm,always-reject,clean,0.2,1,0.2\n",
         ],
         ids=["wrong header", "truncated last row"],
     )
@@ -608,7 +609,7 @@ class TestCliAggregate:
         from csreject import cli
 
         infile, out = tmp_path / "r.csv", tmp_path / "s.csv"
-        infile.write_text(harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0\n")
+        infile.write_text(harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0,False\n")
         assert cli.main(["aggregate", "--in", str(infile), "--out", str(out)]) == 0
         assert "wrote 1 summary rows" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 2
