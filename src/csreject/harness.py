@@ -53,6 +53,9 @@ class GridSpec:
             raise ValueError(f"noise rate must lie in [0, 1), got {self.noise_rate}")
         if not 0.0 < self.prior <= 1.0:
             raise ValueError(f"class prior must lie in (0, 1], got {self.prior}")
+        for name, entries in (("dataset", self.datasets), ("method", self.methods), ("cost", [*map(_fmt, self.costs)])):
+            if len(set(entries)) < len(entries):  # one key per cell; costs compare as the CSV and seeds print them
+                raise ValueError(f"each {name} may appear once in a grid, got {list(entries)}")
 
     def dataset_infos(self) -> dict[str, DatasetInfo]:
         """Every dataset of the grid, resolved and checked against the setting."""
@@ -416,6 +419,8 @@ def aggregate(rows) -> list[SummaryRow]:
         groups.setdefault((row.dataset, row.method, row.setting, row.cost), []).append(row)
     out = []
     for key, members in sorted(groups.items()):
+        if len({m.trial for m in members}) < len(members):  # a copy would count as a trial in n_trials and the SE
+            raise ValueError(f"repeated rows for {key}: trials {sorted(m.trial for m in members)}")
         stats = {}
         for name in _SUMMARY_STATS:
             stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se([getattr(m, name) for m in members])
