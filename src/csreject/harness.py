@@ -233,9 +233,8 @@ METHODS: dict[str, Method] = {
 
 @dataclass(frozen=True)
 class Trained:
-    """A cell's part of its group's training: the model (None for a rule that
-    trains nothing) and its trace, the validation and test splits, standardized
-    as the training rows when a model trains, and its share of the training seconds."""
+    """A cell's part of its group's training: the model (None for a rule that trains nothing), its trace,
+    its validation and test splits (standardized as the training rows, if any) and its training seconds."""
 
     model: object
     trace: list
