@@ -431,7 +431,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _write_rows(rows, path, columns: dict[str, type]) -> None:
+def _write_rows(rows, path, columns: dict[str, Callable]) -> None:
     """A header of the columns, then one line per row dataclass; a float as _fmt."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
