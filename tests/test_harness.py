@@ -256,6 +256,15 @@ class TestRunGrid:
         assert len(rows) == 27
         assert [_strip_timing(r) for r in rows] == [_strip_timing(r) for r in alone]
 
+    def test_each_dataset_is_resolved_once(self, monkeypatch):
+        # cell_groups and every train_group used to resolve every dataset again
+        calls = []
+        resolve = harness.dataset_info
+        monkeypatch.setattr(harness, "dataset_info", lambda name: calls.append(name) or resolve(name))
+        grid = GridSpec(datasets=("twonorm", "gauss3"), methods=("cs-hinge", "always-reject"), costs=(0.2,), trials=2, epochs=1)
+        assert len(run_grid(grid)) == 8
+        assert sorted(calls) == ["gauss3", "twonorm"]
+
     def test_skip_keys_resume(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1,), trials=3, epochs=2)
         full = run_grid(grid)
@@ -540,6 +549,21 @@ class TestCliResume:
             cli.main(args)
         assert exc.value.code == 2
         assert f"{out}: line " in capsys.readouterr().err
+        assert out.read_text() == text
+
+    def test_a_repeated_row_is_a_usage_error_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # the copy used to be kept and written back, and aggregate then refused the file
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out = tmp_path / "r.csv"
+        text = harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0,False" * 2 + "\n"
+        out.write_text(text)
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "2", "--out", str(out), "--resume"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert "repeated rows" in capsys.readouterr().err
         assert out.read_text() == text
 
     @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
