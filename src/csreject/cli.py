@@ -52,11 +52,12 @@ def cmd_run(args) -> int:
             epochs=args.epochs,
             batch_size=args.batch_size,
         )
-        grid.dataset_infos()
+        grid.dataset_infos
         theory._check_count(args.jobs, "--jobs")
         _check_out(args.out)
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
+        harness.trial_groups(existing)  # a repeated row, which aggregate would refuse
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
     # a key omits the setting, so rows of another setting must not mask this grid's cells

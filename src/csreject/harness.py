@@ -57,8 +57,9 @@ class GridSpec:
             if len(set(entries)) < len(entries):  # one key per cell; costs compare as the CSV and seeds print them
                 raise ValueError(f"each {name} may appear once in a grid, got {list(entries)}")
 
+    @functools.cached_property
     def dataset_infos(self) -> dict[str, DatasetInfo]:
-        """Every dataset of the grid, resolved and checked against the setting."""
+        """Every dataset of the grid, resolved once per grid and checked against the setting."""
         infos = {name: dataset_info(name) for name in self.datasets}
         if self.setting == "pu" and (multiclass := [name for name, info in infos.items() if info.K != 2]):
             raise ValueError(f"the PU setting requires binary datasets; {multiclass} have more than two classes")
@@ -250,7 +251,7 @@ def cell_groups(grid: GridSpec, cells) -> list[list]:
     group's cells share one split, and those that train share parameter
     shapes: one stack. Rules that train nothing form groups of their own.
     """
-    infos = grid.dataset_infos()
+    infos = grid.dataset_infos
     groups: dict = {}
     for cell in cells:
         ds_name, method_name, _, trial = cell
@@ -265,7 +266,7 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     as one stack. Each cell keeps its hashed seeds for its init and its
     shuffles, so it gets the model and trace it gets when trained alone."""
     ds_name, _, _, trial = cells[0]
-    info = grid.dataset_infos()[ds_name]
+    info = grid.dataset_infos[ds_name]
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
     data_rng = np.random.default_rng(data_seed)
     source = _source_dataset(info, info.total_n, data_rng)
@@ -408,18 +409,25 @@ def _mean_se(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(len(arr)))
 
 
+def trial_groups(rows) -> dict[tuple, list[ResultRow]]:
+    """The rows per (dataset, method, setting, cost), in key order; two rows of one trial raise ValueError."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault((row.dataset, row.method, row.setting, row.cost), []).append(row)
+    groups = dict(sorted(groups.items()))
+    for key, members in groups.items():
+        if len({m.trial for m in members}) < len(members):  # a copy would count as a trial in n_trials and the SE
+            raise ValueError(f"repeated rows for {key}: trials {sorted(m.trial for m in members)}")
+    return groups
+
+
 def aggregate(rows) -> list[SummaryRow]:
     """Mean and standard error per (dataset, method, setting, cost) group."""
     rows = list(rows)
     if not rows:
         raise ValueError("nothing to aggregate")
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row.dataset, row.method, row.setting, row.cost), []).append(row)
     out = []
-    for key, members in sorted(groups.items()):
-        if len({m.trial for m in members}) < len(members):  # a copy would count as a trial in n_trials and the SE
-            raise ValueError(f"repeated rows for {key}: trials {sorted(m.trial for m in members)}")
+    for key, members in trial_groups(rows).items():
         stats = {}
         for name in _SUMMARY_STATS:
             stats[f"{name}_mean"], stats[f"{name}_se"] = _mean_se([getattr(m, name) for m in members])
