@@ -18,19 +18,15 @@ from .surrogate import (
     cs_loss_batch,
     decide,
     decide_batch,
-    empirical_risk,
-    pointwise_conditional_risk,
 )
 from .theory import (
-    FiniteDistribution,
     audit_calibration,
-    audit_excess_chain,
     audit_excess_random,
     audit_oracle_equivalence,
-    bayes_cs_binary,
     binary_three_way_batch,
     chow_rule_batch,
     ensemble_chow_batch,
+    excess_chain_batch,
     psi_inverse,
     psi_transform,
 )

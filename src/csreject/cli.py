@@ -52,7 +52,7 @@ def cmd_run(args) -> int:
             epochs=args.epochs,
             batch_size=args.batch_size,
         )
-        grid.dataset_infos
+        grid.dataset_infos  # resolves every dataset: an unknown one, or PU with more than two classes, fails here
         theory._check_count(args.jobs, "--jobs")
         _check_out(args.out)
         resume = args.resume and os.path.exists(args.out)

@@ -74,9 +74,6 @@ class PosteriorOracle:
         eta = np.exp(logj - _logsumexp(logj))
         return eta
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.posterior(np.atleast_2d(x))[0]
-
 
 def gen_gauss_mixture(spec: GaussianMixtureSpec, n: int, rng: np.random.Generator):
     """Prior-then-class-conditional sampling with an exact posterior oracle."""

@@ -392,10 +392,6 @@ class SummaryRow:
     accepted_error_mean: float
     accepted_error_se: float
 
-    @property
-    def single_trial(self) -> bool:
-        return self.n_trials == 1
-
 
 _SUMMARY_TYPES = _csv_columns(SummaryRow)
 # the metrics that a SummaryRow reports as a mean and a standard error

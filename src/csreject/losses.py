@@ -145,14 +145,6 @@ def get_loss(name: str) -> MarginLossSpec:
         raise KeyError(f"unknown margin loss {name!r}; choose from {sorted(MARGIN_LOSSES)}") from None
 
 
-def binary_conditional_risk(loss: MarginLossSpec, eta1: float, v) -> float:
-    """eta1 * phi(v) + (1 - eta1) * phi(-v) for a scalar score v."""
-    if not (0.0 <= eta1 <= 1.0):
-        raise ValueError("eta1 must lie in [0, 1]")
-    v = np.asarray(v, dtype=float)
-    return eta1 * loss.value(v) + (1.0 - eta1) * loss.value(-v)
-
-
 def argmin_weighted_conditional_risk(
     loss: MarginLossSpec,
     w_pos,

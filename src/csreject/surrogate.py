@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CODE_AMBIGUITY, CODE_DISTANCE, Dataset, Decision, RejectionCost, own_index
+from .core import CODE_AMBIGUITY, CODE_DISTANCE, Decision, RejectionCost, own_index
 from .losses import MarginLossSpec
 
 
@@ -30,15 +30,6 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     return losses, dG.reshape(n, K)
 
 
-def empirical_risk(loss: MarginLossSpec, cost: RejectionCost, score_fn, data: Dataset) -> float:
-    """Mean cost-sensitive surrogate loss over a dataset."""
-    if data.n == 0:
-        raise ValueError("empirical risk of an empty dataset is undefined")
-    G = np.asarray(score_fn(data.X), dtype=float)
-    losses, _ = cs_loss_batch(loss, cost, G, data.y)
-    return float(losses.mean())
-
-
 def decide_batch(G: np.ndarray) -> np.ndarray:
     """Ensemble decision rule over one-vs-rest scores (..., K), as codes.
 
@@ -55,21 +46,12 @@ def decide(g: np.ndarray) -> Decision:
     return Decision.from_code(decide_batch(g))
 
 
-def pointwise_conditional_risk(loss: MarginLossSpec, cost: RejectionCost, g: np.ndarray, eta: np.ndarray) -> float:
-    """Posterior-weighted expected surrogate loss at one input."""
-    eta = np.asarray(eta, dtype=float)
-    if abs(eta.sum() - 1.0) > 1e-9 or (eta < 0).any():
-        raise ValueError("eta must be a probability simplex")
-    losses, _ = cs_loss_batch(loss, cost, np.tile(g, (len(eta), 1)), np.arange(1, len(eta) + 1))
-    return float(eta @ losses)
-
-
 def pointwise_conditional_risk_per_class(
     loss: MarginLossSpec, cost: RejectionCost, g: np.ndarray, eta: np.ndarray
 ) -> np.ndarray:
     """Per-class decomposition: eta_y*c*phi(g_y) + (1-eta_y)*(1-c)*phi(-g_y).
 
-    Summing the entries reproduces pointwise_conditional_risk.
+    Summing the entries gives eta @ losses, the cs_loss_batch losses of g at labels 1..K.
     """
     eta = np.asarray(eta, dtype=float)
     g = np.asarray(g, dtype=float)

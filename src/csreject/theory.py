@@ -8,7 +8,6 @@ small finite distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,30 +54,6 @@ def _check_support(weights: np.ndarray, etas: np.ndarray) -> None:
     _check_simplex(etas)
 
 
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """Small finite-support distribution for exhaustive risk computation.
-
-    weights: (m,) marginal probabilities; etas: (m, K) per-point posteriors.
-    """
-
-    weights: np.ndarray
-    etas: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        e = np.asarray(self.etas, dtype=float)
-        if w.ndim != 1 or e.ndim != 2 or len(w) != len(e):
-            raise ValueError("weights (m,) and etas (m, K) must align")
-        _check_support(w, e)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "etas", e)
-
-    @property
-    def K(self) -> int:
-        return self.etas.shape[1]
-
-
 def chow_rule_batch(eta: np.ndarray, c) -> np.ndarray:
     """Chow's rule over posteriors (..., K) and costs (...), as decision codes.
 
@@ -86,15 +61,6 @@ def chow_rule_batch(eta: np.ndarray, c) -> np.ndarray:
     """
     eta, c = _check_simplex(eta), _check_costs(c)
     return np.where(eta.max(axis=-1) <= 1.0 - c, CODE_ORACLE, eta.argmax(axis=-1) + 1)
-
-
-def bayes_cs_binary(p_pos: float, alpha: float) -> int:
-    """Optimal cost-sensitive binary verdict: +1 iff p(y=+1|x) > alpha."""
-    if not (0.0 <= p_pos <= 1.0):
-        raise ValueError("p_pos must lie in [0, 1]")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    return 1 if p_pos > alpha else -1
 
 
 def binary_three_way_batch(p_pos, c) -> np.ndarray:
@@ -181,23 +147,20 @@ def psi_inverse(loss_name: str, cost: RejectionCost, eps: float) -> float:
     return float(_closed_forms(loss_name).inverse(cost.c, eps))
 
 
-@dataclass(frozen=True)
-class ExcessChainReport:
-    lhs: float  # 0-1-c regret of the rule induced by the scores
-    rhs: float  # regret of the cost-sensitive surrogate with the 0-1 margin loss
-    violated: bool
-    psi_rhs: dict[str, float] | None = None  # psi-bounded form per loss
-    psi_violated: bool = False
-
-
-def _excess_chain_batch(w, etas, G, c, psi_losses):
-    """The excess-risk chain on N finite instances of one shape.
+def excess_chain_batch(w, etas, G, c, psi_losses):
+    """Thm 5.4's excess-risk chain on N finite instances of one shape.
 
     w (N, m) weights, etas (N, m, K) posteriors, G (N, m, K) scores and
     c (N,) costs. Returns per-instance arrays (lhs, rhs, violated, psi_rhs,
-    psi_violated); psi_rhs maps each loss name to its bound (None when
-    psi_losses is empty).
+    psi_violated): lhs is the 0-1-c regret of the rule the scores induce, rhs
+    the cost-sensitive surrogate regret under the 0-1 margin loss, and psi_rhs
+    maps each loss of psi_losses to its psi-transformed bound on rhs (None
+    when psi_losses is empty).
     """
+    if G.shape != etas.shape or w.shape != etas.shape[:-1]:
+        raise ValueError("weights (N, m), etas (N, m, K) and scores (N, m, K) must align")
+    _check_support(w, etas)
+    c = _check_costs(c)
     c_m = c[:, None]  # broadcasts over the support
     c_mk = c[:, None, None]  # and over the classes
     codes = decide_batch(G)
@@ -229,39 +192,8 @@ def _excess_chain_batch(w, etas, G, c, psi_losses):
     return lhs, rhs, violated, psi_rhs, psi_violated
 
 
-def audit_excess_chain(
-    dist: FiniteDistribution,
-    score_table: np.ndarray,
-    cost: RejectionCost,
-    psi_losses: tuple[str, ...] = (),
-) -> ExcessChainReport:
-    """Exhaustively check the excess-risk chain on a finite instance.
-
-    Verifies that the 0-1-c regret of the induced rule is bounded by the
-    regret of the cost-sensitive surrogate under the 0-1 margin loss, and
-    optionally by the psi-transformed sum of per-class surrogate regrets.
-    """
-    G = np.asarray(score_table, dtype=float)
-    if G.shape != dist.etas.shape:
-        raise ValueError("score table must be (m, K) matching the distribution support")
-    lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(
-        dist.weights[None], dist.etas[None], G[None], np.array([cost.c]), psi_losses
-    )
-    return ExcessChainReport(
-        lhs=float(lhs[0]),
-        rhs=float(rhs[0]),
-        violated=bool(violated[0]),
-        psi_rhs=None if psi_rhs is None else {name: float(v[0]) for name, v in psi_rhs.items()},
-        psi_violated=bool(psi_violated[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # randomized theorem audits (shared by tests and the `bench audit` command)
-
-
-def random_simplex(rng: np.random.Generator, K: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(K))
 
 
 def _random_simplices(rng: np.random.Generator, K: np.ndarray, K_max: int) -> np.ndarray:
@@ -379,8 +311,7 @@ def audit_excess_random(n_instances: int = 10_000, seed: int = 2):
         last = start + _BLOCK >= n_instances
         for group in [g for g, parts in pending.items() if last or sum(len(p[-1]) for p in parts) >= _CHUNK]:
             w, etas, G, c_g = (np.concatenate(arrays) for arrays in zip(*pending.pop(group)))
-            _check_support(w, etas)
-            _, _, violated, _, psi_violated = _excess_chain_batch(w, etas, G, _check_costs(c_g), PSI_LOSSES)
+            _, _, violated, _, psi_violated = excess_chain_batch(w, etas, G, c_g, PSI_LOSSES)
             violations += int(violated.sum())
             psi_violations += int(psi_violated.sum())
     return n_instances, violations, psi_violations

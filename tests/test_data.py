@@ -31,12 +31,12 @@ class TestSpecValidation:
 class TestTwonorm:
     def test_posterior_at_origin_is_balanced(self):
         oracle = PosteriorOracle(twonorm_spec())
-        np.testing.assert_allclose(oracle(np.zeros(20)), [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(oracle.posterior(np.zeros((1, 20))), [[0.5, 0.5]], atol=1e-12)
 
     def test_posterior_at_class_mean_is_confident(self):
         spec = twonorm_spec()
         oracle = PosteriorOracle(spec)
-        assert oracle(spec.means[0])[0] > 0.97
+        assert oracle.posterior(spec.means[:1])[0, 0] > 0.97
 
     def test_bayes_error_near_the_known_value(self):
         # the oracle classifier's 0-1 error for this construction is
@@ -64,13 +64,13 @@ class TestGaussMixture:
     def test_single_class_posterior_is_one(self):
         spec = GaussianMixtureSpec(np.zeros((1, 2)), np.eye(2)[None], np.array([1.0]))
         _, oracle = gen_gauss_mixture(spec, 10, np.random.default_rng(3))
-        np.testing.assert_allclose(oracle(np.array([5.0, -3.0])), [1.0])
+        np.testing.assert_allclose(oracle.posterior(np.array([[5.0, -3.0]])), [[1.0]])
 
     def test_equidistant_point_has_uniform_posterior(self):
         means = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         spec = GaussianMixtureSpec(means, np.stack([np.eye(2)] * 4), np.full(4, 0.25))
         oracle = PosteriorOracle(spec)
-        np.testing.assert_allclose(oracle(np.zeros(2)), 0.25, atol=1e-12)
+        np.testing.assert_allclose(oracle.posterior(np.zeros((1, 2))), 0.25, atol=1e-12)
 
     def test_posterior_normalization(self):
         rng = np.random.default_rng(4)

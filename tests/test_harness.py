@@ -289,9 +289,9 @@ class TestAggregate:
         rows = [self._row(0.5, t) for t in range(4)]
         assert aggregate(rows)[0].risk01c_se == 0.0
 
-    def test_single_trial_flagged(self):
+    def test_one_trial_has_zero_se(self):
         s = aggregate([self._row(0.5, 0)])[0]
-        assert s.single_trial
+        assert s.n_trials == 1
         assert s.risk01c_se == 0.0
 
     def test_empty_rejected(self):

@@ -6,7 +6,6 @@ from csreject.losses import (
     MARGIN_LOSSES,
     _expit,
     argmin_weighted_conditional_risk,
-    binary_conditional_risk,
     get_loss,
 )
 
@@ -143,22 +142,6 @@ class TestShapeProperties:
             loss = get_loss(name)
             mid = loss.value((a + b) / 2)
             assert (mid <= (loss.value(a) + loss.value(b)) / 2 + 1e-12).all(), name
-
-
-class TestConditionalRisk:
-    def test_symmetric_loss_balanced_posterior(self):
-        for v in (-3.0, 0.0, 1.7):
-            assert binary_conditional_risk(get_loss("sigmoid"), 0.5, v) == pytest.approx(0.5)
-
-    def test_hinge_pure_positive(self):
-        assert binary_conditional_risk(get_loss("hinge"), 1.0, 1.0) == 0.0
-
-    def test_squared_hand_value(self):
-        assert binary_conditional_risk(get_loss("squared"), 0.7, 0.0) == pytest.approx(1.0)
-
-    def test_eta_out_of_range(self):
-        with pytest.raises(ValueError):
-            binary_conditional_risk(get_loss("hinge"), 1.2, 0.0)
 
 
 class TestArgmin:

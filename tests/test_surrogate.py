@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from csreject.core import Dataset, Decision, RejectionCost
+from csreject.core import Decision, RejectionCost
 from csreject.losses import MARGIN_LOSSES, get_loss
 from csreject.surrogate import (
     cs_loss_batch,
     decide,
     decide_batch,
-    empirical_risk,
-    pointwise_conditional_risk,
     pointwise_conditional_risk_per_class,
 )
 
@@ -28,6 +26,12 @@ def _row_reference(loss, g, y):
     grad = -(1.0 - c) * loss.grad(-g)
     grad[k] = c * loss.grad(g[k])
     return value, grad
+
+
+def _pointwise_risk(loss, g, eta):
+    """The posterior-weighted surrogate loss at one input: eta @ the cs_loss_batch losses of g at labels 1..K."""
+    K = len(eta)
+    return float(eta @ cs_loss_batch(loss, COST, np.tile(g, (K, 1)), np.arange(1, K + 1))[0])
 
 
 class TestSurrogateLoss:
@@ -123,31 +127,6 @@ class TestSurrogateGrad:
         np.testing.assert_allclose(g1[perm], g2)
 
 
-class TestEmpiricalRisk:
-    def test_single_sample(self):
-        loss = get_loss("sigmoid")
-        ds = Dataset(np.array([[1.0, 2.0]]), np.array([1]), K=2)
-        score_fn = lambda X: np.tile([0.3, -0.4], (len(X), 1))
-        assert empirical_risk(loss, COST, score_fn, ds) == pytest.approx(_loss(loss, [0.3, -0.4], 1)[0])
-
-    def test_duplication_invariance(self):
-        loss = get_loss("hinge")
-        X = np.array([[1.0], [2.0]])
-        y = np.array([1, 2])
-        score_fn = lambda X: np.hstack([X, -X])
-        r1 = empirical_risk(loss, COST, score_fn, Dataset(X, y, 2))
-        r2 = empirical_risk(loss, COST, score_fn, Dataset(np.vstack([X, X]), np.tile(y, 2), 2))
-        assert r1 == pytest.approx(r2)
-
-    def test_mean_of_hand_values(self):
-        loss = get_loss("hinge")
-        ds = Dataset(np.zeros((2, 1)), np.array([1, 1]), K=2)
-        G = np.array([[0.5, -0.5], [1.0, 0.6]])
-        score_fn = lambda X: G
-        v0, v1 = _loss(loss, G[0], 1)[0], _loss(loss, G[1], 1)[0]
-        assert empirical_risk(loss, COST, score_fn, ds) == pytest.approx((v0 + v1) / 2)
-
-
 class TestDecide:
     def test_all_negative_is_distance(self):
         d = decide(np.array([-0.1, -0.2, -3.0]))
@@ -187,15 +166,11 @@ class TestPointwiseRisk:
         loss = get_loss("squared")
         g = np.array([0.2, -0.7, 0.1])
         eta = np.array([0.0, 1.0, 0.0])
-        assert pointwise_conditional_risk(loss, COST, g, eta) == pytest.approx(_loss(loss, g, 2)[0])
+        assert pointwise_conditional_risk_per_class(loss, COST, g, eta).sum() == pytest.approx(_loss(loss, g, 2)[0])
 
     def test_balanced_sigmoid_hand_value(self):
-        v = pointwise_conditional_risk(get_loss("sigmoid"), COST, np.zeros(2), np.array([0.5, 0.5]))
+        v = _pointwise_risk(get_loss("sigmoid"), np.zeros(2), np.array([0.5, 0.5]))
         assert v == pytest.approx(0.5)
-
-    def test_invalid_simplex(self):
-        with pytest.raises(ValueError):
-            pointwise_conditional_risk(get_loss("hinge"), COST, np.zeros(2), np.array([0.7, 0.7]))
 
     def test_per_class_decomposition_identity(self):
         rng = np.random.default_rng(5)
@@ -205,6 +180,6 @@ class TestPointwiseRisk:
                 K = int(rng.integers(2, 6))
                 eta = rng.dirichlet(np.ones(K))
                 g = rng.normal(size=K)
-                direct = pointwise_conditional_risk(loss, COST, g, eta)
+                direct = _pointwise_risk(loss, g, eta)
                 decomposed = pointwise_conditional_risk_per_class(loss, COST, g, eta).sum()
                 assert abs(direct - decomposed) < 1e-12

@@ -13,21 +13,17 @@ from csreject.losses import argmin_weighted_conditional_risk, get_loss
 from csreject.surrogate import decide_batch
 from csreject.theory import (
     CALIBRATION_LOSSES,
-    FiniteDistribution,
-    _excess_chain_batch,
     audit_calibration,
-    audit_excess_chain,
     audit_excess_random,
     audit_oracle_equivalence,
-    bayes_cs_binary,
     binary_three_way_batch,
     chow_rule_batch,
     conditional_risk_minimizer,
     ensemble_chow_batch,
+    excess_chain_batch,
     miscalibrated_witness,
     psi_inverse,
     psi_transform,
-    random_simplex,
 )
 
 
@@ -51,24 +47,6 @@ class TestChowRule:
             chow_rule_batch(np.array([0.7, 0.7]), 0.2)
 
 
-class TestBayesBinary:
-    def test_above_threshold(self):
-        assert bayes_cs_binary(0.85, 0.8) == 1
-
-    def test_exactly_at_threshold_is_negative(self):
-        assert bayes_cs_binary(0.80, 0.8) == -1
-
-    def test_half_threshold_is_ordinary_bayes(self):
-        assert bayes_cs_binary(0.7, 0.5) == 1
-        assert bayes_cs_binary(0.3, 0.5) == -1
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            bayes_cs_binary(1.2, 0.5)
-        with pytest.raises(ValueError):
-            bayes_cs_binary(0.5, 0.0)
-
-
 class TestBinaryThreeWay:
     def test_confident_positive(self):
         assert binary_three_way_batch(0.9, 0.2) == 1
@@ -78,6 +56,14 @@ class TestBinaryThreeWay:
 
     def test_middle_band_rejects(self):
         assert binary_three_way_batch(0.5, 0.2) == CODE_ORACLE
+
+    def test_posterior_at_one_minus_c_rejects(self):
+        # the alpha = 1 - c classifier says +1 only above its threshold
+        assert binary_three_way_batch(1.0 - 0.2, 0.2) == CODE_ORACLE
+
+    def test_posterior_at_c_predicts_the_negative_class(self):
+        # the alpha = c classifier says -1 at its threshold
+        assert binary_three_way_batch(0.2, 0.2) == 2
 
 
 class TestEnsembleChow:
@@ -177,6 +163,8 @@ class TestArrayOracles:
             chow_rule_batch(np.array([[0.9, 0.1]]), np.array([0.5]))
         with pytest.raises(ValueError):
             binary_three_way_batch(np.array([0.5, 1.2]), np.array([0.2, 0.2]))
+        with pytest.raises(ValueError):
+            binary_three_way_batch(np.array([0.5, 0.5]), np.array([0.2, 0.0]))
 
 
 class TestPsi:
@@ -229,70 +217,71 @@ class TestPhiPointwiseMin:
         assert (closed <= numeric + 1e-12).all()  # no scanned point lies below the minimum
 
 
-class TestFiniteDistribution:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FiniteDistribution(np.array([0.5, 0.6]), np.array([[0.5, 0.5], [0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            FiniteDistribution(np.array([1.0]), np.array([[0.7, 0.7]]))
-
-    def test_K(self):
-        d = FiniteDistribution(np.array([1.0]), np.array([[0.2, 0.3, 0.5]]))
-        assert d.K == 3
-
-
 class TestExcessChain:
+    PSI = ("squared", "hinge")
+
     def _simple_instance(self):
-        weights = np.array([0.4, 0.6])
-        etas = np.array([[0.9, 0.1], [0.45, 0.55]])
-        return FiniteDistribution(weights, etas), RejectionCost(0.2)
+        """Two support points at c = 0.2, as a batch of one: (w, etas, c)."""
+        return np.array([[0.4, 0.6]]), np.array([[[0.9, 0.1], [0.45, 0.55]]]), np.array([0.2])
 
-    def test_optimal_scores_have_zero_regret(self):
-        dist, cost = self._simple_instance()
-        # scores realizing Chow's rule: confident point 1 positive for class 1,
-        # ambiguous point all-negative (reject)
-        G = np.array([[1.0, -1.0], [-1.0, -1.0]])
-        rep = audit_excess_chain(dist, G, cost)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-        assert rep.rhs == pytest.approx(0.0, abs=1e-12)
-        assert not rep.violated
-
-    def test_always_reject_suboptimal_but_bounded(self):
-        dist, cost = self._simple_instance()
-        G = np.full((2, 2), -1.0)
-        rep = audit_excess_chain(dist, G, cost)
-        assert rep.lhs > 0
-        assert rep.lhs <= rep.rhs + 1e-12
-        assert not rep.violated
-
-    def test_psi_bound_on_instance(self):
-        dist, cost = self._simple_instance()
-        G = np.array([[0.5, -0.5], [-0.2, 0.1]])
-        rep = audit_excess_chain(dist, G, cost, psi_losses=("squared", "hinge"))
-        assert not rep.violated
-        assert not rep.psi_violated
-        assert set(rep.psi_rhs) == {"squared", "hinge"}
+    def test_validation(self):
+        w, etas, c = self._simple_instance()
+        G = np.zeros_like(etas)
+        with pytest.raises(ValueError, match="probability vector"):
+            excess_chain_batch(np.array([[0.5, 0.6]]), etas, G, c, ())
+        with pytest.raises(ValueError, match="simplex"):
+            excess_chain_batch(w, np.array([[[0.7, 0.7], [0.5, 0.5]]]), G, c, ())
+        with pytest.raises(ValueError, match="rejection costs"):
+            excess_chain_batch(w, etas, G, np.array([0.5]), ())
 
     def test_shape_mismatch(self):
-        dist, cost = self._simple_instance()
-        with pytest.raises(ValueError):
-            audit_excess_chain(dist, np.zeros((3, 2)), cost)
+        w, etas, c = self._simple_instance()
+        with pytest.raises(ValueError, match="align"):
+            excess_chain_batch(w, etas, np.zeros((1, 3, 2)), c, ())
+        with pytest.raises(ValueError, match="align"):
+            excess_chain_batch(np.array([[1.0]]), etas, np.zeros_like(etas), c, ())
+
+    def test_optimal_scores_have_zero_regret(self):
+        w, etas, c = self._simple_instance()
+        # scores realizing Chow's rule: confident point 1 positive for class 1,
+        # ambiguous point all-negative (reject)
+        G = np.array([[[1.0, -1.0], [-1.0, -1.0]]])
+        lhs, rhs, violated, psi_rhs, _ = excess_chain_batch(w, etas, G, c, ())
+        assert lhs[0] == pytest.approx(0.0, abs=1e-12)
+        assert rhs[0] == pytest.approx(0.0, abs=1e-12)
+        assert not violated[0]
+        assert psi_rhs is None
+
+    def test_always_reject_suboptimal_but_bounded(self):
+        w, etas, c = self._simple_instance()
+        lhs, rhs, violated, _, _ = excess_chain_batch(w, etas, np.full((1, 2, 2), -1.0), c, ())
+        assert lhs[0] > 0
+        assert lhs[0] <= rhs[0] + 1e-12
+        assert not violated[0]
+
+    def test_psi_bound_on_instance(self):
+        w, etas, c = self._simple_instance()
+        G = np.array([[[0.5, -0.5], [-0.2, 0.1]]])
+        _, _, violated, psi_rhs, psi_violated = excess_chain_batch(w, etas, G, c, self.PSI)
+        assert not violated[0]
+        assert not psi_violated[0]
+        assert set(psi_rhs) == set(self.PSI)
 
     def test_matches_per_point_reference(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             m, K = int(rng.integers(1, 6)), int(rng.integers(2, 5))
-            dist = FiniteDistribution(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(K), size=m))
+            w, etas = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(K), size=m)
             G = rng.normal(scale=2.0, size=(m, K))
             G[rng.random((m, K)) < 0.1] = 0.0  # exact zeros sit on both 0-1 margin terms
             cost = RejectionCost(float(rng.uniform(0.01, 0.49)))
-            rep = audit_excess_chain(dist, G, cost, psi_losses=("squared", "hinge"))
-            ref = _excess_reference(dist, G, cost)
-            assert rep.lhs == pytest.approx(ref["lhs"], abs=1e-12)
-            assert rep.rhs == pytest.approx(ref["rhs"], abs=1e-12)
-            for name in ("squared", "hinge"):
-                assert rep.psi_rhs[name] == pytest.approx(ref[name], abs=1e-12)
-            assert rep.violated == (ref["lhs"] > ref["rhs"] + 1e-12)
+            lhs, rhs, violated, psi_rhs, _ = excess_chain_batch(w[None], etas[None], G[None], np.array([cost.c]), self.PSI)
+            ref = _excess_reference(w, etas, G, cost)
+            assert lhs[0] == pytest.approx(ref["lhs"], abs=1e-12)
+            assert rhs[0] == pytest.approx(ref["rhs"], abs=1e-12)
+            for name in self.PSI:
+                assert psi_rhs[name][0] == pytest.approx(ref[name], abs=1e-12)
+            assert violated[0] == (ref["lhs"] > ref["rhs"] + 1e-12)
 
     def test_single_instance_equals_its_row_of_the_batch(self):
         rng = np.random.default_rng(37)
@@ -301,13 +290,11 @@ class TestExcessChain:
         etas = rng.dirichlet(np.ones(K), size=(N, m))
         G = rng.normal(scale=2.0, size=(N, m, K))
         c = rng.uniform(0.01, 0.49, size=N)
-        lhs, rhs, violated, psi_rhs, psi_violated = _excess_chain_batch(w, etas, G, c, ("squared", "hinge"))
+        lhs, rhs, violated, psi_rhs, psi_violated = excess_chain_batch(w, etas, G, c, self.PSI)
         for i in range(N):
-            rep = audit_excess_chain(
-                FiniteDistribution(w[i], etas[i]), G[i], RejectionCost(float(c[i])), psi_losses=("squared", "hinge")
-            )
-            assert (rep.lhs, rep.rhs, rep.violated, rep.psi_violated) == (lhs[i], rhs[i], violated[i], psi_violated[i])
-            assert rep.psi_rhs == {name: v[i] for name, v in psi_rhs.items()}
+            one = excess_chain_batch(w[i : i + 1], etas[i : i + 1], G[i : i + 1], c[i : i + 1], self.PSI)
+            assert (one[0][0], one[1][0], one[2][0], one[4][0]) == (lhs[i], rhs[i], violated[i], psi_violated[i])
+            assert {name: v[0] for name, v in one[3].items()} == {name: v[i] for name, v in psi_rhs.items()}
 
     def test_random_instances_small(self):
         n, violations, psi_violations = audit_excess_random(500, seed=13)
@@ -315,11 +302,11 @@ class TestExcessChain:
         assert psi_violations == 0
 
 
-def _excess_reference(dist, G, cost):
-    """The excess-risk chain one support point at a time."""
+def _excess_reference(weights, etas, G, cost):
+    """The excess-risk chain of one (m, K) instance, one support point at a time."""
     c = cost.c
     out = dict(lhs=0.0, rhs=0.0, squared=0.0, hinge=0.0)
-    for wm, eta, g in zip(dist.weights, dist.etas, G):
+    for wm, eta, g in zip(weights, etas, G):
         pos = [k for k in range(len(g)) if g[k] > 0]
         risk = 1.0 - eta[pos[0]] if len(pos) == 1 else c
         out["lhs"] += wm * (risk - min(c, 1.0 - max(eta)))
@@ -328,9 +315,9 @@ def _excess_reference(dist, G, cost):
             out["rhs"] += wm * (w_pos * (g[k] <= 0) + w_neg * (g[k] >= 0) - min(w_pos, w_neg))
     for name in ("squared", "hinge"):
         loss = get_loss(name)
-        for k in range(dist.K):
+        for k in range(etas.shape[1]):
             regret = 0.0
-            for wm, eta, g in zip(dist.weights, dist.etas, G):
+            for wm, eta, g in zip(weights, etas, G):
                 w_pos, w_neg = eta[k] * c, (1.0 - eta[k]) * (1.0 - c)
                 best = 4 * w_pos * w_neg / (w_pos + w_neg) if name == "squared" else 2 * min(w_pos, w_neg)
                 regret += wm * (w_pos * loss.value(g[k]) + w_neg * loss.value(-g[k]) - best)
@@ -390,12 +377,14 @@ class TestCalibrationAudit:
         assert miscalibrated_witness(RejectionCost(0.2))
 
 
-def test_random_simplex_is_valid():
+def test_random_simplices_are_valid():
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        eta = random_simplex(rng, int(rng.integers(2, 8)))
-        assert eta.min() >= 0
-        assert eta.sum() == pytest.approx(1.0)
+    K = rng.integers(2, 8, size=50)
+    eta = theory._random_simplices(rng, K, 7)
+    real = np.arange(7) < K[:, None]
+    np.testing.assert_allclose(eta.sum(axis=1), 1.0)
+    assert (eta[real] > 0).all()
+    assert (eta[~real] == 0).all()  # the padding columns past K
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +446,7 @@ def _former_excess_audit(n_instances, seed, psi_losses=("squared", "hinge")):
             etas = rng.standard_exponential((len(c_g), m_g, K_g))
             etas /= etas.sum(axis=-1, keepdims=True)
             G = rng.normal(scale=2.0, size=(len(c_g), m_g, K_g))
-            theory._check_support(w, etas)
-            out = _excess_chain_batch(w, etas, G, theory._check_costs(c_g), psi_losses)
+            out = excess_chain_batch(w, etas, G, c_g, psi_losses)
             calls.append(((w, etas, G, c_g), out))
             violations += int(out[2].sum())
             psi_violations += int(out[4].sum())
@@ -511,7 +499,7 @@ class TestAuditsMatchTheFormerLoops:
         if chunk is not None:
             monkeypatch.setattr(theory, "_CHUNK", chunk)
         calls = []
-        _recording(monkeypatch, "_excess_chain_batch", calls)
+        _recording(monkeypatch, "excess_chain_batch", calls)
         assert theory.audit_excess_random(n_instances, seed=n_instances) == expected
         ref, got = _by_group(ref_calls), _by_group(calls)
         assert sorted(got) == sorted(ref)
@@ -525,6 +513,6 @@ class TestAuditsMatchTheFormerLoops:
         # 2 000 instances fall in 15 (m, K) groups of under 4 000 draws each:
         # one chain call per group, where one per group and block made 60
         calls = []
-        _recording(monkeypatch, "_excess_chain_batch", calls)
+        _recording(monkeypatch, "excess_chain_batch", calls)
         theory.audit_excess_random(2000, seed=2)
         assert len(calls) == 15 and len(_former_excess_audit(2000, seed=2)[1]) == 60
