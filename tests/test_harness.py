@@ -289,8 +289,8 @@ class TestAggregate:
         rows = [self._row(0.5, t) for t in range(4)]
         assert aggregate(rows)[0].risk01c_se == 0.0
 
-    def test_one_trial_has_zero_se(self):
-        s = aggregate([self._row(0.5, 0)])[0]
+    def test_single_trial_flagged(self):
+        s = aggregate([self._row(0.5, 0)])[0]  # n_trials == 1 flags a group of one trial
         assert s.n_trials == 1
         assert s.risk01c_se == 0.0
 

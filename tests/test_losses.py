@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from csreject.checks import check_margin_losses
+from csreject.core import RejectionCost
 from csreject.losses import (
     MARGIN_LOSSES,
     _expit,
     argmin_weighted_conditional_risk,
     get_loss,
 )
+from csreject.surrogate import pointwise_conditional_risk_per_class
+from csreject.theory import conditional_risk_minimizer
 
 CONVEX = {"squared", "squared_hinge", "exponential", "logistic", "hinge"}
 SYMMETRIC = {"ramp", "sigmoid"}
@@ -142,6 +145,32 @@ class TestShapeProperties:
             loss = get_loss(name)
             mid = loss.value((a + b) / 2)
             assert (mid <= (loss.value(a) + loss.value(b)) / 2 + 1e-12).all(), name
+
+
+class TestConditionalRisk:
+    """The weighted binary conditional risk eta*c*phi(v) + (1-eta)*(1-c)*phi(-v), one per class."""
+
+    COST = RejectionCost(0.2)
+
+    def _risk(self, name, g, eta):
+        return pointwise_conditional_risk_per_class(get_loss(name), self.COST, np.asarray(g), np.asarray(eta))
+
+    def test_symmetric_loss_balanced_posterior(self):
+        # at eta = 1 - c both weights are c(1 - c), and the sigmoid has phi(v) + phi(-v) = 1
+        for v in (-3.0, 0.0, 1.7):
+            assert self._risk("sigmoid", [v, 0.0], [0.8, 0.2])[0] == pytest.approx(0.2 * 0.8)
+
+    def test_hinge_pure_positive(self):
+        np.testing.assert_array_equal(self._risk("hinge", [1.0, -1.0], [1.0, 0.0]), [0.0, 0.0])
+
+    def test_squared_hand_value(self):
+        # phi(0) = 1: each entry is eta*c + (1-eta)*(1-c)
+        np.testing.assert_allclose(self._risk("squared", [0.0, 0.0], [0.7, 0.3]), [0.38, 0.62])
+
+    def test_eta_out_of_range(self):
+        # the minimizer of this risk, which the calibration audit runs, checks its posterior
+        with pytest.raises(ValueError):
+            conditional_risk_minimizer(get_loss("hinge"), np.array([1.2, -0.2]), self.COST)
 
 
 class TestArgmin:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from csreject.core import Decision, RejectionCost
+from csreject.core import Dataset, Decision, RejectionCost
 from csreject.losses import MARGIN_LOSSES, get_loss
+from csreject.models import LinearModel, TrainConfig, train
 from csreject.surrogate import (
     cs_loss_batch,
     decide,
     decide_batch,
     pointwise_conditional_risk_per_class,
 )
+from csreject.theory import conditional_risk_minimizer
 
 COST = RejectionCost(0.25)
 
@@ -32,6 +34,19 @@ def _pointwise_risk(loss, g, eta):
     """The posterior-weighted surrogate loss at one input: eta @ the cs_loss_batch losses of g at labels 1..K."""
     K = len(eta)
     return float(eta @ cs_loss_batch(loss, COST, np.tile(g, (K, 1)), np.arange(1, K + 1))[0])
+
+
+def _empirical_risk(loss, G, y):
+    """The first entry of train's risk trace, for a model that scores each row of G as itself.
+
+    One epoch of one full batch takes the mean loss at the initial parameters, before the Adam step.
+    """
+    G = np.asarray(G, dtype=float)
+    model = LinearModel(G.shape[1], G.shape[1])
+    model.params["W"][:] = np.eye(G.shape[1])
+    data = Dataset(G, np.asarray(y), K=G.shape[1])
+    batch = lambda S, labels: cs_loss_batch(loss, COST, S, labels)
+    return train(model, data, batch, TrainConfig(batch_size=len(G), epochs=1))[0]
 
 
 class TestSurrogateLoss:
@@ -127,6 +142,24 @@ class TestSurrogateGrad:
         np.testing.assert_allclose(g1[perm], g2)
 
 
+class TestEmpiricalRisk:
+    def test_single_sample(self):
+        loss = get_loss("sigmoid")
+        assert _empirical_risk(loss, [[0.3, -0.4]], [1]) == pytest.approx(_loss(loss, [0.3, -0.4], 1)[0])
+
+    def test_duplication_invariance(self):
+        loss = get_loss("hinge")
+        G = np.array([[1.0, -1.0], [2.0, -2.0]])
+        y = np.array([1, 2])
+        assert _empirical_risk(loss, G, y) == pytest.approx(_empirical_risk(loss, np.vstack([G, G]), np.tile(y, 2)))
+
+    def test_mean_of_hand_values(self):
+        loss = get_loss("hinge")
+        G = np.array([[0.5, -0.5], [1.0, 0.6]])
+        v0, v1 = _loss(loss, G[0], 1)[0], _loss(loss, G[1], 1)[0]
+        assert _empirical_risk(loss, G, [1, 1]) == pytest.approx((v0 + v1) / 2)
+
+
 class TestDecide:
     def test_all_negative_is_distance(self):
         d = decide(np.array([-0.1, -0.2, -3.0]))
@@ -171,6 +204,11 @@ class TestPointwiseRisk:
     def test_balanced_sigmoid_hand_value(self):
         v = _pointwise_risk(get_loss("sigmoid"), np.zeros(2), np.array([0.5, 0.5]))
         assert v == pytest.approx(0.5)
+
+    def test_invalid_simplex(self):
+        # the minimizer of the pointwise risk, which the calibration audit runs, checks its posterior
+        with pytest.raises(ValueError):
+            conditional_risk_minimizer(get_loss("hinge"), np.array([0.7, 0.7]), COST)
 
     def test_per_class_decomposition_identity(self):
         rng = np.random.default_rng(5)

@@ -57,13 +57,34 @@ class TestBinaryThreeWay:
     def test_middle_band_rejects(self):
         assert binary_three_way_batch(0.5, 0.2) == CODE_ORACLE
 
-    def test_posterior_at_one_minus_c_rejects(self):
-        # the alpha = 1 - c classifier says +1 only above its threshold
-        assert binary_three_way_batch(1.0 - 0.2, 0.2) == CODE_ORACLE
 
-    def test_posterior_at_c_predicts_the_negative_class(self):
-        # the alpha = c classifier says -1 at its threshold
+class TestBayesBinary:
+    """The two cost-sensitive classifiers inside binary_three_way_batch: +1 iff p(y=+1|x) > alpha, at alpha = 1 - c and c."""
+
+    def test_above_threshold(self):
+        c = 0.2
+        assert binary_three_way_batch(np.nextafter(1.0 - c, 1.0), c) == 1  # both say +1
+        assert binary_three_way_batch(np.nextafter(c, 1.0), c) == CODE_ORACLE  # only the alpha = c classifier says +1
+
+    def test_exactly_at_threshold_is_negative(self):
+        # the alpha = 1 - c classifier says -1 at its threshold, and so does the alpha = c one at its own
+        assert binary_three_way_batch(1.0 - 0.2, 0.2) == CODE_ORACLE
         assert binary_three_way_batch(0.2, 0.2) == 2
+
+    def test_half_threshold_is_ordinary_bayes(self):
+        # as c nears 1/2 both thresholds near 1/2, and the reject band (c, 1 - c] closes around the Bayes rule
+        c = 0.5 - 1e-9
+        assert binary_three_way_batch(0.7, c) == 1
+        assert binary_three_way_batch(0.3, c) == 2
+        assert binary_three_way_batch(0.5, c) == CODE_ORACLE
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            binary_three_way_batch(1.2, 0.2)
+        with pytest.raises(ValueError):
+            binary_three_way_batch(0.5, 0.0)
+        with pytest.raises(ValueError):
+            binary_three_way_batch(0.5, 0.5)
 
 
 class TestEnsembleChow:
@@ -217,6 +238,27 @@ class TestPhiPointwiseMin:
         assert (closed <= numeric + 1e-12).all()  # no scanned point lies below the minimum
 
 
+class TestFiniteDistribution:
+    """The finite supports that excess_chain_batch takes: weights (N, m) and posteriors (N, m, K)."""
+
+    def test_validation(self):
+        etas, c = np.array([[[0.5, 0.5], [0.5, 0.5]]]), np.array([0.2])
+        with pytest.raises(ValueError, match="probability vector"):
+            excess_chain_batch(np.array([[0.5, 0.6]]), etas, np.zeros_like(etas), c, ())
+        with pytest.raises(ValueError, match="simplex"):
+            excess_chain_batch(np.array([[1.0]]), np.array([[[0.7, 0.7]]]), np.zeros((1, 1, 2)), c, ())
+
+    def test_K(self):
+        # three classes, read off the posteriors' last axis; two one-point instances at c = 0.2
+        w = np.array([[1.0], [1.0]])
+        etas = np.array([[[0.2, 0.3, 0.5]], [[0.9, 0.05, 0.05]]])
+        G = np.array([[[-1.0, -1.0, -1.0]], [[1.0, -1.0, -1.0]]])  # Chow's rule: reject, then predict class 1
+        lhs, rhs, violated, psi_rhs, _ = excess_chain_batch(w, etas, G, np.array([0.2, 0.2]), ("hinge",))
+        assert lhs.shape == rhs.shape == violated.shape == psi_rhs["hinge"].shape == (2,)
+        np.testing.assert_allclose(lhs, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rhs, 0.0, atol=1e-12)
+
+
 class TestExcessChain:
     PSI = ("squared", "hinge")
 
@@ -225,14 +267,10 @@ class TestExcessChain:
         return np.array([[0.4, 0.6]]), np.array([[[0.9, 0.1], [0.45, 0.55]]]), np.array([0.2])
 
     def test_validation(self):
-        w, etas, c = self._simple_instance()
-        G = np.zeros_like(etas)
-        with pytest.raises(ValueError, match="probability vector"):
-            excess_chain_batch(np.array([[0.5, 0.6]]), etas, G, c, ())
-        with pytest.raises(ValueError, match="simplex"):
-            excess_chain_batch(w, np.array([[[0.7, 0.7], [0.5, 0.5]]]), G, c, ())
-        with pytest.raises(ValueError, match="rejection costs"):
-            excess_chain_batch(w, etas, G, np.array([0.5]), ())
+        w, etas, _ = self._simple_instance()
+        for c in (0.0, 0.5):
+            with pytest.raises(ValueError, match="rejection costs"):
+                excess_chain_batch(w, etas, np.zeros_like(etas), np.array([c]), ())
 
     def test_shape_mismatch(self):
         w, etas, c = self._simple_instance()
@@ -377,7 +415,7 @@ class TestCalibrationAudit:
         assert miscalibrated_witness(RejectionCost(0.2))
 
 
-def test_random_simplices_are_valid():
+def test_random_simplex_is_valid():
     rng = np.random.default_rng(19)
     K = rng.integers(2, 8, size=50)
     eta = theory._random_simplices(rng, K, 7)
