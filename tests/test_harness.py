@@ -530,6 +530,20 @@ class TestCliResume:
         lines = out.read_text().splitlines()
         assert lines[0] == LEGACY_HEADER + ",flagged" and len(lines) == 3
 
+    def test_a_kept_flagged_row_counts_in_the_report_and_the_exit_status(self, tmp_path, capsys):
+        # only the rows of this run used to count: "(0 flagged)" and exit 0
+        from csreject import cli
+
+        out = tmp_path / "r.csv"
+        out.write_text(harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,2960,0,0,True\n")
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "2", "--out", str(out)]
+        assert cli.main(args + ["--resume"]) == 1
+        assert f"wrote 2 rows to {out} (1 flagged)" in capsys.readouterr().out
+        assert [r.flagged for r in read_csv(out)] == [True, False]
+        # a run with nothing left to run reports the file it rewrites all the same
+        assert cli.main(args + ["--resume"]) == 1
+        assert f"wrote 2 rows to {out} (1 flagged)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "text",
         [
