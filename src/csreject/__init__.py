@@ -30,7 +30,7 @@ from .theory import (
     psi_inverse,
     psi_transform,
 )
-from .models import AdamState, LinearModel, MlpModel, TrainConfig, adam_step, load_model, make_model, save_model, train
+from .models import AdamState, LinearModel, MlpModel, TrainConfig, adam_step, make_model, train
 from .data import (
     GaussianMixtureSpec,
     PosteriorOracle,

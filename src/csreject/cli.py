@@ -65,9 +65,10 @@ def cmd_run(args) -> int:
     if resume:
         print(f"resuming: {len(skip)} rows already present")
     rows = harness.run_grid(grid, skip_keys=skip, jobs=args.jobs)
-    merged = sorted(existing + rows, key=lambda r: (r.dataset, r.method, r.cost, r.trial))
+    merged = sorted(existing + rows, key=harness.ResultRow.key)
     harness.write_csv(merged, args.out)
-    n_flagged = sum(r.flagged for r in rows)
+    # every flagged row of the file, kept or new, as a fresh run writing it would report
+    n_flagged = sum(r.flagged for r in merged)
     print(f"wrote {len(merged)} rows to {args.out} ({n_flagged} flagged)")
     return 1 if n_flagged else 0
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, get_type_hints
@@ -123,7 +122,7 @@ class DatasetInfo:
     K: int
     total_n: int
     spec: data_mod.GaussianMixtureSpec | None = None
-    csv_path: str | None = None
+    data: Dataset | None = None  # a CSV's rows, read-only: every cell of the grid shares them
 
     @property
     def model_kind(self) -> str:
@@ -142,29 +141,15 @@ def dataset_info(name: str) -> DatasetInfo:
     if name == "gauss3":
         return DatasetInfo(name, K=3, total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
-        loaded = _csv_dataset(name)
-        return DatasetInfo(name, K=loaded.K, total_n=loaded.n, csv_path=name)
+        ds = data_mod.load_csv(name)
+        ds.X.flags.writeable = ds.y.flags.writeable = False
+        return DatasetInfo(name, K=ds.K, total_n=ds.n, data=ds)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
 
 
-@functools.lru_cache(maxsize=8)
-def _parse_csv(path: str, mtime_ns: int, size: int) -> Dataset:
-    ds = data_mod.load_csv(path)
-    # every cell of the process shares these arrays, so nothing may write to them
-    ds.X.flags.writeable = False
-    ds.y.flags.writeable = False
-    return ds
-
-
-def _csv_dataset(path: str) -> Dataset:
-    """load_csv once per process; a changed modification time or size re-reads the file."""
-    st = os.stat(path)
-    return _parse_csv(path, st.st_mtime_ns, st.st_size)
-
-
 def _source_dataset(info: DatasetInfo, n: int, rng: np.random.Generator) -> Dataset:
-    if info.csv_path is not None:
-        return _csv_dataset(info.csv_path)
+    if info.data is not None:
+        return info.data
     ds, _ = data_mod.gen_gauss_mixture(info.spec, n, rng)
     return ds
 
@@ -288,7 +273,7 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         configs.append(TrainConfig(batch_size=batch, epochs=grid.epochs, seed=train_seed))
 
     if grid.setting == "pu":
-        if info.csv_path is None:
+        if info.data is None:
             # the synthetic source pool for PU draws is regenerated large enough
             # to honor the without-replacement protocol at prior 0.7
             pu_pool = _source_dataset(info, 3 * train_ds.n, data_rng)
@@ -371,7 +356,7 @@ def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
     else:
         parts = [_run_group(grid, cells) for cells in groups]
     rows = [row for part in parts for row in part]
-    return sorted(rows, key=lambda r: (r.dataset, r.method, r.cost, r.trial))
+    return sorted(rows, key=ResultRow.key)
 
 
 # ---------------------------------------------------------------------------

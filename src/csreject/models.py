@@ -3,20 +3,15 @@
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import Dataset
 
-MODEL_MAGIC = "csreject-model-v1"
-
 
 class LinearModel:
     """Scores Wx + b with W of shape (n_out, d)."""
-
-    kind = "linear"
 
     def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None):
         self.d = d
@@ -49,14 +44,14 @@ class LinearModel:
 
 
 class MlpModel:
-    """One hidden rectified layer of width 64 (by default), linear output."""
+    """One hidden rectified layer of width 64, linear output."""
 
-    kind = "mlp"
+    hidden = 64
 
-    def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None, hidden: int = 64):
+    def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None):
         self.d = d
         self.n_out = n_out
-        self.hidden = hidden
+        hidden = self.hidden
         if rng is None:
             w1 = np.zeros((hidden, d))
             w2 = np.zeros((n_out, hidden))
@@ -239,30 +234,3 @@ def train(model, data: Dataset, loss_batch, config: TrainConfig):
             trace.append(total / n)
     unstack_cells(stack, models)
     return traces[0] if one else traces
-
-
-def save_model(model, path) -> None:
-    """Flat reproducibility snapshot: magic, kind, dims, row-major parameters."""
-    meta = {"magic": MODEL_MAGIC, "kind": model.kind, "d": model.d, "n_out": model.n_out}
-    if model.kind == "mlp":
-        meta["hidden"] = model.hidden
-    np.savez(path, meta=np.array([json.dumps(meta)]), **model.params)
-
-
-def load_model(path):
-    with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(str(blob["meta"][0]))
-        if meta.get("magic") != MODEL_MAGIC:
-            raise ValueError("not a model snapshot")
-        if meta["kind"] == "linear":
-            model = LinearModel(meta["d"], meta["n_out"])
-        else:
-            model = MlpModel(meta["d"], meta["n_out"], hidden=meta["hidden"])
-        params = {k: blob[k] for k in model.params}
-    for key, value in params.items():
-        if value.shape != model.params[key].shape:
-            raise ValueError(
-                f"parameter {key} has shape {value.shape}, the metadata implies {model.params[key].shape}"
-            )
-    model.params = params
-    return model

@@ -66,13 +66,15 @@ class TestDatasetInfo:
         with pytest.raises(ValueError):
             dataset_info("imagenet")
 
-    def test_csv_dataset(self, tmp_path):
+    def test_csv_file(self, tmp_path):
         p = tmp_path / "toy.csv"
         rows = ["%f,%f,%d" % (i * 0.1, -i * 0.2, (i % 2) + 1) for i in range(20)]
         p.write_text("\n".join(rows) + "\n")
         info = dataset_info(str(p))
         assert info.K == 2
         assert info.total_n == 20
+        # the info holds the rows it was resolved from
+        np.testing.assert_array_equal(info.data.X, data_mod.load_csv(str(p)).X)
 
     @pytest.mark.parametrize("K, kind", [(2, "linear"), (3, "mlp")])
     def test_csv_model_kind_follows_the_class_count(self, tmp_path, K, kind):
@@ -93,18 +95,19 @@ class TestCsvLoading:
         calls = []
         load = data_mod.load_csv
         monkeypatch.setattr(data_mod, "load_csv", lambda *a, **kw: calls.append(a) or load(*a, **kw))
-        harness._parse_csv.cache_clear()
         grid = GridSpec(datasets=(str(p),), methods=("cs-sigmoid", "sce", "always-reject"), costs=(0.2,), **FAST)
         assert len(run_grid(grid)) == 3
         assert len(calls) == 1
         _write_toy_csv(p, 50)
-        assert dataset_info(str(p)).total_n == 50
+        # the grid keeps the rows it read; a new grid reads the file again
+        assert grid.dataset_infos[str(p)].total_n == 40
+        assert dataclasses.replace(grid).dataset_infos[str(p)].total_n == 50
         assert len(calls) == 2
 
     def test_shared_arrays_are_read_only(self, tmp_path):
         p = tmp_path / "toy.csv"
         _write_toy_csv(p, 20)
-        ds = harness._csv_dataset(str(p))
+        ds = dataset_info(str(p)).data
         with pytest.raises(ValueError):
             ds.X[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -229,6 +232,21 @@ class TestRunGrid:
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1, 0.2), trials=2, epochs=2)
         serial = run_grid(grid, jobs=1)
         parallel = run_grid(grid, jobs=2)
+        assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
+
+    @pytest.mark.parametrize("setting", ["clean", "pu"])
+    def test_parallel_matches_serial_on_a_csv_file(self, setting, tmp_path):
+        # the workers get the file's rows pickled with the grid, not its path
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(1000, 3))
+        y = np.where(X[:, 0] + 0.5 * rng.normal(size=1000) > 0, 1, 2)
+        path = tmp_path / "par.csv"
+        path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
+        methods = ("cs-sigmoid", "sce", "always-reject")
+        grid = GridSpec(datasets=(str(path),), methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=2)
+        serial = run_grid(grid, jobs=1)
+        parallel = run_grid(grid, jobs=2)
+        assert len(serial) == 6 and not any(r.flagged for r in serial)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
     @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -14,9 +13,7 @@ from csreject.models import (
     MlpModel,
     TrainConfig,
     adam_step,
-    load_model,
     make_model,
-    save_model,
     train,
 )
 from csreject.surrogate import cs_loss_batch, decide_batch
@@ -64,7 +61,7 @@ class TestBackward:
     def test_relu_mask_of_the_hidden_layer_equals_that_of_the_pre_activation(self, work):
         # a hidden unit with zero weights has a pre-activation of exactly 0 on
         # finite rows, and a NaN feature makes a row's pre-activations NaN
-        model = MlpModel(2, 2, np.random.default_rng(0), hidden=4)
+        model = MlpModel(2, 2, np.random.default_rng(0))
         model.params["W1"][0] = 0.0
         X = np.array([[0.5, -1.0], [np.nan, 1.0], [2.0, 0.3]])
         dG = np.random.default_rng(1).normal(size=(3, 2))
@@ -269,33 +266,3 @@ class TestTrain:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ["linear", "mlp"])
-    def test_round_trip(self, tmp_path, kind):
-        rng = np.random.default_rng(15)
-        model = make_model(kind, 4, 3, rng)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.kind == kind
-        X = rng.normal(size=(6, 4))
-        np.testing.assert_array_equal(model.scores(X), loaded.scores(X))
-
-    def test_rejects_parameters_that_disagree_with_the_metadata(self, tmp_path):
-        path = tmp_path / "model.npz"
-        save_model(make_model("linear", 4, 3, np.random.default_rng(16)), path)
-        with np.load(path) as blob:
-            params = {k: blob[k] for k in blob.files if k != "meta"}
-            meta = json.loads(str(blob["meta"][0]))
-        meta["d"] = 7
-        np.savez(path, meta=np.array([json.dumps(meta)]), **params)
-        with pytest.raises(ValueError, match="shape"):
-            load_model(path)
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.npz"
-        np.savez(path, meta=np.array(['{"magic": "something-else"}']))
-        with pytest.raises(ValueError):
-            load_model(path)
