@@ -104,6 +104,18 @@ class TestCsvLoading:
         assert dataclasses.replace(grid).dataset_infos[str(p)].total_n == 50
         assert len(calls) == 2
 
+    def test_a_grid_runs_from_its_rows_once_the_file_is_gone(self, tmp_path):
+        # the rows live on the grid, so neither this process nor a worker reopens the file
+        p = tmp_path / "toy.csv"
+        _write_toy_csv(p, 40)
+        grid = GridSpec(datasets=(str(p),), methods=("cs-sigmoid", "always-reject"), costs=(0.2,), **FAST)
+        assert grid.dataset_infos[str(p)].total_n == 40
+        p.unlink()
+        serial = run_grid(grid, jobs=1)
+        parallel = run_grid(grid, jobs=2)
+        assert len(serial) == 2 and not any(r.flagged for r in serial)
+        assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
+
     def test_shared_arrays_are_read_only(self, tmp_path):
         p = tmp_path / "toy.csv"
         _write_toy_csv(p, 20)
@@ -561,6 +573,16 @@ class TestCliResume:
         # a run with nothing left to run reports the file it rewrites all the same
         assert cli.main(args + ["--resume"]) == 1
         assert f"wrote 2 rows to {out} (1 flagged)" in capsys.readouterr().out
+
+    def test_kept_and_new_rows_are_written_in_key_order(self, tmp_path, capsys):
+        from csreject import cli
+
+        out = tmp_path / "r.csv"
+        out.write_text(harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,1,0.2,1,0,2960,0,0,False\n")
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "2", "--out", str(out), "--resume"]
+        assert cli.main(args) == 0
+        assert "resuming: 1 rows already present" in capsys.readouterr().out
+        assert [r.trial for r in read_csv(out)] == [0, 1]
 
     @pytest.mark.parametrize(
         "text",

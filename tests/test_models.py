@@ -33,6 +33,11 @@ class TestForward:
         g, _ = model.forward(np.zeros((4, 3)))
         np.testing.assert_allclose(g, np.tile([0.7, -0.3], (4, 1)))
 
+    def test_mlp_hidden_layer_has_width_64(self):
+        model = make_model("mlp", 3, 2, np.random.default_rng(0))
+        shapes = {k: v.shape for k, v in model.params.items()}
+        assert shapes == {"W1": (64, 3), "b1": (64,), "W2": (2, 64), "b2": (2,)}
+
     def test_make_model_unknown_kind(self):
         with pytest.raises(ValueError):
             make_model("transformer", 2, 2)
