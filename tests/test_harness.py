@@ -1,4 +1,7 @@
 import dataclasses
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -232,6 +235,16 @@ class TestTrainGroup:
         assert second.val_ds is first.val_ds and second.test_ds is first.test_ds
 
 
+def _write_par_csv(tmp_path) -> str:
+    """A 1000-row binary CSV with three features; returns its path."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(1000, 3))
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=1000) > 0, 1, 2)
+    path = tmp_path / "par.csv"
+    path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
+    return str(path)
+
+
 class TestRunGrid:
     def test_cardinality_and_order(self):
         grid = GridSpec(methods=("cs-sigmoid", "always-reject"), costs=(0.1, 0.2), trials=2, epochs=2)
@@ -248,18 +261,79 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("setting", ["clean", "pu"])
     def test_parallel_matches_serial_on_a_csv_file(self, setting, tmp_path):
-        # the workers get the file's rows pickled with the grid, not its path
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(1000, 3))
-        y = np.where(X[:, 0] + 0.5 * rng.normal(size=1000) > 0, 1, 2)
-        path = tmp_path / "par.csv"
-        path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
+        # the workers get the file's rows with the grid, not its path
+        path = _write_par_csv(tmp_path)
         methods = ("cs-sigmoid", "sce", "always-reject")
-        grid = GridSpec(datasets=(str(path),), methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=2)
+        grid = GridSpec(datasets=(path,), methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=2)
         serial = run_grid(grid, jobs=1)
         parallel = run_grid(grid, jobs=2)
         assert len(serial) == 6 and not any(r.flagged for r in serial)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
+
+    def test_a_pool_that_pickles_what_it_sends_gets_the_grid_once_per_worker(self, monkeypatch, tmp_path):
+        # an in-process pool that pickles every argument, as a spawned worker
+        # receives it: the grid travels once per worker, and the unpickled
+        # rows a worker trains on are read-only, as in the serial path
+        path = _write_par_csv(tmp_path)
+        grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "always-reject"), costs=(0.1, 0.2), trials=2, epochs=2)
+        pickled, seen = [], []
+        dumps = pickle.dumps
+
+        def counting_dumps(obj):
+            pickled.extend(o for o in (obj if isinstance(obj, tuple) else (obj,)) if isinstance(o, GridSpec))
+            return dumps(obj)
+
+        class PicklingPool:
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                if initializer is not None:
+                    initializer(*pickle.loads(counting_dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*pickle.loads(counting_dumps(args))) for args in zip(*iterables)]
+
+        train_group = harness.train_group
+
+        def probe(grid, cells):
+            data = grid.dataset_infos[path].data
+            seen.append(data.X.flags.writeable or data.y.flags.writeable)
+            return train_group(grid, cells)
+
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(harness, "train_group", probe)
+        parallel = run_grid(grid, jobs=2)
+        # two trials of two groups each: four groups, one worker here
+        assert len(seen) == 4 and not any(seen)
+        assert len(pickled) <= 1
+        monkeypatch.setattr(harness, "train_group", train_group)
+        assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, jobs=1)]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="a forked worker inherits the probe")
+    def test_a_jobs_2_worker_trains_on_read_only_rows(self, monkeypatch, tmp_path):
+        path = _write_par_csv(tmp_path)
+        grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "always-reject"), costs=(0.2,), trials=2, epochs=2)
+        train_group = harness.train_group
+
+        def probe(grid, cells):
+            data = grid.dataset_infos[path].data
+            flags = "rw" if data.X.flags.writeable or data.y.flags.writeable else "ro"
+            with open(tmp_path / f"probe-{os.getpid()}", "a") as f:
+                f.write(flags + "\n")
+            return train_group(grid, cells)
+
+        monkeypatch.setattr(harness, "train_group", probe)
+        rows = run_grid(grid, jobs=2)
+        assert len(rows) == 4
+        probes = {p.name: p.read_text().split() for p in tmp_path.glob("probe-*")}
+        assert probes and f"probe-{os.getpid()}" not in probes
+        assert sum(map(len, probes.values())) == 4 and all(f == "ro" for flags in probes.values() for f in flags)
 
     @pytest.mark.parametrize(
         "dataset, setting",
