@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import baselines
@@ -42,20 +44,31 @@ def check_margin_losses():
     return results
 
 
-def _numeric_param_grad(model, X, y, loss_batch):
-    """Central differences of step 1e-5 of the mean loss in every parameter entry.
+class GradCase(NamedTuple):
+    """One loss checked through a model. Inputs are redrawn while a value of
+    margins(G) lies within KINK_EPS of one of kinks (see check_model_gradients)."""
+
+    loss_batch: Callable
+    margins: Callable | None = None
+    kinks: tuple = ()
+
+
+def _numeric_param_grad(model, X, y, loss_batches):
+    """Central differences of step 1e-5 of each loss's mean in every parameter
+    entry; returns one gradient dict per loss.
 
     Each parameter gets one stack of copies, in which each block of _BLOCK
     entries sets its +h and -h entries and then restores them; the other
-    parameters broadcast. One forward pass (reusing one work dict) and one
-    loss call score the stack, and each copy's mean loss comes from a reshape.
-    Per entry this is the arithmetic of perturbing one entry at a time.
+    parameters broadcast. One forward pass (reusing one work dict) scores the
+    stack, one call per loss scores those same scores, and each copy's mean
+    loss comes from a reshape. Per entry and loss this is the arithmetic of
+    perturbing one entry at a time.
     """
     n, h = len(X), 1e-5
-    grads, work = {}, {}
+    grads, work = [{} for _ in loss_batches], {}
     for key, arr in model.params.items():
         flat = arr.ravel()
-        g = np.empty(flat.size)
+        g = np.empty((len(loss_batches), flat.size))
         copies = np.tile(flat, (2, min(_BLOCK, flat.size), 1))
         for start in range(0, flat.size, _BLOCK):
             idx = np.arange(start, min(start + _BLOCK, flat.size))
@@ -64,74 +77,98 @@ def _numeric_param_grad(model, X, y, loss_batch):
             copies[1, rows, idx] = flat[idx] - h
             G, _ = model.forward(X, {**model.params, key: copies[:, : len(idx)].reshape(-1, *arr.shape)}, work)
             copies[:, rows, idx] = flat[idx]
-            losses, _ = loss_batch(G.reshape(-1, G.shape[-1]), np.tile(y, 2 * len(idx)))
-            hi, lo = losses.reshape(2, len(idx), n).mean(axis=-1)
-            g[idx] = (hi - lo) / (2.0 * h)
-        grads[key] = g.reshape(arr.shape)
+            G, y_copies = G.reshape(-1, G.shape[-1]), np.tile(y, 2 * len(idx))
+            for g_loss, loss_batch in zip(g, loss_batches):
+                losses, _ = loss_batch(G, y_copies)
+                hi, lo = losses.reshape(2, len(idx), n).mean(axis=-1)
+                g_loss[idx] = (hi - lo) / (2.0 * h)
+        for grad, g_loss in zip(grads, g):
+            grad[key] = g_loss.reshape(arr.shape)
     return grads
 
 
-def check_model_gradients(
-    loss_batch, n_out: int, kind: str, seed: int = 0, n_labels: int | None = None, margins=None, kinks=()
-):
-    """Analytic vs numeric gradient through a model, on 8 rows of 5 features; returns (max rel error, below 1e-4).
-
-    Labels are drawn from 1..n_labels (default n_out). Finite differences are
-    wrong across a kink, so the inputs are redrawn, up to KINK_DRAWS times,
-    while a value of margins(G) lies within KINK_EPS of one of `kinks` or an
-    MLP pre-activation lies within KINK_EPS of the ReLU kink at 0. When every
-    draw sits near a kink the check fails with an infinite error.
-    """
+def _kink_free_draw(case: GradCase, n_out: int, kind: str, seed: int, n_labels: int):
+    """The first of KINK_DRAWS input draws that keeps the case off its kinks,
+    as (draw index, model, X, y, G, cache); None when every draw sits near one."""
     rng, d, n = np.random.default_rng(seed), 5, 8
     model = make_model(kind, d, n_out, rng)
-    n_labels = n_out if n_labels is None else n_labels
-    for _ in range(KINK_DRAWS):
+    for i in range(KINK_DRAWS):
         X = rng.normal(size=(n, d))
         y = rng.integers(1, n_labels + 1, size=n) if n_labels > 1 else np.ones(n, dtype=int)
         G, cache = model.forward(X)
-        near = [margins(G) - k for k in kinks] if margins is not None else []
+        near = [case.margins(G) - k for k in case.kinks] if case.margins is not None else []
         if kind == "mlp":
             near.append(X @ model.params["W1"].T + model.params["b1"])  # the pre-activation
         if all((np.abs(v) >= KINK_EPS).all() for v in near):
-            break
-    else:
-        return float("inf"), False
+            return i, model, X, y, G, cache
+    return None
 
-    _, dG = loss_batch(G, y)
-    analytic = model.backward(cache, dG / n)
-    numeric = _numeric_param_grad(model, X, y, loss_batch)
-    worst = 0.0
-    for key in analytic:
-        denom = np.maximum(1.0, np.abs(analytic[key]))
-        worst = max(worst, float((np.abs(analytic[key] - numeric[key]) / denom).max()))
-    return worst, worst < 1e-4
+
+def check_model_gradients(cases, n_out: int, kind: str, seed: int = 0, n_labels: int | None = None):
+    """Analytic vs numeric gradient of each GradCase through a model, on 8 rows
+    of 5 features; returns one (max rel error, below 1e-4) per case.
+
+    The model and its input draws come from the seed alone. Labels are drawn
+    from 1..n_labels (default n_out). Finite differences are wrong across a
+    kink, so each case draws its inputs up to KINK_DRAWS times until no value
+    of its margins(G) lies within KINK_EPS of one of its kinks and no MLP
+    pre-activation within KINK_EPS of the ReLU kink at 0; when every draw sits
+    near a kink the case fails with an infinite error. Cases that land on the
+    same draw difference the same model on the same rows, so they share one
+    numeric pass; each keeps its own analytic gradient.
+    """
+    n_labels = n_out if n_labels is None else n_labels
+    draws = [_kink_free_draw(case, n_out, kind, seed, n_labels) for case in cases]
+    results = [(float("inf"), False)] * len(cases)
+    groups: dict[int, list[int]] = {}
+    for c, draw in enumerate(draws):
+        if draw is not None:
+            groups.setdefault(draw[0], []).append(c)
+    for members in groups.values():
+        _, model, X, y, _, _ = draws[members[0]]
+        numeric = _numeric_param_grad(model, X, y, [cases[c].loss_batch for c in members])
+        for c, case_numeric in zip(members, numeric):
+            _, model, X, y, G, cache = draws[c]
+            _, dG = cases[c].loss_batch(G, y)
+            analytic = model.backward(cache, dG / len(X))
+            worst = 0.0
+            for key in analytic:
+                denom = np.maximum(1.0, np.abs(analytic[key]))
+                worst = max(worst, float((np.abs(analytic[key] - case_numeric[key]) / denom).max()))
+            results[c] = (worst, worst < 1e-4)
+    return results
 
 
 def run_gradcheck(seed: int = 0):
     """Full gradient suite: margin losses, then the grid's training losses
-    (L_CS, SCE, DEFER and ANGLE) through both model kinds. Returns {name: (max_rel_err, ok)}."""
+    (L_CS, SCE, DEFER and ANGLE) through both model kinds. Returns {name: (max_rel_err, ok)}.
+
+    Per model kind, the L_CS losses and SCE share a model shape and a seed,
+    so they are one family of check_model_gradients; DEFER and ANGLE have
+    shapes of their own."""
     results = dict(check_margin_losses())
 
     cost = RejectionCost(0.25)
     K = 3
-    for name in MARGIN_LOSSES:
-        batch = METHODS[f"cs-{name}"].loss_batch(K, cost)
-        for kind in ("linear", "mlp"):
-            # L_CS evaluates phi at g_y and at -g_y' for the other classes
-            results[f"cs-{name}/{kind}"] = check_model_gradients(
-                batch, K, kind, seed=seed, margins=lambda G: np.concatenate([G, -G]), kinks=KINKS.get(name, ())
-            )
-
-    for kind in ("linear", "mlp"):
-        results[f"sce/{kind}"] = check_model_gradients(METHODS["sce"].loss_batch(K, cost), K, kind, seed=seed)
-        results[f"defer/{kind}"] = check_model_gradients(METHODS["defer"].loss_batch(K, cost), K + 1, kind, seed=seed)
-
+    # L_CS evaluates phi at g_y and at -g_y' for the other classes
+    shared = {
+        f"cs-{name}": GradCase(
+            METHODS[f"cs-{name}"].loss_batch(K, cost), lambda G: np.concatenate([G, -G]), KINKS.get(name, ())
+        )
+        for name in MARGIN_LOSSES
+    }
+    shared["sce"] = GradCase(METHODS["sce"].loss_batch(K, cost))
     # ANGLE scores live in R^{K-1}, its labels in 1..K, and its bent hinge
     # has kinks at u = 0 and u = 1 of u = -V g
-    angle_batch = METHODS["angle"].loss_batch(K, cost)
     V = baselines.angle_vertices(K)
+    angle = GradCase(METHODS["angle"].loss_batch(K, cost), lambda G: -G @ V.T, (0.0, 1.0))
+    families = [  # (cases, n_out, seed, n_labels)
+        (shared, K, seed, K),
+        ({"defer": GradCase(METHODS["defer"].loss_batch(K, cost))}, K + 1, seed, K + 1),
+        ({"angle": angle}, K - 1, seed + 7, K),
+    ]
     for kind in ("linear", "mlp"):
-        results[f"angle/{kind}"] = check_model_gradients(
-            angle_batch, K - 1, kind, seed=seed + 7, n_labels=K, margins=lambda G: -G @ V.T, kinks=(0.0, 1.0)
-        )
+        for cases, n_out, family_seed, n_labels in families:
+            checked = check_model_gradients(list(cases.values()), n_out, kind, seed=family_seed, n_labels=n_labels)
+            results.update((f"{name}/{kind}", result) for name, result in zip(cases, checked))
     return results

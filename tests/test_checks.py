@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from csreject import baselines, checks, cli
-from csreject.checks import KINK_DRAWS, KINK_EPS, KINKS, check_margin_losses, check_model_gradients, run_gradcheck
+from csreject.baselines import sce_loss_batch
+from csreject.checks import (
+    KINK_DRAWS,
+    KINK_EPS,
+    KINKS,
+    GradCase,
+    check_margin_losses,
+    check_model_gradients,
+    run_gradcheck,
+)
 from csreject.core import RejectionCost
 from csreject.harness import METHODS
 from csreject.losses import MARGIN_LOSSES, get_loss
@@ -60,8 +69,8 @@ def _former_numeric_grad(model, X, y, loss_batch, h=1e-5):
     return grads
 
 
-def _per_case_check(loss_batch, n_out, kind, seed=0, n_labels=None, margins=None, kinks=()):
-    """Reference: one model check with its own kink-filtered draw and its own numeric pass."""
+def _per_case_draw(n_out, kind, seed=0, n_labels=None, margins=None, kinks=()):
+    """Reference: one case's kink-filtered draw, (model, X, y, G, cache), or None on kinks only."""
     rng, d, n = np.random.default_rng(seed), 5, 8
     model = make_model(kind, d, n_out, rng)
     n_labels = n_out if n_labels is None else n_labels
@@ -73,9 +82,17 @@ def _per_case_check(loss_batch, n_out, kind, seed=0, n_labels=None, margins=None
         if kind == "mlp":
             near.append(X @ model.params["W1"].T + model.params["b1"])
         if all((np.abs(v) >= KINK_EPS).all() for v in near):
-            break
-    else:
+            return model, X, y, G, cache
+    return None
+
+
+def _per_case_check(loss_batch, n_out, kind, seed=0, n_labels=None, margins=None, kinks=()):
+    """Reference: one model check with its own kink-filtered draw and its own numeric pass."""
+    draw = _per_case_draw(n_out, kind, seed, n_labels, margins, kinks)
+    if draw is None:
         return float("inf"), False
+    model, X, y, G, cache = draw
+    n = len(X)
     _, dG = loss_batch(G, y)
     analytic = model.backward(cache, dG / n)
     numeric = _former_numeric_grad(model, X, y, loss_batch)
@@ -102,8 +119,13 @@ def _per_case_suite(seed):
     V = baselines.angle_vertices(K)
     for kind in ("linear", "mlp"):
         results[f"angle/{kind}"] = _per_case_check(
-            METHODS["angle"].loss_batch(K, cost), K - 1, kind, seed=seed + 7, n_labels=K,
-            margins=lambda G: -G @ V.T, kinks=(0.0, 1.0),
+            METHODS["angle"].loss_batch(K, cost),
+            K - 1,
+            kind,
+            seed=seed + 7,
+            n_labels=K,
+            margins=lambda G: -G @ V.T,
+            kinks=(0.0, 1.0),
         )
     return results
 
@@ -126,24 +148,30 @@ class TestStackedNumericGradient:
         # every error bit for bit: seed 19 has a case whose kink filter takes a later draw
         assert run_gradcheck(seed) == _per_case_suite(seed)
 
-    @pytest.mark.parametrize("seed", [0, 13, 19])
-    def test_suite_matches_per_entry_loop(self, monkeypatch, seed):
+    @pytest.mark.parametrize("seed, groups", [(0, 6), (13, 6), (19, 7)])
+    def test_suite_matches_per_entry_loop(self, monkeypatch, seed, groups):
         calls = []
         stacked = checks._numeric_param_grad
 
-        def recording(model, X, y, loss_batch):
-            grads = stacked(model, X, y, loss_batch)
-            calls.append((model, X, y, loss_batch, grads))
+        def recording(model, X, y, loss_batches):
+            grads = stacked(model, X, y, loss_batches)
+            calls.append((model, X, y, loss_batches, grads))
             return grads
 
         monkeypatch.setattr(checks, "_numeric_param_grad", recording)
         results = run_gradcheck(seed)
-        # 33 cases: 9 margin losses on a grid, 24 through a model
-        assert len(results) == 33 and len(calls) == 24
-        for model, X, y, loss_batch, grads in calls:
-            _assert_grads_match(grads, _per_entry_grad(model, X, y, loss_batch))
-            # each copy is scored by its own forward and loss rows, whatever the block
-            _assert_grads_equal(grads, _former_numeric_grad(model, X, y, loss_batch))
+        # 33 cases: 9 margin losses on a grid, 24 through a model, differenced
+        # in one numeric pass per draw: per kind, the L_CS losses and SCE on
+        # one draw (two at seed 19, where the kinked MLP losses take a later
+        # one), DEFER on one and ANGLE on one
+        assert len(results) == 33 and len(calls) == groups
+        assert sum(len(loss_batches) for *_, loss_batches, _ in calls) == 24
+        for model, X, y, loss_batches, grads in calls:
+            assert len(grads) == len(loss_batches)
+            for loss_batch, case_grads in zip(loss_batches, grads):
+                _assert_grads_match(case_grads, _per_entry_grad(model, X, y, loss_batch))
+                # each copy is scored by its own forward and loss rows, whatever the block
+                _assert_grads_equal(case_grads, _former_numeric_grad(model, X, y, loss_batch))
 
     @pytest.mark.parametrize("block", [1, 7, 16, 64, 1000])
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -154,10 +182,14 @@ class TestStackedNumericGradient:
         model = make_model(kind, 5, 3, rng)
         X, y = rng.normal(size=(8, 5)), rng.integers(1, 4, size=8)
         before = {key: arr.copy() for key, arr in model.params.items()}
-        grads = checks._numeric_param_grad(model, X, y, _logistic_batch)
+        # two losses on the same passes: each gets its own differences
+        losses = [_logistic_batch, sce_loss_batch]
+        grads = checks._numeric_param_grad(model, X, y, losses)
         for key in before:
             np.testing.assert_array_equal(model.params[key], before[key])
-        _assert_grads_match(grads, _per_entry_grad(model, X, y, _logistic_batch))
+        assert len(grads) == 2
+        for loss_batch, loss_grads in zip(losses, grads):
+            _assert_grads_match(loss_grads, _per_entry_grad(model, X, y, loss_batch))
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_nothing_carries_over_between_parameters_or_calls(self, kind):
@@ -167,14 +199,14 @@ class TestStackedNumericGradient:
         model = make_model(kind, 5, 3, rng)
         X, y = rng.normal(size=(8, 5)), rng.integers(1, 4, size=8)
         X2, y2 = rng.normal(size=(8, 5)), rng.integers(1, 4, size=8)
-        first = checks._numeric_param_grad(model, X, y, _logistic_batch)
+        (first,) = checks._numeric_param_grad(model, X, y, [_logistic_batch])
         _assert_grads_equal(first, _former_numeric_grad(model, X, y, _logistic_batch))
         for arr in model.params.values():
             arr += rng.normal(scale=0.1, size=arr.shape)
-        second = checks._numeric_param_grad(model, X2, y2, _logistic_batch)
+        (second,) = checks._numeric_param_grad(model, X2, y2, [_logistic_batch])
         _assert_grads_equal(second, _former_numeric_grad(model, X2, y2, _logistic_batch))
         _assert_grads_match(second, _per_entry_grad(model, X2, y2, _logistic_batch))
-        third = checks._numeric_param_grad(model, X2, y2, _logistic_batch)
+        (third,) = checks._numeric_param_grad(model, X2, y2, [_logistic_batch])
         _assert_grads_equal(third, second)
 
     def test_margin_losses_match_per_point_loop(self):
@@ -238,18 +270,70 @@ class TestCheckModelGradients:
             model.backward = wrong
             return model
 
-        assert check_model_gradients(_logistic_batch, 3, kind, seed=5)[1]
+        ((_, ok),) = check_model_gradients([GradCase(_logistic_batch)], 3, kind, seed=5)
+        assert ok
         monkeypatch.setattr(checks, "make_model", make_wrong)
-        err, ok = check_model_gradients(_logistic_batch, 3, kind, seed=5)
+        ((err, ok),) = check_model_gradients([GradCase(_logistic_batch)], 3, kind, seed=5)
         assert not ok and err > 1e-4
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_every_draw_on_a_kink_fails(self, kind):
         # margins pinned to the kink: no redraw can leave it, so the check must not pass
-        err, ok = check_model_gradients(
-            _logistic_batch, 3, kind, seed=0, margins=lambda G: np.zeros_like(G), kinks=(0.0,)
+        ((err, ok),) = check_model_gradients(
+            [GradCase(_logistic_batch, margins=lambda G: np.zeros_like(G), kinks=(0.0,))], 3, kind, seed=0
         )
         assert not ok and err == float("inf")
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_a_wrong_member_of_a_shared_pass_fails_alone(self, monkeypatch, kind):
+        # logistic, hinge and sce share one draw at seed 0; logistic's analytic
+        # gradient is 1% off, and only logistic may fail
+        calls = []
+        stacked = checks._numeric_param_grad
+        monkeypatch.setattr(checks, "_numeric_param_grad", lambda *args: calls.append(len(args[3])) or stacked(*args))
+
+        def wrong_logistic(G, y):
+            losses, dG = _logistic_batch(G, y)
+            return losses, 1.01 * dG
+
+        hinge = lambda G, y: cs_loss_batch(get_loss("hinge"), RejectionCost(0.25), G, y)
+        cs_margins = lambda G: np.concatenate([G, -G])
+        cases = [GradCase(wrong_logistic), GradCase(hinge, cs_margins, KINKS["hinge"]), GradCase(sce_loss_batch)]
+        (logistic_err, logistic_ok), hinge_result, sce_result = check_model_gradients(cases, 3, kind, seed=0)
+        assert calls == [3]
+        assert not logistic_ok and logistic_err > 1e-4
+        assert hinge_result == _per_case_check(hinge, 3, kind, seed=0, margins=cs_margins, kinks=KINKS["hinge"])
+        assert sce_result == _per_case_check(sce_loss_batch, 3, kind, seed=0)
+        assert hinge_result[1] and sce_result[1]
+
+    def test_a_member_on_a_later_draw_is_differenced_on_its_own_draw(self, monkeypatch):
+        # at seed 19 the MLP's first draw puts a margin within KINK_EPS of the
+        # hinge kink, so hinge moves to a later draw than logistic and sce
+        calls = []
+        stacked = checks._numeric_param_grad
+
+        def recording(model, X, y, loss_batches):
+            calls.append((X, y, loss_batches))
+            return stacked(model, X, y, loss_batches)
+
+        monkeypatch.setattr(checks, "_numeric_param_grad", recording)
+        hinge = lambda G, y: cs_loss_batch(get_loss("hinge"), RejectionCost(0.25), G, y)
+        cs_margins = lambda G: np.concatenate([G, -G])
+        cases = [GradCase(_logistic_batch), GradCase(hinge, cs_margins, KINKS["hinge"]), GradCase(sce_loss_batch)]
+        results = check_model_gradients(cases, 3, "mlp", seed=19)
+        assert [loss_batches for *_, loss_batches in calls] == [[_logistic_batch, sce_loss_batch], [hinge]]
+        first = _per_case_draw(3, "mlp", seed=19)
+        later = _per_case_draw(3, "mlp", seed=19, margins=cs_margins, kinks=KINKS["hinge"])
+        assert not np.array_equal(first[1], later[1])
+        for (X, y, _), (_, X_ref, y_ref, _, _) in zip(calls, [first, later]):
+            np.testing.assert_array_equal(X, X_ref)
+            np.testing.assert_array_equal(y, y_ref)
+        assert results == [
+            _per_case_check(_logistic_batch, 3, "mlp", seed=19),
+            _per_case_check(hinge, 3, "mlp", seed=19, margins=cs_margins, kinks=KINKS["hinge"]),
+            _per_case_check(sce_loss_batch, 3, "mlp", seed=19),
+        ]
+        assert all(ok for _, ok in results)
 
 
 class TestGradcheckCli:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csreject import models as models_mod, weaksup
-from csreject.checks import check_model_gradients, run_gradcheck
+from csreject.checks import GradCase, check_model_gradients, run_gradcheck
 from csreject.core import Dataset, RejectionCost
 from csreject.losses import get_loss
 from csreject.models import (
@@ -87,7 +87,7 @@ class TestBackward:
         cost = RejectionCost(0.25)
         loss = get_loss("logistic")
         batch = lambda G, y: cs_loss_batch(loss, cost, G, y)
-        err, ok = check_model_gradients(batch, 3, kind, seed=5)
+        ((err, ok),) = check_model_gradients([GradCase(batch)], 3, kind, seed=5)
         assert ok, f"max rel err {err}"
 
     @pytest.mark.parametrize("seed", [13, 19])
