@@ -343,16 +343,35 @@ def _run_group(grid: GridSpec, cells) -> list[ResultRow]:
     return [run_cell(grid, cell, trained) for cell, trained in zip(cells, train_group(grid, cells))]
 
 
+# the grid of a --jobs worker process, set once per worker by _init_worker
+_worker_grid: GridSpec | None = None
+
+
+def _init_worker(grid: GridSpec) -> None:
+    """Keep the grid a worker receives once, with a CSV's rows read-only again:
+    arrays come out of a pickle writeable."""
+    global _worker_grid
+    for info in grid.dataset_infos.values():
+        if info.data is not None:
+            info.data.X.flags.writeable = info.data.y.flags.writeable = False
+    _worker_grid = grid
+
+
+def _run_worker_group(cells) -> list[ResultRow]:
+    return _run_group(_worker_grid, cells)
+
+
 def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
     """Execute all cells not in skip_keys, one group of cell_groups at a time
-    (jobs > 1: groups in parallel); output is canonically ordered."""
+    (jobs > 1: groups in parallel, each worker given the grid once); output
+    is canonically ordered."""
     skip = set(skip_keys)
     groups = cell_groups(grid, [c for c in grid.cells() if c not in skip])
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_group, [grid] * len(groups), groups))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(grid,)) as pool:
+            parts = list(pool.map(_run_worker_group, groups))
     else:
         parts = [_run_group(grid, cells) for cells in groups]
     rows = [row for part in parts for row in part]
