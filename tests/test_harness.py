@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
@@ -303,8 +304,6 @@ class TestRunGrid:
             data = grid.dataset_infos[path].data
             seen.append(data.X.flags.writeable or data.y.flags.writeable)
             return train_group(grid, cells)
-
-        import concurrent.futures
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         monkeypatch.setattr(harness, "train_group", probe)
