@@ -5,6 +5,7 @@ from csreject.checks import check_margin_losses
 from csreject.core import RejectionCost
 from csreject.losses import (
     MARGIN_LOSSES,
+    MarginLossSpec,
     _expit,
     argmin_weighted_conditional_risk,
     get_loss,
@@ -233,3 +234,83 @@ class TestBatchedArgmin:
             argmin_weighted_conditional_risk(get_loss("hinge"), np.array([0.2, -0.1]), np.array([0.3, 0.3]))
         with pytest.raises(ValueError):
             argmin_weighted_conditional_risk(get_loss("hinge"), np.array([0.2, 0.0]), np.array([0.3, 0.0]))
+
+
+def _one_pair_scan_argmin(loss, w_pos, w_neg, bound=20.0, grid_step=1e-3):
+    """The former argmin_weighted_conditional_risk: every grid point scanned
+    for every pair, one pair at a time, then the same golden-section search."""
+    w_pos, w_neg = np.broadcast_arrays(np.asarray(w_pos, dtype=float), np.asarray(w_neg, dtype=float))
+    out = np.zeros(w_pos.shape)
+    todo = w_pos != w_neg
+    wp, wn = w_pos[todo], w_neg[todo]
+    grid = np.arange(-bound, bound + grid_step / 2, grid_step)
+    A, B = loss.value(grid), loss.value(-grid)
+    obj, scratch = np.empty_like(grid), np.empty_like(grid)
+    best = np.empty(len(wp), dtype=int)
+    for j in range(len(wp)):
+        np.add(np.multiply(wp[j], A, out=obj), np.multiply(wn[j], B, out=scratch), out=obj)
+        best[j] = np.argmin(obj)
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, len(grid) - 1)]
+
+    def f(v):
+        return wp * loss.value(v) + wn * loss.value(-v)
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(60):
+        left = f1 < f2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        x_new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        f_new = f(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    out[todo] = (a + b) / 2.0
+    return float(out) if out.ndim == 0 else out
+
+
+# the miscalibration witness of theory.miscalibrated_witness: a sign-flipped sigmoid
+FLIPPED_SIGMOID = MarginLossSpec(
+    "flipped_sigmoid",
+    value=lambda z: 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float))),
+    value_grad=lambda z: (_expit(z), _expit(z) * _expit(-np.asarray(z, dtype=float))),
+    convex=False,
+    symmetric=True,
+    calibrated=False,
+)
+# (bound, grid_step): the default 40 001 points, then 101, 4 001 and 257
+# points; only the first is a whole number of 256-point blocks plus 65
+SCAN_GRIDS = [(20.0, 1e-3), (5.0, 0.1), (2.0, 1e-3), (1.28, 0.01)]
+
+
+def _weight_sets(seed):
+    """Four weight sets: uniform draws with exact ties, near-ties at a ratio
+    of 1 +- 1e-6, zero weights, and weights of 1e-300 and 1e300."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 1.0, size=12), rng.uniform(0.0, 1.0, size=12)
+    uniform = (np.concatenate([u, u[:2]]), np.concatenate([v, u[:2]]))
+    near = (np.concatenate([u, u]), np.concatenate([u * (1.0 + 1e-6), u * (1.0 - 1e-6)]))
+    zeros = (np.concatenate([np.zeros(4), u[:4], u[4:8]]), np.concatenate([v[:4], np.zeros(4), v[4:8]]))
+    tiny, huge = 1e-300, 1e300
+    extreme = (
+        np.array([tiny, 0.5, tiny, 3 * tiny, huge, 1.0, huge, 0.3 * huge, tiny, huge]),
+        np.array([0.5, tiny, 0.0, tiny, 1.0, huge, 0.0, huge, huge, tiny]),
+    )
+    return [uniform, near, zeros, extreme]
+
+
+class TestBoundedScanIdentity:
+    """The minimizer equals the one-pair full-grid scan bit for bit."""
+
+    @pytest.mark.parametrize("bound, grid_step", SCAN_GRIDS)
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES) + ["flipped_sigmoid"])
+    def test_equals_the_full_grid_scan_bit_for_bit(self, name, bound, grid_step):
+        loss = FLIPPED_SIGMOID if name == "flipped_sigmoid" else get_loss(name)
+        # a weight of 1e300 times a steep loss overflows to inf at the grid's end
+        with np.errstate(over="ignore"):
+            for w_pos, w_neg in _weight_sets(len(name)):
+                got = argmin_weighted_conditional_risk(loss, w_pos, w_neg, bound=bound, grid_step=grid_step)
+                ref = _one_pair_scan_argmin(loss, w_pos, w_neg, bound=bound, grid_step=grid_step)
+                assert _bits(got) == _bits(ref), (name, bound, w_pos, w_neg)
