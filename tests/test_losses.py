@@ -229,6 +229,22 @@ class TestBatchedArgmin:
         # closed form for the squared loss: v* = w_pos - w_neg over w_pos + w_neg = 1
         np.testing.assert_allclose(out, 2 * w - 1, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "name, w_pos, w_neg",
+        [("sigmoid", 0.3, np.nan), ("sigmoid", np.nan, 0.3), ("hinge", np.inf, 0.2), ("hinge", 0.2, -np.inf)],
+    )
+    def test_a_weight_that_is_not_finite_raises(self, name, w_pos, w_neg):
+        # a NaN passes a `< 0` check, and an infinite weight gives an infinite objective
+        with pytest.raises(ValueError, match="finite"):
+            argmin_weighted_conditional_risk(get_loss(name), w_pos, w_neg)
+        with pytest.raises(ValueError, match="finite"):
+            argmin_weighted_conditional_risk(get_loss(name), np.array([0.2, w_pos]), np.array([0.7, w_neg]))
+
+    def test_a_loss_that_is_not_finite_on_the_grid_raises(self):
+        steep = MarginLossSpec("steep", lambda z: np.exp(-50.0 * np.asarray(z)), None, convex=True, symmetric=False)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            argmin_weighted_conditional_risk(steep, 0.7, 0.3)
+
     def test_any_bad_pair_raises(self):
         with pytest.raises(ValueError):
             argmin_weighted_conditional_risk(get_loss("hinge"), np.array([0.2, -0.1]), np.array([0.3, 0.3]))
