@@ -145,6 +145,12 @@ def get_loss(name: str) -> MarginLossSpec:
         raise KeyError(f"unknown margin loss {name!r}; choose from {sorted(MARGIN_LOSSES)}") from None
 
 
+# the scan cuts its grid into blocks of _SCAN_BLOCK points and bounds each
+# block's objective for at most _BOUND_PAIRS weight pairs at a time
+_SCAN_BLOCK = 256
+_BOUND_PAIRS = 64
+
+
 def argmin_weighted_conditional_risk(
     loss: MarginLossSpec,
     w_pos,
@@ -158,8 +164,19 @@ def argmin_weighted_conditional_risk(
     followed by golden-section refinement around the best grid point. The
     weights may be equal-shape arrays, one minimizer per pair; scalars give a
     float. The caller typically only consumes the sign of the result.
+
+    The scan skips the grid blocks that cannot hold a pair's minimum. With
+    non-negative weights and round-to-nearest, each point's objective is at
+    least w_pos * min(phi) + w_neg * min(phi(-.)) over its block, and every
+    block's w_pos * max + w_neg * max is at least some point's objective; a
+    block whose lower bound exceeds the least of those upper bounds holds no
+    minimum. The span from the first to the last kept block therefore starts
+    with the same first minimizer as the whole grid, so the result is that of
+    the full scan bit for bit.
     """
     w_pos, w_neg = np.broadcast_arrays(np.asarray(w_pos, dtype=float), np.asarray(w_neg, dtype=float))
+    if not (np.isfinite(w_pos).all() and np.isfinite(w_neg).all()):
+        raise ValueError("weights must be finite")
     if (w_pos < 0).any() or (w_neg < 0).any():
         raise ValueError("weights must be non-negative")
     if (w_pos + w_neg <= 0).any():
@@ -172,12 +189,24 @@ def argmin_weighted_conditional_risk(
 
     grid = np.arange(-bound, bound + grid_step / 2, grid_step)
     A, B = loss.value(grid), loss.value(-grid)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError(f"loss {loss.name!r} must be finite on [-{bound}, {bound}]")
+    starts = np.arange(0, len(grid), _SCAN_BLOCK)
+    lo_A, hi_A = np.minimum.reduceat(A, starts), np.maximum.reduceat(A, starts)
+    lo_B, hi_B = np.minimum.reduceat(B, starts), np.maximum.reduceat(B, starts)
     obj, scratch = np.empty_like(grid), np.empty_like(grid)
     best = np.empty(len(wp), dtype=int)
-    for j in range(len(wp)):
-        # w_pos * A + w_neg * B, one pair at a time so memory stays one grid wide
-        np.add(np.multiply(wp[j], A, out=obj), np.multiply(wn[j], B, out=scratch), out=obj)
-        best[j] = np.argmin(obj)
+    for p0 in range(0, len(wp), _BOUND_PAIRS):
+        p_wp, p_wn = wp[p0 : p0 + _BOUND_PAIRS, None], wn[p0 : p0 + _BOUND_PAIRS, None]
+        lower = p_wp * lo_A + p_wn * lo_B
+        keep = lower <= (p_wp * hi_A + p_wn * hi_B).min(axis=1, keepdims=True)
+        first = starts[keep.argmax(axis=1)]
+        stop = np.minimum(starts[len(starts) - 1 - keep[:, ::-1].argmax(axis=1)] + _SCAN_BLOCK, len(grid))
+        for j, lo, hi in zip(range(p0, p0 + len(first)), first, stop):
+            # w_pos * A + w_neg * B over the kept span, in buffers one grid wide
+            o, t = obj[: hi - lo], scratch[: hi - lo]
+            np.add(np.multiply(wp[j], A[lo:hi], out=o), np.multiply(wn[j], B[lo:hi], out=t), out=o)
+            best[j] = lo + np.argmin(o)
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, len(grid) - 1)]
 
