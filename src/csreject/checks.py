@@ -87,20 +87,38 @@ def _numeric_param_grad(model, X, y, loss_batches):
     return grads
 
 
-def _kink_free_draw(case: GradCase, n_out: int, kind: str, seed: int, n_labels: int):
-    """The first of KINK_DRAWS input draws that keeps the case off its kinks,
-    as (draw index, model, X, y, G, cache); None when every draw sits near one."""
+def _family_draws(n_out: int, kind: str, seed: int, n_labels: int):
+    """A family's model and its input draws, both from the seed alone.
+
+    Returns (model, draw): draw(i) gives the i-th draw as (X, y, G, cache,
+    off_relu), made the first time any case asks for it and then shared, so
+    the rng makes its draws once and in order. off_relu says that no MLP
+    pre-activation lies within KINK_EPS of the ReLU kink at 0.
+    """
     rng, d, n = np.random.default_rng(seed), 5, 8
     model = make_model(kind, d, n_out, rng)
+    drawn = []
+
+    def draw(i: int):
+        while len(drawn) <= i:
+            X = rng.normal(size=(n, d))
+            y = rng.integers(1, n_labels + 1, size=n) if n_labels > 1 else np.ones(n, dtype=int)
+            G, cache = model.forward(X)
+            pre = X @ model.params["W1"].T + model.params["b1"] if kind == "mlp" else None
+            drawn.append((X, y, G, cache, pre is None or (np.abs(pre) >= KINK_EPS).all()))
+        return drawn[i]
+
+    return model, draw
+
+
+def _first_kink_free(case: GradCase, draw) -> int | None:
+    """The index of the first of KINK_DRAWS draws that keeps the case off its
+    kinks and off the ReLU kink; None when every draw sits near one."""
     for i in range(KINK_DRAWS):
-        X = rng.normal(size=(n, d))
-        y = rng.integers(1, n_labels + 1, size=n) if n_labels > 1 else np.ones(n, dtype=int)
-        G, cache = model.forward(X)
+        _, _, G, _, off_relu = draw(i)
         near = [case.margins(G) - k for k in case.kinks] if case.margins is not None else []
-        if kind == "mlp":
-            near.append(X @ model.params["W1"].T + model.params["b1"])  # the pre-activation
-        if all((np.abs(v) >= KINK_EPS).all() for v in near):
-            return i, model, X, y, G, cache
+        if off_relu and all((np.abs(v) >= KINK_EPS).all() for v in near):
+            return i
     return None
 
 
@@ -110,25 +128,27 @@ def check_model_gradients(cases, n_out: int, kind: str, seed: int = 0, n_labels:
 
     The model and its input draws come from the seed alone. Labels are drawn
     from 1..n_labels (default n_out). Finite differences are wrong across a
-    kink, so each case draws its inputs up to KINK_DRAWS times until no value
-    of its margins(G) lies within KINK_EPS of one of its kinks and no MLP
-    pre-activation within KINK_EPS of the ReLU kink at 0; when every draw sits
-    near a kink the case fails with an infinite error. Cases that land on the
-    same draw difference the same model on the same rows, so they share one
-    numeric pass; each keeps its own analytic gradient.
+    kink, so each case takes the first of up to KINK_DRAWS draws on which no
+    value of its margins(G) lies within KINK_EPS of one of its kinks and no
+    MLP pre-activation within KINK_EPS of the ReLU kink at 0; when every draw
+    sits near a kink the case fails with an infinite error. The cases walk
+    one shared sequence of draws, made only as far as the case that needs the
+    most. Cases that land on the same draw difference the same model on the
+    same rows, so they share one numeric pass; each keeps its own analytic
+    gradient.
     """
     n_labels = n_out if n_labels is None else n_labels
-    draws = [_kink_free_draw(case, n_out, kind, seed, n_labels) for case in cases]
+    model, draw = _family_draws(n_out, kind, seed, n_labels)
     results = [(float("inf"), False)] * len(cases)
     groups: dict[int, list[int]] = {}
-    for c, draw in enumerate(draws):
-        if draw is not None:
-            groups.setdefault(draw[0], []).append(c)
-    for members in groups.values():
-        _, model, X, y, _, _ = draws[members[0]]
+    for c, case in enumerate(cases):
+        i = _first_kink_free(case, draw)
+        if i is not None:
+            groups.setdefault(i, []).append(c)
+    for i, members in groups.items():
+        X, y, G, cache, _ = draw(i)
         numeric = _numeric_param_grad(model, X, y, [cases[c].loss_batch for c in members])
         for c, case_numeric in zip(members, numeric):
-            _, model, X, y, G, cache = draws[c]
             _, dG = cases[c].loss_batch(G, y)
             analytic = model.backward(cache, dG / len(X))
             worst = 0.0

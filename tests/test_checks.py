@@ -336,6 +336,30 @@ class TestCheckModelGradients:
         assert all(ok for _, ok in results)
 
 
+    @pytest.mark.parametrize("seed, models, draws", [(0, 6, 9), (13, 6, 9), (19, 6, 11)])
+    def test_a_family_builds_one_model_and_makes_each_draw_once(self, monkeypatch, seed, models, draws):
+        # the cases of a family share the seed's model and its draw sequence,
+        # drawn as far as the case whose kink filter walks furthest
+        made, forwards = [], []
+
+        def counting(*args):
+            model = make_model(*args)
+            forward = model.forward
+
+            def unperturbed(X, params=None, work=None):
+                if params is None:
+                    forwards.append(X)
+                return forward(X, params, work)
+
+            model.forward = unperturbed
+            made.append(model)
+            return model
+
+        monkeypatch.setattr(checks, "make_model", counting)
+        assert run_gradcheck(seed) == _per_case_suite(seed)
+        assert (len(made), len(forwards)) == (models, draws)
+
+
 class TestGradcheckCli:
     def test_prints_33_sorted_pass_lines(self, capsys):
         assert cli.main(["gradcheck", "--seed", "0"]) == 0
