@@ -104,8 +104,9 @@ def _family_draws(n_out: int, kind: str, seed: int, n_labels: int):
             X = rng.normal(size=(n, d))
             y = rng.integers(1, n_labels + 1, size=n) if n_labels > 1 else np.ones(n, dtype=int)
             G, cache = model.forward(X)
-            pre = X @ model.params["W1"].T + model.params["b1"] if kind == "mlp" else None
-            drawn.append((X, y, G, cache, pre is None or (np.abs(pre) >= KINK_EPS).all()))
+            # the MLP's pre-activation
+            off_relu = kind != "mlp" or (np.abs(X @ model.params["W1"].T + model.params["b1"]) >= KINK_EPS).all()
+            drawn.append((X, y, G, cache, off_relu))
         return drawn[i]
 
     return model, draw

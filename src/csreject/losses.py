@@ -198,11 +198,10 @@ def argmin_weighted_conditional_risk(
     best = np.empty(len(wp), dtype=int)
     for p0 in range(0, len(wp), _BOUND_PAIRS):
         p_wp, p_wn = wp[p0 : p0 + _BOUND_PAIRS, None], wn[p0 : p0 + _BOUND_PAIRS, None]
-        lower = p_wp * lo_A + p_wn * lo_B
-        keep = lower <= (p_wp * hi_A + p_wn * hi_B).min(axis=1, keepdims=True)
+        keep = p_wp * lo_A + p_wn * lo_B <= (p_wp * hi_A + p_wn * hi_B).min(axis=1, keepdims=True)
         first = starts[keep.argmax(axis=1)]
-        stop = np.minimum(starts[len(starts) - 1 - keep[:, ::-1].argmax(axis=1)] + _SCAN_BLOCK, len(grid))
-        for j, lo, hi in zip(range(p0, p0 + len(first)), first, stop):
+        last = starts[len(starts) - 1 - keep[:, ::-1].argmax(axis=1)]
+        for j, lo, hi in zip(range(p0, len(wp)), first, np.minimum(last + _SCAN_BLOCK, len(grid))):
             # w_pos * A + w_neg * B over the kept span, in buffers one grid wide
             o, t = obj[: hi - lo], scratch[: hi - lo]
             np.add(np.multiply(wp[j], A[lo:hi], out=o), np.multiply(wn[j], B[lo:hi], out=t), out=o)
