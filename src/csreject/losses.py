@@ -145,8 +145,7 @@ def get_loss(name: str) -> MarginLossSpec:
         raise KeyError(f"unknown margin loss {name!r}; choose from {sorted(MARGIN_LOSSES)}") from None
 
 
-# the scan cuts its grid into blocks of _SCAN_BLOCK points and bounds each
-# block's objective for at most _BOUND_PAIRS weight pairs at a time
+# grid points per scan block, and weight pairs bounded at a time
 _SCAN_BLOCK = 256
 _BOUND_PAIRS = 64
 
@@ -165,14 +164,9 @@ def argmin_weighted_conditional_risk(
     weights may be equal-shape arrays, one minimizer per pair; scalars give a
     float. The caller typically only consumes the sign of the result.
 
-    The scan skips the grid blocks that cannot hold a pair's minimum. With
-    non-negative weights and round-to-nearest, each point's objective is at
-    least w_pos * min(phi) + w_neg * min(phi(-.)) over its block, and every
-    block's w_pos * max + w_neg * max is at least some point's objective; a
-    block whose lower bound exceeds the least of those upper bounds holds no
-    minimum. The span from the first to the last kept block therefore starts
-    with the same first minimizer as the whole grid, so the result is that of
-    the full scan bit for bit.
+    The scan skips each grid block whose lower bound on the objective exceeds
+    the least upper bound over all blocks; the result is that of the full
+    scan bit for bit (README, "Audits as arrays").
     """
     w_pos, w_neg = np.broadcast_arrays(np.asarray(w_pos, dtype=float), np.asarray(w_neg, dtype=float))
     if not (np.isfinite(w_pos).all() and np.isfinite(w_neg).all()):
