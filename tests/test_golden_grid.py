@@ -1,5 +1,6 @@
 """Replay small seeded grids against their golden rows: one over every method
-and setting, and one over the five trained methods on a CSV dataset.
+and setting, and one over the five trained methods on a CSV dataset in every
+setting, run as `--jobs 2` runs it.
 
 Rates must agree to 1e-6 and reject counts exactly, so any change in the
 decisions on any test row fails. To regenerate the golden files after a
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from csreject.data import gen_twonorm
-from csreject.harness import GridSpec, read_csv, run_grid, write_csv
+from csreject.harness import SETTINGS, GridSpec, _CSV_TYPES, _write_rows, read_csv, run_grid
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "grid.csv")
 GOLDEN_CSV = os.path.join(os.path.dirname(GOLDEN), "grid_csv.csv")
@@ -32,7 +33,7 @@ def _grid(setting: str, dataset: str) -> GridSpec:
     )
 
 
-def _run_all():
+def run_golden_grid():
     return [row for setting, ds in BLOCKS for row in run_grid(_grid(setting, ds))]
 
 
@@ -41,13 +42,18 @@ def _run_all():
 CSV_NAME = "twonorm.csv"
 
 
-def _run_csv():
-    """The five trained methods on a seeded twonorm file with +-1 labels,
-    written with six decimals as the benchmark writes its file."""
+def run_csv_grid(jobs: int = 1):
+    """The five trained methods in each setting on a seeded twonorm file with
+    +-1 labels, written with six decimals as the benchmark writes its file."""
     ds, _ = gen_twonorm(4000, np.random.default_rng(2024))
     np.savetxt(CSV_NAME, np.column_stack([ds.X, 2 * ds.y - 3]), fmt="%.6f", delimiter=",")
-    grid = GridSpec(datasets=(CSV_NAME,), methods=METHODS[:5], costs=(0.1, 0.3), trials=1, master_seed=0, epochs=3)
-    return run_grid(grid)
+    rows = []
+    for setting in SETTINGS:
+        grid = GridSpec(
+            datasets=(CSV_NAME,), methods=METHODS[:5], costs=(0.1, 0.3), trials=1, setting=setting, master_seed=0, epochs=3
+        )
+        rows += run_grid(grid, jobs=jobs)
+    return rows
 
 
 def _replay(golden_path, rows, n):
@@ -62,20 +68,26 @@ def _replay(golden_path, rows, n):
 
 
 def test_golden_grid_replays():
-    _replay(GOLDEN, _run_all(), 60)
+    _replay(GOLDEN, run_golden_grid(), 60)
 
 
 def test_golden_csv_grid_replays(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _replay(GOLDEN_CSV, _run_csv(), 10)
+    _replay(GOLDEN_CSV, run_csv_grid(jobs=2), 30)
+
+
+def _write_golden(rows, path):
+    """The rows without the flagged column, which the replay asserts False, so
+    that the files keep the 11-column header that read_csv also reads; timings
+    are not compared, and zeros keep a regenerated file's diff to what moved."""
+    columns = {name: parse for name, parse in _CSV_TYPES.items() if name != "flagged"}
+    _write_rows([dataclasses.replace(r, train_seconds=0.0) for r in rows], path, columns)
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    # timings are not compared, and zeros keep a regenerated file's diff to what moved
-    write_csv([dataclasses.replace(r, train_seconds=0.0) for r in _run_all()], GOLDEN)
-    print(f"wrote {GOLDEN}")
+    _write_golden(run_golden_grid(), GOLDEN)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        write_csv([dataclasses.replace(r, train_seconds=0.0) for r in _run_csv()], GOLDEN_CSV)
-    print(f"wrote {GOLDEN_CSV}")
+        _write_golden(run_csv_grid(), GOLDEN_CSV)
