@@ -263,14 +263,15 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         return [Trained(None, [], val_ds, test_ds, 0.0) for _ in cells]
 
     t0 = time.perf_counter()
-    models, losses, configs = [], [], []
+    models, losses, seeds = [], [], []
     for _, method_name, cost_value, _ in cells:
         method = METHODS[method_name]
         train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, f"{cost_value:.6g}", "train")
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
         models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
         losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
-        configs.append(TrainConfig(batch_size=batch, epochs=grid.epochs, seed=train_seed))
+        seeds.append(train_seed)
+    config = TrainConfig(batch_size=batch, epochs=grid.epochs)
 
     if grid.setting == "pu":
         if info.data is None:
@@ -287,13 +288,13 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         positives, unlabeled = weaksup.make_pu_dataset(pu_pool, pu_cfg, data_rng)
         scaler = data_mod.Standardizer.fit(np.vstack([positives, unlabeled]))
         positives, unlabeled = ((part - scaler.mean) / scaler.scale for part in (positives, unlabeled))
-        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, grid.prior, configs)
+        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, grid.prior, config, seeds)
     else:
         if grid.setting == "noisy":
             noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
             train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
         scaler, train_std = data_mod.standardize(train_ds)
-        traces = train(models, train_std, losses, configs)
+        traces = train(models, train_std, losses, config, seeds)
     val_ds, test_ds = scaler.apply(val_ds), scaler.apply(test_ds)
 
     seconds = (time.perf_counter() - t0) / len(cells)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,30 +165,27 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training values that every cell of a stack shares; each cell's
+    shuffle seed is its own entry of the seeds list of train or train_pu."""
+
     learning_rate: float = 0.001
     batch_size: int = 256
     epochs: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid training configuration")
 
 
-def stack_cells(model, loss_batch, config):
-    """One cell, or sequences of one model, loss and config per cell, as
-    (stack, models, losses, configs, one): `stack` is a model of the same kind
-    whose parameters are the cells' stacked along a leading axis, and `one`
-    tells that a bare cell was given. The configs must agree but for the seed."""
-    one = not isinstance(model, (list, tuple))
-    models, losses, configs = ([model], [loss_batch], [config]) if one else (model, loss_batch, config)
-    if not models or not len(models) == len(losses) == len(configs):
-        raise ValueError("a stack needs one model, one loss and one config per cell")
-    if len({replace(c, seed=0) for c in configs}) > 1:
-        raise ValueError("the cells of a stack must share their training configuration but for the seed")
+def stack_cells(models, losses, seeds):
+    """A model of the cells' kind whose parameters are the cells' stacked
+    along a leading axis, and one shuffle generator per cell. A lone cell is
+    a stack of one."""
+    if not models or not len(models) == len(losses) == len(seeds):
+        raise ValueError("a stack needs one model, one loss and one seed per cell")
     stack = copy.copy(models[0])
     stack.params = {key: np.stack([m.params[key] for m in models]) for key in models[0].params}
-    return stack, models, losses, configs, one
+    return stack, [np.random.default_rng(seed) for seed in seeds]
 
 
 def unstack_cells(stack, models) -> None:
@@ -198,22 +195,18 @@ def unstack_cells(stack, models) -> None:
             value[...] = stack.params[key][i]
 
 
-def train(model, data: Dataset, loss_batch, config: TrainConfig):
-    """Mini-batch Adam minimization of the mean of a per-sample loss.
+def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[list[float]]:
+    """Mini-batch Adam minimization of the mean of a per-sample loss, for a
+    stack of cells that share the data and the config.
 
-    loss_batch(G, y) must return (per-sample losses (n,), dG (n, n_out)).
-    The shuffle order depends only on config.seed. Returns the per-epoch
-    empirical risk trace (mean loss over the epoch's batches).
-
-    model, loss_batch and config may also be sequences with one entry per
-    cell: the cells then train as one stack on the same data (see
-    stack_cells), and the call returns one trace per cell. A cell keeps its
-    own shuffle order and loss, and ends with the parameters and trace it
-    gets when trained alone.
+    models, losses and seeds hold one entry per cell. A cell's loss(G, y)
+    must return (per-sample losses (n,), dG (n, n_out)); its shuffle order
+    depends only on its seed. The cells train as one stack (see stack_cells)
+    and each ends with the parameters and trace it gets when trained alone.
+    Returns one trace per cell: the per-epoch empirical risk (mean loss over
+    the epoch's batches).
     """
-    stack, models, losses, configs, one = stack_cells(model, loss_batch, config)
-    config = configs[0]
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    stack, rngs = stack_cells(models, losses, seeds)
     state, work = AdamState(), {}
     traces = [[] for _ in models]
     n = data.n
@@ -233,4 +226,4 @@ def train(model, data: Dataset, loss_batch, config: TrainConfig):
         for trace, total in zip(traces, epoch_loss.tolist()):
             trace.append(total / n)
     unstack_cells(stack, models)
-    return traces[0] if one else traces
+    return traces

@@ -122,33 +122,22 @@ def pu_risk_nn(loss_batch, prior: float, positives, unlabeled, score_fn) -> floa
     return float(pos_term + max(0.0, neg_term))
 
 
-def train_pu(
-    model,
-    loss_batch,
-    positives: np.ndarray,
-    unlabeled: np.ndarray,
-    prior: float,
-    config: TrainConfig,
-):
-    """Mini-batch minimization of the non-negative PU risk.
+def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior: float, config: TrainConfig, seeds):
+    """Mini-batch minimization of the non-negative PU risk, for a stack of
+    cells that share both sample sets and the config.
 
-    loss_batch(G, y) is a K=2 loss: label 1 stands for +1, label 2 for -1.
+    models, losses and seeds hold one entry per cell, as in models.train. A
+    cell's loss(G, y) is a K=2 loss: label 1 stands for +1, label 2 for -1.
     Each batch draws positives and unlabeled proportionally so both
-    empirical means stay defined. When the implied-negative bracket of a
-    batch goes negative, its gradient is zeroed for that step (the clamp is
-    active). Returns (risk trace per epoch, clamp activation count).
-
-    model, loss_batch and config may also be sequences with one entry per
-    cell, as in models.train: the cells train as one stack, each with its
-    own draws, loss and clamp, and the call returns one trace per cell and
-    the clamp activations of all cells together.
+    empirical means stay defined. When a cell's implied-negative bracket of
+    a batch goes negative, its gradient is zeroed for that step (the clamp
+    is active). Each cell keeps its own draws, loss and clamp. Returns (one
+    risk trace per epoch per cell, clamp activations of all cells together).
     """
-    stack, models, losses, configs, one = stack_cells(model, loss_batch, config)
-    config = configs[0]
+    stack, rngs = stack_cells(models, losses, seeds)
     n_p, n_u = len(positives), len(unlabeled)
     if n_p == 0 or n_u == 0:
         raise ValueError("both sample sets must be non-empty")
-    rngs = [np.random.default_rng(c.seed) for c in configs]
     state, work_p, work_u = AdamState(), {}, {}
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
     b_u = max(1, config.batch_size - b_p)
@@ -194,4 +183,4 @@ def train_pu(
         for trace, risk in zip(traces, epoch_risk):
             trace.append(risk / steps)
     unstack_cells(stack, models)
-    return (traces[0] if one else traces), clamp_count
+    return traces, clamp_count

@@ -195,7 +195,7 @@ def test_criterion_9_chow_agreement_of_trained_model():
     scaler, train_std = data_mod.standardize(train_ds)
     model = make_model("mlp", 2, 3, np.random.default_rng(201))
     batch = lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y)
-    train(model, train_std, batch, TrainConfig(batch_size=256, epochs=100, seed=202))
+    train([model], train_std, [batch], TrainConfig(batch_size=256, epochs=100), [202])
 
     xs = np.linspace(-4.0, 4.0, 100)
     grid_pts = np.array([[x, y] for x in xs for y in xs])

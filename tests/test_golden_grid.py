@@ -49,9 +49,7 @@ def run_csv_grid(jobs: int = 1):
     np.savetxt(CSV_NAME, np.column_stack([ds.X, 2 * ds.y - 3]), fmt="%.6f", delimiter=",")
     rows = []
     for setting in SETTINGS:
-        grid = GridSpec(
-            datasets=(CSV_NAME,), methods=METHODS[:5], costs=(0.1, 0.3), trials=1, setting=setting, master_seed=0, epochs=3
-        )
+        grid = GridSpec(datasets=(CSV_NAME,), methods=METHODS[:5], costs=(0.1, 0.3), trials=1, setting=setting, epochs=3)
         rows += run_grid(grid, jobs=jobs)
     return rows
 

@@ -132,7 +132,7 @@ class TestCsvLoading:
 
 class TestRunCell:
     def test_nonfinite_scores_flag_the_row(self, monkeypatch):
-        def train_to_nan(models, data, loss_batches, configs):
+        def train_to_nan(models, data, losses, config, seeds):
             for model in models:
                 model.params["W"][:] = np.nan
             return [[0.0] for _ in models]

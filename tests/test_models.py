@@ -161,14 +161,14 @@ class TestFlatAdam:
         X = rng.normal(size=(200, 3))
         data = Dataset(X, np.where(X[:, 0] + 0.3 * rng.normal(size=200) > 0, 1, 2), K=2)
         batch = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y)
-        config = TrainConfig(epochs=20, batch_size=32, seed=6, learning_rate=0.01)
+        config = TrainConfig(epochs=20, batch_size=32, learning_rate=0.01)
         flat = make_model(kind, 3, 2, np.random.default_rng(7))
-        flat_trace = train(flat, data, batch, config)
+        flat_trace = train([flat], data, [batch], config, [6])[0]
         ref_state = {"t": 0, "m": {}, "v": {}}
         monkeypatch.setattr(models_mod, "AdamState", lambda: ref_state)
         monkeypatch.setattr(models_mod, "adam_step", _per_key_adam)
         ref = make_model(kind, 3, 2, np.random.default_rng(7))
-        ref_trace = train(ref, data, batch, config)
+        ref_trace = train([ref], data, [batch], config, [6])[0]
         assert ref_state["t"] == 20 * 7
         assert flat_trace == ref_trace
         for k in flat.params:
@@ -179,14 +179,14 @@ class TestFlatAdam:
         rng = np.random.default_rng(8)
         positives, unlabeled = rng.normal(size=(60, 3)) + 1.0, rng.normal(size=(200, 3))
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y)
-        config = TrainConfig(epochs=10, batch_size=32, seed=9, learning_rate=0.01)
+        config = TrainConfig(epochs=10, batch_size=32, learning_rate=0.01)
         flat = make_model("mlp", 3, 2, np.random.default_rng(10))
-        flat_out = weaksup.train_pu(flat, loss, positives, unlabeled, 0.7, config)
+        flat_out = weaksup.train_pu([flat], [loss], positives, unlabeled, 0.7, config, [9])
         ref_state = {"t": 0, "m": {}, "v": {}}
         monkeypatch.setattr(weaksup, "AdamState", lambda: ref_state)
         monkeypatch.setattr(weaksup, "adam_step", _per_key_adam)
         ref = make_model("mlp", 3, 2, np.random.default_rng(10))
-        assert weaksup.train_pu(ref, loss, positives, unlabeled, 0.7, config) == flat_out
+        assert weaksup.train_pu([ref], [loss], positives, unlabeled, 0.7, config, [9]) == flat_out
         assert ref_state["t"] > 0
         for k in flat.params:
             np.testing.assert_array_equal(flat.params[k], ref.params[k])
@@ -204,7 +204,7 @@ class TestTrain:
         model = make_model("linear", 2, 2, np.random.default_rng(1))
         before = copy.deepcopy(model.params)
         batch = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y)
-        trace = train(model, data, batch, TrainConfig(epochs=0))
+        trace = train([model], data, [batch], TrainConfig(epochs=0), [0])[0]
         assert trace == []
         for k in before:
             np.testing.assert_array_equal(model.params[k], before[k])
@@ -213,7 +213,7 @@ class TestTrain:
         data = self._toy_data(n=256, seed=2)
         model = make_model("linear", 2, 2, np.random.default_rng(3))
         batch = lambda G, y: cs_loss_batch(get_loss("logistic"), RejectionCost(0.2), G, y)
-        trace = train(model, data, batch, TrainConfig(epochs=30, batch_size=64, seed=4))
+        trace = train([model], data, [batch], TrainConfig(epochs=30, batch_size=64), [4])[0]
         assert trace[-1] <= trace[0]
 
     def test_deterministic_under_seed(self):
@@ -222,7 +222,7 @@ class TestTrain:
 
         def run():
             model = make_model("mlp", 2, 2, np.random.default_rng(6))
-            train(model, data, batch, TrainConfig(epochs=5, batch_size=32, seed=7))
+            train([model], data, [batch], TrainConfig(epochs=5, batch_size=32), [7])
             return {k: v.copy() for k, v in model.params.items()}
 
         p1, p2 = run(), run()
@@ -244,7 +244,7 @@ class TestTrain:
         batch = lambda G, y: cs_loss_batch(loss, cost, G, y)
 
         model = make_model("linear", 2, 2, np.random.default_rng(9))
-        train(model, data, batch, TrainConfig(epochs=300, batch_size=200, seed=10, learning_rate=0.01))
+        train([model], data, [batch], TrainConfig(epochs=300, batch_size=200, learning_rate=0.01), [10])
         risk_sgd = batch(model.scores(data.X), data.y)[0].mean()
 
         oracle = make_model("linear", 2, 2, np.random.default_rng(11))
@@ -261,7 +261,7 @@ class TestTrain:
         cost = RejectionCost(0.2)
         batch = lambda G, y: cs_loss_batch(get_loss("hinge"), cost, G, y)
         model = make_model("linear", 2, 2, np.random.default_rng(13))
-        train(model, data, batch, TrainConfig(epochs=200, batch_size=64, seed=14, learning_rate=0.01))
+        train([model], data, [batch], TrainConfig(epochs=200, batch_size=64, learning_rate=0.01), [14])
         decisions = decide_batch(model.scores(data.X))
         m = compute_metrics(decisions, data.y, cost)
         assert m.n_wrong_accepted == 0

@@ -16,13 +16,13 @@ from csreject.models import TrainConfig, make_model, stack_cells, train
 CELLS = [("cs-sigmoid", 0.1), ("cs-ramp", 0.25), ("cs-sigmoid", 0.4), ("sce", 0.2), ("angle", 0.3)]
 
 
-def _cells(kind, d, K, cells, seed, **config):
-    models, losses, configs = [], [], []
+def _cells(kind, d, K, cells, seed):
+    models, losses, seeds = [], [], []
     for i, (method, cost) in enumerate(cells):
         models.append(make_model(kind, d, METHODS[method].n_out(K), np.random.default_rng(seed + i)))
         losses.append(METHODS[method].loss_batch(K, RejectionCost(cost)))
-        configs.append(TrainConfig(seed=seed + 100 + i, **config))
-    return models, losses, configs
+        seeds.append(seed + 100 + i)
+    return models, losses, seeds
 
 
 def _assert_same_models(stacked, separate):
@@ -55,38 +55,30 @@ class TestStackedTrain:
     def test_equals_separate_calls(self, kind, group):
         # 203 rows in batches of 32 leave a short last batch
         data = _toy(203, 4, 2, seed=1)
-        models, losses, configs = _cells(kind, 4, 2, GROUPS[group], seed=10, epochs=6, batch_size=32, learning_rate=0.01)
+        models, losses, seeds = _cells(kind, 4, 2, GROUPS[group], seed=10)
+        config = TrainConfig(epochs=6, batch_size=32, learning_rate=0.01)
         separate = copy.deepcopy(models)
-        traces = train(models, data, losses, configs)
-        ref = [train(m, data, loss, config) for m, loss, config in zip(separate, losses, configs)]
+        traces = train(models, data, losses, config, seeds)
+        ref = [train([m], data, [loss], config, [seed])[0] for m, loss, seed in zip(separate, losses, seeds)]
         assert traces == ref
         _assert_same_models(models, separate)
 
     def test_multiclass_mlp(self):
         data = _toy(300, 3, 3, seed=2)
         cells = [("cs-sigmoid", 0.2), ("cs-hinge", 0.3), ("sce", 0.1)]
-        models, losses, configs = _cells("mlp", 3, 3, cells, seed=20, epochs=5, batch_size=64)
+        models, losses, seeds = _cells("mlp", 3, 3, cells, seed=20)
+        config = TrainConfig(epochs=5, batch_size=64)
         separate = copy.deepcopy(models)
-        traces = train(models, data, losses, configs)
-        assert traces == [train(m, data, loss, config) for m, loss, config in zip(separate, losses, configs)]
+        traces = train(models, data, losses, config, seeds)
+        assert traces == [train([m], data, [loss], config, [seed])[0] for m, loss, seed in zip(separate, losses, seeds)]
         _assert_same_models(models, separate)
 
-    def test_a_bare_cell_is_a_stack_of_one(self):
-        data = _toy(100, 3, 2, seed=3)
-        models, losses, configs = _cells("linear", 3, 2, CELLS[:1], seed=30, epochs=3, batch_size=16)
-        alone = copy.deepcopy(models)
-        trace = train(alone[0], data, losses[0], configs[0])
-        assert isinstance(trace, list) and len(trace) == 3
-        assert train(models, data, losses, configs) == [trace]
-        _assert_same_models(models, alone)
-
-    def test_cells_must_agree_but_for_the_seed(self):
-        models, losses, configs = _cells("linear", 3, 2, CELLS[:2], seed=40, epochs=3)
-        configs[1] = TrainConfig(seed=configs[1].seed, epochs=4)
-        with pytest.raises(ValueError, match="but for the seed"):
-            stack_cells(models, losses, configs)
-        with pytest.raises(ValueError, match="one model, one loss and one config"):
-            stack_cells(models, losses[:1], configs[:1])
+    def test_each_cell_needs_a_model_a_loss_and_a_seed(self):
+        models, losses, seeds = _cells("linear", 3, 2, CELLS[:2], seed=40)
+        with pytest.raises(ValueError, match="one model, one loss and one seed"):
+            stack_cells(models, losses, seeds[:1])
+        with pytest.raises(ValueError, match="one model, one loss and one seed"):
+            stack_cells(models, losses[:1], seeds[:1])
 
 
 def _pu_sets(n_p, n_u, d, seed):
@@ -109,11 +101,14 @@ class TestStackedTrainPU:
     def test_equals_separate_calls(self, kind, n_p, n_u, batch):
         positives, unlabeled = _pu_sets(n_p, n_u, 3, seed=n_p + n_u)
         cells = GROUPS["margin-losses"] + [("sce", 0.2)]
-        models, losses, configs = _cells(kind, 3, 2, cells, seed=50, epochs=4, batch_size=batch, learning_rate=0.01)
+        models, losses, seeds = _cells(kind, 3, 2, cells, seed=50)
+        config = TrainConfig(epochs=4, batch_size=batch, learning_rate=0.01)
         separate = copy.deepcopy(models)
-        traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, configs)
-        ref = [weaksup.train_pu(m, loss, positives, unlabeled, 0.7, c) for m, loss, c in zip(separate, losses, configs)]
-        assert traces == [trace for trace, _ in ref]
+        traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
+        ref = [
+            weaksup.train_pu([m], [loss], positives, unlabeled, 0.7, config, [s]) for m, loss, s in zip(separate, losses, seeds)
+        ]
+        assert traces == [trace for (trace,), _ in ref]
         assert clamps == sum(count for _, count in ref)
         _assert_same_models(models, separate)
 
@@ -121,18 +116,21 @@ class TestStackedTrainPU:
         # a high prior drives the implied-negative bracket below zero for
         # some cells and steps but not others
         positives, unlabeled = _pu_sets(40, 160, 3, seed=7)
-        models, losses, configs = _cells("linear", 3, 2, CELLS[:3], seed=60, epochs=8, batch_size=32, learning_rate=0.05)
+        models, losses, seeds = _cells("linear", 3, 2, CELLS[:3], seed=60)
+        config = TrainConfig(epochs=8, batch_size=32, learning_rate=0.05)
         counts = []
-        for m, loss, c in zip(copy.deepcopy(models), losses, configs):
-            counts.append(weaksup.train_pu(m, loss, positives, unlabeled, 0.95, c)[1])
+        for m, loss, s in zip(copy.deepcopy(models), losses, seeds):
+            counts.append(weaksup.train_pu([m], [loss], positives, unlabeled, 0.95, config, [s])[1])
         assert len(set(counts)) > 1, "the cells should clamp on different steps"
-        _, total = weaksup.train_pu(models, losses, positives, unlabeled, 0.95, configs)
+        _, total = weaksup.train_pu(models, losses, positives, unlabeled, 0.95, config, seeds)
         assert total == sum(counts)
 
     def test_angle_width_1(self):
         positives, unlabeled = _pu_sets(30, 120, 4, seed=8)
-        models, losses, configs = _cells("linear", 4, 2, GROUPS["angle-width-1"], seed=70, epochs=3, batch_size=16)
+        models, losses, seeds = _cells("linear", 4, 2, GROUPS["angle-width-1"], seed=70)
+        config = TrainConfig(epochs=3, batch_size=16)
         separate = copy.deepcopy(models)
-        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, configs)
-        assert traces == [weaksup.train_pu(m, l, positives, unlabeled, 0.7, c)[0] for m, l, c in zip(separate, losses, configs)]
+        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
+        alone = [weaksup.train_pu([m], [l], positives, unlabeled, 0.7, config, [s]) for m, l, s in zip(separate, losses, seeds)]
+        assert traces == [trace for (trace,), _ in alone]
         _assert_same_models(models, separate)

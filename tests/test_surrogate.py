@@ -46,7 +46,7 @@ def _empirical_risk(loss, G, y):
     model.params["W"][:] = np.eye(G.shape[1])
     data = Dataset(G, np.asarray(y), K=G.shape[1])
     batch = lambda S, labels: cs_loss_batch(loss, COST, S, labels)
-    return train(model, data, batch, TrainConfig(batch_size=len(G), epochs=1))[0]
+    return train([model], data, [batch], TrainConfig(batch_size=len(G), epochs=1), [0])[0][0]
 
 
 class TestSurrogateLoss:

@@ -241,7 +241,7 @@ class TestTrainPU:
         rng = np.random.default_rng(17)
         pos, unl = rng.normal(loc=1.0, size=(40, 3)), rng.normal(size=(160, 3))
         model = make_model("linear", 3, 2, np.random.default_rng(18))
-        train_pu(model, counted, pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32, seed=19))
+        train_pu([model], [counted], pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32), [19])
         assert len(steps) > 0
         # one call per step holds the positives at +1, the unlabeled at -1 and the positives at -1
         assert len(calls) == len(steps)
@@ -255,7 +255,7 @@ class TestTrainPU:
         cost = RejectionCost(0.1)
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y)
         model = make_model("linear", d, 2, np.random.default_rng(15))
-        trace, clamp_count = train_pu(model, loss, pos, unl, 0.7, TrainConfig(epochs=30, batch_size=64, seed=16))
+        (trace,), clamp_count = train_pu([model], [loss], pos, unl, 0.7, TrainConfig(epochs=30, batch_size=64), [16])
         assert np.isfinite(trace).all()
         assert trace[-1] <= trace[0]
         assert clamp_count >= 0
@@ -268,4 +268,4 @@ class TestTrainPU:
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.1), G, y)
         model = LinearModel(2, 2)
         with pytest.raises(ValueError):
-            train_pu(model, loss, np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1))
+            train_pu([model], [loss], np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1), [0])
