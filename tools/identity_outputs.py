@@ -14,7 +14,8 @@ An empty diff is the proof. OUT_DIR gets:
   classes) and on a CSV file, in every setting, at --jobs 1 and 2; the
   command's report line goes to the matching .txt;
 - audit_seed<s>.txt: `bench audit` at the benchmark's arguments, seeds 0, 1, 5;
-- gradcheck_seed<s>.txt: `bench gradcheck`, seeds 0, 13 and 19;
+- gradcheck_seed<s>.txt: `bench gradcheck`, seeds 0, 13 and 19; each .txt
+  ends in the command's exit status;
 - the input files the runs read (the CSV datasets).
 """
 
@@ -43,12 +44,12 @@ AUDIT_ARGS = ["--draws", "20000", "--calibration-draws", "30", "--excess-instanc
 
 
 def _bench(argv, path: str) -> None:
-    """Run `bench argv` in process and write its printed lines to path."""
+    """Run `bench argv` in process and write its printed lines and its exit status to path."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(argv)
+        status = cli.main(argv)
     with open(path, "w") as f:
-        f.write(out.getvalue())
+        f.write(f"{out.getvalue()}exit status {status}\n")
 
 
 def _drop_column(path: str, name: str) -> None:
@@ -67,7 +68,8 @@ def main(out_dir: str) -> None:
 
     rng = np.random.default_rng(0)
     y = np.where(rng.random(1000) < 0.5, 1, -1)
-    np.savetxt(CSV_DATASET, np.column_stack([rng.standard_normal((1000, 4)) + y[:, None], y]), fmt="%.6f", delimiter=",")
+    X = rng.standard_normal((1000, 4)) + y[:, None]
+    np.savetxt(CSV_DATASET, np.column_stack([X, y]), fmt="%.6f", delimiter=",")
     for dataset in ("twonorm", "gauss3", CSV_DATASET):
         for setting in SETTINGS:
             if setting == "pu" and dataset == "gauss3":
