@@ -3,6 +3,7 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,6 +247,14 @@ def _write_par_csv(tmp_path) -> str:
     return str(path)
 
 
+def _write_one_class_csv(tmp_path) -> str:
+    """A 200-row CSV whose label column holds one value; returns its path."""
+    X = np.random.default_rng(3).normal(size=(200, 3))
+    path = tmp_path / "one.csv"
+    path.write_text("".join(",".join(map(repr, x.tolist())) + ",1\n" for x in X))
+    return str(path)
+
+
 class TestRunGrid:
     def test_cardinality_and_order(self):
         grid = GridSpec(methods=("cs-sigmoid", "always-reject"), costs=(0.1, 0.2), trials=2, epochs=2)
@@ -485,6 +494,30 @@ class TestCsv:
             "twonorm,cs-sigmoid,clean,0.1,2,1.79012,0.555555,37.5,12.5,1.5,0.5",
         ]
 
+    def test_a_write_that_fails_leaves_the_old_file_as_it_was(self, tmp_path, monkeypatch):
+        # opening the target for writing used to empty it, so a --resume file lost its kept rows
+        p = tmp_path / "r.csv"
+        write_csv(self._rows(), p)
+        before = p.read_bytes()
+        real_writer = harness.csv.writer
+
+        def failing_writer(fh, **kwargs):
+            out, written = real_writer(fh, **kwargs), []
+
+            def writerow(row):
+                if len(written) == 2:  # the header and one row
+                    raise OSError(28, "No space left on device")
+                written.append(row)
+                return out.writerow(row)
+
+            return SimpleNamespace(writerow=writerow)
+
+        monkeypatch.setattr(harness.csv, "writer", failing_writer)
+        with pytest.raises(OSError):
+            write_csv(self._rows()[::-1], p)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["r.csv"]
+
     def test_flagged_round_trips(self, tmp_path):
         # the flag used to be dropped, so --resume and aggregate saw a good row
         p = tmp_path / "r.csv"
@@ -569,6 +602,19 @@ class TestCliRun:
         assert "cs-sigmod" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    def test_a_dataset_with_one_class_is_a_usage_error(self, setting, tmp_path, monkeypatch, capsys):
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out = tmp_path / "r.csv"
+        args = ["run", "--dataset", _write_one_class_csv(tmp_path), "--setting", setting, "--methods", "cs-sigmoid,angle"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--costs", "0.2", "--trials", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "one class" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
     def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
         from csreject import cli
@@ -605,6 +651,15 @@ class TestGridSpecTraining:
         _no_training(monkeypatch)
         grid = GridSpec(datasets=("twonorm", "gauss3"), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
         with pytest.raises(ValueError, match="gauss3"):
+            run_grid(grid)
+
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    def test_a_dataset_with_one_class_fails_before_any_cell_trains(self, setting, tmp_path, monkeypatch):
+        # it used to train, then fail in angle's slopes or in the noise draw
+        _no_training(monkeypatch)
+        path = _write_one_class_csv(tmp_path)
+        grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "angle"), costs=(0.2,), setting=setting, **FAST)
+        with pytest.raises(ValueError, match="one class"):
             run_grid(grid)
 
 
