@@ -52,7 +52,7 @@ def cmd_run(args) -> int:
             epochs=args.epochs,
             batch_size=args.batch_size,
         )
-        grid.dataset_infos  # resolves every dataset: an unknown one, or PU with more than two classes, fails here
+        grid.dataset_infos  # resolves every dataset: an unknown one, one class, or PU with more than two fails here
         theory._check_count(args.jobs, "--jobs")
         _check_out(args.out)
         resume = args.resume and os.path.exists(args.out)
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     p.add_argument("--dataset", default="twonorm")
     p.add_argument("--methods", default="cs-sigmoid,cs-hinge,sce,defer,angle")
     p.add_argument("--setting", default="clean", choices=harness.SETTINGS)
-    p.add_argument("--costs", default="0.1:0.4:0.05")
+    p.add_argument("--costs", default=",".join(map(str, harness.DEFAULT_COSTS)))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--noise-rate", type=float, default=0.25)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable, get_type_hints
@@ -60,6 +61,8 @@ class GridSpec:
     def dataset_infos(self) -> dict[str, DatasetInfo]:
         """Every dataset of the grid, resolved once per grid and checked against the setting."""
         infos = {name: dataset_info(name) for name in self.datasets}
+        if single := [name for name, info in infos.items() if info.K < 2]:
+            raise ValueError(f"a dataset needs two classes or more; {single} have one class")
         if self.setting == "pu" and (multiclass := [name for name, info in infos.items() if info.K != 2]):
             raise ValueError(f"the PU setting requires binary datasets; {multiclass} have more than two classes")
         return infos
@@ -441,12 +444,22 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(rows, path, columns: dict[str, Callable]) -> None:
-    """A header of the columns, then one line per row dataclass; a float as _fmt."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(columns)
-        for r in rows:
-            out.writerow([_fmt(v) if parse is float else v for parse, v in zip(columns.values(), astuple(r))])
+    """A header of the columns, then one line per row dataclass; a float as _fmt.
+
+    The lines go to a file beside path that then replaces it, so a write that
+    fails leaves path as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(columns)
+            for r in rows:
+                out.writerow([_fmt(v) if parse is float else v for parse, v in zip(columns.values(), astuple(r))])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(rows, path) -> None:

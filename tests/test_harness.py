@@ -622,6 +622,14 @@ class TestCliRun:
         with pytest.raises(ValueError):
             cli._parse_costs(text)
 
+    def test_the_default_costs_are_the_grid_defaults(self, tmp_path, monkeypatch):
+        from csreject import cli
+
+        grids = []
+        monkeypatch.setattr(harness, "run_grid", lambda grid, **kwargs: grids.append(grid) or [])
+        assert cli.main(["run", "--methods", "always-reject", "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 0
+        assert grids[0].costs == harness.DEFAULT_COSTS
+
     def test_parse_costs_forms(self):
         from csreject import cli
 
