@@ -43,7 +43,6 @@ from .data import (
     twonorm_spec,
 )
 from .weaksup import (
-    PUConfig,
     inject_uniform_noise,
     make_pu_dataset,
     pu_risk_nn,

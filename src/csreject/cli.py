@@ -50,7 +50,6 @@ def cmd_run(args) -> int:
             noise_rate=args.noise_rate,
             prior=args.prior,
             epochs=args.epochs,
-            batch_size=args.batch_size,
         )
         grid.dataset_infos  # resolves every dataset: an unknown one, one class, or PU with more than two fails here
         theory._check_count(args.jobs, "--jobs")
@@ -127,7 +126,6 @@ def main(argv=None) -> int:
     p.add_argument("--noise-rate", type=float, default=0.25)
     p.add_argument("--prior", type=float, default=0.7)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True)

@@ -34,7 +34,6 @@ class GridSpec:
     noise_rate: float = 0.25
     prior: float = 0.7
     epochs: int = 100
-    batch_size: int | None = None  # None -> 256 (64 for PU)
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -47,8 +46,6 @@ class GridSpec:
             raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValueError(f"noise rate must lie in [0, 1), got {self.noise_rate}")
         if not 0.0 < self.prior <= 1.0:
@@ -260,7 +257,6 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     source = _source_dataset(info, info.total_n, data_rng)
     fractions = (0.5, 0.2, 0.3) if grid.setting == "pu" else (0.5, 0.1, 0.4)
     train_ds, val_ds, test_ds = data_mod.split(source, fractions, seed=data_seed)
-    batch = grid.batch_size if grid.batch_size is not None else (64 if grid.setting == "pu" else 256)
 
     if METHODS[cells[0][1]].loss_batch is None:  # a group of rules that train nothing, see cell_groups
         return [Trained(None, [], val_ds, test_ds, 0.0) for _ in cells]
@@ -274,21 +270,13 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
         losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
         seeds.append(train_seed)
-    config = TrainConfig(batch_size=batch, epochs=grid.epochs)
+    config = TrainConfig(batch_size=64 if grid.setting == "pu" else 256, epochs=grid.epochs)
 
     if grid.setting == "pu":
-        if info.data is None:
-            # the synthetic source pool for PU draws is regenerated large enough
-            # to honor the without-replacement protocol at prior 0.7
-            pu_pool = _source_dataset(info, 3 * train_ds.n, data_rng)
-            pu_cfg = weaksup.PUConfig.from_train_size(train_ds.n, grid.prior)
-        else:
-            # a file cannot be regenerated: draw from the training split only,
-            # so that no validation or test row is trained on
-            pu_pool = train_ds
-            n_pos = int(np.count_nonzero(train_ds.y == 1))
-            pu_cfg = weaksup.PUConfig.from_class_counts(n_pos, train_ds.n - n_pos, grid.prior)
-        positives, unlabeled = weaksup.make_pu_dataset(pu_pool, pu_cfg, data_rng)
+        # a synthetic pool is drawn afresh, large enough for the protocol; a file cannot be
+        # regenerated, so its draws come from the training split, and no held-out row is trained on
+        pool = _source_dataset(info, 3 * train_ds.n, data_rng) if info.data is None else train_ds
+        positives, unlabeled = weaksup.make_pu_dataset(pool, train_ds.n, grid.prior, data_rng)
         scaler = data_mod.Standardizer.fit(np.vstack([positives, unlabeled]))
         positives, unlabeled = ((part - scaler.mean) / scaler.scale for part in (positives, unlabeled))
         traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, grid.prior, config, seeds)

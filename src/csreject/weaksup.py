@@ -6,8 +6,6 @@ class 2 the negative class (-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset
@@ -29,62 +27,35 @@ def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -
     return Dataset(data.X, y, data.K)
 
 
-@dataclass(frozen=True)
-class PUConfig:
-    prior: float = 0.7
-    n_unlabeled: int = 0
-    n_positive: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.prior <= 1.0):
-            raise ValueError("class prior must lie in (0, 1]")
-        if self.n_unlabeled < 1 or self.n_positive < 1:
-            raise ValueError("set sizes must be positive")
-
-    @classmethod
-    def from_train_size(cls, n_train: int, prior: float = 0.7) -> "PUConfig":
-        # unlabeled size ~ training size, truncated to a multiple of 200;
-        # positive size is a fifth of that
-        n_u = (n_train // 200) * 200
-        if n_u == 0:
-            raise ValueError("training pool too small for the PU protocol")
-        return cls(prior=prior, n_unlabeled=n_u, n_positive=n_u // 5)
-
-    @classmethod
-    def from_class_counts(cls, n_pos: int, n_neg: int, prior: float = 0.7) -> "PUConfig":
-        """The largest sets, unlabeled size a multiple of 200 and positive size a
-        fifth of it, that make_pu_dataset can draw from a pool with these counts."""
-        for n_u in range((n_pos + n_neg) // 200 * 200, 0, -200):
-            n_u_pos = int(prior * n_u)
-            if n_u // 5 + n_u_pos <= n_pos and n_u - n_u_pos <= n_neg:
-                return cls(prior=prior, n_unlabeled=n_u, n_positive=n_u // 5)
-        raise ValueError("training pool too small for the PU protocol")
-
-
-def make_pu_dataset(data: Dataset, config: PUConfig, rng: np.random.Generator):
+def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.random.Generator):
     """Draw (positives, unlabeled) feature sets from a K=2 dataset.
 
-    Positives come from class 1 without replacement; the unlabeled pool mixes
-    floor(prior * n_u) leftover positives with negatives, shuffled. Every
-    source sample is used at most once.
+    The unlabeled size n_u is the largest multiple of 200, at most
+    max_unlabeled, that the classes can serve: n_u // 5 positives plus
+    floor(prior * n_u) unlabeled positives from class 1, and the other
+    unlabeled rows from class 2. Positives come from class 1 without
+    replacement; the unlabeled pool mixes leftover positives with negatives,
+    shuffled. Every source sample is used at most once.
     """
     if data.K != 2:
         raise ValueError("PU construction requires a binary dataset")
+    if not 0.0 < prior <= 1.0:
+        raise ValueError("class prior must lie in (0, 1]")
     pos_idx = np.flatnonzero(data.y == 1)
     neg_idx = np.flatnonzero(data.y == 2)
-    n_u_pos = int(config.prior * config.n_unlabeled)
-    n_u_neg = config.n_unlabeled - n_u_pos
-    if len(pos_idx) < config.n_positive + n_u_pos or len(neg_idx) < n_u_neg:
+    for n_u in range(max_unlabeled // 200 * 200, 0, -200):
+        n_p, n_u_pos = n_u // 5, int(prior * n_u)
+        if n_p + n_u_pos <= len(pos_idx) and n_u - n_u_pos <= len(neg_idx):
+            break
+    else:
         raise ValueError(
-            f"insufficient source data: need {config.n_positive + n_u_pos} positives "
-            f"and {n_u_neg} negatives, have {len(pos_idx)} and {len(neg_idx)}"
+            f"insufficient source data: {len(pos_idx)} positives and {len(neg_idx)} negatives serve no "
+            f"unlabeled set of a multiple of 200 rows up to {max_unlabeled} at prior {prior:g}"
         )
     pos_perm = rng.permutation(pos_idx)
     neg_perm = rng.permutation(neg_idx)
-    positives = data.X[pos_perm[: config.n_positive]]
-    unlabeled = np.concatenate(
-        [data.X[pos_perm[config.n_positive : config.n_positive + n_u_pos]], data.X[neg_perm[:n_u_neg]]]
-    )
+    positives = data.X[pos_perm[:n_p]]
+    unlabeled = np.concatenate([data.X[pos_perm[n_p : n_p + n_u_pos]], data.X[neg_perm[: n_u - n_u_pos]]])
     unlabeled = unlabeled[rng.permutation(len(unlabeled))]
     return positives, unlabeled
 

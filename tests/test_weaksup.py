@@ -6,7 +6,6 @@ from csreject.losses import get_loss
 from csreject.models import LinearModel, TrainConfig, make_model
 from csreject.surrogate import cs_loss_batch
 from csreject.weaksup import (
-    PUConfig,
     inject_uniform_noise,
     make_pu_dataset,
     pu_risk_nn,
@@ -77,47 +76,48 @@ class TestUniformNoise:
             inject_uniform_noise(self._data(), 1.0, np.random.default_rng(0))
 
 
-class TestPUConfig:
-    def test_from_train_size(self):
-        cfg = PUConfig.from_train_size(3700)
-        assert cfg.n_unlabeled == 3600
-        assert cfg.n_positive == 720
-        assert cfg.prior == 0.7
+def _tagged_source(n_pos, n_neg):
+    # class-1 features are strictly positive, class-2 strictly negative,
+    # so sample origin is readable from the sign
+    Xp = np.arange(1, n_pos + 1, dtype=float)[:, None]
+    Xn = -np.arange(1, n_neg + 1, dtype=float)[:, None]
+    X = np.vstack([Xp, Xn])
+    y = np.concatenate([np.ones(n_pos, dtype=int), np.full(n_neg, 2)])
+    return Dataset(X, y, K=2)
 
-    def test_from_class_counts_takes_the_largest_multiple_of_200(self):
+
+class TestPUSizes:
+    def _sizes(self, n_pos, n_neg, max_unlabeled, prior=0.7):
+        data = _tagged_source(n_pos, n_neg)
+        positives, unlabeled = make_pu_dataset(data, max_unlabeled, prior, np.random.default_rng(0))
+        return len(unlabeled), len(positives)
+
+    def test_unlabeled_size_is_the_bound_truncated_to_a_multiple_of_200(self):
+        assert self._sizes(3400, 1100, 3700) == (3600, 720)
+
+    def test_takes_the_largest_multiple_of_200_the_classes_serve(self):
         # 400 needs 80 + 280 positives and 120 negatives; 600 needs 540 positives
-        cfg = PUConfig.from_class_counts(500, 500)
-        assert (cfg.n_unlabeled, cfg.n_positive, cfg.prior) == (400, 80, 0.7)
+        assert self._sizes(500, 500, 1000) == (400, 80)
         # the negatives bind: 400 would need 120
-        assert PUConfig.from_class_counts(5000, 100).n_unlabeled == 200
+        assert self._sizes(5000, 100, 5100)[0] == 200
         with pytest.raises(ValueError):
-            PUConfig.from_class_counts(179, 1000)
+            self._sizes(179, 1000, 1179)
 
     def test_tiny_pool_rejected(self):
         with pytest.raises(ValueError):
-            PUConfig.from_train_size(150)
+            self._sizes(100, 50, 150)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PUConfig(prior=0.0, n_unlabeled=100, n_positive=20)
+            self._sizes(1200, 600, 1000, prior=0.0)
         with pytest.raises(ValueError):
-            PUConfig(prior=0.7, n_unlabeled=0, n_positive=20)
+            self._sizes(1200, 600, 0)
 
 
 class TestMakePU:
-    def _tagged_source(self, n_pos, n_neg):
-        # class-1 features are strictly positive, class-2 strictly negative,
-        # so sample origin is readable from the sign
-        Xp = np.arange(1, n_pos + 1, dtype=float)[:, None]
-        Xn = -np.arange(1, n_neg + 1, dtype=float)[:, None]
-        X = np.vstack([Xp, Xn])
-        y = np.concatenate([np.ones(n_pos, dtype=int), np.full(n_neg, 2)])
-        return Dataset(X, y, K=2)
-
     def test_composition_counts(self):
-        data = self._tagged_source(1200, 600)
-        cfg = PUConfig(prior=0.7, n_unlabeled=1000, n_positive=200)
-        positives, unlabeled = make_pu_dataset(data, cfg, np.random.default_rng(8))
+        data = _tagged_source(1200, 600)
+        positives, unlabeled = make_pu_dataset(data, 1000, 0.7, np.random.default_rng(8))
         assert len(positives) == 200
         assert (positives > 0).all()
         assert len(unlabeled) == 1000
@@ -125,22 +125,20 @@ class TestMakePU:
         assert (unlabeled < 0).sum() == 300
 
     def test_without_replacement(self):
-        data = self._tagged_source(1200, 600)
-        cfg = PUConfig(prior=0.7, n_unlabeled=1000, n_positive=200)
-        positives, unlabeled = make_pu_dataset(data, cfg, np.random.default_rng(9))
+        data = _tagged_source(1200, 600)
+        positives, unlabeled = make_pu_dataset(data, 1000, 0.7, np.random.default_rng(9))
         used = np.concatenate([positives[:, 0], unlabeled[:, 0]])
         assert len(np.unique(used)) == len(used)
 
     def test_insufficient_source(self):
-        data = self._tagged_source(100, 600)
-        cfg = PUConfig(prior=0.7, n_unlabeled=1000, n_positive=200)
+        data = _tagged_source(100, 600)
         with pytest.raises(ValueError, match="insufficient"):
-            make_pu_dataset(data, cfg, np.random.default_rng(10))
+            make_pu_dataset(data, 1000, 0.7, np.random.default_rng(10))
 
     def test_multiclass_rejected(self):
         data = Dataset(np.zeros((10, 1)), np.tile([1, 2, 3], 4)[:10], K=3)
         with pytest.raises(ValueError):
-            make_pu_dataset(data, PUConfig(prior=0.7, n_unlabeled=4, n_positive=1), np.random.default_rng(0))
+            make_pu_dataset(data, 4, 0.7, np.random.default_rng(0))
 
 
 class TestRiskEstimators:
