@@ -435,7 +435,8 @@ def _write_rows(rows, path, columns: dict[str, Callable]) -> None:
     """A header of the columns, then one line per row dataclass; a float as _fmt.
 
     The lines go to a file beside path that then replaces it, so a write that
-    fails leaves path as it was."""
+    fails leaves path as it was; a symbolic link is followed, not replaced."""
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -518,6 +518,13 @@ class TestCsv:
         assert p.read_bytes() == before
         assert os.listdir(tmp_path) == ["r.csv"]
 
+    def test_a_linked_file_is_written_through_its_link(self, tmp_path):
+        target, link = tmp_path / "r.csv", tmp_path / "link.csv"
+        write_csv([], target)
+        link.symlink_to(target)
+        write_csv(self._rows(), link)
+        assert link.is_symlink() and len(read_csv(target)) == 2
+
     def test_flagged_round_trips(self, tmp_path):
         # the flag used to be dropped, so --resume and aggregate saw a good row
         p = tmp_path / "r.csv"
