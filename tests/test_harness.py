@@ -237,12 +237,12 @@ class TestTrainGroup:
         assert second.val_ds is first.val_ds and second.test_ds is first.test_ds
 
 
-def _write_par_csv(tmp_path) -> str:
-    """A 1000-row binary CSV with three features; returns its path."""
+def _write_par_csv(tmp_path, n=1000) -> str:
+    """An n-row binary CSV with three features; returns its path."""
     rng = np.random.default_rng(7)
-    X = rng.normal(size=(1000, 3))
-    y = np.where(X[:, 0] + 0.5 * rng.normal(size=1000) > 0, 1, 2)
-    path = tmp_path / "par.csv"
+    X = rng.normal(size=(n, 3))
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=n) > 0, 1, 2)
+    path = tmp_path / f"par{n}.csv"
     path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
     return str(path)
 
@@ -623,6 +623,19 @@ class TestCliRun:
         assert "one class" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_csv_too_small_for_the_pu_sets_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # it used to end in a traceback from make_pu_dataset, after the groups before it trained
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out = tmp_path / "r.csv"
+        args = ["run", "--dataset", _write_par_csv(tmp_path, 300), "--setting", "pu", "--methods", "cs-sigmoid"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--costs", "0.2", "--trials", "1", "--epochs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "par300.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
     def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
         from csreject import cli
@@ -676,6 +689,27 @@ class TestGridSpecTraining:
         grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "angle"), costs=(0.2,), setting=setting, **FAST)
         with pytest.raises(ValueError, match="one class"):
             run_grid(grid)
+
+    @pytest.mark.parametrize("n", [300, 478])
+    def test_a_csv_too_small_for_the_pu_sets_fails_before_any_cell_trains(self, n, tmp_path, monkeypatch):
+        # a training split of fewer than 240 rows (the smallest draw: 200 unlabeled
+        # rows and 40 positives) used to reach make_pu_dataset, which then raised
+        _no_training(monkeypatch)
+        path = _write_par_csv(tmp_path, n)
+        grid = GridSpec(datasets=("twonorm", path), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
+        with pytest.raises(ValueError, match="training split") as exc:
+            run_grid(grid)
+        assert "twonorm" not in str(exc.value)
+
+    def test_a_training_split_of_240_rows_passes_the_size_check(self, tmp_path):
+        path = _write_par_csv(tmp_path, 480)
+        GridSpec(datasets=(path,), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST).dataset_infos
+
+    @pytest.mark.parametrize("setting", ["clean", "noisy"])
+    def test_a_csv_too_small_for_the_pu_sets_trains_in_the_other_settings(self, setting, tmp_path):
+        path = _write_par_csv(tmp_path, 300)
+        (row,) = run_grid(GridSpec(datasets=(path,), methods=("cs-sigmoid",), costs=(0.2,), setting=setting, **FAST))
+        assert not row.flagged
 
 
 class TestCliResume:
