@@ -107,14 +107,13 @@ def own_index(G: np.ndarray, y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    n: int
+    """The five metrics of a result row, in its column order."""
+
     risk01c: float
     rejection_ratio: float
     accepted_error: float
     n_reject_distance: int
     n_reject_ambiguity: int
-    n_wrong_accepted: int
-    nothing_accepted: bool = False
 
 
 def zero_one_c_risk(codes, labels, cost: RejectionCost):
@@ -136,14 +135,10 @@ def compute_metrics(codes, labels, cost: RejectionCost) -> MetricsRecord:
         raise ValueError("cannot compute metrics on empty input")
 
     n_reject, n_wrong = int((codes < 1).sum()), int(((codes >= 1) & (codes != labels)).sum())
-    n_accepted = n - n_reject
     return MetricsRecord(
-        n=n,
         risk01c=float(zero_one_c_risk(codes, labels, cost)),
         rejection_ratio=n_reject / n,
-        accepted_error=n_wrong / n_accepted if n_accepted > 0 else 0.0,
+        accepted_error=n_wrong / (n - n_reject) if n_reject < n else 0.0,
         n_reject_distance=int((codes == CODE_DISTANCE).sum()),
         n_reject_ambiguity=int((codes == CODE_AMBIGUITY).sum()),
-        n_wrong_accepted=n_wrong,
-        nothing_accepted=(n_accepted == 0),
     )

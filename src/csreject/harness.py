@@ -21,6 +21,8 @@ from .surrogate import cs_loss_batch, decide_batch
 
 DEFAULT_COSTS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
 SETTINGS = ("clean", "noisy", "pu")
+# the training, validation and test shares of a trial's split, and those of a PU trial
+FRACTIONS, PU_FRACTIONS = (0.5, 0.1, 0.4), (0.5, 0.2, 0.3)
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,10 @@ class GridSpec:
             raise ValueError(f"a dataset needs two classes or more; {single} have one class")
         if self.setting == "pu" and (multiclass := [name for name, info in infos.items() if info.K != 2]):
             raise ValueError(f"the PU setting requires binary datasets; {multiclass} have more than two classes")
+        # train_group draws a file's PU sets from its training split, which data.split cuts to this size
+        small = [name for name, info in infos.items() if round(PU_FRACTIONS[0] * info.total_n) < weaksup.MIN_PU_ROWS]
+        if self.setting == "pu" and small:
+            raise ValueError(f"a PU training split needs {weaksup.MIN_PU_ROWS} rows or more; {small} have fewer")
         return infos
 
     def cells(self):
@@ -118,7 +124,6 @@ def _mix_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class DatasetInfo:
-    name: str
     K: int
     total_n: int
     spec: data_mod.GaussianMixtureSpec | None = None
@@ -137,13 +142,13 @@ def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
 
 def dataset_info(name: str) -> DatasetInfo:
     if name == "twonorm":
-        return DatasetInfo(name, K=2, total_n=7400, spec=data_mod.twonorm_spec())
+        return DatasetInfo(K=2, total_n=7400, spec=data_mod.twonorm_spec())
     if name == "gauss3":
-        return DatasetInfo(name, K=3, total_n=12000, spec=_gauss3_spec())
+        return DatasetInfo(K=3, total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
         ds = data_mod.load_csv(name)
         ds.X.flags.writeable = ds.y.flags.writeable = False
-        return DatasetInfo(name, K=ds.K, total_n=ds.n, data=ds)
+        return DatasetInfo(K=ds.K, total_n=ds.n, data=ds)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
 
 
@@ -255,7 +260,7 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
     data_rng = np.random.default_rng(data_seed)
     source = _source_dataset(info, info.total_n, data_rng)
-    fractions = (0.5, 0.2, 0.3) if grid.setting == "pu" else (0.5, 0.1, 0.4)
+    fractions = PU_FRACTIONS if grid.setting == "pu" else FRACTIONS
     train_ds, val_ds, test_ds = data_mod.split(source, fractions, seed=data_seed)
 
     if METHODS[cells[0][1]].loss_batch is None:  # a group of rules that train nothing, see cell_groups
@@ -265,7 +270,7 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     models, losses, seeds = [], [], []
     for _, method_name, cost_value, _ in cells:
         method = METHODS[method_name]
-        train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, f"{cost_value:.6g}", "train")
+        train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, _fmt(cost_value), "train")
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
         models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
         losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
@@ -292,14 +297,9 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     return [Trained(model, trace, val_ds, test_ds, seconds) for model, trace in zip(models, traces)]
 
 
-def run_cell(grid: GridSpec, cell, trained: Trained | None = None) -> ResultRow:
-    """Tune, decide and score one (dataset, method, cost, trial) cell.
-
-    trained is the cell's part of its group's training (train_group);
-    without it the cell trains alone, as a group of one.
-    """
-    if trained is None:
-        (trained,) = train_group(grid, [cell])
+def run_cell(grid: GridSpec, cell, trained: Trained) -> ResultRow:
+    """Tune, decide and score one (dataset, method, cost, trial) cell;
+    trained is the cell's part of its group's training (train_group)."""
     ds_name, method_name, cost_value, trial = cell
     method = METHODS[method_name]
     cost = RejectionCost(cost_value)
@@ -315,20 +315,8 @@ def run_cell(grid: GridSpec, cell, trained: Trained | None = None) -> ResultRow:
     flagged = bool(trained.trace and not np.isfinite(trained.trace[-1])) or not np.isfinite(G).all()
     codes = method.decide(G, K, cost, tuned)
     metrics = compute_metrics(codes, test_ds.y, cost)
-    return ResultRow(
-        dataset=ds_name,
-        method=method_name,
-        setting=grid.setting,
-        cost=cost_value,
-        trial=trial,
-        risk01c=metrics.risk01c,
-        rejection_ratio=metrics.rejection_ratio,
-        accepted_error=metrics.accepted_error,
-        n_reject_distance=metrics.n_reject_distance,
-        n_reject_ambiguity=metrics.n_reject_ambiguity,
-        train_seconds=train_seconds,
-        flagged=flagged,
-    )
+    return ResultRow(ds_name, method_name, grid.setting, cost_value, trial, **vars(metrics),
+                     train_seconds=train_seconds, flagged=flagged)
 
 
 def _run_group(grid: GridSpec, cells) -> list[ResultRow]:

@@ -1,4 +1,4 @@
-"""The nine binary margin losses with analytic derivatives and property flags."""
+"""The nine binary margin losses with analytic derivatives."""
 
 from __future__ import annotations
 
@@ -27,9 +27,6 @@ class MarginLossSpec:
     name: str
     value: Callable[[np.ndarray], np.ndarray]  # phi(z)
     value_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # (phi(z), phi'(z)) in one pass
-    convex: bool
-    symmetric: bool
-    calibrated: bool = True
 
     def grad(self, z):
         return self.value_grad(z)[1]
@@ -125,15 +122,15 @@ def _sigmoid_vg(z):
 MARGIN_LOSSES: dict[str, MarginLossSpec] = {
     spec.name: spec
     for spec in [
-        MarginLossSpec("squared", _squared, _squared_vg, convex=True, symmetric=False),
-        MarginLossSpec("squared_hinge", _squared_hinge, _squared_hinge_vg, convex=True, symmetric=False),
-        MarginLossSpec("exponential", _exponential, _exponential_vg, convex=True, symmetric=False),
-        MarginLossSpec("logistic", _logistic, _logistic_vg, convex=True, symmetric=False),
-        MarginLossSpec("hinge", _hinge, _hinge_vg, convex=True, symmetric=False),
-        MarginLossSpec("savage", _savage, _savage_vg, convex=False, symmetric=False),
-        MarginLossSpec("tangent", _tangent, _tangent_vg, convex=False, symmetric=False),
-        MarginLossSpec("ramp", _ramp, _ramp_vg, convex=False, symmetric=True),
-        MarginLossSpec("sigmoid", _sigmoid, _sigmoid_vg, convex=False, symmetric=True),
+        MarginLossSpec("squared", _squared, _squared_vg),
+        MarginLossSpec("squared_hinge", _squared_hinge, _squared_hinge_vg),
+        MarginLossSpec("exponential", _exponential, _exponential_vg),
+        MarginLossSpec("logistic", _logistic, _logistic_vg),
+        MarginLossSpec("hinge", _hinge, _hinge_vg),
+        MarginLossSpec("savage", _savage, _savage_vg),
+        MarginLossSpec("tangent", _tangent, _tangent_vg),
+        MarginLossSpec("ramp", _ramp, _ramp_vg),
+        MarginLossSpec("sigmoid", _sigmoid, _sigmoid_vg),
     ]
 }
 

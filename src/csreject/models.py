@@ -13,13 +13,10 @@ from .core import Dataset
 class LinearModel:
     """Scores Wx + b with W of shape (n_out, d)."""
 
-    def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None):
+    def __init__(self, d: int, n_out: int, rng: np.random.Generator):
         self.d = d
         self.n_out = n_out
-        if rng is None:
-            self.params = {"W": np.zeros((n_out, d)), "b": np.zeros(n_out)}
-        else:
-            self.params = {"W": 0.01 * rng.standard_normal((n_out, d)), "b": np.zeros(n_out)}
+        self.params = {"W": 0.01 * rng.standard_normal((n_out, d)), "b": np.zeros(n_out)}
 
     def forward(self, X: np.ndarray, params: dict | None = None, work: dict | None = None):
         """Scores (n, n_out) and the backward cache.
@@ -48,17 +45,13 @@ class MlpModel:
 
     hidden = 64
 
-    def __init__(self, d: int, n_out: int, rng: np.random.Generator | None = None):
+    def __init__(self, d: int, n_out: int, rng: np.random.Generator):
         self.d = d
         self.n_out = n_out
         hidden = self.hidden
-        if rng is None:
-            w1 = np.zeros((hidden, d))
-            w2 = np.zeros((n_out, hidden))
-        else:
-            # He-style scaling for the rectified layer
-            w1 = rng.standard_normal((hidden, d)) * np.sqrt(2.0 / d)
-            w2 = rng.standard_normal((n_out, hidden)) * np.sqrt(1.0 / hidden)
+        # He-style scaling for the rectified layer
+        w1 = rng.standard_normal((hidden, d)) * np.sqrt(2.0 / d)
+        w2 = rng.standard_normal((n_out, hidden)) * np.sqrt(1.0 / hidden)
         self.params = {"W1": w1, "b1": np.zeros(hidden), "W2": w2, "b2": np.zeros(n_out)}
 
     def forward(self, X: np.ndarray, params: dict | None = None, work: dict | None = None):
@@ -109,7 +102,7 @@ def _buffer(work: dict | None, name: str, shape: tuple) -> np.ndarray:
     return work[key]
 
 
-def make_model(kind: str, d: int, n_out: int, rng: np.random.Generator | None = None):
+def make_model(kind: str, d: int, n_out: int, rng: np.random.Generator):
     if kind == "linear":
         return LinearModel(d, n_out, rng)
     if kind == "mlp":

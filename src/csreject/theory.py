@@ -275,9 +275,6 @@ def miscalibrated_witness(cost: RejectionCost) -> bool:
         "flipped_sigmoid",
         value=lambda z: 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float))),
         value_grad=lambda z: (_expit(z), _expit(z) * _expit(-np.asarray(z, dtype=float))),
-        convex=False,
-        symmetric=True,
-        calibrated=False,
     )
     eta = np.array([0.9, 0.1])
     g_star = conditional_risk_minimizer(flipped, eta, cost)

@@ -107,7 +107,7 @@ class TestTuneTemperature:
         return Dataset(X, y, K=2)
 
     def _model(self, scale):
-        model = LinearModel(1, 2)
+        model = LinearModel(1, 2, np.random.default_rng(0))
         model.params["W"] = np.array([[scale], [-scale]])
         return model
 
@@ -286,7 +286,7 @@ class TestSoftThreshold:
 
 class TestTuneDelta:
     def _setup(self):
-        model = LinearModel(1, 1)
+        model = LinearModel(1, 1, np.random.default_rng(0))
         model.params["W"] = np.array([[1.0]])
         return model
 

@@ -101,7 +101,7 @@ class TestComputeMetrics:
         assert m.risk01c == pytest.approx(0.2)
         assert m.rejection_ratio == 1.0
         assert m.accepted_error == 0.0
-        assert m.nothing_accepted
+        assert m.n_reject_distance == 10  # nothing accepted
 
     def test_all_correct(self):
         m = compute_metrics([1] * 5, [1] * 5, RejectionCost(0.1))
@@ -118,7 +118,6 @@ class TestComputeMetrics:
         assert m.accepted_error == pytest.approx(0.5)
         assert m.n_reject_distance == 1
         assert m.n_reject_ambiguity == 1
-        assert m.n_wrong_accepted == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -151,6 +150,6 @@ class TestComputeMetrics:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_record_is_frozen(self):
-        m = MetricsRecord(1, 0.0, 0.0, 0.0, 0, 0, 0)
+        m = MetricsRecord(0.0, 0.0, 0.0, 0, 0)
         with pytest.raises(AttributeError):
             m.risk01c = 1.0

@@ -153,7 +153,9 @@ def test_metrics_match_per_row_tally():
         assert m.risk01c == ref_risk(codes.tolist(), labels.tolist(), c)
         assert m.n_reject_distance == int(sum(codes == 0))
         assert m.n_reject_ambiguity == int(sum(codes == -1))
-        assert m.n_wrong_accepted == int(sum((codes >= 1) & (codes != labels)))
+        n_accepted, n_wrong = int(sum(codes >= 1)), int(sum((codes >= 1) & (codes != labels)))
+        assert m.rejection_ratio == (n - n_accepted) / n
+        assert m.accepted_error == (n_wrong / n_accepted if n_accepted else 0.0)
 
 
 def test_threshold_arguments_are_validated():

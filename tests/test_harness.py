@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from csreject import data as data_mod, harness
+from csreject.core import MetricsRecord
 from csreject.harness import (
     GridSpec,
     ResultRow,
@@ -33,6 +34,11 @@ def _strip_timing(row: ResultRow) -> tuple:
     d = dataclasses.asdict(row)
     d.pop("train_seconds")
     return tuple(sorted(d.items()))
+
+
+def _run_alone(grid: GridSpec, cell) -> ResultRow:
+    """The row of a cell trained alone, as a group of one: the reference of the grouped path."""
+    return run_cell(grid, cell, harness.train_group(grid, [cell])[0])
 
 
 class TestGridSpec:
@@ -140,38 +146,42 @@ class TestRunCell:
 
         monkeypatch.setattr(harness, "train", train_to_nan)
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.2,), **FAST)
-        row = run_cell(grid, ("twonorm", "cs-sigmoid", 0.2, 0))
+        row = _run_alone(grid, ("twonorm", "cs-sigmoid", 0.2, 0))
         assert row.flagged
+
+    def test_the_metrics_record_holds_the_row_metrics_in_column_order(self):
+        columns = [f.name for f in dataclasses.fields(ResultRow)]
+        assert [f.name for f in dataclasses.fields(MetricsRecord)] == columns[5:10]
 
     def test_deterministic(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.2,), **FAST)
         cell = ("twonorm", "cs-sigmoid", 0.2, 0)
-        r1 = run_cell(grid, cell)
-        r2 = run_cell(grid, cell)
+        r1 = _run_alone(grid, cell)
+        r2 = _run_alone(grid, cell)
         assert _strip_timing(r1) == _strip_timing(r2)
 
     def test_always_reject_reference(self):
         grid = GridSpec(methods=("always-reject",), costs=(0.3,), **FAST)
-        row = run_cell(grid, ("twonorm", "always-reject", 0.3, 0))
+        row = _run_alone(grid, ("twonorm", "always-reject", 0.3, 0))
         assert row.risk01c == pytest.approx(0.3)
         assert row.rejection_ratio == 1.0
 
     def test_metrics_identity_holds(self):
         grid = GridSpec(methods=("cs-hinge",), costs=(0.15,), **FAST)
-        row = run_cell(grid, ("twonorm", "cs-hinge", 0.15, 0))
+        row = _run_alone(grid, ("twonorm", "cs-hinge", 0.15, 0))
         lhs = row.risk01c
         rhs = 0.15 * row.rejection_ratio + (1 - row.rejection_ratio) * row.accepted_error
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_noisy_setting_runs(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1,), setting="noisy", **FAST)
-        row = run_cell(grid, ("twonorm", "cs-sigmoid", 0.1, 0))
+        row = _run_alone(grid, ("twonorm", "cs-sigmoid", 0.1, 0))
         assert np.isfinite(row.risk01c)
         assert not row.flagged
 
     def test_pu_setting_runs(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
-        row = run_cell(grid, ("twonorm", "cs-sigmoid", 0.1, 0))
+        row = _run_alone(grid, ("twonorm", "cs-sigmoid", 0.1, 0))
         assert np.isfinite(row.risk01c)
         assert not row.flagged
 
@@ -188,7 +198,7 @@ class TestRunCell:
         monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
         monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
         grid = GridSpec(datasets=(str(path),), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
-        row = run_cell(grid, (str(path), "cs-sigmoid", 0.1, 0))
+        row = _run_alone(grid, (str(path), "cs-sigmoid", 0.1, 0))
         assert np.isfinite(row.risk01c)
         train_ds, val_ds, test_ds = parts
         held_out = {tuple(x) for x in np.vstack([val_ds.X, test_ds.X])}
@@ -205,15 +215,15 @@ class TestRunCell:
     def test_pu_requires_binary(self):
         grid = GridSpec(datasets=("gauss3",), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
         with pytest.raises(ValueError):
-            run_cell(grid, ("gauss3", "cs-sigmoid", 0.1, 0))
+            _run_alone(grid, ("gauss3", "cs-sigmoid", 0.1, 0))
 
     def test_same_trial_shares_data_across_methods(self):
         # the data seed depends on the trial but not the method, so the
         # always-reject risk (a pure function of the test labels) is shared
         g1 = GridSpec(methods=("always-reject",), costs=(0.2,), **FAST)
         g2 = GridSpec(methods=("always-reject", "cs-sigmoid"), costs=(0.2,), **FAST)
-        r1 = run_cell(g1, ("twonorm", "always-reject", 0.2, 0))
-        r2 = run_cell(g2, ("twonorm", "always-reject", 0.2, 0))
+        r1 = _run_alone(g1, ("twonorm", "always-reject", 0.2, 0))
+        r2 = _run_alone(g2, ("twonorm", "always-reject", 0.2, 0))
         assert _strip_timing(r1) == _strip_timing(r2)
 
 
@@ -362,7 +372,7 @@ class TestRunGrid:
         rows = run_grid(grid, skip_keys=skip)
         assert sorted(calls) == [2, 3, 8, 8]
         calls.clear()
-        alone = [run_cell(grid, cell) for cell in grid.cells() if cell not in skip]
+        alone = [_run_alone(grid, cell) for cell in grid.cells() if cell not in skip]
         assert calls == [1] * 21  # always-reject trains nothing
         alone.sort(key=lambda r: (r.dataset, r.method, r.cost, r.trial))
         assert len(rows) == 27

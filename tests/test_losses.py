@@ -31,12 +31,6 @@ class TestRegistry:
             "sigmoid",
         }
 
-    def test_property_flags(self):
-        for name, spec in MARGIN_LOSSES.items():
-            assert spec.convex == (name in CONVEX)
-            assert spec.symmetric == (name in SYMMETRIC)
-            assert spec.calibrated
-
     def test_get_loss_unknown(self):
         with pytest.raises(KeyError):
             get_loss("perceptron")
@@ -241,7 +235,7 @@ class TestBatchedArgmin:
             argmin_weighted_conditional_risk(get_loss(name), np.array([0.2, w_pos]), np.array([0.7, w_neg]))
 
     def test_a_loss_that_is_not_finite_on_the_grid_raises(self):
-        steep = MarginLossSpec("steep", lambda z: np.exp(-50.0 * np.asarray(z)), None, convex=True, symmetric=False)
+        steep = MarginLossSpec("steep", lambda z: np.exp(-50.0 * np.asarray(z)), None)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             argmin_weighted_conditional_risk(steep, 0.7, 0.3)
 
@@ -292,9 +286,6 @@ FLIPPED_SIGMOID = MarginLossSpec(
     "flipped_sigmoid",
     value=lambda z: 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float))),
     value_grad=lambda z: (_expit(z), _expit(z) * _expit(-np.asarray(z, dtype=float))),
-    convex=False,
-    symmetric=True,
-    calibrated=False,
 )
 # (bound, grid_step): the default 40 001 points, then 101, 4 001 and 257
 # points; only the first is a whole number of 256-point blocks plus 65

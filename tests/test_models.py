@@ -22,13 +22,14 @@ from csreject.core import compute_metrics
 
 class TestForward:
     def test_linear_identity(self):
-        model = LinearModel(2, 2)
+        model = LinearModel(2, 2, np.random.default_rng(0))
         model.params["W"] = np.eye(2)
         g, _ = model.forward(np.array([3.0, -1.0]))
         np.testing.assert_allclose(g, [[3.0, -1.0]])
 
     def test_mlp_zero_weights_returns_bias(self):
-        model = MlpModel(3, 2)
+        model = MlpModel(3, 2, np.random.default_rng(0))
+        model.params["W1"][:] = model.params["W2"][:] = 0.0
         model.params["b2"] = np.array([0.7, -0.3])
         g, _ = model.forward(np.zeros((4, 3)))
         np.testing.assert_allclose(g, np.tile([0.7, -0.3], (4, 1)))
@@ -40,12 +41,12 @@ class TestForward:
 
     def test_make_model_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_model("transformer", 2, 2)
+            make_model("transformer", 2, 2, np.random.default_rng(0))
 
 
 class TestBackward:
     def test_linear_weight_gradient_is_outer_product(self):
-        model = LinearModel(3, 2)
+        model = LinearModel(3, 2, np.random.default_rng(0))
         x = np.array([[1.0, 2.0, -1.0]])
         upstream = np.array([[0.5, -2.0]])
         _, cache = model.forward(x)
@@ -264,7 +265,7 @@ class TestTrain:
         train([model], data, [batch], TrainConfig(epochs=200, batch_size=64, learning_rate=0.01), [14])
         decisions = decide_batch(model.scores(data.X))
         m = compute_metrics(decisions, data.y, cost)
-        assert m.n_wrong_accepted == 0
+        assert m.accepted_error == 0.0  # no accepted row is wrong
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

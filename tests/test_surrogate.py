@@ -42,7 +42,7 @@ def _empirical_risk(loss, G, y):
     One epoch of one full batch takes the mean loss at the initial parameters, before the Adam step.
     """
     G = np.asarray(G, dtype=float)
-    model = LinearModel(G.shape[1], G.shape[1])
+    model = LinearModel(G.shape[1], G.shape[1], np.random.default_rng(0))
     model.params["W"][:] = np.eye(G.shape[1])
     data = Dataset(G, np.asarray(y), K=G.shape[1])
     batch = lambda S, labels: cs_loss_batch(loss, COST, S, labels)

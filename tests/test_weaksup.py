@@ -264,6 +264,6 @@ class TestTrainPU:
 
     def test_empty_sets_rejected(self):
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.1), G, y)
-        model = LinearModel(2, 2)
+        model = LinearModel(2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             train_pu([model], [loss], np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1), [0])
