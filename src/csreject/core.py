@@ -135,10 +135,11 @@ def compute_metrics(codes, labels, cost: RejectionCost) -> MetricsRecord:
         raise ValueError("cannot compute metrics on empty input")
 
     n_reject, n_wrong = int((codes < 1).sum()), int(((codes >= 1) & (codes != labels)).sum())
+    n_accepted = n - n_reject
     return MetricsRecord(
         risk01c=float(zero_one_c_risk(codes, labels, cost)),
         rejection_ratio=n_reject / n,
-        accepted_error=n_wrong / (n - n_reject) if n_reject < n else 0.0,
+        accepted_error=n_wrong / n_accepted if n_accepted > 0 else 0.0,
         n_reject_distance=int((codes == CODE_DISTANCE).sum()),
         n_reject_ambiguity=int((codes == CODE_AMBIGUITY).sum()),
     )

@@ -252,7 +252,7 @@ def _write_par_csv(tmp_path, n=1000) -> str:
     rng = np.random.default_rng(7)
     X = rng.normal(size=(n, 3))
     y = np.where(X[:, 0] + 0.5 * rng.normal(size=n) > 0, 1, 2)
-    path = tmp_path / f"par{n}.csv"
+    path = tmp_path / "par.csv"
     path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
     return str(path)
 
@@ -638,12 +638,12 @@ class TestCliRun:
         from csreject import cli
 
         _no_training(monkeypatch)
-        out = tmp_path / "r.csv"
-        args = ["run", "--dataset", _write_par_csv(tmp_path, 300), "--setting", "pu", "--methods", "cs-sigmoid"]
+        out, path = tmp_path / "r.csv", _write_par_csv(tmp_path, 300)
+        args = ["run", "--dataset", path, "--setting", "pu", "--methods", "cs-sigmoid"]
         with pytest.raises(SystemExit) as exc:
             cli.main([*args, "--costs", "0.2", "--trials", "1", "--epochs", "1", "--out", str(out)])
         assert exc.value.code == 2
-        assert "par300.csv" in capsys.readouterr().err
+        assert path in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
