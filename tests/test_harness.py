@@ -646,6 +646,47 @@ class TestCliRun:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("twonorm_first", [False, True], ids=["csv", "twonorm,csv"])
+    def test_a_balanced_csv_in_pu_is_a_usage_error_naming_the_dataset_and_trial(
+        self, twonorm_first, tmp_path, monkeypatch, capsys
+    ):
+        # 600 balanced rows pass any row count, but their 300-row training split holds too few
+        # positives for the smallest PU draw; it used to end in a traceback after always-reject's
+        # group, and the groups of a dataset listed before it, had run
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out, path = tmp_path / "r.csv", _write_par_csv(tmp_path, 600)
+        dataset = f"twonorm,{path}" if twonorm_first else path
+        args = ["run", "--dataset", dataset, "--setting", "pu", "--methods", "always-reject,cs-sigmoid"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--costs", "0.2", "--trials", "1", "--epochs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert path in err and "trial 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["clean", "noisy"])
+    @pytest.mark.parametrize("twonorm_first", [False, True], ids=["csv", "twonorm,csv"])
+    def test_a_csv_too_small_for_a_validation_row_is_a_usage_error_naming_the_dataset_and_trial(
+        self, setting, twonorm_first, tmp_path, monkeypatch, capsys
+    ):
+        # round(0.1 * 5) == 0 leaves the validation split empty; it used to end in a
+        # traceback that did not name the dataset
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        out, path = tmp_path / "r.csv", tmp_path / "five.csv"
+        _write_toy_csv(path, 5)
+        dataset = f"twonorm,{path}" if twonorm_first else str(path)
+        args = ["run", "--dataset", dataset, "--setting", setting, "--methods", "always-reject,cs-sigmoid"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--costs", "0.2", "--trials", "1", "--epochs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "trial 0" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
     def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
         from csreject import cli
@@ -710,6 +751,17 @@ class TestGridSpecTraining:
         with pytest.raises(ValueError, match="training split") as exc:
             run_grid(grid)
         assert "twonorm" not in str(exc.value)
+
+    @pytest.mark.parametrize("setting", ["clean", "noisy"])
+    def test_a_csv_too_small_for_a_validation_row_fails_before_any_cell_trains(self, setting, tmp_path, monkeypatch):
+        _no_training(monkeypatch)
+        path = tmp_path / "five.csv"
+        _write_toy_csv(path, 5)
+        methods = ("always-reject", "cs-sigmoid")
+        grid = GridSpec(datasets=("twonorm", str(path)), methods=methods, costs=(0.2,), setting=setting, **FAST)
+        with pytest.raises(ValueError, match="trial 0") as exc:
+            run_grid(grid)
+        assert str(path) in str(exc.value)
 
     def test_a_training_split_of_240_rows_passes_the_size_check(self, tmp_path):
         path = _write_par_csv(tmp_path, 480)
