@@ -51,12 +51,12 @@ def cmd_run(args) -> int:
             prior=args.prior,
             epochs=args.epochs,
         )
-        grid.dataset_infos  # resolves every dataset: an unknown one, one class, or PU with more than two fails here
         theory._check_count(args.jobs, "--jobs")
         _check_out(args.out)
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
         harness.trial_groups(existing)  # a repeated row, which aggregate would refuse
+        grid.trial_data  # builds every trial's data: a bad dataset, an empty split or a failed PU draw ends here
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
     # a key omits the setting, so rows of another setting must not mask this grid's cells

@@ -58,17 +58,16 @@ class GridSpec:
 
     @functools.cached_property
     def dataset_infos(self) -> dict[str, DatasetInfo]:
-        """Every dataset of the grid, resolved once per grid and checked against the setting."""
+        """Every dataset of the grid, resolved once per grid and checked for two classes or more."""
         infos = {name: dataset_info(name) for name in self.datasets}
         if single := [name for name, info in infos.items() if info.K < 2]:
             raise ValueError(f"a dataset needs two classes or more; {single} have one class")
-        if self.setting == "pu" and (multiclass := [name for name, info in infos.items() if info.K != 2]):
-            raise ValueError(f"the PU setting requires binary datasets; {multiclass} have more than two classes")
-        # train_group draws a file's PU sets from its training split, which data.split cuts to this size
-        small = [name for name, info in infos.items() if round(PU_FRACTIONS[0] * info.total_n) < weaksup.MIN_PU_ROWS]
-        if self.setting == "pu" and small:
-            raise ValueError(f"a PU training split needs {weaksup.MIN_PU_ROWS} rows or more; {small} have fewer")
         return infos
+
+    @functools.cached_property
+    def trial_data(self) -> dict[tuple[str, int], TrialData]:
+        """Every (dataset, trial)'s data (build_trial_data), built once per grid."""
+        return {(name, t): build_trial_data(self, name, t) for name in self.datasets for t in range(self.trials)}
 
     def cells(self):
         for ds in self.datasets:
@@ -133,6 +132,10 @@ class DatasetInfo:
     def model_kind(self) -> str:
         return "linear" if self.K == 2 else "mlp"
 
+    def rows(self, n: int, rng: np.random.Generator) -> Dataset:
+        """A CSV's rows, or n rows drawn from the mixture."""
+        return self.data if self.data is not None else data_mod.gen_gauss_mixture(self.spec, n, rng)[0]
+
 
 def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
     means = 2.0 * np.array([[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]])
@@ -147,16 +150,56 @@ def dataset_info(name: str) -> DatasetInfo:
         return DatasetInfo(K=3, total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
         ds = data_mod.load_csv(name)
-        ds.X.flags.writeable = ds.y.flags.writeable = False
+        _read_only(ds)
         return DatasetInfo(K=ds.K, total_n=ds.n, data=ds)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
 
 
-def _source_dataset(info: DatasetInfo, n: int, rng: np.random.Generator) -> Dataset:
-    if info.data is not None:
-        return info.data
-    ds, _ = data_mod.gen_gauss_mixture(info.spec, n, rng)
-    return ds
+def _read_only(*parts) -> None:
+    """Make the arrays of shared Datasets and arrays read-only."""
+    for part in parts:
+        for a in (part.X, part.y) if isinstance(part, Dataset) else (part,):
+            a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class TrialData:
+    """A (dataset, trial)'s data, standardized on its training rows: what its cells train on (the
+    training split, or the positive and unlabeled feature sets in PU) and its validation and test splits."""
+
+    train: tuple[Dataset] | tuple[np.ndarray, np.ndarray]
+    val: Dataset
+    test: Dataset
+
+
+def build_trial_data(grid: GridSpec, ds_name: str, trial: int) -> TrialData:
+    """Draw a (dataset, trial)'s split, and its noisy labels or PU sets, from its hashed data seed.
+    Every group of the trial shares the arrays, so they are read-only; an error names the dataset and trial."""
+    info = grid.dataset_infos[ds_name]
+    data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
+    data_rng = np.random.default_rng(data_seed)
+    try:
+        source = info.rows(info.total_n, data_rng)
+        fractions = PU_FRACTIONS if grid.setting == "pu" else FRACTIONS
+        train_ds, val_ds, test_ds = data_mod.split(source, fractions, seed=data_seed)
+        if grid.setting == "pu":
+            # a synthetic pool is drawn afresh, large enough for the protocol; a file cannot be
+            # regenerated, so its draws come from the training split, and no held-out row is trained on
+            pool = info.rows(3 * train_ds.n, data_rng) if info.data is None else train_ds
+            positives, unlabeled = weaksup.make_pu_dataset(pool, train_ds.n, grid.prior, data_rng)
+            scaler = data_mod.Standardizer.fit(np.vstack([positives, unlabeled]))
+            train_set = tuple((part - scaler.mean) / scaler.scale for part in (positives, unlabeled))
+        else:
+            if grid.setting == "noisy":
+                noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
+                train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
+            scaler, train_std = data_mod.standardize(train_ds)
+            train_set = (train_std,)
+    except ValueError as exc:
+        raise ValueError(f"{ds_name}, trial {trial}: {exc}") from None
+    data = TrialData(train_set, scaler.apply(val_ds), scaler.apply(test_ds))
+    _read_only(*data.train, data.val, data.test)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +267,19 @@ METHODS: dict[str, Method] = {
 
 @dataclass(frozen=True)
 class Trained:
-    """A cell's part of its group's training: the model (None for a rule that trains nothing), its trace,
-    its validation and test splits (standardized as the training rows, if any) and its training seconds."""
+    """A cell's part of its group's training: the model (None for a rule that trains nothing),
+    its trace and its training seconds."""
 
     model: object
     trace: list
-    val_ds: Dataset
-    test_ds: Dataset
     seconds: float
 
 
 def cell_groups(grid: GridSpec, cells) -> list[list]:
     """The cells grouped by (dataset, trial, score width), in first-seen order.
 
-    A cell's data seed depends on dataset, setting and trial only, so a
-    group's cells share one split, and those that train share parameter
+    The cells of a (dataset, trial) share its data (GridSpec.trial_data), so
+    a group's cells that train share the training rows and parameter
     shapes: one stack. Rules that train nothing form groups of their own.
     """
     infos = grid.dataset_infos
@@ -252,19 +293,13 @@ def cell_groups(grid: GridSpec, cells) -> list[list]:
 
 
 def train_group(grid: GridSpec, cells) -> list[Trained]:
-    """Build the split of a group (see cell_groups) once and train its cells
-    as one stack. Each cell keeps its hashed seeds for its init and its
+    """Train the cells of a group (see cell_groups) as one stack on their
+    trial's data. Each cell keeps its hashed seeds for its init and its
     shuffles, so it gets the model and trace it gets when trained alone."""
     ds_name, _, _, trial = cells[0]
-    info = grid.dataset_infos[ds_name]
-    data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
-    data_rng = np.random.default_rng(data_seed)
-    source = _source_dataset(info, info.total_n, data_rng)
-    fractions = PU_FRACTIONS if grid.setting == "pu" else FRACTIONS
-    train_ds, val_ds, test_ds = data_mod.split(source, fractions, seed=data_seed)
-
     if METHODS[cells[0][1]].loss_batch is None:  # a group of rules that train nothing, see cell_groups
-        return [Trained(None, [], val_ds, test_ds, 0.0) for _ in cells]
+        return [Trained(None, [], 0.0) for _ in cells]
+    info, data = grid.dataset_infos[ds_name], grid.trial_data[ds_name, trial]
 
     t0 = time.perf_counter()
     models, losses, seeds = [], [], []
@@ -272,41 +307,31 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         method = METHODS[method_name]
         train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, _fmt(cost_value), "train")
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
-        models.append(make_model(info.model_kind, train_ds.d, method.n_out(info.K), model_rng))
+        models.append(make_model(info.model_kind, data.val.d, method.n_out(info.K), model_rng))
         losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
         seeds.append(train_seed)
     config = TrainConfig(batch_size=64 if grid.setting == "pu" else 256, epochs=grid.epochs)
-
     if grid.setting == "pu":
-        # a synthetic pool is drawn afresh, large enough for the protocol; a file cannot be
-        # regenerated, so its draws come from the training split, and no held-out row is trained on
-        pool = _source_dataset(info, 3 * train_ds.n, data_rng) if info.data is None else train_ds
-        positives, unlabeled = weaksup.make_pu_dataset(pool, train_ds.n, grid.prior, data_rng)
-        scaler = data_mod.Standardizer.fit(np.vstack([positives, unlabeled]))
-        positives, unlabeled = ((part - scaler.mean) / scaler.scale for part in (positives, unlabeled))
-        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, grid.prior, config, seeds)
+        traces, _ = weaksup.train_pu(models, losses, *data.train, grid.prior, config, seeds)
     else:
-        if grid.setting == "noisy":
-            noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
-            train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
-        scaler, train_std = data_mod.standardize(train_ds)
-        traces = train(models, train_std, losses, config, seeds)
-    val_ds, test_ds = scaler.apply(val_ds), scaler.apply(test_ds)
+        traces = train(models, *data.train, losses, config, seeds)
 
     seconds = (time.perf_counter() - t0) / len(cells)
-    return [Trained(model, trace, val_ds, test_ds, seconds) for model, trace in zip(models, traces)]
+    return [Trained(model, trace, seconds) for model, trace in zip(models, traces)]
 
 
 def run_cell(grid: GridSpec, cell, trained: Trained) -> ResultRow:
-    """Tune, decide and score one (dataset, method, cost, trial) cell;
-    trained is the cell's part of its group's training (train_group)."""
+    """Tune, decide and score one (dataset, method, cost, trial) cell on its
+    trial's validation and test splits; trained is the cell's part of its
+    group's training (train_group)."""
     ds_name, method_name, cost_value, trial = cell
     method = METHODS[method_name]
     cost = RejectionCost(cost_value)
-    model, test_ds, K = trained.model, trained.test_ds, trained.test_ds.K
+    data, model = grid.trial_data[ds_name, trial], trained.model
+    test_ds, K = data.test, data.test.K
 
     t0 = time.perf_counter()
-    tuned = method.tune(model, trained.val_ds, K, cost) if method.tune is not None else None
+    tuned = method.tune(model, data.val, K, cost) if method.tune is not None else None
     # the cell's share of its group's training time plus its own tuning time
     train_seconds = trained.seconds + (time.perf_counter() - t0)
     # a rule without a model decides on scores of width 0
@@ -328,12 +353,12 @@ _worker_grid: GridSpec | None = None
 
 
 def _init_worker(grid: GridSpec) -> None:
-    """Keep the grid a worker receives once, with a CSV's rows read-only again:
-    arrays come out of a pickle writeable."""
+    """Keep the grid a worker receives once, with a CSV's rows and every trial's
+    data read-only again: arrays come out of a pickle writeable."""
     global _worker_grid
-    for info in grid.dataset_infos.values():
-        if info.data is not None:
-            info.data.X.flags.writeable = info.data.y.flags.writeable = False
+    _read_only(*(info.data for info in grid.dataset_infos.values() if info.data is not None))
+    for data in grid.trial_data.values():
+        _read_only(*data.train, data.val, data.test)
     _worker_grid = grid
 
 
@@ -342,11 +367,13 @@ def _run_worker_group(cells) -> list[ResultRow]:
 
 
 def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
-    """Execute all cells not in skip_keys, one group of cell_groups at a time
-    (jobs > 1: groups in parallel, each worker given the grid once); output
+    """Build every trial's data, then execute all cells not in skip_keys, one group of cell_groups at a
+    time (jobs > 1: groups in parallel, one worker per group at most, each given the grid once); output
     is canonically ordered."""
     skip = set(skip_keys)
+    grid.trial_data  # so a data error ends the grid before any group trains
     groups = cell_groups(grid, [c for c in grid.cells() if c not in skip])
+    jobs = min(jobs, len(groups))  # a pool starts all its workers at once
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

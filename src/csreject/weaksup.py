@@ -27,16 +27,10 @@ def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -
     return Dataset(data.X, y, data.K)
 
 
-# the unlabeled set holds a multiple of this many rows, and the positive set a fifth as many
-UNLABELED_STEP = 200
-# the rows of the smallest draw; make_pu_dataset takes each row at most once
-MIN_PU_ROWS = UNLABELED_STEP + UNLABELED_STEP // 5
-
-
 def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.random.Generator):
     """Draw (positives, unlabeled) feature sets from a K=2 dataset.
 
-    The unlabeled size n_u is the largest multiple of UNLABELED_STEP, at most
+    The unlabeled size n_u is the largest multiple of 200, at most
     max_unlabeled, that the classes can serve: n_u // 5 positives plus
     floor(prior * n_u) unlabeled positives from class 1, and the other
     unlabeled rows from class 2. Positives come from class 1 without
@@ -49,14 +43,14 @@ def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.ran
         raise ValueError("class prior must lie in (0, 1]")
     pos_idx = np.flatnonzero(data.y == 1)
     neg_idx = np.flatnonzero(data.y == 2)
-    for n_u in range(max_unlabeled // UNLABELED_STEP * UNLABELED_STEP, 0, -UNLABELED_STEP):
+    for n_u in range(max_unlabeled // 200 * 200, 0, -200):
         n_p, n_u_pos = n_u // 5, int(prior * n_u)
         if n_p + n_u_pos <= len(pos_idx) and n_u - n_u_pos <= len(neg_idx):
             break
     else:
         raise ValueError(
             f"insufficient source data: {len(pos_idx)} positives and {len(neg_idx)} negatives serve no "
-            f"unlabeled set of a multiple of {UNLABELED_STEP} rows up to {max_unlabeled} at prior {prior:g}"
+            f"unlabeled set of a multiple of 200 rows up to {max_unlabeled} at prior {prior:g}"
         )
     pos_perm = rng.permutation(pos_idx)
     neg_perm = rng.permutation(neg_idx)

@@ -229,7 +229,7 @@ def test_criterion_10_baseline_sanity():
     for cells in harness.cell_groups(grid, list(grid.cells())):
         for (_, method, cost_value, trial), trained in zip(cells, harness.train_group(grid, cells)):
             spec, cost = harness.METHODS[method], RejectionCost(cost_value)
-            model, val = trained.model, trained.val_ds
+            model, val = trained.model, grid.trial_data["twonorm", trial].val
             G_val = model.scores(val.X)
 
             default_dec = spec.decide(G_val, 2, cost, untuned[method])
@@ -241,7 +241,7 @@ def test_criterion_10_baseline_sanity():
             if tuned_risk > default_risk + 1e-12:
                 tuning_regressed.append((method, cost_value, trial, default_risk, tuned_risk))
 
-            test_eval = trained.test_ds
+            test_eval = grid.trial_data["twonorm", trial].test
             test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
             finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from csreject import data as data_mod, harness
-from csreject.core import MetricsRecord
+from csreject.core import Dataset, MetricsRecord
 from csreject.harness import (
     GridSpec,
     ResultRow,
@@ -235,16 +235,22 @@ class TestTrainGroup:
         monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
         monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
         grid = GridSpec(methods=("cs-sigmoid", "cs-hinge"), costs=(0.2,), setting=setting, **FAST)
-        first, second = harness.train_group(grid, list(grid.cells()))
+        cells = list(grid.cells())
+        for cell, trained in zip(cells, harness.train_group(grid, cells)):
+            run_cell(grid, cell, trained)
+        data = grid.trial_data["twonorm", 0]
         train_ds, val_ds, test_ds = parts
         # the PU setting trains on its positive and unlabeled draws
         scaler = data_mod.Standardizer.fit(np.vstack(drawn) if setting == "pu" else train_ds.X)
-        for got, raw in ((first.val_ds, val_ds), (first.test_ds, test_ds)):
+        for got, raw in ((data.val, val_ds), (data.test, test_ds)):
             want = scaler.apply(raw)
             np.testing.assert_array_equal(got.X, want.X)
             np.testing.assert_array_equal(got.y, want.y)
-        # one standardized split per group, shared by its cells
-        assert second.val_ds is first.val_ds and second.test_ds is first.test_ds
+        trained_on = [scaler.apply(train_ds).X] if setting != "pu" else [(p - scaler.mean) / scaler.scale for p in drawn]
+        for got, want in zip(data.train if setting == "pu" else [data.train[0].X], trained_on, strict=True):
+            np.testing.assert_array_equal(got, want)
+        # one standardized split per trial, shared by the group's cells: the trial was drawn once
+        assert len(parts) == 3 and len(drawn) == (2 if setting == "pu" else 0)
 
 
 def _write_par_csv(tmp_path, n=1000) -> str:
@@ -255,6 +261,13 @@ def _write_par_csv(tmp_path, n=1000) -> str:
     path = tmp_path / "par.csv"
     path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
     return str(path)
+
+
+def _shared_arrays(grid: GridSpec, path: str, trial: int) -> list:
+    """A CSV's rows and one trial's data: the arrays that every group of the trial shares."""
+    data = grid.trial_data[path, trial]
+    parts = [grid.dataset_infos[path].data, *data.train, data.val, data.test]
+    return [a for part in parts for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
 
 
 def _write_one_class_csv(tmp_path) -> str:
@@ -290,12 +303,14 @@ class TestRunGrid:
         assert len(serial) == 6 and not any(r.flagged for r in serial)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
-    def test_a_pool_that_pickles_what_it_sends_gets_the_grid_once_per_worker(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("setting", ["clean", "pu"])
+    def test_a_pool_that_pickles_what_it_sends_gets_the_grid_once_per_worker(self, setting, monkeypatch, tmp_path):
         # an in-process pool that pickles every argument, as a spawned worker
         # receives it: the grid travels once per worker, and the unpickled
-        # rows a worker trains on are read-only, as in the serial path
+        # rows and trial data a worker trains on are read-only, as in the serial path
         path = _write_par_csv(tmp_path)
-        grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "always-reject"), costs=(0.1, 0.2), trials=2, epochs=2)
+        methods = ("cs-sigmoid", "always-reject")
+        grid = GridSpec(datasets=(path,), methods=methods, costs=(0.1, 0.2), setting=setting, trials=2, epochs=2)
         pickled, seen = [], []
         dumps = pickle.dumps
 
@@ -320,12 +335,12 @@ class TestRunGrid:
         train_group = harness.train_group
 
         def probe(grid, cells):
-            data = grid.dataset_infos[path].data
-            seen.append(data.X.flags.writeable or data.y.flags.writeable)
+            seen.append(any(a.flags.writeable for a in _shared_arrays(grid, path, cells[0][3])))
             return train_group(grid, cells)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         monkeypatch.setattr(harness, "train_group", probe)
+        monkeypatch.setattr(harness, "_worker_grid", None)
         parallel = run_grid(grid, jobs=2)
         # two trials of two groups each: four groups, one worker here
         assert len(seen) == 4 and not any(seen)
@@ -340,8 +355,7 @@ class TestRunGrid:
         train_group = harness.train_group
 
         def probe(grid, cells):
-            data = grid.dataset_infos[path].data
-            flags = "rw" if data.X.flags.writeable or data.y.flags.writeable else "ro"
+            flags = "rw" if any(a.flags.writeable for a in _shared_arrays(grid, path, cells[0][3])) else "ro"
             with open(tmp_path / f"probe-{os.getpid()}", "a") as f:
                 f.write(flags + "\n")
             return train_group(grid, cells)
@@ -377,6 +391,55 @@ class TestRunGrid:
         alone.sort(key=lambda r: (r.dataset, r.method, r.cost, r.trial))
         assert len(rows) == 27
         assert [_strip_timing(r) for r in rows] == [_strip_timing(r) for r in alone]
+
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    def test_each_dataset_and_trial_is_drawn_once(self, setting, monkeypatch, tmp_path):
+        # every group used to draw its trial's split, noise or PU sets and standardization again
+        calls = []
+        split, make_pu = data_mod.split, harness.weaksup.make_pu_dataset
+        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
+        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: calls.append("pu") or make_pu(*a))
+        datasets = ("twonorm", _write_par_csv(tmp_path) if setting == "pu" else "gauss3")
+        methods = ("cs-sigmoid", "sce", "defer", "angle", "always-reject")
+        grid = GridSpec(datasets=datasets, methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=1)
+        assert len(run_grid(grid)) == 20
+        assert calls == (["split", "pu"] if setting == "pu" else ["split"]) * 4
+
+    @pytest.mark.parametrize(
+        "methods, skip_all, jobs, workers",
+        [
+            (("cs-sigmoid", "angle", "always-reject"), False, 8, [3]),
+            (("cs-sigmoid", "angle", "always-reject"), False, 2, [2]),
+            (("cs-sigmoid", "angle", "always-reject"), True, 8, []),
+            (("cs-sigmoid", "cs-hinge"), False, 8, []),
+        ],
+    )
+    def test_jobs_are_capped_at_the_number_of_groups(self, methods, skip_all, jobs, workers, monkeypatch):
+        # a fork pool starts all its workers at its first submit, so a pool larger than
+        # the groups forks idle workers, and one group or none needs no pool at all
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*args) for args in zip(*iterables)]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_worker_grid", None)
+        grid = GridSpec(methods=methods, costs=(0.2,), trials=1, epochs=1)
+        skip = [cell for cell in grid.cells()] if skip_all else []
+        rows = run_grid(grid, skip_keys=skip, jobs=jobs)
+        assert started == workers
+        assert len(rows) == (0 if skip_all else len(methods))
 
     def test_each_dataset_is_resolved_once(self, monkeypatch):
         # cell_groups and every train_group used to resolve every dataset again
@@ -741,16 +804,17 @@ class TestGridSpecTraining:
         with pytest.raises(ValueError, match="one class"):
             run_grid(grid)
 
-    @pytest.mark.parametrize("n", [300, 478])
+    @pytest.mark.parametrize("n", [300, 478, 480, 600])
     def test_a_csv_too_small_for_the_pu_sets_fails_before_any_cell_trains(self, n, tmp_path, monkeypatch):
-        # a training split of fewer than 240 rows (the smallest draw: 200 unlabeled
-        # rows and 40 positives) used to reach make_pu_dataset, which then raised
+        # the smallest draw takes 200 unlabeled rows, 140 of them positive at prior 0.7, and 40
+        # positives: a training split of fewer than 240 rows, or of 240 to 300 balanced rows, used
+        # to reach make_pu_dataset inside the first group to train, which then raised
         _no_training(monkeypatch)
         path = _write_par_csv(tmp_path, n)
         grid = GridSpec(datasets=("twonorm", path), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
-        with pytest.raises(ValueError, match="training split") as exc:
+        with pytest.raises(ValueError, match="insufficient source data") as exc:
             run_grid(grid)
-        assert "twonorm" not in str(exc.value)
+        assert str(exc.value).startswith(f"{path}, trial 0: ")
 
     @pytest.mark.parametrize("setting", ["clean", "noisy"])
     def test_a_csv_too_small_for_a_validation_row_fails_before_any_cell_trains(self, setting, tmp_path, monkeypatch):
@@ -763,9 +827,18 @@ class TestGridSpecTraining:
             run_grid(grid)
         assert str(path) in str(exc.value)
 
-    def test_a_training_split_of_240_rows_passes_the_size_check(self, tmp_path):
-        path = _write_par_csv(tmp_path, 480)
-        GridSpec(datasets=(path,), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST).dataset_infos
+    def test_a_csv_whose_training_split_serves_the_smallest_pu_draw_trains(self, tmp_path):
+        # 800 rows, three in four positive: the 400-row training split serves 200 unlabeled rows
+        rng = np.random.default_rng(7)
+        y = np.where(rng.random(800) < 0.75, 1, 2)
+        X = rng.normal(size=(800, 3)) + (y == 1)[:, None]
+        path = tmp_path / "skewed.csv"
+        path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
+        grid = GridSpec(datasets=(str(path),), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
+        (row,) = run_grid(grid)
+        assert not row.flagged
+        positives, unlabeled = grid.trial_data[str(path), 0].train
+        assert (len(positives), len(unlabeled)) == (40, 200)
 
     @pytest.mark.parametrize("setting", ["clean", "noisy"])
     def test_a_csv_too_small_for_the_pu_sets_trains_in_the_other_settings(self, setting, tmp_path):
