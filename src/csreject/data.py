@@ -143,7 +143,7 @@ def _malformed_row(path) -> str | None:
 
 
 def split(data: Dataset, fractions, seed: int) -> list[Dataset]:
-    """Seeded shuffle followed by contiguous cuts at the given fractions."""
+    """Seeded shuffle followed by contiguous cuts at the given fractions; each part needs a row."""
     fractions = list(fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
@@ -151,6 +151,8 @@ def split(data: Dataset, fractions, seed: int) -> list[Dataset]:
     order = rng.permutation(data.n)
     cuts = np.cumsum([int(round(f * data.n)) for f in fractions[:-1]])
     parts = np.split(order, cuts)
+    if not all(map(len, parts)):
+        raise ValueError(f"{data.n} rows leave a part of the split at fractions {fractions} empty")
     return [data.subset(p) for p in parts]
 
 

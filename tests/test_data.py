@@ -230,6 +230,11 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(self._data(), (0.5, 0.6), seed=0)
 
+    def test_a_part_left_empty_is_refused(self):
+        # round(0.1 * 5) == 0: the middle part would hold no row
+        with pytest.raises(ValueError, match=r"5 rows leave a part of the split at fractions \[0.5, 0.1, 0.4\] empty"):
+            split(self._data(5), (0.5, 0.1, 0.4), seed=0)
+
 
 class TestStandardize:
     def test_train_becomes_centered_unit(self):

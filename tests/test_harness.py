@@ -747,7 +747,7 @@ class TestCliRun:
             cli.main([*args, "--costs", "0.2", "--trials", "1", "--epochs", "1", "--out", str(out)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "trial 0" in err
+        assert f"{path}, trial 0: 5 rows leave a part of the split" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
