@@ -436,7 +436,7 @@ class TestRunGrid:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_worker_grid", None)
         grid = GridSpec(methods=methods, costs=(0.2,), trials=1, epochs=1)
-        skip = [cell for cell in grid.cells()] if skip_all else []
+        skip = list(grid.cells()) if skip_all else []
         rows = run_grid(grid, skip_keys=skip, jobs=jobs)
         assert started == workers
         assert len(rows) == (0 if skip_all else len(methods))
