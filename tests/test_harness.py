@@ -458,6 +458,47 @@ class TestRunGrid:
         merged = sorted([full[0]] + partial, key=lambda r: r.trial)
         assert [_strip_timing(r) for r in merged] == [_strip_timing(r) for r in full]
 
+    def test_skip_keys_leave_the_skipped_trials_undrawn(self, monkeypatch):
+        # every trial's data used to be built, also for trials whose every cell was skipped
+        calls = []
+        split = data_mod.split
+        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
+        grid = GridSpec(methods=("always-reject",), costs=(0.1, 0.2), trials=3, epochs=1)
+        rows = run_grid(grid, skip_keys=[cell for cell in grid.cells() if cell[3] != 1])
+        assert [(r.cost, r.trial) for r in rows] == [(0.1, 1), (0.2, 1)]
+        assert len(calls) == 1
+
+    def test_jobs_workers_get_no_csv_rows(self, monkeypatch, tmp_path):
+        # a worker used to receive every CSV's rows with the grid, though only the
+        # build of a trial's data, which runs before any worker starts, reads them
+        path = _write_par_csv(tmp_path)
+        grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "always-reject"), costs=(0.2,), trials=2, epochs=2)
+        sent = []
+
+        class PicklingPool:
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                sent.append(pickle.dumps(initargs))
+                initializer(*pickle.loads(sent[-1]))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(harness, "_worker_grid", None)
+        parallel = run_grid(grid, jobs=2)
+        (blob,) = sent
+        (worker_grid,) = pickle.loads(blob)
+        assert [info.data for info in worker_grid.dataset_infos.values()] == [None]
+        rows = grid.dataset_infos[path].data
+        assert rows.X.tobytes() not in blob and rows.y.tobytes() not in blob
+        assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, jobs=1)]
+
 
 class TestAggregate:
     def _row(self, risk, trial, cost=0.1, method="m"):
@@ -895,6 +936,38 @@ class TestCliResume:
         assert cli.main(args) == 0
         assert "resuming: 1 rows already present" in capsys.readouterr().out
         assert [r.trial for r in read_csv(out)] == [0, 1]
+
+    @pytest.mark.parametrize("kept, drawn", [([0, 1, 2], 0), ([0, 2], 1)], ids=["all kept", "one to run"])
+    def test_a_resume_draws_only_the_trials_it_runs(self, kept, drawn, tmp_path, monkeypatch, capsys):
+        # every trial's data used to be built, also for trials whose every row was kept
+        from csreject import cli
+
+        calls = []
+        split = data_mod.split
+        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
+        out = tmp_path / "r.csv"
+        kept_rows = "".join(f"\ntwonorm,always-reject,clean,0.2,{t},0.2,1,0,2960,0,0,False" for t in kept)
+        out.write_text(harness.CSV_HEADER + kept_rows + "\n")
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "3", "--out", str(out), "--resume"]
+        assert cli.main(args) == 0
+        assert len(calls) == drawn
+        assert [r.trial for r in read_csv(out)] == [0, 1, 2]
+
+    def test_a_data_error_in_a_trial_left_to_run_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the trial named is the one the resume would run, and nothing trains or is written
+        from csreject import cli
+
+        _no_training(monkeypatch)
+        path, out = tmp_path / "five.csv", tmp_path / "r.csv"
+        _write_toy_csv(path, 5)
+        text = harness.CSV_HEADER + f"\n{path},always-reject,clean,0.2,0,0.2,1,0,2,0,0,False\n"
+        out.write_text(text)
+        args = ["run", "--dataset", str(path), "--methods", "always-reject", "--costs", "0.2", "--trials", "2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--out", str(out), "--resume"])
+        assert exc.value.code == 2
+        assert f"{path}, trial 1: 5 rows leave a part of the split" in capsys.readouterr().err
+        assert out.read_text() == text
 
     @pytest.mark.parametrize(
         "text",
