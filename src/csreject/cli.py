@@ -56,11 +56,12 @@ def cmd_run(args) -> int:
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
         harness.trial_groups(existing)  # a repeated row, which aggregate would refuse
-        grid.trial_data  # builds every trial's data: a bad dataset, an empty split or a failed PU draw ends here
+        # a key omits the setting, so rows of another setting must not mask this grid's cells
+        skip = [r.key() for r in existing if r.setting == args.setting]
+        # builds the data of the trials left to run: a bad dataset, an empty split or a failed PU draw ends here
+        harness.pending_cells(grid, skip)
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
-    # a key omits the setting, so rows of another setting must not mask this grid's cells
-    skip = [r.key() for r in existing if r.setting == args.setting]
     if resume:
         print(f"resuming: {len(skip)} rows already present")
     rows = harness.run_grid(grid, skip_keys=skip, jobs=args.jobs)

@@ -66,8 +66,8 @@ class GridSpec:
 
     @functools.cached_property
     def trial_data(self) -> dict[tuple[str, int], TrialData]:
-        """Every (dataset, trial)'s data (build_trial_data), built once per grid."""
-        return {(name, t): build_trial_data(self, name, t) for name in self.datasets for t in range(self.trials)}
+        """Each (dataset, trial)'s data (build_trial_data), built once per grid, when first looked up."""
+        return _TrialDataCache(self)
 
     def cells(self):
         for ds in self.datasets:
@@ -170,6 +170,18 @@ class TrialData:
     train: tuple[Dataset] | tuple[np.ndarray, np.ndarray]
     val: Dataset
     test: Dataset
+
+
+class _TrialDataCache(dict):
+    """GridSpec.trial_data: a missing (dataset, trial) is built on lookup and kept."""
+
+    def __init__(self, grid: GridSpec):
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, key) -> TrialData:
+        self[key] = build_trial_data(self.grid, *key)
+        return self[key]
 
 
 def build_trial_data(grid: GridSpec, ds_name: str, trial: int) -> TrialData:
@@ -353,31 +365,47 @@ _worker_grid: GridSpec | None = None
 
 
 def _init_worker(grid: GridSpec) -> None:
-    """Keep the grid a worker receives once, with a CSV's rows and every trial's
-    data read-only again: arrays come out of a pickle writeable."""
+    """Keep the grid a worker receives once (_worker_copy), with its trials' data
+    read-only again: arrays come out of a pickle writeable."""
     global _worker_grid
-    _read_only(*(info.data for info in grid.dataset_infos.values() if info.data is not None))
     for data in grid.trial_data.values():
         _read_only(*data.train, data.val, data.test)
     _worker_grid = grid
+
+
+def _worker_copy(grid: GridSpec) -> GridSpec:
+    """The grid that --jobs workers get: the trials' data built so far, and no CSV rows,
+    which only a build reads."""
+    copy = replace(grid)
+    vars(copy)["dataset_infos"] = {name: replace(info, data=None) for name, info in grid.dataset_infos.items()}
+    copy.trial_data.update(grid.trial_data)
+    return copy
 
 
 def _run_worker_group(cells) -> list[ResultRow]:
     return _run_group(_worker_grid, cells)
 
 
-def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
-    """Build every trial's data, then execute all cells not in skip_keys, one group of cell_groups at a
-    time (jobs > 1: groups in parallel, one worker per group at most, each given the grid once); output
-    is canonically ordered."""
+def pending_cells(grid: GridSpec, skip_keys=()) -> list:
+    """The grid's cells not in skip_keys, once the data of their trials is built
+    (GridSpec.trial_data), so that a data error ends the grid before any cell trains."""
     skip = set(skip_keys)
-    grid.trial_data  # so a data error ends the grid before any group trains
-    groups = cell_groups(grid, [c for c in grid.cells() if c not in skip])
+    cells = [cell for cell in grid.cells() if cell not in skip]
+    for ds_name, _, _, trial in cells:
+        grid.trial_data[ds_name, trial]
+    return cells
+
+
+def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
+    """Build the data of the trials left to run, then execute all cells not in skip_keys, one group of
+    cell_groups at a time (jobs > 1: groups in parallel, one worker per group at most, each given the
+    grid once, without CSV rows); output is canonically ordered."""
+    groups = cell_groups(grid, pending_cells(grid, skip_keys))
     jobs = min(jobs, len(groups))  # a pool starts all its workers at once
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(grid,)) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(_worker_copy(grid),)) as pool:
             parts = list(pool.map(_run_worker_group, groups))
     else:
         parts = [_run_group(grid, cells) for cells in groups]

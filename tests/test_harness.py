@@ -264,10 +264,11 @@ def _write_par_csv(tmp_path, n=1000) -> str:
 
 
 def _shared_arrays(grid: GridSpec, path: str, trial: int) -> list:
-    """A CSV's rows and one trial's data: the arrays that every group of the trial shares."""
+    """A CSV's rows, where the grid holds them (a --jobs worker's does not), and one trial's
+    data: the arrays that every group of the trial shares."""
     data = grid.trial_data[path, trial]
     parts = [grid.dataset_infos[path].data, *data.train, data.val, data.test]
-    return [a for part in parts for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
+    return [a for part in parts if part is not None for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
 
 
 def _write_one_class_csv(tmp_path) -> str:
