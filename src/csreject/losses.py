@@ -99,7 +99,7 @@ def _tangent_vg(z):
 
 
 def _ramp(z):
-    return np.clip(0.5 - 0.5 * np.asarray(z, dtype=float), 0.0, 1.0)
+    return np.minimum(np.maximum(0.5 - 0.5 * np.asarray(z, dtype=float), 0.0), 1.0)  # np.clip without its layers
 
 
 def _ramp_vg(z):
@@ -116,7 +116,7 @@ def _sigmoid_vg(z):
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore"):  # _expit(-z) and _expit(z), as in _expit
         phi = 1.0 / (1.0 + np.exp(z))
-        return phi, -(1.0 / (1.0 + np.exp(-z))) * phi
+        return phi, (-1.0 / (1.0 + np.exp(-z))) * phi  # -1/x is -(1/x) bit for bit
 
 
 MARGIN_LOSSES: dict[str, MarginLossSpec] = {

@@ -26,7 +26,8 @@ class LinearModel:
         get the shape (copies..., n, n_out). work is MlpModel's buffer dict;
         a linear model's arrays are small, so it keeps none.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.ndim > 1):
+            X = np.atleast_2d(np.asarray(X, dtype=float))
         p = self.params if params is None else params
         return X @ p["W"].swapaxes(-1, -2) + p["b"][..., None, :], X
 
@@ -34,7 +35,7 @@ class LinearModel:
         """Parameter gradients; dG (..., n, n_out) may carry the leading cell
         axis of a stack, as the parameters then do. work as in forward."""
         X = cache
-        return {"W": dG.swapaxes(-1, -2) @ X, "b": dG.sum(axis=-2)}
+        return {"W": dG.swapaxes(-1, -2) @ X, "b": np.add.reduce(dG, axis=-2)}
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
@@ -82,9 +83,9 @@ class MlpModel:
         dpre *= h > 0  # h > 0 exactly where pre > 0, NaN failing both: subgradient 0 at 0
         return {
             "W2": dG.swapaxes(-1, -2) @ h,
-            "b2": dG.sum(axis=-2),
+            "b2": np.add.reduce(dG, axis=-2),
             "W1": dpre.swapaxes(-1, -2) @ X,
-            "b1": dpre.sum(axis=-2),
+            "b1": np.add.reduce(dpre, axis=-2),
         }
 
     def scores(self, X: np.ndarray) -> np.ndarray:
@@ -134,8 +135,7 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
     t = state.step
     g = np.concatenate([grad.ravel() for grad in grads.values()])
     if state.m is None:
-        state.m = np.zeros_like(g)
-        state.v = np.zeros_like(g)
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     # in place, with the rounding of m = beta1*m + (1-beta1)*g,
     # v = beta2*v + (1-beta2)*g**2 and update = lr*m_hat / (sqrt(v_hat) + eps)
     state.m *= state.beta1
@@ -213,7 +213,7 @@ def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[lis
             loss, dG = np.empty(idx.shape), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y[c])
-            epoch_loss += loss.sum(axis=1)  # each row's sum is exactly its own .sum()
+            epoch_loss += np.add.reduce(loss, axis=1)  # each row's sum is exactly its own .sum()
             grads = stack.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
             adam_step(state, stack.params, grads, config.learning_rate)
         for trace, total in zip(traces, epoch_loss.tolist()):

@@ -23,7 +23,7 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     # sum the other classes column by column: a full row sum minus the own
     # class cancels when phi(-g_y) is large
     phi[own] = 0.0
-    losses = c * phi[n * K :] + (1.0 - c) * sum(phi[j : n * K : K] for j in range(K))
+    losses = c * phi[n * K :] + (1.0 - c) * sum((phi[j : n * K : K] for j in range(1, K)), start=phi[: n * K : K])
     dG = dphi[: n * K]
     dG *= -(1.0 - c)
     dG[own] = c * dphi[n * K :]

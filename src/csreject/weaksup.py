@@ -61,12 +61,11 @@ def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.ran
 
 
 def _pu_terms(loss, prior: float, m_p: int, m_u: int):
-    """The PU risk's positive term and implied-negative bracket from the per-row losses (..., m_p + m_u + m_p)
-    of the rows [Gp, Gu, Gp] at the labels [1, 2, 2]; a sum over the last axis divided by the count is exactly
-    numpy's mean."""
-    pos_term = prior * (loss[..., :m_p].sum(axis=-1) / m_p)
-    neg_term = loss[..., m_p : m_p + m_u].sum(axis=-1) / m_u - prior * (loss[..., m_p + m_u :].sum(axis=-1) / m_p)
-    return pos_term, neg_term
+    """The PU risk's positive term and implied-negative bracket from the per-row losses (..., m_p + m_p + m_u)
+    of the rows [Gp, Gp, Gu] at the labels [1, 2, 2]; a sum over the last axis divided by the count is exactly
+    numpy's mean, and one reduction over both positive blocks sums each as its own would."""
+    pos = np.add.reduce(loss[..., : 2 * m_p].reshape(*loss.shape[:-1], 2, m_p), axis=-1) / m_p * prior
+    return pos[..., 0], np.add.reduce(loss[..., 2 * m_p :], axis=-1) / m_u - pos[..., 1]
 
 
 def _pu_risk_terms(loss_batch, prior: float, positives, unlabeled, score_fn):
@@ -75,7 +74,7 @@ def _pu_risk_terms(loss_batch, prior: float, positives, unlabeled, score_fn):
     if m_p == 0 or m_u == 0:
         raise ValueError("both sample sets must be non-empty")
     Gp = score_fn(positives)
-    losses, _ = loss_batch(np.concatenate([Gp, score_fn(unlabeled), Gp]), np.repeat([1, 2, 2], [m_p, m_u, m_p]))
+    losses, _ = loss_batch(np.concatenate([Gp, Gp, score_fn(unlabeled)]), np.repeat([1, 2, 2], [m_p, m_p, m_u]))
     return _pu_terms(losses, prior, m_p, m_u)
 
 
@@ -113,13 +112,12 @@ def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
     b_u = max(1, config.batch_size - b_p)
     steps = int(np.ceil(n_u / b_u))  # so every step has unlabeled rows
-    labels = {}  # (positive rows, unlabeled rows) -> labels of the stacked loss rows
+    labels = np.repeat([1, 2], [b_p, 2 * b_p + b_u])  # a window of m_p 1s, then m_p + m_u 2s, labels a step's rows
     traces = [[] for _ in models]
     clamp_count = 0
     for _ in range(config.epochs):
         orders = [(rng.permutation(n_p), rng.permutation(n_u)) for rng in rngs]
-        p_order = np.stack([p for p, _ in orders])
-        u_order = np.stack([u for _, u in orders])
+        p_order, u_order = map(np.stack, zip(*orders))
         epoch_risk = np.zeros(len(models))
         for step in range(steps):
             ip = p_order[:, (step * b_p) % n_p : (step * b_p) % n_p + b_p]
@@ -129,24 +127,26 @@ def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior
             m_p, m_u = ip.shape[1], iu.shape[1]
             Gp, cache_p = stack.forward(positives.take(ip, axis=0), work=work_p)
             Gu, cache_u = stack.forward(unlabeled.take(iu, axis=0), work=work_u)
-            # one loss call per cell on (Gp at +1, Gu at -1, Gp at -1); every loss works row by row
-            y = labels.get((m_p, m_u))
-            if y is None:
-                y = labels[m_p, m_u] = np.repeat([1, 2, 2], [m_p, m_u, m_p])
-            G = np.concatenate([Gp, Gu, Gp], axis=1)
+            # one loss call per cell on (Gp at +1, Gp at -1, Gu at -1); every loss works row by row
+            y = labels[b_p - m_p : b_p + m_p + m_u]
+            G = np.concatenate([Gp, Gp, Gu], axis=1)
             loss, dG = np.empty(G.shape[:2]), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y)
             pos_term, neg_term = _pu_terms(loss, prior, m_p, m_u)
             epoch_risk += pos_term + np.where(neg_term > 0.0, neg_term, 0.0)
 
-            # the clamp, per cell: a negative bracket contributes no gradient
+            # the gradient, in place in dG: both positive blocks times prior / m_p, the unlabeled block / m_u;
+            # the clamp, per cell: a negative bracket contributes no gradient (x - 0.0 is x)
+            dP, dGp, dGu = dG[:, : 2 * m_p], dG[:, :m_p], dG[:, 2 * m_p :]
+            dP *= prior
+            dP /= m_p
+            dGu /= m_u
             kept = neg_term >= 0.0
-            clamp_count += int(np.count_nonzero(~kept))
-            dGp = prior * dG[:, :m_p] / m_p
-            np.subtract(dGp, prior * dG[:, m_p + m_u :] / m_p, out=dGp, where=kept[:, None, None])
-            dGu = dG[:, m_p : m_p + m_u] / m_u
-            dGu[~kept] = 0.0
+            if clamped := len(kept) - int(np.count_nonzero(kept)):
+                clamp_count += clamped
+                dG[~kept, m_p:] = 0.0
+            dGp -= dG[:, m_p : 2 * m_p]
             grads = stack.backward(cache_p, dGp, work_p)
             for k, g in stack.backward(cache_u, dGu, work_u).items():
                 grads[k] += g

@@ -134,3 +134,170 @@ class TestStackedTrainPU:
         alone = [weaksup.train_pu([m], [l], positives, unlabeled, 0.7, config, [s]) for m, l, s in zip(separate, losses, seeds)]
         assert traces == [trace for (trace,), _ in alone]
         _assert_same_models(models, separate)
+
+
+# ---------------------------------------------------------------------------
+# The step written out per cell: plain 2-D forward and backward passes, the
+# margin losses and L_CS as formulas, one loss call per block of PU rows, the
+# clamp as a branch and a per-key Adam. The stacked loops must match it bit
+# for bit: parameters, traces and clamp counts.
+
+
+def _ref_margin(name, z):
+    if name == "sigmoid":
+        with np.errstate(over="ignore"):
+            phi = 1.0 / (1.0 + np.exp(z))
+            return phi, -(1.0 / (1.0 + np.exp(-z))) * phi
+    if name == "ramp":
+        return np.clip(0.5 - 0.5 * z, 0.0, 1.0), np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
+    assert name == "hinge"
+    return np.maximum(0.0, 1.0 - z), np.where(z < 1.0, -1.0, 0.0)
+
+
+def _ref_cs_loss(name, c, G, y):
+    # L_CS = c phi(g_y) + (1 - c) sum over the other classes j of phi(-g_j), column by column
+    n, K = G.shape
+    rows = np.arange(n)
+    phi_neg, dphi_neg = _ref_margin(name, -G)
+    phi_own, dphi_own = _ref_margin(name, G[rows, y - 1])
+    phi_neg[rows, y - 1] = 0.0
+    losses = c * phi_own + (1.0 - c) * sum(phi_neg[:, j] for j in range(K))
+    dG = -(1.0 - c) * dphi_neg
+    dG[rows, y - 1] = c * dphi_own
+    return losses, dG
+
+
+def _ref_loss(method, K, cost):
+    if method.startswith("cs-"):
+        return lambda G, y: _ref_cs_loss(method.removeprefix("cs-"), cost, G, y)
+    return METHODS[method].loss_batch(K, RejectionCost(cost))  # sce and angle as the program has them
+
+
+def _ref_forward(p, X):
+    if "W" in p:
+        return X @ p["W"].T + p["b"], X
+    h = np.maximum(X @ p["W1"].T + p["b1"], 0.0)
+    return h @ p["W2"].T + p["b2"], (X, h)
+
+
+def _ref_backward(p, cache, dG):
+    if "W" in p:
+        return {"W": dG.T @ cache, "b": dG.sum(axis=0)}
+    X, h = cache
+    dpre = (dG @ p["W2"]) * (h > 0)
+    return {"W2": dG.T @ h, "b2": dG.sum(axis=0), "W1": dpre.T @ X, "b1": dpre.sum(axis=0)}
+
+
+def _ref_adam(state, p, grads, lr):
+    state["t"] += 1
+    t = state["t"]
+    for key, g in grads.items():
+        m = state.setdefault(("m", key), np.zeros_like(g))
+        v = state.setdefault(("v", key), np.zeros_like(g))
+        state["m", key] = m = 0.9 * m + (1.0 - 0.9) * g
+        state["v", key] = v = 0.999 * v + (1.0 - 0.999) * g**2
+        p[key] = p[key] - lr * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+
+
+def _ref_train(p, data, loss, config, seed):
+    rng, state, trace = np.random.default_rng(seed), {"t": 0}, []
+    for _ in range(config.epochs):
+        order, total = rng.permutation(data.n), 0.0
+        for start in range(0, data.n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            G, cache = _ref_forward(p, data.X[idx])
+            losses, dG = loss(G, data.y[idx])
+            total += losses.sum()
+            _ref_adam(state, p, _ref_backward(p, cache, dG / len(idx)), config.learning_rate)
+        trace.append(total / data.n)
+    return trace
+
+
+def _ref_train_pu(p, loss, positives, unlabeled, prior, config, seed):
+    rng, state, trace, clamps = np.random.default_rng(seed), {"t": 0}, [], 0
+    n_p, n_u = len(positives), len(unlabeled)
+    b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
+    b_u = max(1, config.batch_size - b_p)
+    steps = int(np.ceil(n_u / b_u))
+    for _ in range(config.epochs):
+        p_order, u_order, risk = rng.permutation(n_p), rng.permutation(n_u), 0.0
+        for step in range(steps):
+            ip = p_order[(step * b_p) % n_p :][:b_p]
+            ip = np.concatenate([ip, p_order[: b_p - len(ip)]])  # a batch that runs off the end wraps around
+            iu = u_order[step * b_u : (step + 1) * b_u]
+            m_p, m_u = len(ip), len(iu)
+            (Gp, cache_p), (Gu, cache_u) = _ref_forward(p, positives[ip]), _ref_forward(p, unlabeled[iu])
+            loss_p, dGp = loss(Gp, np.full(m_p, 1))
+            loss_n, dGn = loss(Gp, np.full(m_p, 2))
+            loss_u, dGu = loss(Gu, np.full(m_u, 2))
+            pos_term = prior * (loss_p.sum() / m_p)
+            neg_term = loss_u.sum() / m_u - prior * (loss_n.sum() / m_p)
+            risk += pos_term + (neg_term if neg_term > 0.0 else 0.0)
+            if neg_term >= 0.0:
+                dP, dU = prior * dGp / m_p - prior * dGn / m_p, dGu / m_u
+            else:  # the clamp: the implied-negative term contributes no gradient
+                clamps += 1
+                dP, dU = prior * dGp / m_p, np.zeros_like(dGu)
+            grads = _ref_backward(p, cache_p, dP)
+            for key, g in _ref_backward(p, cache_u, dU).items():
+                grads[key] += g
+            _ref_adam(state, p, grads, config.learning_rate)
+        trace.append(risk / steps)
+    return trace, clamps
+
+
+def _assert_bits(got, want):
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+# (model kind, classes, cells of one score width)
+REFERENCE_STACKS = {
+    "linear-K2": ("linear", 2, [("cs-sigmoid", 0.1), ("cs-ramp", 0.25), ("cs-hinge", 0.4), ("sce", 0.2)]),
+    "mlp-K2": ("mlp", 2, [("cs-sigmoid", 0.3), ("cs-ramp", 0.1), ("sce", 0.4)]),
+    "linear-K3": ("linear", 3, [("cs-sigmoid", 0.2), ("cs-hinge", 0.3), ("sce", 0.1)]),
+    "mlp-K3": ("mlp", 3, [("cs-ramp", 0.35), ("cs-sigmoid", 0.15), ("sce", 0.25)]),
+    "angle-width-1": ("linear", 2, [("angle", 0.1), ("angle", 0.4)]),
+}
+
+
+class TestAgainstTheStepFormulas:
+    @pytest.mark.parametrize("stack", sorted(REFERENCE_STACKS))
+    def test_train(self, stack):
+        kind, K, cells = REFERENCE_STACKS[stack]
+        data = _toy(203, 3, K, seed=4)  # batches of 32 leave a short last batch
+        models, losses, seeds = _cells(kind, 3, K, cells, seed=80)
+        refs = [{k: v.copy() for k, v in m.params.items()} for m in models]
+        config = TrainConfig(epochs=4, batch_size=32, learning_rate=0.02)
+        traces = train(models, data, losses, config, seeds)
+        for model, trace, ref, (method, cost), seed in zip(models, traces, refs, cells, seeds):
+            _assert_bits(trace, _ref_train(ref, data, _ref_loss(method, K, cost), config, seed))
+            for key in ref:
+                _assert_bits(model.params[key], ref[key])
+
+    @pytest.mark.parametrize("stack", [s for s in sorted(REFERENCE_STACKS) if REFERENCE_STACKS[s][1] == 2])
+    @pytest.mark.parametrize(
+        "n_p, n_u, batch, prior",
+        [
+            (40, 160, 32, 0.95),  # steps clamp in some cells, not in others
+            (30, 200, 32, 0.3),  # 5 positives a step, 40 an epoch: a batch wraps around
+            (3, 20, 64, 0.7),  # a positive batch of 9 rows takes the 3 positives twice: 6 rows
+        ],
+    )
+    def test_train_pu(self, stack, n_p, n_u, batch, prior):
+        kind, _, cells = REFERENCE_STACKS[stack]
+        positives, unlabeled = _pu_sets(n_p, n_u, 3, seed=n_p)
+        models, losses, seeds = _cells(kind, 3, 2, cells, seed=90)
+        refs = [{k: v.copy() for k, v in m.params.items()} for m in models]
+        config = TrainConfig(epochs=4, batch_size=batch, learning_rate=0.05)
+        traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, prior, config, seeds)
+        ref_clamps = 0
+        for model, trace, ref, (method, cost), seed in zip(models, traces, refs, cells, seeds):
+            ref_trace, count = _ref_train_pu(ref, _ref_loss(method, 2, cost), positives, unlabeled, prior, config, seed)
+            _assert_bits(trace, ref_trace)
+            ref_clamps += count
+            for key in ref:
+                _assert_bits(model.params[key], ref[key])
+        assert clamps == ref_clamps
+        if prior == 0.95:
+            steps = 4 * int(np.ceil(n_u / (batch - int(np.ceil(batch * n_p / (n_p + n_u))))))
+            assert 0 < clamps < steps * len(cells)
