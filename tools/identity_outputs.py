@@ -16,6 +16,10 @@ An empty diff is the proof. OUT_DIR gets:
 - audit_seed<s>.txt: `bench audit` at the benchmark's arguments, seeds 0, 1, 5;
 - gradcheck_seed<s>.txt: `bench gradcheck`, seeds 0, 13 and 19; each .txt
   ends in the command's exit status;
+- train_digests.sha256: a SHA-256 of the trained parameters and the traces of
+  fixed `models.train` and `weaksup.train_pu` stacks (TRAIN_STACKS), and each
+  PU stack's clamp count, so that training proves identical bit for bit, not
+  only to the digits a result row prints;
 - the input files the runs read (the CSV datasets).
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import os
 import sys
@@ -32,8 +37,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
 
-from csreject import cli  # noqa: E402
-from csreject.harness import SETTINGS, write_csv  # noqa: E402
+from csreject import cli, weaksup  # noqa: E402
+from csreject.core import Dataset, RejectionCost  # noqa: E402
+from csreject.harness import METHODS, SETTINGS, write_csv  # noqa: E402
+from csreject.models import TrainConfig, make_model, train  # noqa: E402
 from test_golden_grid import run_csv_grid, run_golden_grid  # noqa: E402
 
 # a small CSV dataset with +-1 labels; its relative name feeds the hashed seeds
@@ -41,6 +48,15 @@ CSV_DATASET = "tw.csv"
 RUN_ARGS = ["--methods", "cs-sigmoid,cs-hinge,sce,defer,angle,always-reject", "--costs", "0.1,0.3", "--trials", "2",
             "--epochs", "3", "--seed", "42"]
 AUDIT_ARGS = ["--draws", "20000", "--calibration-draws", "30", "--excess-instances", "2000"]
+# (model kind, classes, methods of one score width): each stack trains its methods at two costs with
+# models.train, and a two-class one with weaksup.train_pu too; the angle stack has scores of width 1
+TRAIN_STACKS = [
+    ("linear", 2, ("cs-sigmoid", "cs-ramp", "cs-hinge", "sce")),
+    ("linear", 2, ("angle",)),
+    ("mlp", 2, ("cs-sigmoid", "cs-logistic", "sce")),
+    ("mlp", 3, ("cs-sigmoid", "cs-ramp", "sce")),
+    ("mlp", 3, ("defer",)),
+]
 
 
 def _bench(argv, path: str) -> None:
@@ -58,6 +74,43 @@ def _drop_column(path: str, name: str) -> None:
     col = rows[0].index(name)
     with open(path, "w", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows(row[:col] + row[col + 1 :] for row in rows)
+
+
+def _digest(models, *results) -> str:
+    h = hashlib.sha256()
+    for model in models:
+        for key in sorted(model.params):
+            h.update(model.params[key].tobytes())
+    h.update(repr(results).encode())  # repr prints each float of a trace exactly
+    return h.hexdigest()
+
+
+def _train_digests(path: str) -> None:
+    """One line per TRAIN_STACKS stack and trainer: its name, the PU clamp count and the digest."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(300, 3))
+    # the PU batches of 32 draw 5 of the 30 positives per step, 40 per epoch, so a batch wraps around;
+    # at prior 0.7 the implied-negative bracket goes negative in some steps of some cells
+    positives, unlabeled = rng.normal(loc=1.0, size=(30, 3)), rng.normal(size=(200, 3))
+    config = TrainConfig(epochs=6, batch_size=32, learning_rate=0.05)
+    lines = []
+    for kind, K, methods in TRAIN_STACKS:
+        cells = [(method, cost) for method in methods for cost in (0.1, 0.3)]
+
+        def stack():
+            models = [make_model(kind, 3, METHODS[m].n_out(K), np.random.default_rng(i)) for i, (m, _) in enumerate(cells)]
+            return models, [METHODS[m].loss_batch(K, RejectionCost(c)) for m, c in cells], list(range(10, 10 + len(cells)))
+
+        name = f"{kind} K={K} {','.join(methods)}"
+        models, losses, seeds = stack()
+        data = Dataset(X, np.argmax(X[:, :K] + 0.5 * rng.normal(size=(300, K)), axis=1) + 1, K)
+        lines.append(f"train {name}: {_digest(models, train(models, data, losses, config, seeds))}")
+        if K == 2:
+            models, losses, seeds = stack()
+            traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
+            lines.append(f"train_pu {name}, {clamps} clamps: {_digest(models, traces, clamps)}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def main(out_dir: str) -> None:
@@ -84,6 +137,7 @@ def main(out_dir: str) -> None:
         _bench(["audit", *AUDIT_ARGS, "--seed", str(seed)], f"audit_seed{seed}.txt")
     for seed in (0, 13, 19):
         _bench(["gradcheck", "--seed", str(seed)], f"gradcheck_seed{seed}.txt")
+    _train_digests("train_digests.sha256")
     print(f"wrote {len(os.listdir('.'))} files to {os.getcwd()}")
 
 
