@@ -105,7 +105,7 @@ def _ramp(z):
 def _ramp_vg(z):
     # subgradients: -0.5 at z = -1, 0 at z = +1
     z = np.asarray(z, dtype=float)
-    return _ramp(z), np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
+    return np.minimum(np.maximum(0.5 - 0.5 * z, 0.0), 1.0), np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
 
 
 def _sigmoid(z):

@@ -202,11 +202,10 @@ def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[lis
     stack, rngs = stack_cells(models, losses, seeds)
     state, work = AdamState(), {}
     traces = [[] for _ in models]
-    n = data.n
     for _ in range(config.epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
+        order = np.stack([rng.permutation(data.n) for rng in rngs])
         epoch_loss = np.zeros(len(models))
-        for start in range(0, n, config.batch_size):
+        for start in range(0, data.n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
             G, cache = stack.forward(data.X.take(idx, axis=0), work=work)
             y = data.y.take(idx)
@@ -217,6 +216,6 @@ def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[lis
             grads = stack.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
             adam_step(state, stack.params, grads, config.learning_rate)
         for trace, total in zip(traces, epoch_loss.tolist()):
-            trace.append(total / n)
+            trace.append(total / data.n)
     unstack_cells(stack, models)
     return traces

@@ -17,9 +17,11 @@ def cs_loss_batch(loss: MarginLossSpec, cost: RejectionCost, G: np.ndarray, y: n
     c = cost.c
     n, K = G.shape
     own = own_index(G, y)
-    # phi is elementwise, so one call on the stacked margins [-G, g_y] gives
-    # the same numbers as one call per part
-    phi, dphi = loss.value_grad(np.concatenate([-G.ravel(), G.take(own)]))
+    # phi is elementwise: one call on the margins [-G, g_y], in one buffer, equals one call per part
+    z = np.empty(n * K + n)
+    np.negative(G.ravel(), out=z[: n * K])
+    G.take(own, out=z[n * K :])
+    phi, dphi = loss.value_grad(z)
     # sum the other classes column by column: a full row sum minus the own
     # class cancels when phi(-g_y) is large
     phi[own] = 0.0

@@ -136,8 +136,7 @@ def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior
             pos_term, neg_term = _pu_terms(loss, prior, m_p, m_u)
             epoch_risk += pos_term + np.where(neg_term > 0.0, neg_term, 0.0)
 
-            # the gradient, in place in dG: both positive blocks times prior / m_p, the unlabeled block / m_u;
-            # the clamp, per cell: a negative bracket contributes no gradient (x - 0.0 is x)
+            # in place: positive blocks * prior / m_p, unlabeled / m_u; a clamp zeroes a cell's -1 blocks (x - 0 is x)
             dP, dGp, dGu = dG[:, : 2 * m_p], dG[:, :m_p], dG[:, 2 * m_p :]
             dP *= prior
             dP /= m_p

@@ -94,7 +94,7 @@ class TestStackedTrainPU:
         "n_p, n_u, batch",
         [
             (60, 200, 32),  # positives wrap around within an epoch
-            (3, 150, 64),  # fewer positives than a positive batch
+            (3, 150, 64),  # 2 of the 3 positives a step: every other batch wraps around
             (50, 50, 2),  # one positive and one unlabeled row per step
         ],
     )
