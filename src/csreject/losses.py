@@ -99,13 +99,13 @@ def _tangent_vg(z):
 
 
 def _ramp(z):
-    return np.minimum(np.maximum(0.5 - 0.5 * np.asarray(z, dtype=float), 0.0), 1.0)  # np.clip without its layers
+    return np.minimum(np.maximum(0.5 - 0.5 * np.asarray(z, dtype=float), 0.0), 1.0)  # np.clip without its Python layers
 
 
 def _ramp_vg(z):
     # subgradients: -0.5 at z = -1, 0 at z = +1
     z = np.asarray(z, dtype=float)
-    return np.minimum(np.maximum(0.5 - 0.5 * z, 0.0), 1.0), np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
+    return _ramp(z), np.where((z >= -1.0) & (z < 1.0), -0.5, 0.0)
 
 
 def _sigmoid(z):

@@ -308,7 +308,7 @@ class TestRunGrid:
     def test_a_pool_that_pickles_what_it_sends_gets_the_grid_once_per_worker(self, setting, monkeypatch, tmp_path):
         # an in-process pool that pickles every argument, as a spawned worker
         # receives it: the grid travels once per worker, and the unpickled
-        # rows and trial data a worker trains on are read-only, as in the serial path
+        # trial data a worker trains on is read-only, as in the serial path
         path = _write_par_csv(tmp_path)
         methods = ("cs-sigmoid", "always-reject")
         grid = GridSpec(datasets=(path,), methods=methods, costs=(0.1, 0.2), setting=setting, trials=2, epochs=2)
