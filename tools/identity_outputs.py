@@ -85,6 +85,12 @@ def _digest(models, *results) -> str:
     return h.hexdigest()
 
 
+def _stack(kind: str, K: int, cells):
+    """Fresh models, losses and shuffle seeds for a stack of (method, cost) cells."""
+    models = [make_model(kind, 3, METHODS[m].n_out(K), np.random.default_rng(i)) for i, (m, _) in enumerate(cells)]
+    return models, [METHODS[m].loss_batch(K, RejectionCost(c)) for m, c in cells], list(range(10, 10 + len(cells)))
+
+
 def _train_digests(path: str) -> None:
     """One line per TRAIN_STACKS stack and trainer: its name, the PU clamp count and the digest."""
     rng = np.random.default_rng(0)
@@ -96,17 +102,12 @@ def _train_digests(path: str) -> None:
     lines = []
     for kind, K, methods in TRAIN_STACKS:
         cells = [(method, cost) for method in methods for cost in (0.1, 0.3)]
-
-        def stack():
-            models = [make_model(kind, 3, METHODS[m].n_out(K), np.random.default_rng(i)) for i, (m, _) in enumerate(cells)]
-            return models, [METHODS[m].loss_batch(K, RejectionCost(c)) for m, c in cells], list(range(10, 10 + len(cells)))
-
         name = f"{kind} K={K} {','.join(methods)}"
-        models, losses, seeds = stack()
+        models, losses, seeds = _stack(kind, K, cells)
         data = Dataset(X, np.argmax(X[:, :K] + 0.5 * rng.normal(size=(300, K)), axis=1) + 1, K)
         lines.append(f"train {name}: {_digest(models, train(models, data, losses, config, seeds))}")
         if K == 2:
-            models, losses, seeds = stack()
+            models, losses, seeds = _stack(kind, K, cells)
             traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
             lines.append(f"train_pu {name}, {clamps} clamps: {_digest(models, traces, clamps)}")
     with open(path, "w") as f:
