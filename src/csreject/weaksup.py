@@ -118,7 +118,7 @@ def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior
     for _ in range(config.epochs):
         orders = [(rng.permutation(n_p), rng.permutation(n_u)) for rng in rngs]
         p_order, u_order = map(np.stack, zip(*orders))
-        epoch_risk = np.zeros(len(models))
+        epoch_risk = [0.0] * len(models)
         for step in range(steps):
             ip = p_order[:, (step * b_p) % n_p : (step * b_p) % n_p + b_p]
             if ip.shape[1] < b_p:
@@ -133,19 +133,19 @@ def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior
             loss, dG = np.empty(G.shape[:2]), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y)
-            pos_term, neg_term = _pu_terms(loss, prior, m_p, m_u)
-            epoch_risk += pos_term + np.where(neg_term > 0.0, neg_term, 0.0)
-
-            # in place: positive blocks * prior / m_p, unlabeled / m_u; a clamp zeroes a cell's -1 blocks (x - 0 is x)
+            # in place: both positive blocks times prior / m_p, the unlabeled block / m_u
             dP, dGp, dGu = dG[:, : 2 * m_p], dG[:, :m_p], dG[:, 2 * m_p :]
             dP *= prior
             dP /= m_p
             dGu /= m_u
-            kept = neg_term >= 0.0
-            if clamped := len(kept) - int(np.count_nonzero(kept)):
-                clamp_count += clamped
-                dG[~kept, m_p:] = 0.0
-            dGp -= dG[:, m_p : 2 * m_p]
+            # per cell in Python floats: the same double arithmetic, without a numpy call per term
+            pos_terms, neg_terms = (term.tolist() for term in _pu_terms(loss, prior, m_p, m_u))
+            for c, (pos_term, neg_term) in enumerate(zip(pos_terms, neg_terms)):
+                epoch_risk[c] += pos_term + (neg_term if neg_term > 0.0 else 0.0)
+                if not neg_term >= 0.0:  # the clamp (NaN too): zero the cell's -1 blocks, so it subtracts nothing
+                    clamp_count += 1
+                    dG[c, m_p:] = 0.0
+            dGp -= dG[:, m_p : 2 * m_p]  # x - 0.0 is x
             grads = stack.backward(cache_p, dGp, work_p)
             for k, g in stack.backward(cache_u, dGu, work_u).items():
                 grads[k] += g

@@ -76,12 +76,13 @@ def _drop_column(path: str, name: str) -> None:
         csv.writer(f, lineterminator="\n").writerows(row[:col] + row[col + 1 :] for row in rows)
 
 
-def _digest(models, *results) -> str:
+def _digest(models, traces, *counts) -> str:
     h = hashlib.sha256()
     for model in models:
         for key in sorted(model.params):
             h.update(model.params[key].tobytes())
-    h.update(repr(results).encode())  # repr prints each float of a trace exactly
+    h.update(np.asarray(traces, dtype=float).tobytes())  # the bits of each trace entry, whatever its float type
+    h.update(repr(counts).encode())
     return h.hexdigest()
 
 
