@@ -18,6 +18,7 @@ def _parse_costs(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"a cost range is start:stop:step, got {text!r}")
         start, stop, step = (float(v) for v in parts)
+        RejectionCost(start), RejectionCost(stop)  # an infinite end would never be reached
         if not step > 0:
             raise ValueError(f"the step of a cost range must be > 0, got {step:g}")
         costs = []
@@ -33,7 +34,7 @@ def _parse_costs(text: str) -> tuple[float, ...]:
 
 
 def _check_out(path: str) -> None:
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise ValueError(f"--out must name a file in an existing directory: {path}")
 
 
@@ -59,7 +60,7 @@ def cmd_run(args) -> int:
         # a key omits the setting, so rows of another setting must not mask this grid's cells
         skip = [r.key() for r in existing if r.setting == args.setting]
         # builds the data of the trials left to run: a bad dataset, an empty split or a failed PU draw ends here
-        harness.pending_cells(grid, skip)
+        harness.cell_groups(grid, skip)
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
     if resume:

@@ -128,10 +128,6 @@ class DatasetInfo:
     spec: data_mod.GaussianMixtureSpec | None = None
     data: Dataset | None = None  # a CSV's rows, read-only: every cell of the grid shares them
 
-    @property
-    def model_kind(self) -> str:
-        return "linear" if self.K == 2 else "mlp"
-
     def rows(self, n: int, rng: np.random.Generator) -> Dataset:
         """A CSV's rows, or n rows drawn from the mixture."""
         return self.data if self.data is not None else data_mod.gen_gauss_mixture(self.spec, n, rng)[0]
@@ -287,19 +283,21 @@ class Trained:
     seconds: float
 
 
-def cell_groups(grid: GridSpec, cells) -> list[list]:
-    """The cells grouped by (dataset, trial, score width), in first-seen order.
+def cell_groups(grid: GridSpec, skip_keys=()) -> list[list]:
+    """The grid's cells not in skip_keys, grouped by (dataset, trial, score width), in first-seen order.
 
-    The cells of a (dataset, trial) share its data (GridSpec.trial_data), so
-    a group's cells that train share the training rows and parameter
-    shapes: one stack. Rules that train nothing form groups of their own.
+    Each pending cell's trial is built here (GridSpec.trial_data): a data error ends the grid before
+    any cell trains, and no trial whose cells are all skipped is built. A group's cells that train share
+    their trial's rows and parameter shapes: one stack. Rules that train nothing form groups of their own.
     """
-    infos = grid.dataset_infos
+    skip = set(skip_keys)
     groups: dict = {}
-    for cell in cells:
+    for cell in grid.cells():
+        if cell in skip:
+            continue
         ds_name, method_name, _, trial = cell
-        method = METHODS[method_name]
-        width = None if method.loss_batch is None else method.n_out(infos[ds_name].K)
+        method, K = METHODS[method_name], grid.trial_data[ds_name, trial].test.K
+        width = None if method.loss_batch is None else method.n_out(K)
         groups.setdefault((ds_name, trial, width), []).append(cell)
     return list(groups.values())
 
@@ -311,7 +309,8 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     ds_name, _, _, trial = cells[0]
     if METHODS[cells[0][1]].loss_batch is None:  # a group of rules that train nothing, see cell_groups
         return [Trained(None, [], 0.0) for _ in cells]
-    info, data = grid.dataset_infos[ds_name], grid.trial_data[ds_name, trial]
+    data = grid.trial_data[ds_name, trial]
+    K = data.test.K
 
     t0 = time.perf_counter()
     models, losses, seeds = [], [], []
@@ -319,8 +318,8 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
         method = METHODS[method_name]
         train_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, method_name, _fmt(cost_value), "train")
         model_rng = np.random.default_rng(_mix_seed(train_seed, "init"))
-        models.append(make_model(info.model_kind, data.val.d, method.n_out(info.K), model_rng))
-        losses.append(method.loss_batch(info.K, RejectionCost(cost_value)))
+        models.append(make_model("linear" if K == 2 else "mlp", data.val.d, method.n_out(K), model_rng))
+        losses.append(method.loss_batch(K, RejectionCost(cost_value)))
         seeds.append(train_seed)
     config = TrainConfig(batch_size=64 if grid.setting == "pu" else 256, epochs=grid.epochs)
     if grid.setting == "pu":
@@ -364,48 +363,32 @@ def _run_group(grid: GridSpec, cells) -> list[ResultRow]:
 _worker_grid: GridSpec | None = None
 
 
-def _init_worker(grid: GridSpec) -> None:
-    """Keep the grid a worker receives once (_worker_copy), with its trials' data
+def _init_worker(grid: GridSpec, trial_data: dict) -> None:
+    """Keep the grid a worker receives once, with the data of its trials in the grid's cache,
     read-only again: arrays come out of a pickle writeable."""
     global _worker_grid
-    for data in grid.trial_data.values():
+    for data in trial_data.values():
         _read_only(*data.train, data.val, data.test)
+    grid.trial_data.update(trial_data)
     _worker_grid = grid
-
-
-def _worker_copy(grid: GridSpec) -> GridSpec:
-    """The grid that --jobs workers get: the trials' data built so far, and no CSV rows,
-    which only a build reads."""
-    copy = replace(grid)
-    vars(copy)["dataset_infos"] = {name: replace(info, data=None) for name, info in grid.dataset_infos.items()}
-    copy.trial_data.update(grid.trial_data)
-    return copy
 
 
 def _run_worker_group(cells) -> list[ResultRow]:
     return _run_group(_worker_grid, cells)
 
 
-def pending_cells(grid: GridSpec, skip_keys=()) -> list:
-    """The grid's cells not in skip_keys, once the data of their trials is built
-    (GridSpec.trial_data), so that a data error ends the grid before any cell trains."""
-    skip = set(skip_keys)
-    cells = [cell for cell in grid.cells() if cell not in skip]
-    for ds_name, _, _, trial in cells:
-        grid.trial_data[ds_name, trial]
-    return cells
-
-
 def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
-    """Build the data of the trials left to run, then execute all cells not in skip_keys, one group of
-    cell_groups at a time (jobs > 1: groups in parallel, one worker per group at most, each given the
-    grid once, without CSV rows); output is canonically ordered."""
-    groups = cell_groups(grid, pending_cells(grid, skip_keys))
+    """Execute all cells not in skip_keys, one group of cell_groups at a time (jobs > 1: groups in
+    parallel, one worker per group at most, each given the grid once, with the built trials' data and
+    without CSV rows); output is canonically ordered."""
+    groups = cell_groups(grid, skip_keys)
     jobs = min(jobs, len(groups))  # a pool starts all its workers at once
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(_worker_copy(grid),)) as pool:
+        # a fresh spec caches nothing, so it holds no CSV rows: only building a trial reads them
+        initargs = (replace(grid), dict(grid.trial_data))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=initargs) as pool:
             parts = list(pool.map(_run_worker_group, groups))
     else:
         parts = [_run_group(grid, cells) for cells in groups]

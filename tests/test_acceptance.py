@@ -226,7 +226,9 @@ def test_criterion_10_baseline_sanity():
     # against the tuned choice
     grid = harness.GridSpec(datasets=("twonorm",), methods=("sce", "angle"), costs=GRID_COSTS, trials=trials)
     untuned = {"sce": 1.0, "angle": 0.0}
-    for cells in harness.cell_groups(grid, list(grid.cells())):
+    visited = []
+    for cells in harness.cell_groups(grid):
+        visited += cells
         for (_, method, cost_value, trial), trained in zip(cells, harness.train_group(grid, cells)):
             spec, cost = harness.METHODS[method], RejectionCost(cost_value)
             model, val = trained.model, grid.trial_data["twonorm", trial].val
@@ -244,6 +246,7 @@ def test_criterion_10_baseline_sanity():
             test_eval = grid.trial_data["twonorm", trial].test
             test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
             finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
+    assert sorted(visited) == sorted(grid.cells()), "the groups cover every cell once"
 
     elapsed = time.perf_counter() - t0
     ok = finite and not tuning_regressed and elapsed < 600.0

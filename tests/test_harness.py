@@ -21,6 +21,7 @@ from csreject.harness import (
     write_csv,
     write_summary_csv,
 )
+from csreject.models import LinearModel, MlpModel
 
 FAST = dict(trials=1, epochs=3)
 # the result header before the flagged column; golden files and old --resume files use it
@@ -69,9 +70,7 @@ class TestGridSpec:
 class TestDatasetInfo:
     def test_known_datasets(self):
         assert dataset_info("twonorm").K == 2
-        assert dataset_info("twonorm").model_kind == "linear"
         assert dataset_info("gauss3").K == 3
-        assert dataset_info("gauss3").model_kind == "mlp"
 
     def test_unknown_dataset(self):
         with pytest.raises(ValueError):
@@ -87,12 +86,20 @@ class TestDatasetInfo:
         # the info holds the rows it was resolved from
         np.testing.assert_array_equal(info.data.X, data_mod.load_csv(str(p)).X)
 
-    @pytest.mark.parametrize("K, kind", [(2, "linear"), (3, "mlp")])
-    def test_csv_model_kind_follows_the_class_count(self, tmp_path, K, kind):
-        p = tmp_path / "toy.csv"
-        p.write_text("".join("%f,%f,%d\n" % (i * 0.1, -i * 0.2, i % K) for i in range(30)))
-        info = dataset_info(str(p))
-        assert (info.K, info.model_kind) == (K, kind)
+    @pytest.mark.parametrize(
+        "name, K, model_class",
+        [("twonorm", 2, LinearModel), ("gauss3", 3, MlpModel), ("csv", 2, LinearModel), ("csv", 3, MlpModel)],
+    )
+    def test_the_model_kind_follows_the_class_count(self, tmp_path, name, K, model_class):
+        # two classes train linear scores and more classes an MLP, with K scores for a cs method
+        if name == "csv":
+            path = tmp_path / "toy.csv"
+            path.write_text("".join("%f,%f,%d\n" % (i * 0.1, -i * 0.2, i % K) for i in range(30)))
+            name = str(path)
+        grid = GridSpec(datasets=(name,), methods=("cs-sigmoid",), costs=(0.2,), trials=1, epochs=1)
+        (trained,) = harness.train_group(grid, list(grid.cells()))
+        assert type(trained.model) is model_class
+        assert trained.model.scores(grid.trial_data[name, 0].test.X).shape[1] == K
 
 
 def _write_toy_csv(path, n):
@@ -264,10 +271,10 @@ def _write_par_csv(tmp_path, n=1000) -> str:
 
 
 def _shared_arrays(grid: GridSpec, path: str, trial: int) -> list:
-    """A CSV's rows, where the grid holds them (a --jobs worker's does not), and one trial's
-    data: the arrays that every group of the trial shares."""
-    data = grid.trial_data[path, trial]
-    parts = [grid.dataset_infos[path].data, *data.train, data.val, data.test]
+    """A CSV's rows, where the grid holds them (a --jobs worker's resolves no dataset), and one
+    trial's data: the arrays that every group of the trial shares."""
+    data, infos = grid.trial_data[path, trial], vars(grid).get("dataset_infos", {})
+    parts = [infos[path].data if infos else None, *data.train, data.val, data.test]
     return [a for part in parts if part is not None for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
 
 
@@ -494,11 +501,40 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "_worker_grid", None)
         parallel = run_grid(grid, jobs=2)
         (blob,) = sent
-        (worker_grid,) = pickle.loads(blob)
-        assert [info.data for info in worker_grid.dataset_infos.values()] == [None]
+        worker_grid, _ = pickle.loads(blob)
+        assert "dataset_infos" not in vars(worker_grid)
         rows = grid.dataset_infos[path].data
         assert rows.X.tobytes() not in blob and rows.y.tobytes() not in blob
         assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, jobs=1)]
+
+    def test_a_jobs_worker_resolves_no_dataset(self, monkeypatch, tmp_path):
+        # a worker used to get a grid with every dataset resolved, written into the frozen grid's vars();
+        # it trains and scores from its trials' data alone, so it never resolves a dataset itself
+        path = _write_par_csv(tmp_path)
+        grid = GridSpec(datasets=(path, "gauss3"), methods=("cs-sigmoid", "angle"), costs=(0.2,), trials=2, epochs=1)
+        calls, at_start = [], []
+        resolve = harness.dataset_info
+        monkeypatch.setattr(harness, "dataset_info", lambda name: calls.append(name) or resolve(name))
+
+        class PicklingPool:
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                at_start.append(len(calls))
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(harness, "_worker_grid", None)
+        assert len(run_grid(grid, jobs=2)) == 8
+        assert at_start == [2] and len(calls) == 2
+        assert harness._worker_grid is not None and "dataset_infos" not in vars(harness._worker_grid)
 
 
 class TestAggregate:
@@ -792,7 +828,9 @@ class TestCliRun:
         assert f"{path}, trial 0: 5 rows leave a part of the split" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:0.4", ""])
+    @pytest.mark.parametrize(
+        "text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:inf:0.1", "-inf:0.4:0.1", "0.1:0.4", ""]
+    )
     def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
         from csreject import cli
 
@@ -1020,15 +1058,21 @@ class TestCliResume:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
-    def test_an_out_that_names_a_directory_is_a_usage_error_before_any_cell(self, tmp_path, monkeypatch, capsys, resume):
+    @pytest.mark.parametrize("empty", [False, True], ids=["directory", "empty"])
+    def test_an_out_that_names_a_directory_is_a_usage_error_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, resume, empty
+    ):
+        # an empty --out used to run the grid and then fail to write the file, with exit status 1
         from csreject import cli
 
         _no_training(monkeypatch)
-        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", str(tmp_path), *resume]
+        monkeypatch.chdir(tmp_path)
+        out = "" if empty else str(tmp_path)
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", out, *resume]
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2
-        assert str(tmp_path) in capsys.readouterr().err
+        assert f"--out must name a file in an existing directory: {out}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1057,16 +1101,17 @@ class TestCliAggregate:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory", "empty"])
     def test_an_unwritable_out_is_a_usage_error_before_the_input_is_read(self, tmp_path, monkeypatch, capsys, where):
         from csreject import cli
 
         monkeypatch.setattr(harness, "read_csv", lambda path: pytest.fail("the input was read"))
-        out = tmp_path if where == "directory" else tmp_path / "missing" / "s.csv"
+        monkeypatch.chdir(tmp_path)
+        out = {"directory": str(tmp_path), "missing directory": str(tmp_path / "missing" / "s.csv"), "empty": ""}[where]
         with pytest.raises(SystemExit) as exc:
-            cli.main(["aggregate", "--in", str(tmp_path / "r.csv"), "--out", str(out)])
+            cli.main(["aggregate", "--in", str(tmp_path / "r.csv"), "--out", out])
         assert exc.value.code == 2
-        assert str(out) in capsys.readouterr().err
+        assert f"--out must name a file in an existing directory: {out}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_a_result_file_aggregates(self, tmp_path, capsys):
