@@ -49,6 +49,6 @@ from .weaksup import (
     pu_risk_unbiased,
     train_pu,
 )
-from .harness import METHODS, GridSpec, Method, ResultRow, SummaryRow, aggregate, run_cell, run_grid
+from .harness import METHODS, GridSpec, Method, ResultRow, SummaryRow, aggregate, cell_groups, run_cell, run_grid
 
 __version__ = "0.1.0"

@@ -24,7 +24,11 @@ def _parse_costs(text: str) -> tuple[float, ...]:
         costs = []
         c = start
         while c <= stop + 1e-12:
-            costs.append(round(c, 10))
+            cost = round(c, 10)
+            # a step that no longer changes the printed cost would repeat a cell's key, or never end
+            if costs and harness._fmt(cost) == harness._fmt(costs[-1]):
+                raise ValueError(f"the step of {text!r} is too small: {costs[-1]!r} and {cost!r} print alike")
+            costs.append(cost)
             c += step
     else:
         costs = [float(v) for v in text.split(",")]
@@ -60,12 +64,12 @@ def cmd_run(args) -> int:
         # a key omits the setting, so rows of another setting must not mask this grid's cells
         skip = [r.key() for r in existing if r.setting == args.setting]
         # builds the data of the trials left to run: a bad dataset, an empty split or a failed PU draw ends here
-        harness.cell_groups(grid, skip)
+        groups = harness.cell_groups(grid, skip)
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))
     if resume:
         print(f"resuming: {len(skip)} rows already present")
-    rows = harness.run_grid(grid, skip_keys=skip, jobs=args.jobs)
+    rows = harness.run_grid(grid, groups, jobs=args.jobs)
     merged = sorted(existing + rows, key=harness.ResultRow.key)
     harness.write_csv(merged, args.out)
     # every flagged row of the file, kept or new, as a fresh run writing it would report

@@ -56,19 +56,6 @@ class GridSpec:
             if len(set(entries)) < len(entries):  # one key per cell; costs compare as the CSV and seeds print them
                 raise ValueError(f"each {name} may appear once in a grid, got {list(entries)}")
 
-    @functools.cached_property
-    def dataset_infos(self) -> dict[str, DatasetInfo]:
-        """Every dataset of the grid, resolved once per grid and checked for two classes or more."""
-        infos = {name: dataset_info(name) for name in self.datasets}
-        if single := [name for name, info in infos.items() if info.K < 2]:
-            raise ValueError(f"a dataset needs two classes or more; {single} have one class")
-        return infos
-
-    @functools.cached_property
-    def trial_data(self) -> dict[tuple[str, int], TrialData]:
-        """Each (dataset, trial)'s data (build_trial_data), built once per grid, when first looked up."""
-        return _TrialDataCache(self)
-
     def cells(self):
         for ds in self.datasets:
             for method in self.methods:
@@ -146,6 +133,8 @@ def dataset_info(name: str) -> DatasetInfo:
         return DatasetInfo(K=3, total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
         ds = data_mod.load_csv(name)
+        if ds.K < 2:
+            raise ValueError(f"{name}: a dataset needs two classes or more; it has one class")
         _read_only(ds)
         return DatasetInfo(K=ds.K, total_n=ds.n, data=ds)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
@@ -168,22 +157,9 @@ class TrialData:
     test: Dataset
 
 
-class _TrialDataCache(dict):
-    """GridSpec.trial_data: a missing (dataset, trial) is built on lookup and kept."""
-
-    def __init__(self, grid: GridSpec):
-        super().__init__()
-        self.grid = grid
-
-    def __missing__(self, key) -> TrialData:
-        self[key] = build_trial_data(self.grid, *key)
-        return self[key]
-
-
-def build_trial_data(grid: GridSpec, ds_name: str, trial: int) -> TrialData:
+def build_trial_data(grid: GridSpec, info: DatasetInfo, ds_name: str, trial: int) -> TrialData:
     """Draw a (dataset, trial)'s split, and its noisy labels or PU sets, from its hashed data seed.
     Every group of the trial shares the arrays, so they are read-only; an error names the dataset and trial."""
-    info = grid.dataset_infos[ds_name]
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
     data_rng = np.random.default_rng(data_seed)
     try:
@@ -283,33 +259,38 @@ class Trained:
     seconds: float
 
 
-def cell_groups(grid: GridSpec, skip_keys=()) -> list[list]:
-    """The grid's cells not in skip_keys, grouped by (dataset, trial, score width), in first-seen order.
+def cell_groups(grid: GridSpec, skip_keys=()) -> list[tuple[TrialData, list]]:
+    """The grid's cells not in skip_keys, grouped by (dataset, trial, score width), in first-seen order,
+    each group with its trial's data: the plan of a run (run_grid).
 
-    Each pending cell's trial is built here (GridSpec.trial_data): a data error ends the grid before
-    any cell trains, and no trial whose cells are all skipped is built. A group's cells that train share
-    their trial's rows and parameter shapes: one stack. Rules that train nothing form groups of their own.
+    Each dataset is resolved once and each pending cell's trial built once, here: a data error ends the
+    grid before any cell trains, and no trial whose cells are all skipped is built. A group's cells that
+    train share their trial's rows and parameter shapes: one stack. Rules that train nothing form groups
+    of their own.
     """
     skip = set(skip_keys)
-    groups: dict = {}
+    infos, trials, groups = {}, {}, {}
     for cell in grid.cells():
         if cell in skip:
             continue
         ds_name, method_name, _, trial = cell
-        method, K = METHODS[method_name], grid.trial_data[ds_name, trial].test.K
-        width = None if method.loss_batch is None else method.n_out(K)
-        groups.setdefault((ds_name, trial, width), []).append(cell)
+        if (ds_name, trial) not in trials:
+            if ds_name not in infos:
+                infos[ds_name] = dataset_info(ds_name)
+            trials[ds_name, trial] = build_trial_data(grid, infos[ds_name], ds_name, trial)
+        method, data = METHODS[method_name], trials[ds_name, trial]
+        width = None if method.loss_batch is None else method.n_out(data.test.K)
+        groups.setdefault((ds_name, trial, width), (data, []))[1].append(cell)
     return list(groups.values())
 
 
-def train_group(grid: GridSpec, cells) -> list[Trained]:
+def train_group(grid: GridSpec, data: TrialData, cells) -> list[Trained]:
     """Train the cells of a group (see cell_groups) as one stack on their
     trial's data. Each cell keeps its hashed seeds for its init and its
     shuffles, so it gets the model and trace it gets when trained alone."""
     ds_name, _, _, trial = cells[0]
     if METHODS[cells[0][1]].loss_batch is None:  # a group of rules that train nothing, see cell_groups
         return [Trained(None, [], 0.0) for _ in cells]
-    data = grid.trial_data[ds_name, trial]
     K = data.test.K
 
     t0 = time.perf_counter()
@@ -331,15 +312,14 @@ def train_group(grid: GridSpec, cells) -> list[Trained]:
     return [Trained(model, trace, seconds) for model, trace in zip(models, traces)]
 
 
-def run_cell(grid: GridSpec, cell, trained: Trained) -> ResultRow:
+def run_cell(grid: GridSpec, cell, data: TrialData, trained: Trained) -> ResultRow:
     """Tune, decide and score one (dataset, method, cost, trial) cell on its
     trial's validation and test splits; trained is the cell's part of its
     group's training (train_group)."""
     ds_name, method_name, cost_value, trial = cell
     method = METHODS[method_name]
     cost = RejectionCost(cost_value)
-    data, model = grid.trial_data[ds_name, trial], trained.model
-    test_ds, K = data.test, data.test.K
+    model, test_ds, K = trained.model, data.test, data.test.K
 
     t0 = time.perf_counter()
     tuned = method.tune(model, data.val, K, cost) if method.tune is not None else None
@@ -355,43 +335,25 @@ def run_cell(grid: GridSpec, cell, trained: Trained) -> ResultRow:
                      train_seconds=train_seconds, flagged=flagged)
 
 
-def _run_group(grid: GridSpec, cells) -> list[ResultRow]:
-    return [run_cell(grid, cell, trained) for cell, trained in zip(cells, train_group(grid, cells))]
+def _run_group(grid: GridSpec, group) -> list[ResultRow]:
+    """The rows of one group of cell_groups; its data is read-only again, since arrays come out of a
+    --jobs task's pickle writeable."""
+    data, cells = group
+    _read_only(*data.train, data.val, data.test)
+    return [run_cell(grid, cell, data, trained) for cell, trained in zip(cells, train_group(grid, data, cells))]
 
 
-# the grid of a --jobs worker process, set once per worker by _init_worker
-_worker_grid: GridSpec | None = None
-
-
-def _init_worker(grid: GridSpec, trial_data: dict) -> None:
-    """Keep the grid a worker receives once, with the data of its trials in the grid's cache,
-    read-only again: arrays come out of a pickle writeable."""
-    global _worker_grid
-    for data in trial_data.values():
-        _read_only(*data.train, data.val, data.test)
-    grid.trial_data.update(trial_data)
-    _worker_grid = grid
-
-
-def _run_worker_group(cells) -> list[ResultRow]:
-    return _run_group(_worker_grid, cells)
-
-
-def run_grid(grid: GridSpec, skip_keys=(), jobs: int = 1) -> list[ResultRow]:
-    """Execute all cells not in skip_keys, one group of cell_groups at a time (jobs > 1: groups in
-    parallel, one worker per group at most, each given the grid once, with the built trials' data and
-    without CSV rows); output is canonically ordered."""
-    groups = cell_groups(grid, skip_keys)
+def run_grid(grid: GridSpec, groups, jobs: int = 1) -> list[ResultRow]:
+    """Execute the groups of a plan (cell_groups), one at a time, or with jobs > 1 in parallel, one
+    worker per group at most, each task carrying its group's trial data; output is canonically ordered."""
     jobs = min(jobs, len(groups))  # a pool starts all its workers at once
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fresh spec caches nothing, so it holds no CSV rows: only building a trial reads them
-        initargs = (replace(grid), dict(grid.trial_data))
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=initargs) as pool:
-            parts = list(pool.map(_run_worker_group, groups))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(functools.partial(_run_group, grid), groups))
     else:
-        parts = [_run_group(grid, cells) for cells in groups]
+        parts = [_run_group(grid, group) for group in groups]
     rows = [row for part in parts for row in part]
     return sorted(rows, key=ResultRow.key)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +175,9 @@ def stack_cells(models, losses, seeds):
     a stack of one."""
     if not models or not len(models) == len(losses) == len(seeds):
         raise ValueError("a stack needs one model, one loss and one seed per cell")
-    stack = copy.copy(models[0])
+    # copy.copy would make copyreg cache __slotnames__ on the model's class
+    stack = object.__new__(type(models[0]))
+    vars(stack).update(vars(models[0]))
     stack.params = {key: np.stack([m.params[key] for m in models]) for key in models[0].params}
     return stack, [np.random.default_rng(seed) for seed in seeds]
 

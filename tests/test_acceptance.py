@@ -72,7 +72,7 @@ def clean_cs_rows():
     grid = harness.GridSpec(
         datasets=("twonorm",), methods=("cs-sigmoid", "cs-hinge"), costs=GRID_COSTS, trials=10
     )
-    return harness.run_grid(grid)
+    return harness.run_grid(grid, harness.cell_groups(grid))
 
 
 def test_criterion_5_twonorm_clean(clean_cs_rows):
@@ -107,7 +107,7 @@ def test_criterion_6_noisy_twonorm():
         setting="noisy",
         noise_rate=0.25,
     )
-    rows = harness.run_grid(grid)
+    rows = harness.run_grid(grid, harness.cell_groups(grid))
     elapsed = time.perf_counter() - t0
     sigmoid_mean = float(np.mean([r.risk01c for r in rows if r.method == "cs-sigmoid"]))
     hinge_mean = float(np.mean([r.risk01c for r in rows if r.method == "cs-hinge"]))
@@ -125,7 +125,7 @@ def test_criterion_7_pu_twonorm():
     grid = harness.GridSpec(
         datasets=("twonorm",), methods=("cs-sigmoid",), costs=(0.1,), trials=10, setting="pu", prior=0.7
     )
-    rows = harness.run_grid(grid)
+    rows = harness.run_grid(grid, harness.cell_groups(grid))
     elapsed = time.perf_counter() - t0
     mean = float(np.mean([r.risk01c for r in rows]))
     ok = 0.005 <= mean <= 0.04 and elapsed < 300.0
@@ -218,7 +218,7 @@ def test_criterion_10_baseline_sanity():
 
     # DEFER has no tuner: run it through the harness and check finiteness
     defer_grid = harness.GridSpec(datasets=("twonorm",), methods=("defer",), costs=GRID_COSTS, trials=trials)
-    defer_rows = harness.run_grid(defer_grid)
+    defer_rows = harness.run_grid(defer_grid, harness.cell_groups(defer_grid))
     finite = finite and all(np.isfinite(r.risk01c) and not r.flagged for r in defer_rows)
 
     # SCE and ANGLE: train each (method, trial) group of cells as one stack,
@@ -227,11 +227,11 @@ def test_criterion_10_baseline_sanity():
     grid = harness.GridSpec(datasets=("twonorm",), methods=("sce", "angle"), costs=GRID_COSTS, trials=trials)
     untuned = {"sce": 1.0, "angle": 0.0}
     visited = []
-    for cells in harness.cell_groups(grid):
+    for data, cells in harness.cell_groups(grid):
         visited += cells
-        for (_, method, cost_value, trial), trained in zip(cells, harness.train_group(grid, cells)):
+        for (_, method, cost_value, trial), trained in zip(cells, harness.train_group(grid, data, cells)):
             spec, cost = harness.METHODS[method], RejectionCost(cost_value)
-            model, val = trained.model, grid.trial_data["twonorm", trial].val
+            model, val = trained.model, data.val
             G_val = model.scores(val.X)
 
             default_dec = spec.decide(G_val, 2, cost, untuned[method])
@@ -243,7 +243,7 @@ def test_criterion_10_baseline_sanity():
             if tuned_risk > default_risk + 1e-12:
                 tuning_regressed.append((method, cost_value, trial, default_risk, tuned_risk))
 
-            test_eval = grid.trial_data["twonorm", trial].test
+            test_eval = data.test
             test_dec = spec.decide(model.scores(test_eval.X), 2, cost, tuned)
             finite = finite and np.isfinite(compute_metrics(test_dec, test_eval.y, cost).risk01c)
     assert sorted(visited) == sorted(grid.cells()), "the groups cover every cell once"

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from csreject.data import gen_twonorm
-from csreject.harness import SETTINGS, GridSpec, _CSV_TYPES, _write_rows, read_csv, run_grid
+from csreject.harness import SETTINGS, GridSpec, _CSV_TYPES, _write_rows, cell_groups, read_csv, run_grid
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "grid.csv")
 GOLDEN_CSV = os.path.join(os.path.dirname(GOLDEN), "grid_csv.csv")
@@ -34,7 +34,8 @@ def _grid(setting: str, dataset: str) -> GridSpec:
 
 
 def run_golden_grid():
-    return [row for setting, ds in BLOCKS for row in run_grid(_grid(setting, ds))]
+    grids = [_grid(setting, ds) for setting, ds in BLOCKS]
+    return [row for grid in grids for row in run_grid(grid, cell_groups(grid))]
 
 
 # the seeds hash the dataset name, so the CSV grid runs on a relative path in
@@ -50,7 +51,7 @@ def run_csv_grid(jobs: int = 1):
     rows = []
     for setting in SETTINGS:
         grid = GridSpec(datasets=(CSV_NAME,), methods=METHODS[:5], costs=(0.1, 0.3), trials=1, setting=setting, epochs=3)
-        rows += run_grid(grid, jobs=jobs)
+        rows += run_grid(grid, cell_groups(grid), jobs)
     return rows
 
 

@@ -14,6 +14,7 @@ from csreject.harness import (
     GridSpec,
     ResultRow,
     aggregate,
+    cell_groups,
     dataset_info,
     read_csv,
     run_cell,
@@ -39,7 +40,8 @@ def _strip_timing(row: ResultRow) -> tuple:
 
 def _run_alone(grid: GridSpec, cell) -> ResultRow:
     """The row of a cell trained alone, as a group of one: the reference of the grouped path."""
-    return run_cell(grid, cell, harness.train_group(grid, [cell])[0])
+    ((data, _),) = cell_groups(grid, [other for other in grid.cells() if other != cell])
+    return run_cell(grid, cell, data, harness.train_group(grid, data, [cell])[0])
 
 
 class TestGridSpec:
@@ -97,40 +99,48 @@ class TestDatasetInfo:
             path.write_text("".join("%f,%f,%d\n" % (i * 0.1, -i * 0.2, i % K) for i in range(30)))
             name = str(path)
         grid = GridSpec(datasets=(name,), methods=("cs-sigmoid",), costs=(0.2,), trials=1, epochs=1)
-        (trained,) = harness.train_group(grid, list(grid.cells()))
+        ((data, cells),) = cell_groups(grid)
+        (trained,) = harness.train_group(grid, data, cells)
         assert type(trained.model) is model_class
-        assert trained.model.scores(grid.trial_data[name, 0].test.X).shape[1] == K
+        assert trained.model.scores(data.test.X).shape[1] == K
 
 
 def _write_toy_csv(path, n):
     path.write_text("".join("%f,%f,%d\n" % (i * 0.1, -i * 0.2 + (i % 2), (i % 2) + 1) for i in range(n)))
 
 
+def _n_rows(data) -> int:
+    """The rows of a (non-PU) trial's splits together: the rows of the file it was built from."""
+    return sum(part.n for part in (*data.train, data.val, data.test))
+
+
 class TestCsvLoading:
-    def test_grid_parses_file_once_and_rereads_changes(self, tmp_path, monkeypatch):
+    def test_a_plan_parses_the_file_once_and_a_new_plan_rereads_changes(self, tmp_path, monkeypatch):
         p = tmp_path / "toy.csv"
         _write_toy_csv(p, 40)
         calls = []
         load = data_mod.load_csv
         monkeypatch.setattr(data_mod, "load_csv", lambda *a, **kw: calls.append(a) or load(*a, **kw))
-        grid = GridSpec(datasets=(str(p),), methods=("cs-sigmoid", "sce", "always-reject"), costs=(0.2,), **FAST)
-        assert len(run_grid(grid)) == 3
+        grid = GridSpec(datasets=(str(p),), methods=("cs-sigmoid", "sce", "always-reject"), costs=(0.2,), trials=2, epochs=3)
+        groups = cell_groups(grid)
+        assert len(calls) == 1
+        assert len(run_grid(grid, groups)) == 6
         assert len(calls) == 1
         _write_toy_csv(p, 50)
-        # the grid keeps the rows it read; a new grid reads the file again
-        assert grid.dataset_infos[str(p)].total_n == 40
-        assert dataclasses.replace(grid).dataset_infos[str(p)].total_n == 50
+        # the plan keeps the rows it read; a new plan reads the file again
+        assert {_n_rows(data) for data, _ in groups} == {40}
+        assert {_n_rows(data) for data, _ in cell_groups(grid)} == {50}
         assert len(calls) == 2
 
     def test_a_grid_runs_from_its_rows_once_the_file_is_gone(self, tmp_path):
-        # the rows live on the grid, so neither this process nor a worker reopens the file
+        # the rows live in the plan, so neither this process nor a worker reopens the file
         p = tmp_path / "toy.csv"
         _write_toy_csv(p, 40)
         grid = GridSpec(datasets=(str(p),), methods=("cs-sigmoid", "always-reject"), costs=(0.2,), **FAST)
-        assert grid.dataset_infos[str(p)].total_n == 40
+        groups = cell_groups(grid)
         p.unlink()
-        serial = run_grid(grid, jobs=1)
-        parallel = run_grid(grid, jobs=2)
+        serial = run_grid(grid, groups, jobs=1)
+        parallel = run_grid(grid, groups, jobs=2)
         assert len(serial) == 2 and not any(r.flagged for r in serial)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
@@ -242,10 +252,9 @@ class TestTrainGroup:
         monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
         monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
         grid = GridSpec(methods=("cs-sigmoid", "cs-hinge"), costs=(0.2,), setting=setting, **FAST)
-        cells = list(grid.cells())
-        for cell, trained in zip(cells, harness.train_group(grid, cells)):
-            run_cell(grid, cell, trained)
-        data = grid.trial_data["twonorm", 0]
+        ((data, cells),) = cell_groups(grid)
+        for cell, trained in zip(cells, harness.train_group(grid, data, cells)):
+            run_cell(grid, cell, data, trained)
         train_ds, val_ds, test_ds = parts
         # the PU setting trains on its positive and unlabeled draws
         scaler = data_mod.Standardizer.fit(np.vstack(drawn) if setting == "pu" else train_ds.X)
@@ -270,12 +279,10 @@ def _write_par_csv(tmp_path, n=1000) -> str:
     return str(path)
 
 
-def _shared_arrays(grid: GridSpec, path: str, trial: int) -> list:
-    """A CSV's rows, where the grid holds them (a --jobs worker's resolves no dataset), and one
-    trial's data: the arrays that every group of the trial shares."""
-    data, infos = grid.trial_data[path, trial], vars(grid).get("dataset_infos", {})
-    parts = [infos[path].data if infos else None, *data.train, data.val, data.test]
-    return [a for part in parts if part is not None for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
+def _shared_arrays(data) -> list:
+    """A trial's data as a group receives it: the arrays that every group of the trial shares."""
+    parts = [*data.train, data.val, data.test]
+    return [a for part in parts for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
 
 
 def _write_one_class_csv(tmp_path) -> str:
@@ -286,75 +293,81 @@ def _write_one_class_csv(tmp_path) -> str:
     return str(path)
 
 
+@pytest.fixture
+def pool_tasks(monkeypatch) -> list:
+    """Run --jobs pools in this process, each task pickled and unpickled as a spawned worker receives
+    it. The list gets (max_workers, the pickled tasks) per pool started."""
+    pools = []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            self.tasks = []
+            pools.append((max_workers, self.tasks))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            self.tasks += [pickle.dumps((fn, args)) for args in zip(*iterables)]
+            return [fn(*args) for fn, args in map(pickle.loads, self.tasks)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    return pools
+
+
 class TestRunGrid:
     def test_cardinality_and_order(self):
         grid = GridSpec(methods=("cs-sigmoid", "always-reject"), costs=(0.1, 0.2), trials=2, epochs=2)
-        rows = run_grid(grid)
+        rows = run_grid(grid, cell_groups(grid))
         assert len(rows) == 2 * 2 * 2
         keys = [(r.dataset, r.method, r.cost, r.trial) for r in rows]
         assert keys == sorted(keys)
 
     def test_parallel_matches_serial(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1, 0.2), trials=2, epochs=2)
-        serial = run_grid(grid, jobs=1)
-        parallel = run_grid(grid, jobs=2)
+        groups = cell_groups(grid)
+        serial = run_grid(grid, groups, jobs=1)
+        parallel = run_grid(grid, groups, jobs=2)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
     @pytest.mark.parametrize("setting", ["clean", "pu"])
     def test_parallel_matches_serial_on_a_csv_file(self, setting, tmp_path):
-        # the workers get the file's rows with the grid, not its path
+        # the workers get their groups' trial data, not the file's path
         path = _write_par_csv(tmp_path)
         methods = ("cs-sigmoid", "sce", "always-reject")
         grid = GridSpec(datasets=(path,), methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=2)
-        serial = run_grid(grid, jobs=1)
-        parallel = run_grid(grid, jobs=2)
+        groups = cell_groups(grid)
+        serial = run_grid(grid, groups, jobs=1)
+        parallel = run_grid(grid, groups, jobs=2)
         assert len(serial) == 6 and not any(r.flagged for r in serial)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
     @pytest.mark.parametrize("setting", ["clean", "pu"])
-    def test_a_pool_that_pickles_what_it_sends_gets_the_grid_once_per_worker(self, setting, monkeypatch, tmp_path):
-        # an in-process pool that pickles every argument, as a spawned worker
-        # receives it: the grid travels once per worker, and the unpickled
-        # trial data a worker trains on is read-only, as in the serial path
+    def test_a_pool_that_pickles_each_task_trains_on_read_only_data(self, setting, monkeypatch, tmp_path, pool_tasks):
+        # each task carries the grid and one group with its trial's data, pickled as a spawned
+        # worker receives it; the unpickled arrays a worker trains on are read-only, as in the serial path
         path = _write_par_csv(tmp_path)
         methods = ("cs-sigmoid", "always-reject")
         grid = GridSpec(datasets=(path,), methods=methods, costs=(0.1, 0.2), setting=setting, trials=2, epochs=2)
-        pickled, seen = [], []
-        dumps = pickle.dumps
-
-        def counting_dumps(obj):
-            pickled.extend(o for o in (obj if isinstance(obj, tuple) else (obj,)) if isinstance(o, GridSpec))
-            return dumps(obj)
-
-        class PicklingPool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                if initializer is not None:
-                    initializer(*pickle.loads(counting_dumps(initargs)))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return [fn(*pickle.loads(counting_dumps(args))) for args in zip(*iterables)]
-
+        groups = cell_groups(grid)
+        seen = []
         train_group = harness.train_group
 
-        def probe(grid, cells):
-            seen.append(any(a.flags.writeable for a in _shared_arrays(grid, path, cells[0][3])))
-            return train_group(grid, cells)
+        def probe(grid, data, cells):
+            seen.append(any(a.flags.writeable for a in _shared_arrays(data)))
+            return train_group(grid, data, cells)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         monkeypatch.setattr(harness, "train_group", probe)
-        monkeypatch.setattr(harness, "_worker_grid", None)
-        parallel = run_grid(grid, jobs=2)
-        # two trials of two groups each: four groups, one worker here
+        parallel = run_grid(grid, groups, jobs=2)
+        # two trials of two groups each: four groups, four tasks
         assert len(seen) == 4 and not any(seen)
-        assert len(pickled) <= 1
+        ((workers, tasks),) = pool_tasks
+        assert workers == 2 and len(tasks) == 4
         monkeypatch.setattr(harness, "train_group", train_group)
-        assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, jobs=1)]
+        assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, groups, jobs=1)]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="a forked worker inherits the probe")
     def test_a_jobs_2_worker_trains_on_read_only_rows(self, monkeypatch, tmp_path):
@@ -362,14 +375,14 @@ class TestRunGrid:
         grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "always-reject"), costs=(0.2,), trials=2, epochs=2)
         train_group = harness.train_group
 
-        def probe(grid, cells):
-            flags = "rw" if any(a.flags.writeable for a in _shared_arrays(grid, path, cells[0][3])) else "ro"
+        def probe(grid, data, cells):
+            flags = "rw" if any(a.flags.writeable for a in _shared_arrays(data)) else "ro"
             with open(tmp_path / f"probe-{os.getpid()}", "a") as f:
                 f.write(flags + "\n")
-            return train_group(grid, cells)
+            return train_group(grid, data, cells)
 
         monkeypatch.setattr(harness, "train_group", probe)
-        rows = run_grid(grid, jobs=2)
+        rows = run_grid(grid, cell_groups(grid), jobs=2)
         assert len(rows) == 4
         probes = {p.name: p.read_text().split() for p in tmp_path.glob("probe-*")}
         assert probes and f"probe-{os.getpid()}" not in probes
@@ -391,7 +404,7 @@ class TestRunGrid:
         original = getattr(*trainer)
         monkeypatch.setattr(*trainer, lambda models, *args: calls.append(len(models)) or original(models, *args))
 
-        rows = run_grid(grid, skip_keys=skip)
+        rows = run_grid(grid, cell_groups(grid, skip))
         assert sorted(calls) == [2, 3, 8, 8]
         calls.clear()
         alone = [_run_alone(grid, cell) for cell in grid.cells() if cell not in skip]
@@ -410,7 +423,7 @@ class TestRunGrid:
         datasets = ("twonorm", _write_par_csv(tmp_path) if setting == "pu" else "gauss3")
         methods = ("cs-sigmoid", "sce", "defer", "angle", "always-reject")
         grid = GridSpec(datasets=datasets, methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=1)
-        assert len(run_grid(grid)) == 20
+        assert len(run_grid(grid, cell_groups(grid))) == 20
         assert calls == (["split", "pu"] if setting == "pu" else ["split"]) * 4
 
     @pytest.mark.parametrize(
@@ -422,31 +435,13 @@ class TestRunGrid:
             (("cs-sigmoid", "cs-hinge"), False, 8, []),
         ],
     )
-    def test_jobs_are_capped_at_the_number_of_groups(self, methods, skip_all, jobs, workers, monkeypatch):
+    def test_jobs_are_capped_at_the_number_of_groups(self, methods, skip_all, jobs, workers, pool_tasks):
         # a fork pool starts all its workers at its first submit, so a pool larger than
         # the groups forks idle workers, and one group or none needs no pool at all
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                started.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return [fn(*args) for args in zip(*iterables)]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness, "_worker_grid", None)
         grid = GridSpec(methods=methods, costs=(0.2,), trials=1, epochs=1)
         skip = list(grid.cells()) if skip_all else []
-        rows = run_grid(grid, skip_keys=skip, jobs=jobs)
-        assert started == workers
+        rows = run_grid(grid, cell_groups(grid, skip), jobs=jobs)
+        assert [max_workers for max_workers, _ in pool_tasks] == workers
         assert len(rows) == (0 if skip_all else len(methods))
 
     def test_each_dataset_is_resolved_once(self, monkeypatch):
@@ -455,13 +450,13 @@ class TestRunGrid:
         resolve = harness.dataset_info
         monkeypatch.setattr(harness, "dataset_info", lambda name: calls.append(name) or resolve(name))
         grid = GridSpec(datasets=("twonorm", "gauss3"), methods=("cs-hinge", "always-reject"), costs=(0.2,), trials=2, epochs=1)
-        assert len(run_grid(grid)) == 8
+        assert len(run_grid(grid, cell_groups(grid))) == 8
         assert sorted(calls) == ["gauss3", "twonorm"]
 
     def test_skip_keys_resume(self):
         grid = GridSpec(methods=("cs-sigmoid",), costs=(0.1,), trials=3, epochs=2)
-        full = run_grid(grid)
-        partial = run_grid(grid, skip_keys=[full[0].key()])
+        full = run_grid(grid, cell_groups(grid))
+        partial = run_grid(grid, cell_groups(grid, [full[0].key()]))
         assert len(partial) == 2
         merged = sorted([full[0]] + partial, key=lambda r: r.trial)
         assert [_strip_timing(r) for r in merged] == [_strip_timing(r) for r in full]
@@ -472,69 +467,37 @@ class TestRunGrid:
         split = data_mod.split
         monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
         grid = GridSpec(methods=("always-reject",), costs=(0.1, 0.2), trials=3, epochs=1)
-        rows = run_grid(grid, skip_keys=[cell for cell in grid.cells() if cell[3] != 1])
+        rows = run_grid(grid, cell_groups(grid, [cell for cell in grid.cells() if cell[3] != 1]))
         assert [(r.cost, r.trial) for r in rows] == [(0.1, 1), (0.2, 1)]
         assert len(calls) == 1
 
-    def test_jobs_workers_get_no_csv_rows(self, monkeypatch, tmp_path):
+    def test_jobs_workers_get_no_csv_rows(self, tmp_path, pool_tasks):
         # a worker used to receive every CSV's rows with the grid, though only the
         # build of a trial's data, which runs before any worker starts, reads them
         path = _write_par_csv(tmp_path)
         grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "always-reject"), costs=(0.2,), trials=2, epochs=2)
-        sent = []
+        groups = cell_groups(grid)
+        parallel = run_grid(grid, groups, jobs=2)
+        ((_, tasks),) = pool_tasks
+        rows = dataset_info(path).data
+        assert len(tasks) == 4
+        for task in tasks:
+            assert b"DatasetInfo" not in task
+            assert rows.X.tobytes() not in task and rows.y.tobytes() not in task
+        assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, groups, jobs=1)]
 
-        class PicklingPool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                sent.append(pickle.dumps(initargs))
-                initializer(*pickle.loads(sent[-1]))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(harness, "_worker_grid", None)
-        parallel = run_grid(grid, jobs=2)
-        (blob,) = sent
-        worker_grid, _ = pickle.loads(blob)
-        assert "dataset_infos" not in vars(worker_grid)
-        rows = grid.dataset_infos[path].data
-        assert rows.X.tobytes() not in blob and rows.y.tobytes() not in blob
-        assert [_strip_timing(r) for r in parallel] == [_strip_timing(r) for r in run_grid(grid, jobs=1)]
-
-    def test_a_jobs_worker_resolves_no_dataset(self, monkeypatch, tmp_path):
+    def test_a_jobs_worker_resolves_no_dataset(self, monkeypatch, tmp_path, pool_tasks):
         # a worker used to get a grid with every dataset resolved, written into the frozen grid's vars();
-        # it trains and scores from its trials' data alone, so it never resolves a dataset itself
+        # it trains and scores from its group's trial data alone, so it never resolves a dataset itself
         path = _write_par_csv(tmp_path)
         grid = GridSpec(datasets=(path, "gauss3"), methods=("cs-sigmoid", "angle"), costs=(0.2,), trials=2, epochs=1)
-        calls, at_start = [], []
+        calls = []
         resolve = harness.dataset_info
         monkeypatch.setattr(harness, "dataset_info", lambda name: calls.append(name) or resolve(name))
-
-        class PicklingPool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
-                at_start.append(len(calls))
-                initializer(*pickle.loads(pickle.dumps(initargs)))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(harness, "_worker_grid", None)
-        assert len(run_grid(grid, jobs=2)) == 8
-        assert at_start == [2] and len(calls) == 2
-        assert harness._worker_grid is not None and "dataset_infos" not in vars(harness._worker_grid)
+        groups = cell_groups(grid)
+        assert calls == [path, "gauss3"]
+        assert len(run_grid(grid, groups, jobs=2)) == 8
+        assert len(pool_tasks) == 1 and len(calls) == 2
 
 
 class TestAggregate:
@@ -734,6 +697,9 @@ class TestCliRun:
         ("--costs", "0.2,0.2"),
         # costs the result CSV writes alike share one key and one seed
         ("--costs", "0.2,0.2000001"),
+        # a step too small to change the printed cost
+        ("--costs", "0.1:0.4:1e-300"),
+        ("--costs", "0.1:0.4:1e-7"),
     ]
 
     @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
@@ -841,9 +807,17 @@ class TestCliRun:
         from csreject import cli
 
         grids = []
-        monkeypatch.setattr(harness, "run_grid", lambda grid, **kwargs: grids.append(grid) or [])
+        monkeypatch.setattr(harness, "run_grid", lambda grid, groups, **kwargs: grids.append(grid) or [])
         assert cli.main(["run", "--methods", "always-reject", "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 0
         assert grids[0].costs == harness.DEFAULT_COSTS
+
+    @pytest.mark.parametrize("text, first, second", [("0.1:0.4:1e-300", "0.1", "0.1"), ("0.1:0.4:1e-7", "0.1", "0.1000001")])
+    def test_a_cost_range_step_too_small_to_print_is_refused_at_the_first_repeat(self, text, first, second):
+        # a step that leaves c unchanged used to loop forever, and 1e-7 built 3,000,000 costs
+        from csreject import cli
+
+        with pytest.raises(ValueError, match=rf"\b{first} and {second}\b"):
+            cli._parse_costs(text)
 
     def test_parse_costs_forms(self):
         from csreject import cli
@@ -873,7 +847,7 @@ class TestGridSpecTraining:
         _no_training(monkeypatch)
         grid = GridSpec(datasets=("twonorm", "gauss3"), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
         with pytest.raises(ValueError, match="gauss3"):
-            run_grid(grid)
+            cell_groups(grid)
 
     @pytest.mark.parametrize("setting", harness.SETTINGS)
     def test_a_dataset_with_one_class_fails_before_any_cell_trains(self, setting, tmp_path, monkeypatch):
@@ -882,7 +856,7 @@ class TestGridSpecTraining:
         path = _write_one_class_csv(tmp_path)
         grid = GridSpec(datasets=(path,), methods=("cs-sigmoid", "angle"), costs=(0.2,), setting=setting, **FAST)
         with pytest.raises(ValueError, match="one class"):
-            run_grid(grid)
+            cell_groups(grid)
 
     @pytest.mark.parametrize("n", [300, 478, 480, 600])
     def test_a_csv_too_small_for_the_pu_sets_fails_before_any_cell_trains(self, n, tmp_path, monkeypatch):
@@ -893,7 +867,7 @@ class TestGridSpecTraining:
         path = _write_par_csv(tmp_path, n)
         grid = GridSpec(datasets=("twonorm", path), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
         with pytest.raises(ValueError, match="insufficient source data") as exc:
-            run_grid(grid)
+            cell_groups(grid)
         assert str(exc.value).startswith(f"{path}, trial 0: ")
 
     @pytest.mark.parametrize("setting", ["clean", "noisy"])
@@ -904,7 +878,7 @@ class TestGridSpecTraining:
         methods = ("always-reject", "cs-sigmoid")
         grid = GridSpec(datasets=("twonorm", str(path)), methods=methods, costs=(0.2,), setting=setting, **FAST)
         with pytest.raises(ValueError, match="trial 0") as exc:
-            run_grid(grid)
+            cell_groups(grid)
         assert str(path) in str(exc.value)
 
     def test_a_csv_whose_training_split_serves_the_smallest_pu_draw_trains(self, tmp_path):
@@ -915,15 +889,17 @@ class TestGridSpecTraining:
         path = tmp_path / "skewed.csv"
         path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
         grid = GridSpec(datasets=(str(path),), methods=("cs-sigmoid",), costs=(0.2,), setting="pu", **FAST)
-        (row,) = run_grid(grid)
+        groups = cell_groups(grid)
+        (row,) = run_grid(grid, groups)
         assert not row.flagged
-        positives, unlabeled = grid.trial_data[str(path), 0].train
+        positives, unlabeled = groups[0][0].train
         assert (len(positives), len(unlabeled)) == (40, 200)
 
     @pytest.mark.parametrize("setting", ["clean", "noisy"])
     def test_a_csv_too_small_for_the_pu_sets_trains_in_the_other_settings(self, setting, tmp_path):
         path = _write_par_csv(tmp_path, 300)
-        (row,) = run_grid(GridSpec(datasets=(path,), methods=("cs-sigmoid",), costs=(0.2,), setting=setting, **FAST))
+        grid = GridSpec(datasets=(path,), methods=("cs-sigmoid",), costs=(0.2,), setting=setting, **FAST)
+        (row,) = run_grid(grid, cell_groups(grid))
         assert not row.flagged
 
 

@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -272,3 +275,25 @@ class TestTrain:
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+def test_training_a_stack_leaves_the_model_class_unchanged():
+    # stack_cells used copy.copy, which makes copyreg cache __slotnames__ on the class: a
+    # later check that the program's attributes are restored then depended on test order.
+    # A fresh process, because any copy.copy of a model in this one would cache it too.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(models_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import numpy as np\n"
+        "from csreject.core import Dataset\n"
+        "from csreject.models import MlpModel, TrainConfig, make_model, train\n"
+        "rng = np.random.default_rng(0)\n"
+        "data = Dataset(rng.normal(size=(40, 2)), rng.integers(1, 4, size=40), 3)\n"
+        "models = [make_model('mlp', 2, 3, np.random.default_rng(i)) for i in range(2)]\n"
+        "loss = lambda G, y: (np.zeros(len(G)), np.zeros_like(G))\n"
+        "train(models, data, [loss, loss], TrainConfig(epochs=1, batch_size=16), [1, 2])\n"
+        "print('__slotnames__' in vars(MlpModel))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
