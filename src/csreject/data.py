@@ -60,8 +60,7 @@ class PosteriorOracle:
 
     def __init__(self, spec: GaussianMixtureSpec):
         self.spec = spec
-        self._chols = [np.linalg.cholesky(S) for S in spec.covs]
-        self._logdets = [2.0 * np.log(np.diag(L)).sum() for L in self._chols]
+        self._logdets = [2.0 * np.log(np.diag(np.linalg.cholesky(S))).sum() for S in spec.covs]
 
     def posterior(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))

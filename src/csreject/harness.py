@@ -110,7 +110,6 @@ def _mix_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class DatasetInfo:
-    K: int
     total_n: int
     spec: data_mod.GaussianMixtureSpec | None = None
     data: Dataset | None = None  # a CSV's rows, read-only: every cell of the grid shares them
@@ -128,37 +127,37 @@ def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
 
 def dataset_info(name: str) -> DatasetInfo:
     if name == "twonorm":
-        return DatasetInfo(K=2, total_n=7400, spec=data_mod.twonorm_spec())
+        return DatasetInfo(total_n=7400, spec=data_mod.twonorm_spec())
     if name == "gauss3":
-        return DatasetInfo(K=3, total_n=12000, spec=_gauss3_spec())
+        return DatasetInfo(total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
         ds = data_mod.load_csv(name)
         if ds.K < 2:
             raise ValueError(f"{name}: a dataset needs two classes or more; it has one class")
         _read_only(ds)
-        return DatasetInfo(K=ds.K, total_n=ds.n, data=ds)
+        return DatasetInfo(total_n=ds.n, data=ds)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")
 
 
-def _read_only(*parts) -> None:
-    """Make the arrays of shared Datasets and arrays read-only."""
-    for part in parts:
-        for a in (part.X, part.y) if isinstance(part, Dataset) else (part,):
-            a.flags.writeable = False
+def _read_only(*datasets: Dataset) -> None:
+    """Make the arrays of shared Datasets read-only."""
+    for ds in datasets:
+        ds.X.flags.writeable = ds.y.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class TrialData:
     """A (dataset, trial)'s data, standardized on its training rows: what its cells train on (the
-    training split, or the positive and unlabeled feature sets in PU) and its validation and test splits."""
+    training split, with noisy labels in the noisy setting, or the PU set of weaksup.make_pu_dataset)
+    and its validation and test splits."""
 
-    train: tuple[Dataset] | tuple[np.ndarray, np.ndarray]
+    train: Dataset
     val: Dataset
     test: Dataset
 
 
 def build_trial_data(grid: GridSpec, info: DatasetInfo, ds_name: str, trial: int) -> TrialData:
-    """Draw a (dataset, trial)'s split, and its noisy labels or PU sets, from its hashed data seed.
+    """Draw a (dataset, trial)'s split, and its noisy labels or PU set, from its hashed data seed.
     Every group of the trial shares the arrays, so they are read-only; an error names the dataset and trial."""
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
     data_rng = np.random.default_rng(data_seed)
@@ -170,19 +169,15 @@ def build_trial_data(grid: GridSpec, info: DatasetInfo, ds_name: str, trial: int
             # a synthetic pool is drawn afresh, large enough for the protocol; a file cannot be
             # regenerated, so its draws come from the training split, and no held-out row is trained on
             pool = info.rows(3 * train_ds.n, data_rng) if info.data is None else train_ds
-            positives, unlabeled = weaksup.make_pu_dataset(pool, train_ds.n, grid.prior, data_rng)
-            scaler = data_mod.Standardizer.fit(np.vstack([positives, unlabeled]))
-            train_set = tuple((part - scaler.mean) / scaler.scale for part in (positives, unlabeled))
-        else:
-            if grid.setting == "noisy":
-                noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
-                train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
-            scaler, train_std = data_mod.standardize(train_ds)
-            train_set = (train_std,)
+            train_ds = weaksup.make_pu_dataset(pool, train_ds.n, grid.prior, data_rng)
+        elif grid.setting == "noisy":
+            noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
+            train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
+        scaler, train_std = data_mod.standardize(train_ds)
     except ValueError as exc:
         raise ValueError(f"{ds_name}, trial {trial}: {exc}") from None
-    data = TrialData(train_set, scaler.apply(val_ds), scaler.apply(test_ds))
-    _read_only(*data.train, data.val, data.test)
+    data = TrialData(train_std, scaler.apply(val_ds), scaler.apply(test_ds))
+    _read_only(data.train, data.val, data.test)
     return data
 
 
@@ -304,9 +299,9 @@ def train_group(grid: GridSpec, data: TrialData, cells) -> list[Trained]:
         seeds.append(train_seed)
     config = TrainConfig(batch_size=64 if grid.setting == "pu" else 256, epochs=grid.epochs)
     if grid.setting == "pu":
-        traces, _ = weaksup.train_pu(models, losses, *data.train, grid.prior, config, seeds)
+        traces, _ = weaksup.train_pu(models, data.train, losses, grid.prior, config, seeds)
     else:
-        traces = train(models, *data.train, losses, config, seeds)
+        traces = train(models, data.train, losses, config, seeds)
 
     seconds = (time.perf_counter() - t0) / len(cells)
     return [Trained(model, trace, seconds) for model, trace in zip(models, traces)]
@@ -339,7 +334,7 @@ def _run_group(grid: GridSpec, group) -> list[ResultRow]:
     """The rows of one group of cell_groups; its data is read-only again, since arrays come out of a
     --jobs task's pickle writeable."""
     data, cells = group
-    _read_only(*data.train, data.val, data.test)
+    _read_only(data.train, data.val, data.test)
     return [run_cell(grid, cell, data, trained) for cell, trained in zip(cells, train_group(grid, data, cells))]
 
 

@@ -1,7 +1,7 @@
 """Weak-supervision protocols: uniform label noise and PU learning.
 
-Binary problems use the K=2 convention: class 1 is the positive class (+1),
-class 2 the negative class (-1).
+Binary problems use the K=2 convention: class 1 is the positive class (+1), class 2 the negative class (-1).
+A PU set labels its positives 1 and its unlabeled rows 2, the label at which the PU risk scores them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -
     return Dataset(data.X, y, data.K)
 
 
-def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.random.Generator):
-    """Draw (positives, unlabeled) feature sets from a K=2 dataset.
+def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.random.Generator) -> Dataset:
+    """Draw a PU training set from a K=2 dataset: its positives, labelled 1, then its unlabeled rows, labelled 2.
 
     The unlabeled size n_u is the largest multiple of 200, at most
     max_unlabeled, that the classes can serve: n_u // 5 positives plus
@@ -54,10 +54,9 @@ def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.ran
         )
     pos_perm = rng.permutation(pos_idx)
     neg_perm = rng.permutation(neg_idx)
-    positives = data.X[pos_perm[:n_p]]
-    unlabeled = np.concatenate([data.X[pos_perm[n_p : n_p + n_u_pos]], data.X[neg_perm[: n_u - n_u_pos]]])
-    unlabeled = unlabeled[rng.permutation(len(unlabeled))]
-    return positives, unlabeled
+    unl_idx = np.concatenate([pos_perm[n_p : n_p + n_u_pos], neg_perm[: n_u - n_u_pos]])
+    unl_idx = unl_idx[rng.permutation(len(unl_idx))]
+    return Dataset(data.X[np.concatenate([pos_perm[:n_p], unl_idx])], np.repeat([1, 2], [n_p, n_u]), 2)
 
 
 def _pu_terms(loss, prior: float, m_p: int, m_u: int):
@@ -68,33 +67,34 @@ def _pu_terms(loss, prior: float, m_p: int, m_u: int):
     return pos[..., 0], np.add.reduce(loss[..., 2 * m_p :], axis=-1) / m_u - pos[..., 1]
 
 
-def _pu_risk_terms(loss_batch, prior: float, positives, unlabeled, score_fn):
-    """_pu_terms of one loss_batch call on the scores of both sets."""
+def _pu_risk_terms(loss_batch, prior: float, data: Dataset, score_fn):
+    """_pu_terms of one loss_batch call on the scores of both sets of the PU set data."""
+    positives, unlabeled = data.X[data.y == 1], data.X[data.y == 2]
     m_p, m_u = len(positives), len(unlabeled)
-    if m_p == 0 or m_u == 0:
-        raise ValueError("both sample sets must be non-empty")
+    if data.K != 2 or m_p == 0 or m_u == 0:
+        raise ValueError("a PU set has two classes and rows labelled 1 and 2")
     Gp = score_fn(positives)
     losses, _ = loss_batch(np.concatenate([Gp, Gp, score_fn(unlabeled)]), np.repeat([1, 2, 2], [m_p, m_p, m_u]))
     return _pu_terms(losses, prior, m_p, m_u)
 
 
-def pu_risk_unbiased(loss_batch, prior: float, positives, unlabeled, score_fn) -> float:
-    """Unbiased PU risk: pi*mean_p L(+1) - pi*mean_p L(-1) + mean_u L(-1).
+def pu_risk_unbiased(loss_batch, prior: float, data: Dataset, score_fn) -> float:
+    """Unbiased PU risk of a PU set (make_pu_dataset): pi*mean_p L(+1) - pi*mean_p L(-1) + mean_u L(-1).
 
     loss_batch(G, y) is a K=2 loss, as in train_pu: label 1 for +1, label 2 for -1."""
-    pos_term, neg_term = _pu_risk_terms(loss_batch, prior, positives, unlabeled, score_fn)
+    pos_term, neg_term = _pu_risk_terms(loss_batch, prior, data, score_fn)
     return float(pos_term + neg_term)
 
 
-def pu_risk_nn(loss_batch, prior: float, positives, unlabeled, score_fn) -> float:
-    """Non-negative PU risk: positive term + clamped implied-negative term; loss_batch as in pu_risk_unbiased."""
-    pos_term, neg_term = _pu_risk_terms(loss_batch, prior, positives, unlabeled, score_fn)
+def pu_risk_nn(loss_batch, prior: float, data: Dataset, score_fn) -> float:
+    """Non-negative PU risk: positive term + clamped implied-negative term; arguments as in pu_risk_unbiased."""
+    pos_term, neg_term = _pu_risk_terms(loss_batch, prior, data, score_fn)
     return float(pos_term + max(0.0, neg_term))
 
 
-def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior: float, config: TrainConfig, seeds):
+def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, seeds):
     """Mini-batch minimization of the non-negative PU risk, for a stack of
-    cells that share both sample sets and the config.
+    cells that share the PU set data (make_pu_dataset) and the config.
 
     models, losses and seeds hold one entry per cell, as in models.train. A
     cell's loss(G, y) is a K=2 loss: label 1 stands for +1, label 2 for -1.
@@ -105,9 +105,10 @@ def train_pu(models, losses, positives: np.ndarray, unlabeled: np.ndarray, prior
     risk trace per epoch per cell, clamp activations of all cells together).
     """
     stack, rngs = stack_cells(models, losses, seeds)
+    positives, unlabeled = data.X[data.y == 1], data.X[data.y == 2]
     n_p, n_u = len(positives), len(unlabeled)
-    if n_p == 0 or n_u == 0:
-        raise ValueError("both sample sets must be non-empty")
+    if data.K != 2 or n_p == 0 or n_u == 0:
+        raise ValueError("a PU set has two classes and rows labelled 1 and 2")
     state, work_p, work_u = AdamState(), {}, {}
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
     b_u = max(1, config.batch_size - b_p)

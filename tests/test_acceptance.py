@@ -11,7 +11,7 @@ import pytest
 
 from csreject import data as data_mod, harness, theory, weaksup
 from csreject.checks import run_gradcheck
-from csreject.core import RejectionCost, compute_metrics
+from csreject.core import Dataset, RejectionCost, compute_metrics
 from csreject.losses import get_loss
 from csreject.models import TrainConfig, make_model, train
 from csreject.surrogate import cs_loss_batch, decide_batch
@@ -164,8 +164,9 @@ def test_criterion_8_pu_estimator_soundness():
                 rng.multivariate_normal(spec.means[1], spec.covs[1], size=n_u - n_u_pos),
             ]
         )
-        u = weaksup.pu_risk_unbiased(loss_batch, prior, pos, unl, model.scores)
-        n = weaksup.pu_risk_nn(loss_batch, prior, pos, unl, model.scores)
+        pu = Dataset(np.concatenate([pos, unl]), np.repeat([1, 2], [n_p, n_u]), K=2)
+        u = weaksup.pu_risk_unbiased(loss_batch, prior, pu, model.scores)
+        n = weaksup.pu_risk_nn(loss_batch, prior, pu, model.scores)
         eq13.append(u)
         eq14.append(n)
         dominance = dominance and (n >= u - 1e-12)

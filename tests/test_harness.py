@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from csreject import data as data_mod, harness
-from csreject.core import Dataset, MetricsRecord
+from csreject.core import MetricsRecord
 from csreject.harness import (
     GridSpec,
     ResultRow,
@@ -71,8 +71,8 @@ class TestGridSpec:
 
 class TestDatasetInfo:
     def test_known_datasets(self):
-        assert dataset_info("twonorm").K == 2
-        assert dataset_info("gauss3").K == 3
+        assert dataset_info("twonorm").spec.K == 2
+        assert dataset_info("gauss3").spec.K == 3
 
     def test_unknown_dataset(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestDatasetInfo:
         rows = ["%f,%f,%d" % (i * 0.1, -i * 0.2, (i % 2) + 1) for i in range(20)]
         p.write_text("\n".join(rows) + "\n")
         info = dataset_info(str(p))
-        assert info.K == 2
+        assert info.data.K == 2
         assert info.total_n == 20
         # the info holds the rows it was resolved from
         np.testing.assert_array_equal(info.data.X, data_mod.load_csv(str(p)).X)
@@ -111,7 +111,7 @@ def _write_toy_csv(path, n):
 
 def _n_rows(data) -> int:
     """The rows of a (non-PU) trial's splits together: the rows of the file it was built from."""
-    return sum(part.n for part in (*data.train, data.val, data.test))
+    return sum(part.n for part in (data.train, data.val, data.test))
 
 
 class TestCsvLoading:
@@ -213,13 +213,14 @@ class TestRunCell:
         parts, drawn = [], []
         split, make_pu = data_mod.split, harness.weaksup.make_pu_dataset
         monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
-        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
+        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.append(make_pu(*a)) or drawn[-1])
         grid = GridSpec(datasets=(str(path),), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
         row = _run_alone(grid, (str(path), "cs-sigmoid", 0.1, 0))
         assert np.isfinite(row.risk01c)
         train_ds, val_ds, test_ds = parts
         held_out = {tuple(x) for x in np.vstack([val_ds.X, test_ds.X])}
-        positives, unlabeled = drawn
+        (pu,) = drawn
+        positives, unlabeled = pu.X[pu.y == 1], pu.X[pu.y == 2]
         assert len(positives) > 0 and len(unlabeled) > 0
         assert not any(tuple(x) in held_out for x in np.vstack([positives, unlabeled]))
         # the largest multiple of 200 that the training split's classes allow
@@ -247,26 +248,28 @@ class TestRunCell:
 class TestTrainGroup:
     @pytest.mark.parametrize("setting", ["clean", "noisy", "pu"])
     def test_splits_come_standardized_on_the_training_rows(self, setting, monkeypatch):
-        parts, drawn = [], []
-        split, make_pu = data_mod.split, harness.weaksup.make_pu_dataset
+        parts, drawn, standardized = [], [], []
+        split, make_pu, standardize = data_mod.split, harness.weaksup.make_pu_dataset, data_mod.standardize
         monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
-        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.extend(make_pu(*a)) or drawn[-2:])
+        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.append(make_pu(*a)) or drawn[-1])
+        monkeypatch.setattr(harness.data_mod, "standardize", lambda ds: standardized.append(ds) or standardize(ds))
         grid = GridSpec(methods=("cs-sigmoid", "cs-hinge"), costs=(0.2,), setting=setting, **FAST)
         ((data, cells),) = cell_groups(grid)
+        # one data.standardize call per trial in every setting, on the set the cells train on: the training
+        # split, its rows with noisy labels, or the PU set; the PU setting used to standardize by hand
+        assert len(standardized) == 1
+        train_ds, val_ds, test_ds = parts
+        source = drawn[0] if setting == "pu" else train_ds
+        assert standardized[0].X is source.X
         for cell, trained in zip(cells, harness.train_group(grid, data, cells)):
             run_cell(grid, cell, data, trained)
-        train_ds, val_ds, test_ds = parts
-        # the PU setting trains on its positive and unlabeled draws
-        scaler = data_mod.Standardizer.fit(np.vstack(drawn) if setting == "pu" else train_ds.X)
-        for got, raw in ((data.val, val_ds), (data.test, test_ds)):
+        scaler = data_mod.Standardizer.fit(source.X)
+        for got, raw in ((data.val, val_ds), (data.test, test_ds), (data.train, standardized[0])):
             want = scaler.apply(raw)
             np.testing.assert_array_equal(got.X, want.X)
             np.testing.assert_array_equal(got.y, want.y)
-        trained_on = [scaler.apply(train_ds).X] if setting != "pu" else [(p - scaler.mean) / scaler.scale for p in drawn]
-        for got, want in zip(data.train if setting == "pu" else [data.train[0].X], trained_on, strict=True):
-            np.testing.assert_array_equal(got, want)
         # one standardized split per trial, shared by the group's cells: the trial was drawn once
-        assert len(parts) == 3 and len(drawn) == (2 if setting == "pu" else 0)
+        assert len(parts) == 3 and len(drawn) == (1 if setting == "pu" else 0)
 
 
 def _write_par_csv(tmp_path, n=1000) -> str:
@@ -281,8 +284,7 @@ def _write_par_csv(tmp_path, n=1000) -> str:
 
 def _shared_arrays(data) -> list:
     """A trial's data as a group receives it: the arrays that every group of the trial shares."""
-    parts = [*data.train, data.val, data.test]
-    return [a for part in parts for a in ((part.X, part.y) if isinstance(part, Dataset) else (part,))]
+    return [a for part in (data.train, data.val, data.test) for a in (part.X, part.y)]
 
 
 def _write_one_class_csv(tmp_path) -> str:
@@ -892,8 +894,8 @@ class TestGridSpecTraining:
         groups = cell_groups(grid)
         (row,) = run_grid(grid, groups)
         assert not row.flagged
-        positives, unlabeled = groups[0][0].train
-        assert (len(positives), len(unlabeled)) == (40, 200)
+        # 40 positives, labelled 1, then 200 unlabeled rows, labelled 2
+        np.testing.assert_array_equal(groups[0][0].train.y, np.repeat([1, 2], [40, 200]))
 
     @pytest.mark.parametrize("setting", ["clean", "noisy"])
     def test_a_csv_too_small_for_the_pu_sets_trains_in_the_other_settings(self, setting, tmp_path):

@@ -182,15 +182,16 @@ class TestFlatAdam:
     def test_pu_training_equals_per_key_training(self, monkeypatch):
         rng = np.random.default_rng(8)
         positives, unlabeled = rng.normal(size=(60, 3)) + 1.0, rng.normal(size=(200, 3))
+        pu = Dataset(np.concatenate([positives, unlabeled]), np.repeat([1, 2], [60, 200]), K=2)
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.2), G, y)
         config = TrainConfig(epochs=10, batch_size=32, learning_rate=0.01)
         flat = make_model("mlp", 3, 2, np.random.default_rng(10))
-        flat_out = weaksup.train_pu([flat], [loss], positives, unlabeled, 0.7, config, [9])
+        flat_out = weaksup.train_pu([flat], pu, [loss], 0.7, config, [9])
         ref_state = {"t": 0, "m": {}, "v": {}}
         monkeypatch.setattr(weaksup, "AdamState", lambda: ref_state)
         monkeypatch.setattr(weaksup, "adam_step", _per_key_adam)
         ref = make_model("mlp", 3, 2, np.random.default_rng(10))
-        assert weaksup.train_pu([ref], [loss], positives, unlabeled, 0.7, config, [9]) == flat_out
+        assert weaksup.train_pu([ref], pu, [loss], 0.7, config, [9]) == flat_out
         assert ref_state["t"] > 0
         for k in flat.params:
             np.testing.assert_array_equal(flat.params[k], ref.params[k])

@@ -88,6 +88,11 @@ def _pu_sets(n_p, n_u, d, seed):
     return positives, unlabeled[rng.permutation(n_u)]
 
 
+def _pu_set(positives, unlabeled):
+    """The PU set that weaksup.train_pu takes: the positives, labelled 1, then the unlabeled rows, labelled 2."""
+    return Dataset(np.concatenate([positives, unlabeled]), np.repeat([1, 2], [len(positives), len(unlabeled)]), K=2)
+
+
 class TestStackedTrainPU:
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     @pytest.mark.parametrize(
@@ -99,15 +104,13 @@ class TestStackedTrainPU:
         ],
     )
     def test_equals_separate_calls(self, kind, n_p, n_u, batch):
-        positives, unlabeled = _pu_sets(n_p, n_u, 3, seed=n_p + n_u)
+        pu = _pu_set(*_pu_sets(n_p, n_u, 3, seed=n_p + n_u))
         cells = GROUPS["margin-losses"] + [("sce", 0.2)]
         models, losses, seeds = _cells(kind, 3, 2, cells, seed=50)
         config = TrainConfig(epochs=4, batch_size=batch, learning_rate=0.01)
         separate = copy.deepcopy(models)
-        traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
-        ref = [
-            weaksup.train_pu([m], [loss], positives, unlabeled, 0.7, config, [s]) for m, loss, s in zip(separate, losses, seeds)
-        ]
+        traces, clamps = weaksup.train_pu(models, pu, losses, 0.7, config, seeds)
+        ref = [weaksup.train_pu([m], pu, [loss], 0.7, config, [s]) for m, loss, s in zip(separate, losses, seeds)]
         assert traces == [trace for (trace,), _ in ref]
         assert clamps == sum(count for _, count in ref)
         _assert_same_models(models, separate)
@@ -115,23 +118,23 @@ class TestStackedTrainPU:
     def test_clamp_is_per_cell(self):
         # a high prior drives the implied-negative bracket below zero for
         # some cells and steps but not others
-        positives, unlabeled = _pu_sets(40, 160, 3, seed=7)
+        pu = _pu_set(*_pu_sets(40, 160, 3, seed=7))
         models, losses, seeds = _cells("linear", 3, 2, CELLS[:3], seed=60)
         config = TrainConfig(epochs=8, batch_size=32, learning_rate=0.05)
         counts = []
         for m, loss, s in zip(copy.deepcopy(models), losses, seeds):
-            counts.append(weaksup.train_pu([m], [loss], positives, unlabeled, 0.95, config, [s])[1])
+            counts.append(weaksup.train_pu([m], pu, [loss], 0.95, config, [s])[1])
         assert len(set(counts)) > 1, "the cells should clamp on different steps"
-        _, total = weaksup.train_pu(models, losses, positives, unlabeled, 0.95, config, seeds)
+        _, total = weaksup.train_pu(models, pu, losses, 0.95, config, seeds)
         assert total == sum(counts)
 
     def test_angle_width_1(self):
-        positives, unlabeled = _pu_sets(30, 120, 4, seed=8)
+        pu = _pu_set(*_pu_sets(30, 120, 4, seed=8))
         models, losses, seeds = _cells("linear", 4, 2, GROUPS["angle-width-1"], seed=70)
         config = TrainConfig(epochs=3, batch_size=16)
         separate = copy.deepcopy(models)
-        traces, _ = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
-        alone = [weaksup.train_pu([m], [l], positives, unlabeled, 0.7, config, [s]) for m, l, s in zip(separate, losses, seeds)]
+        traces, _ = weaksup.train_pu(models, pu, losses, 0.7, config, seeds)
+        alone = [weaksup.train_pu([m], pu, [l], 0.7, config, [s]) for m, l, s in zip(separate, losses, seeds)]
         assert traces == [trace for (trace,), _ in alone]
         _assert_same_models(models, separate)
 
@@ -289,7 +292,7 @@ class TestAgainstTheStepFormulas:
         models, losses, seeds = _cells(kind, 3, 2, cells, seed=90)
         refs = [{k: v.copy() for k, v in m.params.items()} for m in models]
         config = TrainConfig(epochs=4, batch_size=batch, learning_rate=0.05)
-        traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, prior, config, seeds)
+        traces, clamps = weaksup.train_pu(models, _pu_set(positives, unlabeled), losses, prior, config, seeds)
         ref_clamps = 0
         for model, trace, ref, (method, cost), seed in zip(models, traces, refs, cells, seeds):
             ref_trace, count = _ref_train_pu(ref, _ref_loss(method, 2, cost), positives, unlabeled, prior, config, seed)

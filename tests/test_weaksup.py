@@ -25,6 +25,11 @@ def _cs_loss(loss, cost):
     return lambda G, y: cs_loss_batch(loss, cost, G, y)
 
 
+def _pu_set(positives, unlabeled):
+    """The PU set of make_pu_dataset's layout: the positives, labelled 1, then the unlabeled rows, labelled 2."""
+    return Dataset(np.concatenate([positives, unlabeled]), np.repeat([1, 2], [len(positives), len(unlabeled)]), 2)
+
+
 def _former_pu_risks(loss_batch, prior, positives, unlabeled, score_fn):
     """The estimators as they were before one loss call on [Gp, Gu, Gp]: one
     call per scores and sign, numpy means, (unbiased, non-negative)."""
@@ -89,8 +94,8 @@ def _tagged_source(n_pos, n_neg):
 class TestPUSizes:
     def _sizes(self, n_pos, n_neg, max_unlabeled, prior=0.7):
         data = _tagged_source(n_pos, n_neg)
-        positives, unlabeled = make_pu_dataset(data, max_unlabeled, prior, np.random.default_rng(0))
-        return len(unlabeled), len(positives)
+        pu = make_pu_dataset(data, max_unlabeled, prior, np.random.default_rng(0))
+        return int((pu.y == 2).sum()), int((pu.y == 1).sum())
 
     def test_unlabeled_size_is_the_bound_truncated_to_a_multiple_of_200(self):
         assert self._sizes(3400, 1100, 3700) == (3600, 720)
@@ -117,7 +122,11 @@ class TestPUSizes:
 class TestMakePU:
     def test_composition_counts(self):
         data = _tagged_source(1200, 600)
-        positives, unlabeled = make_pu_dataset(data, 1000, 0.7, np.random.default_rng(8))
+        pu = make_pu_dataset(data, 1000, 0.7, np.random.default_rng(8))
+        # the positives first, labelled 1, then the unlabeled rows, labelled 2
+        assert pu.K == 2
+        np.testing.assert_array_equal(pu.y, np.repeat([1, 2], [200, 1000]))
+        positives, unlabeled = pu.X[:200], pu.X[200:]
         assert len(positives) == 200
         assert (positives > 0).all()
         assert len(unlabeled) == 1000
@@ -126,8 +135,7 @@ class TestMakePU:
 
     def test_without_replacement(self):
         data = _tagged_source(1200, 600)
-        positives, unlabeled = make_pu_dataset(data, 1000, 0.7, np.random.default_rng(9))
-        used = np.concatenate([positives[:, 0], unlabeled[:, 0]])
+        used = make_pu_dataset(data, 1000, 0.7, np.random.default_rng(9)).X[:, 0]
         assert len(np.unique(used)) == len(used)
 
     def test_insufficient_source(self):
@@ -147,14 +155,14 @@ class TestRiskEstimators:
         pos = np.zeros((10, 1))
         unl = np.zeros((20, 1))
         # 0.7*0.5 - 0.7*0.5 + 0.5
-        assert pu_risk_unbiased(_sigmoid_loss, 0.7, pos, unl, score_fn) == pytest.approx(0.5)
+        assert pu_risk_unbiased(_sigmoid_loss, 0.7, _pu_set(pos, unl), score_fn) == pytest.approx(0.5)
 
     def test_nn_hand_value_at_zero_scores(self):
         score_fn = lambda X: np.zeros((len(X), 1))
         pos = np.zeros((10, 1))
         unl = np.zeros((20, 1))
         # 0.35 + max(0, 0.5 - 0.35)
-        assert pu_risk_nn(_sigmoid_loss, 0.7, pos, unl, score_fn) == pytest.approx(0.5)
+        assert pu_risk_nn(_sigmoid_loss, 0.7, _pu_set(pos, unl), score_fn) == pytest.approx(0.5)
 
     def test_zero_prior_reduces_to_unlabeled_mean(self):
         rng = np.random.default_rng(11)
@@ -162,7 +170,7 @@ class TestRiskEstimators:
         score_fn = lambda X: X
         loss = get_loss("sigmoid")
         expected = loss.value(-unl[:, 0]).mean()
-        assert pu_risk_unbiased(_sigmoid_loss, 0.0, np.zeros((5, 1)), unl, score_fn) == pytest.approx(expected)
+        assert pu_risk_unbiased(_sigmoid_loss, 0.0, _pu_set(np.zeros((5, 1)), unl), score_fn) == pytest.approx(expected)
 
     def test_nn_dominates_unbiased(self):
         rng = np.random.default_rng(12)
@@ -170,15 +178,22 @@ class TestRiskEstimators:
             pos = rng.normal(loc=1.0, size=(15, 1))
             unl = rng.normal(size=(40, 1))
             score_fn = lambda X: X
-            u = pu_risk_unbiased(_sigmoid_loss, 0.7, pos, unl, score_fn)
-            n = pu_risk_nn(_sigmoid_loss, 0.7, pos, unl, score_fn)
+            u = pu_risk_unbiased(_sigmoid_loss, 0.7, _pu_set(pos, unl), score_fn)
+            n = pu_risk_nn(_sigmoid_loss, 0.7, _pu_set(pos, unl), score_fn)
             assert n >= u - 1e-12
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            pu_risk_unbiased(_sigmoid_loss, 0.7, np.zeros((0, 1)), np.zeros((5, 1)), lambda X: X)
+            pu_risk_unbiased(_sigmoid_loss, 0.7, _pu_set(np.zeros((0, 1)), np.zeros((5, 1))), lambda X: X)
         with pytest.raises(ValueError):
-            pu_risk_nn(_sigmoid_loss, 0.7, np.zeros((5, 1)), np.zeros((0, 1)), lambda X: X)
+            pu_risk_nn(_sigmoid_loss, 0.7, _pu_set(np.zeros((5, 1)), np.zeros((0, 1))), lambda X: X)
+
+    def test_a_set_of_three_classes_is_rejected(self):
+        # its rows labelled 3 would otherwise drop out of both sample sets unseen
+        data = Dataset(np.zeros((6, 1)), np.array([1, 2, 3, 1, 2, 3]), K=3)
+        for risk in (pu_risk_unbiased, pu_risk_nn):
+            with pytest.raises(ValueError, match="two classes"):
+                risk(_sigmoid_loss, 0.7, data, lambda X: X)
 
 
     @pytest.mark.parametrize("name", ["sigmoid", "ramp", "logistic"])
@@ -197,8 +212,8 @@ class TestRiskEstimators:
             prior = float(rng.uniform(0.05, 1.0))
             unbiased, nn = _former_pu_risks(loss, prior, pos, unl, model.scores)
             clamped += nn != unbiased
-            assert pu_risk_nn(loss, prior, pos, unl, model.scores) == nn
-            assert pu_risk_unbiased(loss, prior, pos, unl, model.scores) == pytest.approx(unbiased, rel=1e-12, abs=0)
+            assert pu_risk_nn(loss, prior, _pu_set(pos, unl), model.scores) == nn
+            assert pu_risk_unbiased(loss, prior, _pu_set(pos, unl), model.scores) == pytest.approx(unbiased, rel=1e-12, abs=0)
         assert 0 < clamped < 40, "the draws should clamp the bracket in some cases but not all"
 
 
@@ -239,7 +254,7 @@ class TestTrainPU:
         rng = np.random.default_rng(17)
         pos, unl = rng.normal(loc=1.0, size=(40, 3)), rng.normal(size=(160, 3))
         model = make_model("linear", 3, 2, np.random.default_rng(18))
-        train_pu([model], [counted], pos, unl, 0.7, TrainConfig(epochs=3, batch_size=32), [19])
+        train_pu([model], _pu_set(pos, unl), [counted], 0.7, TrainConfig(epochs=3, batch_size=32), [19])
         assert len(steps) > 0
         # one call per step holds the positives at +1, the unlabeled at -1 and the positives at -1
         assert len(calls) == len(steps)
@@ -253,7 +268,7 @@ class TestTrainPU:
         cost = RejectionCost(0.1)
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), cost, G, y)
         model = make_model("linear", d, 2, np.random.default_rng(15))
-        (trace,), clamp_count = train_pu([model], [loss], pos, unl, 0.7, TrainConfig(epochs=30, batch_size=64), [16])
+        (trace,), clamp_count = train_pu([model], _pu_set(pos, unl), [loss], 0.7, TrainConfig(epochs=30, batch_size=64), [16])
         assert np.isfinite(trace).all()
         assert trace[-1] <= trace[0]
         assert clamp_count >= 0
@@ -266,4 +281,9 @@ class TestTrainPU:
         loss = lambda G, y: cs_loss_batch(get_loss("sigmoid"), RejectionCost(0.1), G, y)
         model = LinearModel(2, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            train_pu([model], [loss], np.zeros((0, 2)), np.zeros((5, 2)), 0.7, TrainConfig(epochs=1), [0])
+            train_pu([model], _pu_set(np.zeros((0, 2)), np.zeros((5, 2))), [loss], 0.7, TrainConfig(epochs=1), [0])
+        with pytest.raises(ValueError):
+            train_pu([model], _pu_set(np.zeros((5, 2)), np.zeros((0, 2))), [loss], 0.7, TrainConfig(epochs=1), [0])
+        three_classes = Dataset(np.zeros((6, 2)), np.array([1, 2, 3, 1, 2, 3]), K=3)
+        with pytest.raises(ValueError, match="two classes"):
+            train_pu([model], three_classes, [loss], 0.7, TrainConfig(epochs=1), [0])

@@ -99,6 +99,7 @@ def _train_digests(path: str) -> None:
     # the PU batches of 32 draw 5 of the 30 positives per step, 40 per epoch, so a batch wraps around;
     # at prior 0.7 the implied-negative bracket goes negative in some steps of some cells
     positives, unlabeled = rng.normal(loc=1.0, size=(30, 3)), rng.normal(size=(200, 3))
+    pu_data = Dataset(np.concatenate([positives, unlabeled]), np.repeat([1, 2], [30, 200]), 2)
     config = TrainConfig(epochs=6, batch_size=32, learning_rate=0.05)
     lines = []
     for kind, K, methods in TRAIN_STACKS:
@@ -109,7 +110,7 @@ def _train_digests(path: str) -> None:
         lines.append(f"train {name}: {_digest(models, train(models, data, losses, config, seeds))}")
         if K == 2:
             models, losses, seeds = _stack(kind, K, cells)
-            traces, clamps = weaksup.train_pu(models, losses, positives, unlabeled, 0.7, config, seeds)
+            traces, clamps = weaksup.train_pu(models, pu_data, losses, 0.7, config, seeds)
             lines.append(f"train_pu {name}, {clamps} clamps: {_digest(models, traces, clamps)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
