@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -19,22 +20,28 @@ def _parse_costs(text: str) -> tuple[float, ...]:
             raise ValueError(f"a cost range is start:stop:step, got {text!r}")
         start, stop, step = (float(v) for v in parts)
         RejectionCost(start), RejectionCost(stop)  # an infinite end would never be reached
-        if not step > 0:
-            raise ValueError(f"the step of a cost range must be > 0, got {step:g}")
-        costs = []
-        c = start
-        while c <= stop + 1e-12:
-            cost = round(c, 10)
-            # a step that no longer changes the printed cost would repeat a cell's key, or never end
-            if costs and harness._fmt(cost) == harness._fmt(costs[-1]):
-                raise ValueError(f"the step of {text!r} is too small: {costs[-1]!r} and {cost!r} print alike")
-            costs.append(cost)
-            c += step
+        if not 0 < step < math.inf:
+            raise ValueError(f"the step of a cost range must be finite and > 0, got {step:g}")
+        count = (stop + 1e-12 - start) // step + 1  # a float: inf for a step too fine to count by
+        cost = lambda k: round(start + k * step, 10)
+        # the print is coarsest near stop, and a step below half its resolution there prints one of the last
+        # two pairs alike: checked before any cost is built
+        _printed_apart(text, [cost(k) for k in (count - 3, count - 2, count - 1) if k >= 0])
+        costs = [cost(k) for k in range(int(count))]
+        _printed_apart(text, costs)
     else:
         costs = [float(v) for v in text.split(",")]
     if not costs:
         raise ValueError(f"no costs in {text!r}")
     return tuple(costs)
+
+
+def _printed_apart(text: str, costs: list[float]) -> None:
+    """Refuse the first two neighbouring costs of the range text that print alike: they would share a cell's key."""
+    printed = [harness._fmt(c) for c in costs]
+    for i in range(1, len(costs)):
+        if printed[i] == printed[i - 1]:
+            raise ValueError(f"the step of {text!r} is too small: {costs[i - 1]!r} and {costs[i]!r} print alike")
 
 
 def _check_out(path: str) -> None:

@@ -165,12 +165,14 @@ class Standardizer:
         """Per-feature mean and standard deviation of X (n, d); the variance is floored at 1e-12."""
         return cls(X.mean(axis=0), np.sqrt(np.maximum(X.var(axis=0), 1e-12)))
 
-    def apply(self, data: Dataset) -> Dataset:
-        X = data.X - self.mean
+    def apply(self, data: Dataset, out: np.ndarray | None = None) -> Dataset:
+        """data with each feature less its mean, over its scale. As in numpy's ufuncs, out is the array that
+        receives the features, such as data.X itself to standardize in place; by default a new one."""
+        X = np.subtract(data.X, self.mean, out=out)
         return Dataset(np.divide(X, self.scale, out=X), data.y, data.K)  # in place: a second array raised peak RSS
 
 
-def standardize(train: Dataset):
-    """Fit per-feature zero-mean unit-variance on train, and apply it to train."""
+def standardize(train: Dataset, out: np.ndarray | None = None):
+    """Fit per-feature zero-mean unit-variance on train, and apply it to train; out as in Standardizer.apply."""
     transform = Standardizer.fit(train.X)
-    return transform, transform.apply(train)
+    return transform, transform.apply(train, out=out)

@@ -162,21 +162,25 @@ def build_trial_data(grid: GridSpec, info: DatasetInfo, ds_name: str, trial: int
     data_seed = _mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
     data_rng = np.random.default_rng(data_seed)
     try:
-        source = info.rows(info.total_n, data_rng)
         fractions = PU_FRACTIONS if grid.setting == "pu" else FRACTIONS
-        train_ds, val_ds, test_ds = data_mod.split(source, fractions, seed=data_seed)
+        train_ds, val_ds, test_ds = data_mod.split(info.rows(info.total_n, data_rng), fractions, seed=data_seed)
         if grid.setting == "pu":
-            # a synthetic pool is drawn afresh, large enough for the protocol; a file cannot be
-            # regenerated, so its draws come from the training split, and no held-out row is trained on
-            pool = info.rows(3 * train_ds.n, data_rng) if info.data is None else train_ds
-            train_ds = weaksup.make_pu_dataset(pool, train_ds.n, grid.prior, data_rng)
+            # a synthetic pool is drawn afresh, large enough for the protocol, once the training split's rows,
+            # of which only the count is read, are let go; a file cannot be regenerated, so its draws come
+            # from the training split, and no held-out row is trained on
+            n_train = train_ds.n
+            if info.data is None:
+                del train_ds
+                train_ds = info.rows(3 * n_train, data_rng)
+            train_ds = weaksup.make_pu_dataset(train_ds, n_train, grid.prior, data_rng)
         elif grid.setting == "noisy":
             noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
             train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
-        scaler, train_std = data_mod.standardize(train_ds)
+        # the split's parts and the noisy or PU set are this call's own fresh arrays: standardized in place
+        scaler, train_ds = data_mod.standardize(train_ds, out=train_ds.X)
     except ValueError as exc:
         raise ValueError(f"{ds_name}, trial {trial}: {exc}") from None
-    data = TrialData(train_std, scaler.apply(val_ds), scaler.apply(test_ds))
+    data = TrialData(train_ds, scaler.apply(val_ds, out=val_ds.X), scaler.apply(test_ds, out=test_ds.X))
     _read_only(data.train, data.val, data.test)
     return data
 

@@ -67,12 +67,20 @@ def _pu_terms(loss, prior: float, m_p: int, m_u: int):
     return pos[..., 0], np.add.reduce(loss[..., 2 * m_p :], axis=-1) / m_u - pos[..., 1]
 
 
+def _pu_parts(data: Dataset):
+    """The positives and the unlabeled rows of a PU set, as views: make_pu_dataset puts every positive first."""
+    n_p = int(np.count_nonzero(data.y == 1))
+    if data.K != 2 or n_p in (0, data.n):
+        raise ValueError("a PU set has two classes and rows labelled 1 and 2")
+    if not (data.y[:n_p] == 1).all():
+        raise ValueError("a PU set lists every row labelled 1 before every row labelled 2, as make_pu_dataset does")
+    return data.X[:n_p], data.X[n_p:]
+
+
 def _pu_risk_terms(loss_batch, prior: float, data: Dataset, score_fn):
     """_pu_terms of one loss_batch call on the scores of both sets of the PU set data."""
-    positives, unlabeled = data.X[data.y == 1], data.X[data.y == 2]
+    positives, unlabeled = _pu_parts(data)
     m_p, m_u = len(positives), len(unlabeled)
-    if data.K != 2 or m_p == 0 or m_u == 0:
-        raise ValueError("a PU set has two classes and rows labelled 1 and 2")
     Gp = score_fn(positives)
     losses, _ = loss_batch(np.concatenate([Gp, Gp, score_fn(unlabeled)]), np.repeat([1, 2, 2], [m_p, m_p, m_u]))
     return _pu_terms(losses, prior, m_p, m_u)
@@ -105,10 +113,8 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
     risk trace per epoch per cell, clamp activations of all cells together).
     """
     stack, rngs = stack_cells(models, losses, seeds)
-    positives, unlabeled = data.X[data.y == 1], data.X[data.y == 2]
+    positives, unlabeled = _pu_parts(data)
     n_p, n_u = len(positives), len(unlabeled)
-    if data.K != 2 or n_p == 0 or n_u == 0:
-        raise ValueError("a PU set has two classes and rows labelled 1 and 2")
     state, work_p, work_u = AdamState(), {}, {}
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
     b_u = max(1, config.batch_size - b_p)

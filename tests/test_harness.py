@@ -3,12 +3,14 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from csreject import data as data_mod, harness
+from csreject import core, data as data_mod, harness
 from csreject.core import MetricsRecord
 from csreject.harness import (
     GridSpec,
@@ -248,28 +250,80 @@ class TestRunCell:
 class TestTrainGroup:
     @pytest.mark.parametrize("setting", ["clean", "noisy", "pu"])
     def test_splits_come_standardized_on_the_training_rows(self, setting, monkeypatch):
+        # each entry is a Dataset and a copy of its rows as they were then: the trial standardizes its own
+        # arrays in place
         parts, drawn, standardized = [], [], []
         split, make_pu, standardize = data_mod.split, harness.weaksup.make_pu_dataset, data_mod.standardize
-        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: parts.extend(split(*a, **kw)) or parts[-3:])
-        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: drawn.append(make_pu(*a)) or drawn[-1])
-        monkeypatch.setattr(harness.data_mod, "standardize", lambda ds: standardized.append(ds) or standardize(ds))
+        raw = lambda ds: (ds, core.Dataset(ds.X.copy(), ds.y.copy(), ds.K))
+
+        def keep_split(*args, **kwargs):
+            out = split(*args, **kwargs)
+            parts.extend(map(raw, out))
+            return out
+
+        monkeypatch.setattr(data_mod, "split", keep_split)
+        monkeypatch.setattr(
+            harness.weaksup, "make_pu_dataset", lambda *a: drawn.append(raw(make_pu(*a))) or drawn[-1][0]
+        )
+        monkeypatch.setattr(
+            harness.data_mod, "standardize", lambda ds, **kw: standardized.append(raw(ds)) or standardize(ds, **kw)
+        )
         grid = GridSpec(methods=("cs-sigmoid", "cs-hinge"), costs=(0.2,), setting=setting, **FAST)
         ((data, cells),) = cell_groups(grid)
         # one data.standardize call per trial in every setting, on the set the cells train on: the training
         # split, its rows with noisy labels, or the PU set; the PU setting used to standardize by hand
         assert len(standardized) == 1
-        train_ds, val_ds, test_ds = parts
-        source = drawn[0] if setting == "pu" else train_ds
-        assert standardized[0].X is source.X
+        (train_ds, train_raw), (_, val_raw), (_, test_raw) = parts
+        source, source_raw = drawn[0] if setting == "pu" else (train_ds, train_raw)
+        assert standardized[0][0].X is source.X
         for cell, trained in zip(cells, harness.train_group(grid, data, cells)):
             run_cell(grid, cell, data, trained)
-        scaler = data_mod.Standardizer.fit(source.X)
-        for got, raw in ((data.val, val_ds), (data.test, test_ds), (data.train, standardized[0])):
+        scaler = data_mod.Standardizer.fit(source_raw.X)
+        for got, raw in ((data.val, val_raw), (data.test, test_raw), (data.train, standardized[0][1])):
             want = scaler.apply(raw)
             np.testing.assert_array_equal(got.X, want.X)
             np.testing.assert_array_equal(got.y, want.y)
         # one standardized split per trial, shared by the group's cells: the trial was drawn once
         assert len(parts) == 3 and len(drawn) == (1 if setting == "pu" else 0)
+
+
+class TestTrialDataMemory:
+    """build_trial_data keeps one live copy of a trial's rows. The bounds are sums of array sizes, so that
+    they hold across numpy versions; a trial used to keep its drawn rows and its raw split alive too."""
+
+    # numpy's small temporaries: the split's permutation, index arrays and the finite-check masks
+    SLACK = 2**18
+
+    @staticmethod
+    def _peak(build):
+        """What build returns, and the peak of traced memory of a second call: the first allocates once-only
+        caches."""
+        build()
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_synthetic_pu_trial_holds_only_its_held_out_parts_while_it_draws_its_pool(self):
+        grid, info = GridSpec(setting="pu", trials=1), dataset_info("twonorm")
+        data, peak = self._peak(lambda: harness.build_trial_data(grid, info, "twonorm", 0))
+        n_pool = 3 * round(harness.PU_FRACTIONS[0] * info.total_n)
+        _, pool_peak = self._peak(lambda: data_mod.gen_gauss_mixture(info.spec, n_pool, np.random.default_rng(0)))
+        held_out = sum(a.nbytes for part in (data.val, data.test) for a in (part.X, part.y))
+        assert peak < pool_peak + held_out + self.SLACK
+
+    def test_a_csv_clean_trial_holds_one_copy_of_its_rows(self, tmp_path):
+        # twonorm-sized: 7400 rows of 20 features, label last
+        rng = np.random.default_rng(5)
+        y = np.where(rng.random(7400) < 0.5, 1, -1)
+        path = tmp_path / "tw.csv"
+        np.savetxt(path, np.column_stack([rng.standard_normal((7400, 20)) + 0.45 * y[:, None], y]), delimiter=",")
+        grid, info = GridSpec(trials=1), dataset_info(str(path))
+        data, peak = self._peak(lambda: harness.build_trial_data(grid, info, "tw.csv", 0))
+        # the split copies each CSV row once; Standardizer.fit's variance takes one temporary of the training rows
+        split = info.data.X.nbytes + info.data.y.nbytes
+        assert peak < split + data.train.X.nbytes + self.SLACK
 
 
 def _write_par_csv(tmp_path, n=1000) -> str:
@@ -797,7 +851,7 @@ class TestCliRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.4:0.1:0.05", "0.1:inf:0.1", "-inf:0.4:0.1", "0.1:0.4", ""]
+        "text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.1:0.4:inf", "0.4:0.1:0.05", "0.1:inf:0.1", "-inf:0.4:0.1", "0.1:0.4", ""]
     )
     def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
         from csreject import cli
@@ -813,13 +867,58 @@ class TestCliRun:
         assert cli.main(["run", "--methods", "always-reject", "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 0
         assert grids[0].costs == harness.DEFAULT_COSTS
 
-    @pytest.mark.parametrize("text, first, second", [("0.1:0.4:1e-300", "0.1", "0.1"), ("0.1:0.4:1e-7", "0.1", "0.1000001")])
-    def test_a_cost_range_step_too_small_to_print_is_refused_at_the_first_repeat(self, text, first, second):
-        # a step that leaves c unchanged used to loop forever, and 1e-7 built 3,000,000 costs
+    @pytest.mark.parametrize(
+        "text, first, second",
+        [("0.1:0.4:1e-300", "0.4", "0.4"), ("0.1:0.4:1e-7", "0.3999998", "0.3999999"),
+         ("1e-10:0.4:1e-10", "0.3999999998", "0.3999999999")],
+    )
+    def test_a_cost_range_step_too_small_to_print_is_refused_near_stop_before_any_cost_is_built(
+        self, text, first, second
+    ):
+        # a step that leaves c unchanged used to loop forever, 1e-7 built 3,000,000 costs, and 1e-10 built
+        # about 1,000,000 in 2 s before its first repeat; the print is coarsest near stop
         from csreject import cli
 
-        with pytest.raises(ValueError, match=rf"\b{first} and {second}\b"):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"'{text}' is too small: {first} and {second} print alike"):
             cli._parse_costs(text)
+        assert time.perf_counter() - t0 < 0.2
+
+    def test_a_cost_range_refuses_a_repeat_that_the_pairs_near_stop_miss(self):
+        # 9e-7 is below the printed resolution, 1e-6, but the last two pairs print apart
+        from csreject import cli
+
+        with pytest.raises(ValueError, match="0.3000045 and 0.3000054 print alike"):
+            cli._parse_costs("0.3:0.30001:9e-7")
+
+    def test_a_cost_range_has_no_cap_on_its_count(self):
+        # a range is as long as its printed costs allow, as a comma list is as long as it is written
+        from csreject import cli
+
+        costs = cli._parse_costs("0.1:0.4:1e-5")
+        assert len(costs) == 30001 == len(set(map(harness._fmt, costs)))
+        assert (costs[0], costs[1], costs[-1]) == (0.1, 0.10001, 0.4)
+
+    @staticmethod
+    def _former_cost_range(text):
+        """The costs of a range as the former parser built them: adding step to start until past stop."""
+        start, stop, step = (float(v) for v in text.split(":"))
+        costs, c = [], start
+        while c <= stop + 1e-12:
+            costs.append(round(c, 10))
+            c += step
+        return tuple(costs)
+
+    @pytest.mark.parametrize(
+        "text",
+        # the README's range, the tests' ranges and ones of each usual step
+        ["0.1:0.4:0.05", "0.2:0.2:0.1", "0.1:0.4:0.1", "0.05:0.45:0.05", "0.1:0.49:0.01", "0.01:0.49:0.02",
+         "0.1:0.4:0.025", "0.15:0.35:0.1", "0.1:0.4:1e-3", "0.3:0.4:1e-4", "0.1:0.4:0.3", "0.1:0.4:0.7"],
+    )
+    def test_a_cost_range_holds_the_costs_it_held_before_it_was_counted(self, text):
+        from csreject import cli
+
+        assert cli._parse_costs(text) == self._former_cost_range(text)
 
     def test_parse_costs_forms(self):
         from csreject import cli

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,37 @@ class TestTrainPU:
         three_classes = Dataset(np.zeros((6, 2)), np.array([1, 2, 3, 1, 2, 3]), K=3)
         with pytest.raises(ValueError, match="two classes"):
             train_pu([model], three_classes, [loss], 0.7, TrainConfig(epochs=1), [0])
+
+
+class TestPULayout:
+    def test_a_set_out_of_make_pu_dataset_order_is_refused(self):
+        # the positives and unlabeled rows are read as the views X[:n_p] and X[n_p:], so a label-2 row
+        # before a label-1 row would put an unlabeled row among the positives and a positive among them
+        loss = _cs_loss(get_loss("sigmoid"), RejectionCost(0.1))
+        model = LinearModel(2, 2, np.random.default_rng(0))
+        shuffled = _pu_set(np.ones((3, 2)), np.zeros((5, 2))).subset([0, 3, 1, 2, 4, 5, 6, 7])
+        calls = [
+            lambda: train_pu([model], shuffled, [loss], 0.7, TrainConfig(epochs=1), [0]),
+            lambda: pu_risk_unbiased(loss, 0.7, shuffled, model.scores),
+            lambda: pu_risk_nn(loss, 0.7, shuffled, model.scores),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="every row labelled 1 before every row labelled 2"):
+                call()
+
+    def test_training_reads_the_pu_set_without_copying_it(self):
+        # a twonorm trial's PU set: 720 positives and 3600 unlabeled rows of 20 features; copying its two
+        # parts, as training once did, takes data.X.nbytes of memory by itself
+        rng = np.random.default_rng(21)
+        pu = _pu_set(rng.normal(loc=0.45, size=(720, 20)), rng.normal(size=(3600, 20)))
+        model = make_model("linear", 20, 2, np.random.default_rng(22))
+        loss = _cs_loss(get_loss("sigmoid"), RejectionCost(0.2))
+        config = TrainConfig(epochs=1, batch_size=64)
+        train_pu([model], pu, [loss], 0.7, config, [23])  # a first call's one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            train_pu([model], pu, [loss], 0.7, config, [23])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pu.X.nbytes
