@@ -45,7 +45,8 @@ def _printed_apart(text: str, costs: list[float]) -> None:
 
 
 def _check_out(path: str) -> None:
-    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    # an empty path, or one that ends in a separator, has no file name
+    if not os.path.basename(path) or os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise ValueError(f"--out must name a file in an existing directory: {path}")
 
 
@@ -101,7 +102,14 @@ def _report(passed, text: str) -> bool:
     return bool(passed)
 
 
+def _check_seed(args) -> None:
+    """numpy's generators take no negative seed; bench run takes any, because it hashes its seeds."""
+    if args.seed < 0:
+        args.usage_error(f"--seed must be at least 0, got {args.seed}")
+
+
 def cmd_audit(args) -> int:
+    _check_seed(args)
     try:
         for flag in ("--draws", "--calibration-draws", "--excess-instances"):
             theory._check_count(getattr(args, flag[2:].replace("-", "_")), flag)
@@ -120,6 +128,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_seed(args)
     results = sorted(run_gradcheck(seed=args.seed).items())
     ok = [_report(passed, f"{name}: max rel err {err:.2e}") for name, (err, passed) in results]
     return 0 if all(ok) else 1
@@ -159,7 +168,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, usage_error=p.error)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -13,8 +13,6 @@ class LinearModel:
     """Scores Wx + b with W of shape (n_out, d)."""
 
     def __init__(self, d: int, n_out: int, rng: np.random.Generator):
-        self.d = d
-        self.n_out = n_out
         self.params = {"W": 0.01 * rng.standard_normal((n_out, d)), "b": np.zeros(n_out)}
 
     def forward(self, X: np.ndarray, params: dict | None = None, work: dict | None = None):
@@ -46,8 +44,6 @@ class MlpModel:
     hidden = 64
 
     def __init__(self, d: int, n_out: int, rng: np.random.Generator):
-        self.d = d
-        self.n_out = n_out
         hidden = self.hidden
         # He-style scaling for the rectified layer
         w1 = rng.standard_normal((hidden, d)) * np.sqrt(2.0 / d)
@@ -72,13 +68,13 @@ class MlpModel:
         h = np.matmul(X, W1.swapaxes(-1, -2), out=_buffer(work, "h", shape))
         h += b1[..., None, :]
         np.maximum(h, 0.0, out=h)
-        out = h @ p["W2"].swapaxes(-1, -2) + p["b2"][..., None, :]
-        return out, (X, h)
+        W2 = p["W2"]
+        return h @ W2.swapaxes(-1, -2) + p["b2"][..., None, :], (X, h, W2)
 
     def backward(self, cache, dG: np.ndarray, work: dict | None = None):
-        """Parameter gradients; dG as in LinearModel.backward, work as in forward."""
-        X, h = cache
-        dpre = np.matmul(dG, self.params["W2"], out=_buffer(work, "dpre", h.shape))
+        """Gradients of the parameters that made the cache; dG as in LinearModel.backward, work as in forward."""
+        X, h, W2 = cache
+        dpre = np.matmul(dG, W2, out=_buffer(work, "dpre", h.shape))
         dpre *= h > 0  # h > 0 exactly where pre > 0, NaN failing both: subgradient 0 at 0
         return {
             "W2": dG.swapaxes(-1, -2) @ h,
@@ -170,23 +166,16 @@ class TrainConfig:
 
 
 def stack_cells(models, losses, seeds):
-    """A model of the cells' kind whose parameters are the cells' stacked
-    along a leading axis, and one shuffle generator per cell. A lone cell is
-    a stack of one."""
+    """The cells' parameters stacked along a leading axis, and one shuffle
+    generator per cell. Each cell's model.params become views of its slice,
+    so an in-place update of the stack trains every cell. A lone cell is a
+    stack of one."""
     if not models or not len(models) == len(losses) == len(seeds):
         raise ValueError("a stack needs one model, one loss and one seed per cell")
-    # copy.copy would make copyreg cache __slotnames__ on the model's class
-    stack = object.__new__(type(models[0]))
-    vars(stack).update(vars(models[0]))
-    stack.params = {key: np.stack([m.params[key] for m in models]) for key in models[0].params}
-    return stack, [np.random.default_rng(seed) for seed in seeds]
-
-
-def unstack_cells(stack, models) -> None:
-    """Copy each cell's slice of the stacked parameters back into its model."""
+    params = {key: np.stack([m.params[key] for m in models]) for key in models[0].params}
     for i, model in enumerate(models):
-        for key, value in model.params.items():
-            value[...] = stack.params[key][i]
+        model.params = {key: value[i] for key, value in params.items()}
+    return params, [np.random.default_rng(seed) for seed in seeds]
 
 
 def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[list[float]]:
@@ -196,27 +185,27 @@ def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[lis
     models, losses and seeds hold one entry per cell. A cell's loss(G, y)
     must return (per-sample losses (n,), dG (n, n_out)); its shuffle order
     depends only on its seed. The cells train as one stack (see stack_cells)
-    and each ends with the parameters and trace it gets when trained alone.
-    Returns one trace per cell: the per-epoch empirical risk (mean loss over
-    the epoch's batches).
+    and each ends with the parameters and trace it gets when trained alone;
+    every step updates those parameters in place, so an interrupted call
+    leaves them part-trained. Returns one trace per cell: the per-epoch
+    empirical risk (mean loss over the epoch's batches).
     """
-    stack, rngs = stack_cells(models, losses, seeds)
-    state, work = AdamState(), {}
+    params, rngs = stack_cells(models, losses, seeds)
+    model, state, work = models[0], AdamState(), {}
     traces = [[] for _ in models]
     for _ in range(config.epochs):
         order = np.stack([rng.permutation(data.n) for rng in rngs])
         epoch_loss = np.zeros(len(models))
         for start in range(0, data.n, config.batch_size):
             idx = order[:, start : start + config.batch_size]
-            G, cache = stack.forward(data.X.take(idx, axis=0), work=work)
+            G, cache = model.forward(data.X.take(idx, axis=0), params, work)
             y = data.y.take(idx)
             loss, dG = np.empty(idx.shape), np.empty_like(G)
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y[c])
             epoch_loss += np.add.reduce(loss, axis=1)  # each row's sum is exactly its own .sum()
-            grads = stack.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
-            adam_step(state, stack.params, grads, config.learning_rate)
+            grads = model.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
+            adam_step(state, params, grads, config.learning_rate)
         for trace, total in zip(traces, epoch_loss.tolist()):
             trace.append(total / data.n)
-    unstack_cells(stack, models)
     return traces

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset
-from .models import AdamState, TrainConfig, adam_step, stack_cells, unstack_cells
+from .models import AdamState, TrainConfig, adam_step, stack_cells
 
 
 def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
@@ -109,11 +109,12 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
     Each batch draws positives and unlabeled proportionally so both
     empirical means stay defined. When a cell's implied-negative bracket of
     a batch goes negative, its gradient is zeroed for that step (the clamp
-    is active). Each cell keeps its own draws, loss and clamp. Returns (one
-    risk trace per epoch per cell, clamp activations of all cells together).
+    is active). Each cell keeps its own draws, loss and clamp, and its
+    parameters train in place as in models.train. Returns (one risk trace
+    per epoch per cell, clamp activations of all cells together).
     """
-    stack, rngs = stack_cells(models, losses, seeds)
-    positives, unlabeled = _pu_parts(data)
+    params, rngs = stack_cells(models, losses, seeds)
+    model, (positives, unlabeled) = models[0], _pu_parts(data)
     n_p, n_u = len(positives), len(unlabeled)
     state, work_p, work_u = AdamState(), {}, {}
     b_p = max(1, int(np.ceil(config.batch_size * n_p / (n_p + n_u))))
@@ -132,8 +133,8 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
                 ip = np.concatenate([ip, p_order[:, : b_p - ip.shape[1]]], axis=1)
             iu = u_order[:, step * b_u : (step + 1) * b_u]
             m_p, m_u = ip.shape[1], iu.shape[1]
-            Gp, cache_p = stack.forward(positives.take(ip, axis=0), work=work_p)
-            Gu, cache_u = stack.forward(unlabeled.take(iu, axis=0), work=work_u)
+            Gp, cache_p = model.forward(positives.take(ip, axis=0), params, work_p)
+            Gu, cache_u = model.forward(unlabeled.take(iu, axis=0), params, work_u)
             # one loss call per cell on (Gp at +1, Gp at -1, Gu at -1); every loss works row by row
             y = labels[b_p - m_p : b_p + m_p + m_u]
             G = np.concatenate([Gp, Gp, Gu], axis=1)
@@ -153,11 +154,10 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
                     clamp_count += 1
                     dG[c, m_p:] = 0.0
             dGp -= dG[:, m_p : 2 * m_p]  # x - 0.0 is x
-            grads = stack.backward(cache_p, dGp, work_p)
-            for k, g in stack.backward(cache_u, dGu, work_u).items():
+            grads = model.backward(cache_p, dGp, work_p)
+            for k, g in model.backward(cache_u, dGu, work_u).items():
                 grads[k] += g
-            adam_step(state, stack.params, grads, config.learning_rate)
+            adam_step(state, params, grads, config.learning_rate)
         for trace, risk in zip(traces, epoch_risk):
             trace.append(risk / steps)
-    unstack_cells(stack, models)
     return traces, clamp_count

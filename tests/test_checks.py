@@ -380,10 +380,25 @@ class TestGradcheckCli:
         ]
 
 
+    def test_a_negative_seed_is_a_usage_error_before_any_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_gradcheck", lambda seed: pytest.fail("a check ran"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed must be at least 0, got -1" in captured.err
+
+
 class TestAuditCli:
     @pytest.mark.parametrize(
         "flag, value",
-        [("--draws", "0"), ("--draws", "-3"), ("--calibration-draws", "0"), ("--excess-instances", "-1")],
+        [
+            ("--draws", "0"),
+            ("--draws", "-3"),
+            ("--calibration-draws", "0"),
+            ("--excess-instances", "-1"),
+            ("--seed", "-1"),  # not a count, but below 0: numpy's generators refused it with a traceback, exit status 1
+        ],
     )
     def test_a_count_below_one_is_a_usage_error_before_any_audit(self, monkeypatch, capsys, flag, value):
         from csreject import theory

@@ -771,6 +771,15 @@ class TestCliRun:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_negative_seed_runs(self, tmp_path, capsys):
+        # bench audit and bench gradcheck refuse a negative --seed; bench run hashes its seeds, so takes any
+        from csreject import cli
+
+        out = tmp_path / "r.csv"
+        args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--seed", "-1", "--out", str(out)]
+        assert cli.main(args) == 0
+        assert len(harness.read_csv(out)) == 1
+
     def test_unknown_method_fails_before_any_cell(self, tmp_path, monkeypatch, capsys):
         from csreject import cli
 
@@ -1135,16 +1144,17 @@ class TestCliResume:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
-    @pytest.mark.parametrize("empty", [False, True], ids=["directory", "empty"])
+    @pytest.mark.parametrize("where", ["directory", "empty", "trailing separator"])
     def test_an_out_that_names_a_directory_is_a_usage_error_before_any_cell(
-        self, tmp_path, monkeypatch, capsys, resume, empty
+        self, tmp_path, monkeypatch, capsys, resume, where
     ):
-        # an empty --out used to run the grid and then fail to write the file, with exit status 1
+        # an empty --out used to run the grid and then fail to write the file, with exit status 1,
+        # and an --out of "newdir/" wrote a file named newdir
         from csreject import cli
 
         _no_training(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        out = "" if empty else str(tmp_path)
+        out = {"directory": str(tmp_path), "empty": "", "trailing separator": "newdir" + os.sep}[where]
         args = ["run", "--methods", "always-reject", "--costs", "0.2", "--trials", "1", "--out", out, *resume]
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
@@ -1178,13 +1188,18 @@ class TestCliAggregate:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["directory", "missing directory", "empty"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory", "empty", "trailing separator"])
     def test_an_unwritable_out_is_a_usage_error_before_the_input_is_read(self, tmp_path, monkeypatch, capsys, where):
         from csreject import cli
 
         monkeypatch.setattr(harness, "read_csv", lambda path: pytest.fail("the input was read"))
         monkeypatch.chdir(tmp_path)
-        out = {"directory": str(tmp_path), "missing directory": str(tmp_path / "missing" / "s.csv"), "empty": ""}[where]
+        out = {
+            "directory": str(tmp_path),
+            "missing directory": str(tmp_path / "missing" / "s.csv"),
+            "empty": "",
+            "trailing separator": "newdir" + os.sep,
+        }[where]
         with pytest.raises(SystemExit) as exc:
             cli.main(["aggregate", "--in", str(tmp_path / "r.csv"), "--out", out])
         assert exc.value.code == 2

@@ -86,6 +86,21 @@ class TestBackward:
             np.testing.assert_array_equal(grads[key], value)
             np.testing.assert_array_equal(np.signbit(grads[key]), np.signbit(value))
 
+    @pytest.mark.parametrize("work", [None, {}], ids=["no-work", "work"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_a_backward_pass_uses_the_weights_of_its_forward_pass(self, kind, work):
+        # the model's own parameters differ from the ones its forward pass is given
+        rng = np.random.default_rng(3)
+        model, holder = make_model(kind, 4, 3, rng), make_model(kind, 4, 3, rng)
+        X, dG = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        _, cache = model.forward(X, holder.params, work)
+        grads = model.backward(cache, dG, work)
+        _, cache = holder.forward(X)
+        expected = holder.backward(cache, dG)
+        assert grads.keys() == expected.keys()
+        for key, value in expected.items():
+            np.testing.assert_array_equal(grads[key], value)
+
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_full_model_finite_differences(self, kind):
         cost = RejectionCost(0.25)

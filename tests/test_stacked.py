@@ -81,6 +81,65 @@ class TestStackedTrain:
             stack_cells(models, losses[:1], seeds[:1])
 
 
+TWO_CELLS = [("cs-sigmoid", 0.1), ("sce", 0.3)]
+
+
+def _train_cells(kind, setting, models, cells, seed):
+    """Train the models as one stack of these cells, with models.train or weaksup.train_pu, on fixed data."""
+    _, losses, seeds = _cells(kind, 3, 2, cells, seed)
+    config = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05)
+    if setting == "train":
+        train(models, _toy(60, 3, 2, seed=5), losses, config, seeds)
+    else:
+        weaksup.train_pu(models, _pu_set(*_pu_sets(20, 40, 3, seed=5)), losses, 0.7, config, seeds)
+
+
+def _two_models(kind):
+    return [make_model(kind, 3, 2, np.random.default_rng(i)) for i in range(2)]
+
+
+def _params(model):
+    return {key: value.copy() for key, value in model.params.items()}
+
+
+@pytest.mark.parametrize("setting", ["train", "train_pu"])
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+class TestCellParameters:
+    """A stack trains its cells' own parameters: each model's params are views of its slice."""
+
+    def test_each_cell_holds_its_trained_values(self, kind, setting):
+        models = _two_models(kind)
+        alone, initial = copy.deepcopy(models), [_params(m) for m in models]
+        _train_cells(kind, setting, models, TWO_CELLS, seed=50)
+        for i, model in enumerate(alone):  # cell i of the stack, with its shuffle seed 150 + i
+            _train_cells(kind, setting, [model], TWO_CELLS[i : i + 1], seed=50 + i)
+        _assert_same_models(models, alone)
+        for model, before in zip(models, initial):
+            assert all((model.params[key] != value).any() for key, value in before.items())
+
+    def test_writing_one_cell_leaves_the_other_unchanged(self, kind, setting):
+        models = _two_models(kind)
+        _train_cells(kind, setting, models, TWO_CELLS, seed=60)
+        X = np.random.default_rng(7).normal(size=(4, 3))
+        other, scores = _params(models[1]), models[1].scores(X)
+        for value in models[0].params.values():
+            value[...] = 0.0
+        assert not models[0].scores(X).any()
+        for key, value in other.items():
+            np.testing.assert_array_equal(models[1].params[key], value)
+        np.testing.assert_array_equal(models[1].scores(X), scores)
+
+    def test_training_a_trained_model_again_starts_from_its_trained_values(self, kind, setting):
+        models = _two_models(kind)
+        _train_cells(kind, setting, models, TWO_CELLS, seed=70)
+        copies = _two_models(kind)
+        for model, trained in zip(copies, models):
+            model.params = _params(trained)
+        _train_cells(kind, setting, models, TWO_CELLS, seed=80)
+        _train_cells(kind, setting, copies, TWO_CELLS, seed=80)
+        _assert_same_models(models, copies)
+
+
 def _pu_sets(n_p, n_u, d, seed):
     rng = np.random.default_rng(seed)
     positives = rng.normal(loc=1.0, size=(n_p, d))
