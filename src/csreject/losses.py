@@ -142,9 +142,27 @@ def get_loss(name: str) -> MarginLossSpec:
         raise KeyError(f"unknown margin loss {name!r}; choose from {sorted(MARGIN_LOSSES)}") from None
 
 
-# grid points per scan block, and weight pairs bounded at a time
+# grid points per bound block, loss values computed at a time, and objective
+# points held at a time by the scan; weight pairs bounded at a time
 _SCAN_BLOCK = 256
+_VALUE_BLOCK = 4096
+_SCAN_CHUNK = 4096
 _BOUND_PAIRS = 64
+
+
+def _kept_spans(A, B, wp, wn):
+    """Each pair's grid span [lo, hi), from its first to its last block whose
+    lower bound on wp * A + wn * B is at most the least upper bound of all."""
+    starts = np.arange(0, len(A), _SCAN_BLOCK)
+    lo_A, hi_A = np.minimum.reduceat(A, starts), np.maximum.reduceat(A, starts)
+    lo_B, hi_B = np.minimum.reduceat(B, starts), np.maximum.reduceat(B, starts)
+    first, last = np.empty(len(wp), dtype=int), np.empty(len(wp), dtype=int)
+    for p0 in range(0, len(wp), _BOUND_PAIRS):
+        p_wp, p_wn = wp[p0 : p0 + _BOUND_PAIRS, None], wn[p0 : p0 + _BOUND_PAIRS, None]
+        keep = p_wp * lo_A + p_wn * lo_B <= (p_wp * hi_A + p_wn * hi_B).min(axis=1, keepdims=True)
+        first[p0 : p0 + _BOUND_PAIRS] = starts[keep.argmax(axis=1)]
+        last[p0 : p0 + _BOUND_PAIRS] = starts[len(starts) - 1 - keep[:, ::-1].argmax(axis=1)]
+    return first, np.minimum(last + _SCAN_BLOCK, len(A))
 
 
 def argmin_weighted_conditional_risk(
@@ -162,8 +180,9 @@ def argmin_weighted_conditional_risk(
     float. The caller typically only consumes the sign of the result.
 
     The scan skips each grid block whose lower bound on the objective exceeds
-    the least upper bound over all blocks; the result is that of the full
-    scan bit for bit (README, "Audits as arrays").
+    the least upper bound over all blocks, and it holds the grid, its loss
+    values A and B, and buffers of a fixed size; the result is that of the
+    full scan bit for bit (README, "Audits as arrays").
     """
     w_pos, w_neg = np.broadcast_arrays(np.asarray(w_pos, dtype=float), np.asarray(w_neg, dtype=float))
     if not (np.isfinite(w_pos).all() and np.isfinite(w_neg).all()):
@@ -179,24 +198,25 @@ def argmin_weighted_conditional_risk(
     wp, wn = w_pos[todo], w_neg[todo]
 
     grid = np.arange(-bound, bound + grid_step / 2, grid_step)
-    A, B = loss.value(grid), loss.value(-grid)
+    A, B = np.empty_like(grid), np.empty_like(grid)
+    for s in range(0, len(grid), _VALUE_BLOCK):
+        # a margin loss is elementwise: a block's values are the whole grid's bits
+        A[s : s + _VALUE_BLOCK] = loss.value(grid[s : s + _VALUE_BLOCK])
+        B[s : s + _VALUE_BLOCK] = loss.value(-grid[s : s + _VALUE_BLOCK])
     if not (np.isfinite(A).all() and np.isfinite(B).all()):
         raise ValueError(f"loss {loss.name!r} must be finite on [-{bound}, {bound}]")
-    starts = np.arange(0, len(grid), _SCAN_BLOCK)
-    lo_A, hi_A = np.minimum.reduceat(A, starts), np.maximum.reduceat(A, starts)
-    lo_B, hi_B = np.minimum.reduceat(B, starts), np.maximum.reduceat(B, starts)
-    obj, scratch = np.empty_like(grid), np.empty_like(grid)
+    obj, scratch = np.empty((2, min(_SCAN_CHUNK, len(grid))))
     best = np.empty(len(wp), dtype=int)
-    for p0 in range(0, len(wp), _BOUND_PAIRS):
-        p_wp, p_wn = wp[p0 : p0 + _BOUND_PAIRS, None], wn[p0 : p0 + _BOUND_PAIRS, None]
-        keep = p_wp * lo_A + p_wn * lo_B <= (p_wp * hi_A + p_wn * hi_B).min(axis=1, keepdims=True)
-        first = starts[keep.argmax(axis=1)]
-        last = starts[len(starts) - 1 - keep[:, ::-1].argmax(axis=1)]
-        for j, lo, hi in zip(range(p0, len(wp)), first, np.minimum(last + _SCAN_BLOCK, len(grid))):
-            # w_pos * A + w_neg * B over the kept span, in buffers one grid wide
-            o, t = obj[: hi - lo], scratch[: hi - lo]
-            np.add(np.multiply(wp[j], A[lo:hi], out=o), np.multiply(wn[j], B[lo:hi], out=t), out=o)
-            best[j] = lo + np.argmin(o)
+    for j, (lo, hi) in enumerate(zip(*_kept_spans(A, B, wp, wn))):
+        # the first minimum of wp * A + wn * B over the kept span, a chunk at
+        # a time; the first chunk seeds it, so an all-inf span gives lo
+        for c in range(lo, hi, _SCAN_CHUNK):
+            e = min(c + _SCAN_CHUNK, hi)
+            o, t = obj[: e - c], scratch[: e - c]
+            np.add(np.multiply(wp[j], A[c:e], out=o), np.multiply(wn[j], B[c:e], out=t), out=o)
+            k = np.argmin(o)
+            if c == lo or o[k] < least:
+                best[j], least = c + k, o[k]
     a = grid[np.maximum(best - 1, 0)]
     b = grid[np.minimum(best + 1, len(grid) - 1)]
 

@@ -1,16 +1,20 @@
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import multiprocessing
 import os
 import pickle
+import tempfile
 import time
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from csreject import core, data as data_mod, harness
+from csreject import cli, core, data as data_mod, harness
 from csreject.core import MetricsRecord
 from csreject.harness import (
     GridSpec,
@@ -1214,3 +1218,90 @@ class TestCliAggregate:
         assert cli.main(["aggregate", "--in", str(infile), "--out", str(out)]) == 0
         assert "wrote 1 summary rows" in capsys.readouterr().out
         assert len(out.read_text().splitlines()) == 2
+
+
+# the property draws its grids from these; sce, defer and angle stack at
+# other score widths than the cs-* methods, and always-reject trains nothing
+PROPERTY_METHODS = ("cs-sigmoid", "cs-hinge", "cs-ramp", "sce", "defer", "angle", "always-reject")
+PROPERTY_COSTS = (0.1, 0.15, 0.2, 0.3, 0.4)
+MAX_CELLS = 4 * 3 * 2  # methods x costs x trials
+
+
+@pytest.fixture(scope="module")
+def property_csv(tmp_path_factory) -> str:
+    """A 600-row binary CSV, about three quarters positive, so that its
+    training split serves the PU sets; returns its path."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(600, 3))
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=600) > -0.7, 1, 2)
+    path = tmp_path_factory.mktemp("property") / "property.csv"
+    path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
+    return str(path)
+
+
+def _printed(rows, path) -> list[tuple]:
+    """Rows as a result file holds them, without train_seconds."""
+    write_csv(rows, path)
+    return [_strip_timing(r) for r in read_csv(path)]
+
+
+class TestGroupingInvariance:
+    """A row depends on its cell's key and the grid's values only: not on
+    which cells share a stack, the order in which groups run, which cells a
+    --resume run kept, or --jobs."""
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        setting=st.sampled_from(harness.SETTINGS),
+        methods=st.lists(st.sampled_from(PROPERTY_METHODS), min_size=1, max_size=4, unique=True),
+        costs=st.lists(st.sampled_from(PROPERTY_COSTS), min_size=1, max_size=3, unique=True),
+        trials=st.integers(1, 2),
+        epochs=st.integers(1, 3),
+        pieces=st.lists(st.integers(0, 2), min_size=MAX_CELLS, max_size=MAX_CELLS),
+        jobs=st.just(1),
+    )
+    # a pool is slow to start, so one grid of six groups runs at --jobs 2
+    @example(
+        setting="pu", methods=["cs-sigmoid", "angle", "always-reject"], costs=[0.2, 0.4], trials=2, epochs=2,
+        pieces=[0, 1, 2] * 8, jobs=2,
+    )
+    def test_rows_do_not_depend_on_how_the_cells_are_grouped(
+        self, property_csv, setting, methods, costs, trials, epochs, pieces, jobs
+    ):
+        grid = GridSpec(
+            datasets=(property_csv,), methods=tuple(methods), costs=tuple(costs), trials=trials, setting=setting,
+            epochs=epochs,
+        )
+        cells = list(grid.cells())
+        planned = run_grid(grid, cell_groups(grid))
+        rows = [_strip_timing(r) for r in planned]
+        assert len(rows) == len(cells)
+
+        alone = sorted((_run_alone(grid, cell) for cell in cells), key=ResultRow.key)
+        assert [_strip_timing(r) for r in alone] == rows
+
+        # the groups in reverse order, and each group's cells reversed in its stack
+        reverse = [(data, group[::-1]) for data, group in cell_groups(grid)[::-1]]
+        assert [_strip_timing(r) for r in run_grid(grid, reverse)] == rows
+
+        if jobs > 1:
+            plan = cell_groups(grid)
+            assert len(plan) > 1  # one group runs without a pool
+            assert [_strip_timing(r) for r in run_grid(grid, plan, jobs=jobs)] == rows
+
+        # pieces of the plan as --resume runs them: each piece but the last
+        # skips every other cell, and the last resumes the file of the rest
+        piece_of = dict(zip(cells, pieces))
+        kept = []
+        for piece in sorted(set(piece_of.values()))[:-1]:
+            kept += run_grid(grid, cell_groups(grid, [c for c in cells if piece_of[c] != piece]))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "rows.csv")
+            if kept:
+                write_csv(kept, out)
+            args = ["run", "--dataset", property_csv, "--methods", ",".join(methods), "--setting", setting]
+            args += ["--costs", ",".join(map(str, costs)), "--trials", str(trials), "--epochs", str(epochs)]
+            args += ["--seed", str(grid.master_seed), "--resume", "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(args)
+            assert [_strip_timing(r) for r in read_csv(out)] == _printed(planned, os.path.join(tmp, "plan.csv"))

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from csreject.checks import check_margin_losses
 from csreject.core import RejectionCost
 from csreject.losses import (
+    _SCAN_CHUNK,
+    _VALUE_BLOCK,
     MARGIN_LOSSES,
     MarginLossSpec,
     _expit,
+    _kept_spans,
     argmin_weighted_conditional_risk,
     get_loss,
 )
@@ -177,6 +182,18 @@ class TestArgmin:
         for name in MARGIN_LOSSES:
             assert argmin_weighted_conditional_risk(get_loss(name), 0.3, 0.3) == 0.0
 
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
+    def test_zero_attains_the_minimum_at_equal_weights(self, name):
+        # the tie answer above is taken without a scan, so it is right only if
+        # v = 0 minimizes phi(v) + phi(-v); the sigmoid's sum is 1 up to 1 ulp
+        loss = get_loss(name)
+        grid = np.arange(-20.0, 20.0 + 1e-3 / 2, 1e-3)
+        least = (loss.value(grid) + loss.value(-grid)).min()
+        at_zero = 2.0 * loss.value(np.zeros(1))[0]
+        assert at_zero <= least * (1.0 + 1e-12), (at_zero, least)
+        w = np.array([0.3, 1.0, 1e-300, 1e300])
+        assert (argmin_weighted_conditional_risk(loss, w, w) == 0.0).all()
+
     def test_hinge_kink_minimizer(self):
         v = argmin_weighted_conditional_risk(get_loss("hinge"), 0.9, 0.1)
         assert v == pytest.approx(1.0, abs=1e-3)
@@ -321,3 +338,62 @@ class TestBoundedScanIdentity:
                 got = argmin_weighted_conditional_risk(loss, w_pos, w_neg, bound=bound, grid_step=grid_step)
                 ref = _one_pair_scan_argmin(loss, w_pos, w_neg, bound=bound, grid_step=grid_step)
                 assert _bits(got) == _bits(ref), (name, bound, w_pos, w_neg)
+
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
+    def test_blocked_loss_values_are_the_bits_of_the_whole_grid(self, name):
+        # the minimizer fills A and B a block at a time
+        loss = get_loss(name)
+        grid = np.arange(-20.0, 20.0 + 1e-3 / 2, 1e-3)
+        for z in (grid, -grid):
+            blocked = np.concatenate([loss.value(z[s : s + _VALUE_BLOCK]) for s in range(0, len(z), _VALUE_BLOCK)])
+            assert _bits(blocked) == _bits(loss.value(z)), name
+
+    @pytest.mark.parametrize("bound, grid_step", [(20.0, 1e-3), (2.0, 1e-4)])
+    @pytest.mark.parametrize("name", ["hinge", "ramp", "sigmoid"])
+    def test_spans_wider_than_a_scan_chunk_equal_the_full_grid_scan_bit_for_bit(self, name, bound, grid_step):
+        # flat objectives keep long spans: the ramp's minimum is flat on
+        # [1, bound], the hinge's objective is near flat on [-1, 1] at
+        # near-equal weights, and the sigmoid's everywhere
+        loss = get_loss(name)
+        grid = np.arange(-bound, bound + grid_step / 2, grid_step)
+        A, B = loss.value(grid), loss.value(-grid)
+        widest = 0
+        for w_pos, w_neg in _weight_sets(7):
+            todo = w_pos != w_neg
+            lo, hi = _kept_spans(A, B, w_pos[todo], w_neg[todo])
+            widest = max(widest, (hi - lo).max())
+            with np.errstate(over="ignore"):
+                got = argmin_weighted_conditional_risk(loss, w_pos, w_neg, bound=bound, grid_step=grid_step)
+                ref = _one_pair_scan_argmin(loss, w_pos, w_neg, bound=bound, grid_step=grid_step)
+            assert _bits(got) == _bits(ref), (name, w_pos, w_neg)
+        if (name, bound) != ("hinge", 20.0):  # the hinge's spans on the default grid are 2 816 points
+            assert widest > _SCAN_CHUNK, widest
+
+    def test_an_objective_that_is_inf_on_the_whole_grid_gives_its_first_point(self):
+        # 1e300 * 1e10 overflows at every grid point, so every chunk's least
+        # value is inf: a running minimum that starts at inf is never set
+        huge = MarginLossSpec("huge", lambda z: 1e10 * (2.0 + np.tanh(np.asarray(z, dtype=float))), None)
+        w_pos, w_neg = np.array([1e300, 0.5e300, 2e300, 1e299]), np.array([0.7e300, 1e300, 1e300, 3e299])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(w_pos.min() * huge.value(np.array([-20.0]))).all()
+            got = argmin_weighted_conditional_risk(huge, w_pos, w_neg)
+            ref = _one_pair_scan_argmin(huge, w_pos, w_neg)
+        assert _bits(got) == _bits(ref)
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("name", sorted(MARGIN_LOSSES))
+    def test_a_default_grid_call_holds_less_than_five_grid_widths(self, name):
+        # the grid, A and B are three widths; the scan buffers and the
+        # bounds of a block of pairs are small and of a fixed size
+        loss = get_loss(name)
+        eta = np.random.default_rng(5).uniform(0.0, 1.0, size=100)
+        w_pos, w_neg = 0.2 * eta, 0.8 * (1.0 - eta)
+        argmin_weighted_conditional_risk(loss, w_pos, w_neg)
+        tracemalloc.start()
+        try:
+            argmin_weighted_conditional_risk(loss, w_pos, w_neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 40_001 * 8, peak
