@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,12 @@ class LinearModel:
         p = self.params if params is None else params
         return X @ p["W"].swapaxes(-1, -2) + p["b"][..., None, :], X
 
-    def backward(self, cache, dG: np.ndarray, work: dict | None = None):
+    def backward(self, cache, dG: np.ndarray, work: dict | None = None, out: dict | None = None):
         """Parameter gradients; dG (..., n, n_out) may carry the leading cell
-        axis of a stack, as the parameters then do. work as in forward."""
-        X = cache
-        return {"W": dG.swapaxes(-1, -2) @ X, "b": np.add.reduce(dG, axis=-2)}
+        axis of a stack, as the parameters then do. work as in forward. Each
+        gradient is written into out[key] if out is given, else a new array."""
+        X, out = cache, {} if out is None else out
+        return {"W": np.matmul(dG.swapaxes(-1, -2), X, out=out.get("W")), "b": np.add.reduce(dG, -2, out=out.get("b"))}
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
@@ -71,16 +73,17 @@ class MlpModel:
         W2 = p["W2"]
         return h @ W2.swapaxes(-1, -2) + p["b2"][..., None, :], (X, h, W2)
 
-    def backward(self, cache, dG: np.ndarray, work: dict | None = None):
-        """Gradients of the parameters that made the cache; dG as in LinearModel.backward, work as in forward."""
-        X, h, W2 = cache
+    def backward(self, cache, dG: np.ndarray, work: dict | None = None, out: dict | None = None):
+        """Gradients of the parameters that made the cache; dG and out as in
+        LinearModel.backward, work as in forward."""
+        (X, h, W2), out = cache, {} if out is None else out
         dpre = np.matmul(dG, W2, out=_buffer(work, "dpre", h.shape))
         dpre *= h > 0  # h > 0 exactly where pre > 0, NaN failing both: subgradient 0 at 0
         return {
-            "W2": dG.swapaxes(-1, -2) @ h,
-            "b2": np.add.reduce(dG, axis=-2),
-            "W1": dpre.swapaxes(-1, -2) @ X,
-            "b1": np.add.reduce(dpre, axis=-2),
+            "W2": np.matmul(dG.swapaxes(-1, -2), h, out=out.get("W2")),
+            "b2": np.add.reduce(dG, -2, out=out.get("b2")),
+            "W1": np.matmul(dpre.swapaxes(-1, -2), X, out=out.get("W1")),
+            "b1": np.add.reduce(dpre, -2, out=out.get("b1")),
         }
 
     def scores(self, X: np.ndarray) -> np.ndarray:
@@ -108,10 +111,10 @@ def make_model(kind: str, d: int, n_out: int, rng: np.random.Generator):
 
 @dataclass
 class AdamState:
-    """First/second moments of all parameters, flat, plus the step counter.
+    """First/second moments of a flat parameter array, plus the step counter.
 
-    m and v hold the moments of every gradient entry, concatenated in the
-    order of the grads dict; they are created on the first step.
+    m and v hold the moments of every entry of the params and grad arrays
+    of adam_step, in their order; they are created on the first step.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8  # class constants, not constructor options
@@ -120,35 +123,33 @@ class AdamState:
     v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> None:
-    """Standard bias-corrected Adam update, in place.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """Standard bias-corrected Adam update of the flat array params, in place.
 
-    All gradients are concatenated and updated in one pass; each entry sees
-    the same arithmetic as a per-parameter update.
+    grad (left unchanged) holds the gradient of each entry of params in the
+    same layout, as stack_cells' and flat_buffer's arrays share theirs. Adam
+    is elementwise: each entry sees the arithmetic of a per-key update.
     """
     state.step += 1
     t = state.step
-    g = np.concatenate([grad.ravel() for grad in grads.values()])
     if state.m is None:
-        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+        state.m, state.v = np.zeros_like(grad), np.zeros_like(grad)
     # in place, with the rounding of m = beta1*m + (1-beta1)*g,
     # v = beta2*v + (1-beta2)*g**2 and update = lr*m_hat / (sqrt(v_hat) + eps)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    g *= g
+    scratch = (1.0 - state.beta1) * grad
+    state.m += scratch
+    v_hat = np.multiply(grad, grad, out=scratch)
+    v_hat *= 1.0 - state.beta2
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g
-    update = state.m / (1.0 - state.beta1**t)
-    update *= lr
-    v_hat = np.divide(state.v, 1.0 - state.beta2**t, out=g)
+    state.v += v_hat
+    np.divide(state.v, 1.0 - state.beta2**t, out=v_hat)
     np.sqrt(v_hat, out=v_hat)
     v_hat += state.eps
+    update = state.m / (1.0 - state.beta1**t)
+    update *= lr
     update /= v_hat
-    start = 0
-    for key in grads:
-        p = params[key]
-        p -= update[start : start + p.size].reshape(p.shape)
-        start += p.size
+    params -= update
 
 
 @dataclass(frozen=True)
@@ -165,17 +166,35 @@ class TrainConfig:
             raise ValueError("invalid training configuration")
 
 
+def flat_buffer(shapes: dict):
+    """One new flat float64 array and its views of these shapes, key by key,
+    each a contiguous block."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = np.empty(sum(sizes))
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return flat, {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), parts)}
+
+
 def stack_cells(models, losses, seeds):
-    """The cells' parameters stacked along a leading axis, and one shuffle
-    generator per cell. Each cell's model.params become views of its slice,
-    so an in-place update of the stack trains every cell. A lone cell is a
-    stack of one."""
+    """The cells' parameters in one flat array, its views of shape (cells,
+    ...) per key, and one shuffle generator per cell. Each cell's
+    model.params become views of its slice of each key, so an in-place
+    update of the flat array trains every cell. A lone cell is a stack of
+    one; cells whose parameter keys or shapes differ raise a ValueError."""
     if not models or not len(models) == len(losses) == len(seeds):
         raise ValueError("a stack needs one model, one loss and one seed per cell")
-    params = {key: np.stack([m.params[key] for m in models]) for key in models[0].params}
+    first = models[0].params
     for i, model in enumerate(models):
+        for key in {**first, **model.params}:
+            mine, theirs = (f"of shape {p[key].shape}" if key in p else "absent" for p in (model.params, first))
+            if mine != theirs:
+                raise ValueError(f"cell {i} does not stack with cell 0: parameter {key!r} is {mine}, cell 0's {theirs}")
+    flat, params = flat_buffer({key: (len(models), *value.shape) for key, value in first.items()})
+    for i, model in enumerate(models):
+        for key, value in params.items():
+            value[i] = model.params[key]
         model.params = {key: value[i] for key, value in params.items()}
-    return params, [np.random.default_rng(seed) for seed in seeds]
+    return flat, params, [np.random.default_rng(seed) for seed in seeds]
 
 
 def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[list[float]]:
@@ -185,12 +204,14 @@ def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[lis
     models, losses and seeds hold one entry per cell. A cell's loss(G, y)
     must return (per-sample losses (n,), dG (n, n_out)); its shuffle order
     depends only on its seed. The cells train as one stack (see stack_cells)
-    and each ends with the parameters and trace it gets when trained alone;
-    every step updates those parameters in place, so an interrupted call
-    leaves them part-trained. Returns one trace per cell: the per-epoch
-    empirical risk (mean loss over the epoch's batches).
+    and each ends with the parameters and trace it gets when trained alone.
+    Each step writes the gradients into one flat buffer of the stack's
+    layout and updates its flat array in place with one adam_step, so an
+    interrupted call leaves the cells part-trained. Returns one trace per
+    cell: the per-epoch empirical risk (mean loss over the epoch's batches).
     """
-    params, rngs = stack_cells(models, losses, seeds)
+    flat, params, rngs = stack_cells(models, losses, seeds)
+    grad, grads = flat_buffer({key: value.shape for key, value in params.items()})
     model, state, work = models[0], AdamState(), {}
     traces = [[] for _ in models]
     for _ in range(config.epochs):
@@ -204,8 +225,8 @@ def train(models, data: Dataset, losses, config: TrainConfig, seeds) -> list[lis
             for c, cell_loss in enumerate(losses):
                 loss[c], dG[c] = cell_loss(G[c], y[c])
             epoch_loss += np.add.reduce(loss, axis=1)  # each row's sum is exactly its own .sum()
-            grads = model.backward(cache, np.divide(dG, idx.shape[1], out=dG), work)
-            adam_step(state, params, grads, config.learning_rate)
+            model.backward(cache, np.divide(dG, idx.shape[1], out=dG), work, grads)
+            adam_step(state, flat, grad, config.learning_rate)
         for trace, total in zip(traces, epoch_loss.tolist()):
             trace.append(total / data.n)
     return traces

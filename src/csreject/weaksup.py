@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset
-from .models import AdamState, TrainConfig, adam_step, stack_cells
+from .models import AdamState, TrainConfig, adam_step, flat_buffer, stack_cells
 
 
 def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
@@ -113,7 +113,9 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
     parameters train in place as in models.train. Returns (one risk trace
     per epoch per cell, clamp activations of all cells together).
     """
-    params, rngs = stack_cells(models, losses, seeds)
+    flat, params, rngs = stack_cells(models, losses, seeds)
+    shapes = {key: value.shape for key, value in params.items()}
+    (grad, grads_p), (grad_u, grads_u) = flat_buffer(shapes), flat_buffer(shapes)  # the two passes' gradients
     model, (positives, unlabeled) = models[0], _pu_parts(data)
     n_p, n_u = len(positives), len(unlabeled)
     state, work_p, work_u = AdamState(), {}, {}
@@ -154,10 +156,10 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
                     clamp_count += 1
                     dG[c, m_p:] = 0.0
             dGp -= dG[:, m_p : 2 * m_p]  # x - 0.0 is x
-            grads = model.backward(cache_p, dGp, work_p)
-            for k, g in model.backward(cache_u, dGu, work_u).items():
-                grads[k] += g
-            adam_step(state, params, grads, config.learning_rate)
+            model.backward(cache_p, dGp, work_p, grads_p)
+            model.backward(cache_u, dGu, work_u, grads_u)
+            grad += grad_u
+            adam_step(state, flat, grad, config.learning_rate)
         for trace, risk in zip(traces, epoch_risk):
             trace.append(risk / steps)
     return traces, clamp_count

@@ -1,4 +1,5 @@
 import copy
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,9 @@ from csreject.models import (
     MlpModel,
     TrainConfig,
     adam_step,
+    flat_buffer,
     make_model,
+    stack_cells,
     train,
 )
 from csreject.surrogate import cs_loss_batch, decide_batch
@@ -101,6 +104,24 @@ class TestBackward:
         for key, value in expected.items():
             np.testing.assert_array_equal(grads[key], value)
 
+    @pytest.mark.parametrize("work", [None, {}], ids=["no-work", "work"])
+    @pytest.mark.parametrize("cells", [(), (3,)], ids=["alone", "stack"])
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_out_views_get_the_bits_of_new_arrays(self, kind, cells, work):
+        rng = np.random.default_rng(4)
+        model = make_model(kind, 4, 3, rng)
+        params = {k: v + rng.normal(size=(*cells, *v.shape)) for k, v in model.params.items()}
+        X, dG = rng.normal(size=(*cells, 6, 4)), rng.normal(size=(*cells, 6, 3))
+        _, cache = model.forward(X, params, work)
+        expected = {k: v.copy() for k, v in model.backward(cache, dG, work).items()}
+        grad, out = flat_buffer({k: v.shape for k, v in params.items()})
+        grad[...] = np.nan
+        grads = model.backward(cache, dG, work, out)
+        assert grads.keys() == expected.keys()
+        for key, value in expected.items():
+            assert grads[key] is out[key]
+            np.testing.assert_array_equal(out[key].view(np.uint64), value.view(np.uint64))
+
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_full_model_finite_differences(self, kind):
         cost = RejectionCost(0.25)
@@ -122,13 +143,13 @@ class TestAdam:
         params = {"W": np.ones((2, 2))}
         state = AdamState()
         for _ in range(10):
-            adam_step(state, params, {"W": np.zeros((2, 2))}, lr=0.1)
+            adam_step(state, params["W"], np.zeros((2, 2)), lr=0.1)
         np.testing.assert_allclose(params["W"], 1.0)
 
     def test_first_step_magnitude_near_lr(self):
         params = {"w": np.array([0.0])}
         state = AdamState()
-        adam_step(state, params, {"w": np.array([3.7])}, lr=0.01)
+        adam_step(state, params["w"], np.array([3.7]), lr=0.01)
         # bias correction makes the first update approximately lr * sign(g)
         assert params["w"][0] == pytest.approx(-0.01, rel=1e-6)
 
@@ -138,7 +159,7 @@ class TestAdam:
             params = {"w": np.zeros(4)}
             state = AdamState()
             for _ in range(50):
-                adam_step(state, params, {"w": rng.normal(size=4)}, lr=0.05)
+                adam_step(state, params["w"], rng.normal(size=4), lr=0.05)
             return params["w"]
 
         np.testing.assert_array_equal(run(), run())
@@ -158,18 +179,33 @@ def _per_key_adam(state, params, grads, lr):
         params[key] -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
+def _split(flat, shapes):
+    """Per-key views of a flat array that holds the keys of shapes one after another."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1]
+    return {key: part.reshape(shape) for (key, shape), part in zip(shapes.items(), np.split(flat, ends))}
+
+
+def _per_key_adam_on_flat(state, params, grad, lr):
+    """_per_key_adam on the per-key views of flat arrays laid out as state["shapes"]."""
+    _per_key_adam(state, _split(params, state["shapes"]), _split(grad, state["shapes"]), lr)
+
+
 class TestFlatAdam:
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_equals_per_key_updates(self, kind):
         rng = np.random.default_rng(3)
-        flat = make_model(kind, 4, 3, np.random.default_rng(1)).params
-        ref = copy.deepcopy(flat)
+        model = make_model(kind, 4, 3, np.random.default_rng(1))
+        ref = copy.deepcopy(model.params)
+        flat_params, _, _ = stack_cells([model], [None], [0])
+        flat = model.params  # views of flat_params
+        grad, grads = flat_buffer({k: v.shape for k, v in flat.items()})
         state, ref_state = AdamState(), {"t": 0, "m": {}, "v": {}}
-        # the backward passes return the keys in another order than params
+        # the backward passes write the keys in another order than params
         keys = list(flat)[::-1]
         for _ in range(30):
-            grads = {k: rng.normal(size=flat[k].shape) * rng.choice([1e-6, 1.0, 1e3]) for k in keys}
-            adam_step(state, flat, grads, lr=0.01)
+            for k in keys:
+                grads[k][...] = rng.normal(size=flat[k].shape) * rng.choice([1e-6, 1.0, 1e3])
+            adam_step(state, flat_params, grad, lr=0.01)
             _per_key_adam(ref_state, ref, grads, lr=0.01)
         for k in flat:
             np.testing.assert_array_equal(flat[k], ref[k])
@@ -183,10 +219,10 @@ class TestFlatAdam:
         config = TrainConfig(epochs=20, batch_size=32, learning_rate=0.01)
         flat = make_model(kind, 3, 2, np.random.default_rng(7))
         flat_trace = train([flat], data, [batch], config, [6])[0]
-        ref_state = {"t": 0, "m": {}, "v": {}}
-        monkeypatch.setattr(models_mod, "AdamState", lambda: ref_state)
-        monkeypatch.setattr(models_mod, "adam_step", _per_key_adam)
         ref = make_model(kind, 3, 2, np.random.default_rng(7))
+        ref_state = {"t": 0, "m": {}, "v": {}, "shapes": {k: (1, *v.shape) for k, v in ref.params.items()}}
+        monkeypatch.setattr(models_mod, "AdamState", lambda: ref_state)
+        monkeypatch.setattr(models_mod, "adam_step", _per_key_adam_on_flat)
         ref_trace = train([ref], data, [batch], config, [6])[0]
         assert ref_state["t"] == 20 * 7
         assert flat_trace == ref_trace
@@ -202,10 +238,10 @@ class TestFlatAdam:
         config = TrainConfig(epochs=10, batch_size=32, learning_rate=0.01)
         flat = make_model("mlp", 3, 2, np.random.default_rng(10))
         flat_out = weaksup.train_pu([flat], pu, [loss], 0.7, config, [9])
-        ref_state = {"t": 0, "m": {}, "v": {}}
-        monkeypatch.setattr(weaksup, "AdamState", lambda: ref_state)
-        monkeypatch.setattr(weaksup, "adam_step", _per_key_adam)
         ref = make_model("mlp", 3, 2, np.random.default_rng(10))
+        ref_state = {"t": 0, "m": {}, "v": {}, "shapes": {k: (1, *v.shape) for k, v in ref.params.items()}}
+        monkeypatch.setattr(weaksup, "AdamState", lambda: ref_state)
+        monkeypatch.setattr(weaksup, "adam_step", _per_key_adam_on_flat)
         assert weaksup.train_pu([ref], pu, [loss], 0.7, config, [9]) == flat_out
         assert ref_state["t"] > 0
         for k in flat.params:
@@ -268,11 +304,14 @@ class TestTrain:
         risk_sgd = batch(model.scores(data.X), data.y)[0].mean()
 
         oracle = make_model("linear", 2, 2, np.random.default_rng(11))
+        params, _, _ = stack_cells([oracle], [batch], [0])
+        grad, grads = flat_buffer({k: v.shape for k, v in oracle.params.items()})
         state = AdamState()
         for _ in range(20000):
             G, cache = oracle.forward(data.X)
             _, dG = batch(G, data.y)
-            adam_step(state, oracle.params, oracle.backward(cache, dG / data.n), lr=0.01)
+            oracle.backward(cache, dG / data.n, out=grads)
+            adam_step(state, params, grad, lr=0.01)
         risk_oracle = batch(oracle.scores(data.X), data.y)[0].mean()
         assert risk_sgd <= risk_oracle + 1e-3
 

@@ -9,7 +9,7 @@ import pytest
 from csreject import weaksup
 from csreject.core import Dataset, RejectionCost
 from csreject.harness import METHODS
-from csreject.models import TrainConfig, make_model, stack_cells, train
+from csreject.models import TrainConfig, flat_buffer, make_model, stack_cells, train
 
 # (method, cost) per cell: two margin losses, SCE, and ANGLE, whose binary
 # scores have width 1
@@ -82,6 +82,46 @@ class TestStackedTrain:
 
 
 TWO_CELLS = [("cs-sigmoid", 0.1), ("sce", 0.3)]
+
+
+class TestFlatStack:
+    """stack_cells holds every cell's parameters in one flat array."""
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_every_view_shares_the_flat_array(self, kind):
+        models, losses, seeds = _cells(kind, 3, 2, TWO_CELLS, seed=90)
+        initial = [_params(m) for m in models]
+        flat, params, _ = stack_cells(models, losses, seeds)
+        assert flat.ndim == 1 and flat.size == sum(value.size for value in params.values())
+        for key, value in params.items():
+            assert value.shape == (2, *initial[0][key].shape) and np.shares_memory(value, flat)
+            for model, before in zip(models, initial):
+                assert np.shares_memory(model.params[key], flat)
+                np.testing.assert_array_equal(model.params[key], before[key])
+        # one in-place update of the flat array moves every cell by its slice of delta
+        delta, deltas = flat_buffer({key: value.shape for key, value in params.items()})
+        delta[...] = np.random.default_rng(1).normal(size=delta.size)
+        flat -= delta
+        for i, (model, before) in enumerate(zip(models, initial)):
+            for key, value in before.items():
+                np.testing.assert_array_equal(model.params[key], value - deltas[key][i])
+
+    @pytest.mark.parametrize(
+        "kinds, widths, cell, key",
+        [
+            (("linear", "mlp"), (2, 2), 1, "W"),
+            (("mlp", "linear"), (2, 2), 1, "W1"),
+            (("linear", "linear"), (2, 3), 1, "W"),
+            (("mlp", "mlp"), (2, 3), 1, "W2"),
+            (("mlp", "mlp", "mlp"), (2, 2, 3), 2, "W2"),
+        ],
+    )
+    def test_cells_whose_parameters_differ_do_not_stack(self, kinds, widths, cell, key):
+        models = [make_model(kind, 3, n_out, np.random.default_rng(i)) for i, (kind, n_out) in enumerate(zip(kinds, widths))]
+        before = [m.params for m in models]
+        with pytest.raises(ValueError, match=f"cell {cell} does not stack with cell 0: parameter '{key}'"):
+            stack_cells(models, [None] * len(models), list(range(len(models))))
+        assert all(m.params is p for m, p in zip(models, before))  # no cell was rebound
 
 
 def _train_cells(kind, setting, models, cells, seed):
