@@ -60,11 +60,13 @@ def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.ran
 
 
 def _pu_terms(loss, prior: float, m_p: int, m_u: int):
-    """The PU risk's positive term and implied-negative bracket from the per-row losses (..., m_p + m_p + m_u)
-    of the rows [Gp, Gp, Gu] at the labels [1, 2, 2]; a sum over the last axis divided by the count is exactly
-    numpy's mean, and one reduction over both positive blocks sums each as its own would."""
-    pos = np.add.reduce(loss[..., : 2 * m_p].reshape(*loss.shape[:-1], 2, m_p), axis=-1) / m_p * prior
-    return pos[..., 0], np.add.reduce(loss[..., 2 * m_p :], axis=-1) / m_u - pos[..., 1]
+    """One (positive term, implied-negative bracket) pair of Python floats per cell, from the per-row losses
+    (cells, m_p + m_p + m_u) of the rows [Gp, Gp, Gu] at the labels [1, 2, 2]. A sum divided by the count is
+    exactly numpy's mean, one reduction over both positive blocks sums each as its own would, and Python floats
+    do numpy's double arithmetic without a numpy call per term."""
+    pos = np.add.reduce(loss[:, : 2 * m_p].reshape(len(loss), 2, m_p), axis=-1).tolist()
+    unl = np.add.reduce(loss[:, 2 * m_p :], axis=-1).tolist()
+    return [(p / m_p * prior, u / m_u - n / m_p * prior) for (p, n), u in zip(pos, unl)]
 
 
 def _pu_parts(data: Dataset):
@@ -83,7 +85,7 @@ def _pu_risk_terms(loss_batch, prior: float, data: Dataset, score_fn):
     m_p, m_u = len(positives), len(unlabeled)
     Gp = score_fn(positives)
     losses, _ = loss_batch(np.concatenate([Gp, Gp, score_fn(unlabeled)]), np.repeat([1, 2, 2], [m_p, m_p, m_u]))
-    return _pu_terms(losses, prior, m_p, m_u)
+    return _pu_terms(losses[None], prior, m_p, m_u)[0]
 
 
 def pu_risk_unbiased(loss_batch, prior: float, data: Dataset, score_fn) -> float:
@@ -91,13 +93,13 @@ def pu_risk_unbiased(loss_batch, prior: float, data: Dataset, score_fn) -> float
 
     loss_batch(G, y) is a K=2 loss, as in train_pu: label 1 for +1, label 2 for -1."""
     pos_term, neg_term = _pu_risk_terms(loss_batch, prior, data, score_fn)
-    return float(pos_term + neg_term)
+    return pos_term + neg_term
 
 
 def pu_risk_nn(loss_batch, prior: float, data: Dataset, score_fn) -> float:
     """Non-negative PU risk: positive term + clamped implied-negative term; arguments as in pu_risk_unbiased."""
     pos_term, neg_term = _pu_risk_terms(loss_batch, prior, data, score_fn)
-    return float(pos_term + max(0.0, neg_term))
+    return pos_term + max(0.0, neg_term)
 
 
 def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, seeds):
@@ -148,9 +150,7 @@ def train_pu(models, data: Dataset, losses, prior: float, config: TrainConfig, s
             dP *= prior
             dP /= m_p
             dGu /= m_u
-            # per cell in Python floats: the same double arithmetic, without a numpy call per term
-            pos_terms, neg_terms = (term.tolist() for term in _pu_terms(loss, prior, m_p, m_u))
-            for c, (pos_term, neg_term) in enumerate(zip(pos_terms, neg_terms)):
+            for c, (pos_term, neg_term) in enumerate(_pu_terms(loss, prior, m_p, m_u)):
                 epoch_risk[c] += pos_term + (neg_term if neg_term > 0.0 else 0.0)
                 if not neg_term >= 0.0:  # the clamp (NaN too): zero the cell's -1 blocks, so it subtracts nothing
                     clamp_count += 1

@@ -1,5 +1,6 @@
 """The numpy forms of the logistic sigmoid, (log-)softmax and log-sum-exp,
-against per-element `math` references, and the scipy-free import."""
+against per-element `math` references, the scipy-free import, and a package
+root that imports no submodule."""
 
 import math
 import os
@@ -124,10 +125,23 @@ class TestSoftmaxFamily:
         _assert_ulps(_logsumexp(X), ref, 2, floor=1.0)
 
 
-def test_import_loads_no_scipy():
+def _modules_loaded_by(code):
+    """The modules that `code`, run in a fresh interpreter on this checkout's package, prints."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(csreject.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, csreject, csreject.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, csreject, csreject.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _modules_loaded_by(code) == "[]"
+
+
+def test_import_of_the_root_loads_no_submodule_and_no_numpy():
+    code = (
+        "import sys, csreject; "
+        "print([m for m in sys.modules if m.startswith('csreject.') or m.split('.')[0] == 'numpy'])"
+    )
+    assert _modules_loaded_by(code) == "[]"
