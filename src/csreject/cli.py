@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -13,35 +12,12 @@ from .core import RejectionCost
 
 
 def _parse_costs(text: str) -> tuple[float, ...]:
-    """Either a comma list '0.1,0.2' or a range 'start:stop:step' (inclusive)."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"a cost range is start:stop:step, got {text!r}")
-        start, stop, step = (float(v) for v in parts)
-        RejectionCost(start), RejectionCost(stop)  # an infinite end would never be reached
-        if not 0 < step < math.inf:
-            raise ValueError(f"the step of a cost range must be finite and > 0, got {step:g}")
-        count = (stop + 1e-12 - start) // step + 1  # a float: inf for a step too fine to count by
-        cost = lambda k: round(start + k * step, 10)
-        # the print is coarsest near stop, and a step below half its resolution there prints one of the last
-        # two pairs alike: checked before any cost is built
-        _printed_apart(text, [cost(k) for k in (count - 3, count - 2, count - 1) if k >= 0])
-        costs = [cost(k) for k in range(int(count))]
-        _printed_apart(text, costs)
-    else:
-        costs = [float(v) for v in text.split(",")]
-    if not costs:
-        raise ValueError(f"no costs in {text!r}")
-    return tuple(costs)
-
-
-def _printed_apart(text: str, costs: list[float]) -> None:
-    """Refuse the first two neighbouring costs of the range text that print alike: they would share a cell's key."""
-    printed = [harness._fmt(c) for c in costs]
-    for i in range(1, len(costs)):
-        if printed[i] == printed[i - 1]:
-            raise ValueError(f"the step of {text!r} is too small: {costs[i - 1]!r} and {costs[i]!r} print alike")
+    """A comma list such as '0.1,0.2'."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        message = f"--costs takes a comma list such as 0.1,0.2 (a range is no longer accepted), got {text!r}"
+        raise ValueError(message) from None
 
 
 def _check_out(path: str) -> None:

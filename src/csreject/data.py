@@ -162,8 +162,15 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "Standardizer":
-        """Per-feature mean and standard deviation of X (n, d); the variance is floored at 1e-12."""
-        return cls(X.mean(axis=0), np.sqrt(np.maximum(X.var(axis=0), 1e-12)))
+        """Per-feature mean and standard deviation of X (n, d); the variance is floored at 1e-12. A feature
+        whose mean or standard deviation overflows, as when its squared deviations sum past the float maximum,
+        raises ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, scale = X.mean(axis=0), np.sqrt(np.maximum(X.var(axis=0), 1e-12))
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(scale)))
+        if bad.size:
+            raise ValueError(f"feature {bad[0]} is too large to standardize: its mean or standard deviation overflows")
+        return cls(mean, scale)
 
     def apply(self, data: Dataset, out: np.ndarray | None = None) -> Dataset:
         """data with each feature less its mean, over its scale. As in numpy's ufuncs, out is the array that

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from csreject.data import (
     GaussianMixtureSpec,
     PosteriorOracle,
+    Standardizer,
     gen_gauss_mixture,
     gen_twonorm,
     load_csv,
@@ -252,6 +255,18 @@ class TestStandardize:
         X = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
         _, out = standardize(Dataset(X, np.ones(10, dtype=int), 1))
         np.testing.assert_allclose(out.X[:, 0], 0.0)
+
+    @pytest.mark.parametrize(
+        "columns, feature",
+        # a variance whose squared deviations pass the float maximum; a mean whose sum does
+        [(([1e308, -1e308, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0]), 0), (([0.0, 1.0, 2.0, 3.0], [1e308] * 4), 1)],
+    )
+    def test_a_feature_whose_mean_or_scale_overflows_is_refused_by_index(self, columns, feature):
+        # the scale was inf with only a RuntimeWarning, and apply divided the feature to zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"feature {feature} "):
+                Standardizer.fit(np.column_stack(columns))
 
     def test_other_splits_use_train_statistics(self):
         from csreject.core import Dataset

@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import pickle
 import tempfile
-import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -739,10 +738,6 @@ class TestCliRun:
         ("--batch-size", "32"),
         ("--dataset", "imagenet"),
         ("--dataset", "twonorm,gauss3", "--setting", "pu"),
-        ("--costs", "0.4:0.1:0.05"),
-        # a step <= 0 used to append costs forever
-        ("--costs", "0.1:0.4:0"),
-        ("--costs", "0.1:0.4:-0.05"),
         # out-of-range weak-supervision rates used to fail inside the first cell
         ("--setting", "noisy", "--noise-rate", "1.5"),
         ("--setting", "pu", "--prior", "0"),
@@ -757,9 +752,6 @@ class TestCliRun:
         ("--costs", "0.2,0.2"),
         # costs the result CSV writes alike share one key and one seed
         ("--costs", "0.2,0.2000001"),
-        # a step too small to change the printed cost
-        ("--costs", "0.1:0.4:1e-300"),
-        ("--costs", "0.1:0.4:1e-7"),
     ]
 
     @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
@@ -863,13 +855,35 @@ class TestCliRun:
         assert f"{path}, trial 0: 5 rows leave a part of the split" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "text", ["0.1:0.4:0", "0.1:0.4:-0.05", "0.1:0.4:inf", "0.4:0.1:0.05", "0.1:inf:0.1", "-inf:0.4:0.1", "0.1:0.4", ""]
-    )
-    def test_parse_costs_rejects_steps_that_never_end_and_empty_lists(self, text):
-        from csreject import cli
+    def test_a_cost_range_is_a_usage_error_that_asks_for_a_comma_list(self, tmp_path, monkeypatch, capsys):
+        _no_training(monkeypatch)
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--methods", "cs-sigmoid", "--costs", "0.1:0.4:0.05", "--trials", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--costs takes a comma list" in capsys.readouterr().err
+        assert not out.exists()
 
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    def test_a_csv_whose_features_overflow_the_variance_is_a_usage_error_naming_the_dataset_and_trial(
+        self, setting, tmp_path, monkeypatch, capsys
+    ):
+        # features of magnitude 1e200 used to standardize to zeros: every row rejected, exit 0, 0 flagged
+        _no_training(monkeypatch)
+        rng = np.random.default_rng(0)
+        out, path = tmp_path / "r.csv", tmp_path / "huge.csv"
+        y = np.where(np.arange(800) % 4, 1, 2)  # three in four in class 1, so the PU draw is served
+        np.savetxt(path, np.column_stack([rng.standard_normal((800, 3)) * 1e200, y]), delimiter=",")
+        args = ["run", "--dataset", str(path), "--setting", setting, "--methods", "cs-sigmoid", "--costs", "0.2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--trials", "1", "--epochs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{path}, trial 0: feature " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "0.1,,0.2", "abc", "0.1;0.2"])
+    def test_parse_costs_rejects_entries_that_are_not_numbers(self, text):
+        with pytest.raises(ValueError, match="--costs takes a comma list"):
             cli._parse_costs(text)
 
     def test_the_default_costs_are_the_grid_defaults(self, tmp_path, monkeypatch):
@@ -880,65 +894,11 @@ class TestCliRun:
         assert cli.main(["run", "--methods", "always-reject", "--trials", "1", "--out", str(tmp_path / "r.csv")]) == 0
         assert grids[0].costs == harness.DEFAULT_COSTS
 
-    @pytest.mark.parametrize(
-        "text, first, second",
-        [("0.1:0.4:1e-300", "0.4", "0.4"), ("0.1:0.4:1e-7", "0.3999998", "0.3999999"),
-         ("1e-10:0.4:1e-10", "0.3999999998", "0.3999999999")],
-    )
-    def test_a_cost_range_step_too_small_to_print_is_refused_near_stop_before_any_cost_is_built(
-        self, text, first, second
-    ):
-        # a step that leaves c unchanged used to loop forever, 1e-7 built 3,000,000 costs, and 1e-10 built
-        # about 1,000,000 in 2 s before its first repeat; the print is coarsest near stop
-        from csreject import cli
-
-        t0 = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"'{text}' is too small: {first} and {second} print alike"):
-            cli._parse_costs(text)
-        assert time.perf_counter() - t0 < 0.2
-
-    def test_a_cost_range_refuses_a_repeat_that_the_pairs_near_stop_miss(self):
-        # 9e-7 is below the printed resolution, 1e-6, but the last two pairs print apart
-        from csreject import cli
-
-        with pytest.raises(ValueError, match="0.3000045 and 0.3000054 print alike"):
-            cli._parse_costs("0.3:0.30001:9e-7")
-
-    def test_a_cost_range_has_no_cap_on_its_count(self):
-        # a range is as long as its printed costs allow, as a comma list is as long as it is written
-        from csreject import cli
-
-        costs = cli._parse_costs("0.1:0.4:1e-5")
-        assert len(costs) == 30001 == len(set(map(harness._fmt, costs)))
-        assert (costs[0], costs[1], costs[-1]) == (0.1, 0.10001, 0.4)
-
-    @staticmethod
-    def _former_cost_range(text):
-        """The costs of a range as the former parser built them: adding step to start until past stop."""
-        start, stop, step = (float(v) for v in text.split(":"))
-        costs, c = [], start
-        while c <= stop + 1e-12:
-            costs.append(round(c, 10))
-            c += step
-        return tuple(costs)
-
-    @pytest.mark.parametrize(
-        "text",
-        # the README's range, the tests' ranges and ones of each usual step
-        ["0.1:0.4:0.05", "0.2:0.2:0.1", "0.1:0.4:0.1", "0.05:0.45:0.05", "0.1:0.49:0.01", "0.01:0.49:0.02",
-         "0.1:0.4:0.025", "0.15:0.35:0.1", "0.1:0.4:1e-3", "0.3:0.4:1e-4", "0.1:0.4:0.3", "0.1:0.4:0.7"],
-    )
-    def test_a_cost_range_holds_the_costs_it_held_before_it_was_counted(self, text):
-        from csreject import cli
-
-        assert cli._parse_costs(text) == self._former_cost_range(text)
-
     def test_parse_costs_forms(self):
         from csreject import cli
 
         assert cli._parse_costs("0.1,0.25") == (0.1, 0.25)
-        assert cli._parse_costs("0.1:0.4:0.05") == (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
-        assert cli._parse_costs("0.2:0.2:0.1") == (0.2,)
+        assert cli._parse_costs("0.2") == (0.2,)
 
 
 class TestGridSpecTraining:
