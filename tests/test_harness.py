@@ -752,6 +752,21 @@ class TestCliRun:
         ("--costs", "0.2,0.2"),
         # costs the result CSV writes alike share one key and one seed
         ("--costs", "0.2,0.2000001"),
+        ("--costs", "0.1,0.1000000001"),
+        # a cost outside (0, 0.5) has no rejection region, and nan compares as neither
+        ("--costs", "0"),
+        ("--costs", "0.5"),
+        ("--costs", "-0.1"),
+        ("--costs", "nan"),
+        ("--costs", "inf"),
+        # a comma list only: an empty entry, a word, a range
+        ("--costs", "0.1,,0.2"),
+        ("--costs", "abc"),
+        ("--costs", "0.4:0.1:0.05"),
+        ("--costs", "0.1:0.4:0"),
+        ("--costs", "0.1:0.4:-0.05"),
+        ("--costs", "0.1:0.4:1e-300"),
+        ("--costs", "0.1:0.4:1e-7"),
     ]
 
     @pytest.mark.parametrize("bad", BAD_ARGS, ids=lambda bad: " ".join(bad))
@@ -881,7 +896,12 @@ class TestCliRun:
         assert f"{path}, trial 0: feature " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["", "0.1,,0.2", "abc", "0.1;0.2"])
+    @pytest.mark.parametrize(
+        "text",
+        # a range is refused at once, whatever its end or step
+        ["", "0.1,,0.2", "abc", "0.1;0.2", "0.1:0.4:0.05", "0.2:0.2:0.1", "0.1:0.4", "0.1:0.4:inf", "0.1:inf:0.1",
+         "-inf:0.4:0.1", "1e-10:0.4:1e-10", "0.1,0.2:0.4:0.1"],
+    )
     def test_parse_costs_rejects_entries_that_are_not_numbers(self, text):
         with pytest.raises(ValueError, match="--costs takes a comma list"):
             cli._parse_costs(text)
