@@ -107,8 +107,9 @@ def load_csv(path) -> Dataset:
     Blank lines are skipped; a field may be quoted, and '#' starts no comment.
     Distinct raw labels, which must be finite integers, are sorted and mapped
     in order, so {-1, +1} becomes {1, 2} with -1 -> 1. Raises "empty CSV"
-    without data rows, and "malformed row i" for a non-numeric field or a row of
-    another width than the first, i its 0-based line number (blank lines counted).
+    without data rows, "malformed row i" for a non-numeric field or a row of
+    another width than the first, i its 0-based line number (blank lines counted),
+    and "a CSV needs a feature column" for a file of labels alone.
     """
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows is reported below
@@ -118,6 +119,8 @@ def load_csv(path) -> Dataset:
             raise ValueError(_malformed_row(path) or str(exc)) from None
     if len(arr) == 0:
         raise ValueError("empty CSV")
+    if arr.shape[1] < 2:
+        raise ValueError("a CSV needs a feature column before its label column; it has one column")
     raw_labels = arr[:, -1]
     if not (np.isfinite(raw_labels).all() and (raw_labels == np.round(raw_labels)).all()):
         raise ValueError(f"label column {arr.shape[1] - 1} (the last) must hold finite integers")

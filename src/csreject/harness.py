@@ -131,9 +131,12 @@ def dataset_info(name: str) -> DatasetInfo:
     if name == "gauss3":
         return DatasetInfo(total_n=12000, spec=_gauss3_spec())
     if name.endswith(".csv"):
-        ds = data_mod.load_csv(name)
-        if ds.K < 2:
-            raise ValueError(f"{name}: a dataset needs two classes or more; it has one class")
+        try:
+            ds = data_mod.load_csv(name)
+            if ds.K < 2:
+                raise ValueError("a dataset needs two classes or more; it has one class")
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
         _read_only(ds)
         return DatasetInfo(total_n=ds.n, data=ds)
     raise ValueError(f"unknown dataset {name!r} (expected twonorm, gauss3, or a .csv path)")

@@ -164,6 +164,13 @@ class TestLoadCsvContract:
         with pytest.raises(ValueError, match="empty CSV"):
             load_csv(p)
 
+    def test_a_label_column_alone_is_refused(self, tmp_path):
+        # it used to give a Dataset of no feature, on which every model trained on nothing
+        p = tmp_path / "d.csv"
+        p.write_text("1\n-1\n1\n")
+        with pytest.raises(ValueError, match="^a CSV needs a feature column"):
+            load_csv(p)
+
     @pytest.mark.parametrize("text", ["1,2,1\n#3,4,2\n", "1,2,1\n# a comment\n", "1,2,1\n3,4,2 # note\n"])
     def test_a_hash_is_no_comment(self, tmp_path, text):
         p = tmp_path / "d.csv"

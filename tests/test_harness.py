@@ -235,6 +235,28 @@ class TestRunCell:
         fits = lambda m: m // 5 + int(0.7 * m) <= n_pos and m - int(0.7 * m) <= n_neg
         assert fits(n_u) and not fits(n_u + 200)
 
+    def test_pu_on_a_plus_minus_one_csv_takes_its_raw_minus_one_rows_as_positives(self, tmp_path, monkeypatch):
+        # load_csv maps the sorted raw labels to 1..K and make_pu_dataset takes class 1 as positive, so a
+        # CSV's positive class is its smallest raw label: -1 of a file labelled +1/-1
+        rng = np.random.default_rng(5)
+        X, raw = rng.normal(size=(800, 3)), np.where(np.arange(800) % 4, -1, 1)  # -1 three in four, to serve the draw
+        path = tmp_path / "pm.csv"
+        path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, raw)))
+        raw_label = dict(zip(map(tuple, X.tolist()), raw.tolist()))
+        drawn, make_pu = [], harness.weaksup.make_pu_dataset
+
+        def draw(*args):
+            pu = make_pu(*args)
+            drawn.append((pu.X.copy(), pu.y.copy()))  # before the trial standardizes it in place
+            return pu
+
+        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", draw)
+        cell_groups(GridSpec(datasets=(str(path),), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST))
+        ((X_pu, y_pu),) = drawn
+        raw_pu = np.array([raw_label[x] for x in map(tuple, X_pu.tolist())])
+        assert (raw_pu[y_pu == 1] == -1).all()
+        assert set(raw_pu[y_pu == 2].tolist()) == {-1, 1}
+
     def test_pu_requires_binary(self):
         grid = GridSpec(datasets=("gauss3",), methods=("cs-sigmoid",), costs=(0.1,), setting="pu", **FAST)
         with pytest.raises(ValueError):
@@ -894,6 +916,36 @@ class TestCliRun:
             cli.main([*args, "--trials", "1", "--epochs", "1", "--out", str(out)])
         assert exc.value.code == 2
         assert f"{path}, trial 0: feature " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message", [("1,2,1\n3,x,2\n", "malformed row 1: "), ("", "empty CSV")], ids=["malformed", "empty"]
+    )
+    def test_a_csv_that_does_not_parse_is_a_usage_error_naming_the_file(
+        self, text, message, tmp_path, monkeypatch, capsys
+    ):
+        # the message used to leave out the file, so with several datasets the user could not tell which failed
+        _no_training(monkeypatch)
+        out, path = tmp_path / "r.csv", tmp_path / "bad.csv"
+        path.write_text(text)
+        args = ["run", "--dataset", f"twonorm,{path}", "--methods", "cs-sigmoid", "--costs", "0.2", "--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    def test_a_csv_with_no_feature_column_is_a_usage_error_naming_the_file(self, setting, tmp_path, monkeypatch, capsys):
+        # a file of labels alone used to train models of no feature: all-reject rows, exit 0, 0 flagged
+        _no_training(monkeypatch)
+        out, path = tmp_path / "r.csv", tmp_path / "labelonly.csv"
+        np.savetxt(path, np.where(np.arange(600) % 4, -1, 1), fmt="%d")  # -1 three in four, to serve the PU draw
+        args = ["run", "--dataset", str(path), "--setting", setting, "--methods", "cs-sigmoid,sce,angle"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--costs", "0.2", "--trials", "1", "--epochs", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"{path}: a CSV needs a feature column" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
