@@ -121,8 +121,7 @@ class DatasetInfo:
 
 def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
     means = 2.0 * np.array([[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]])
-    covs = np.stack([np.eye(2)] * 3)
-    return data_mod.GaussianMixtureSpec(means, covs, np.full(3, 1 / 3))
+    return data_mod.GaussianMixtureSpec(means, np.full(3, 1 / 3))
 
 
 def dataset_info(name: str) -> DatasetInfo:

@@ -145,8 +145,8 @@ def test_criterion_8_pu_estimator_soundness():
     rng = np.random.default_rng(101)
     n_big = 200_000
     n_pos = int(prior * n_big)
-    Xp = rng.multivariate_normal(spec.means[0], spec.covs[0], size=n_pos)
-    Xn = rng.multivariate_normal(spec.means[1], spec.covs[1], size=n_big - n_pos)
+    Xp = rng.multivariate_normal(spec.means[0], np.eye(d), size=n_pos)
+    Xn = rng.multivariate_normal(spec.means[1], np.eye(d), size=n_big - n_pos)
     supervised = (
         prior * loss_batch(model.scores(Xp), np.full(n_pos, 1))[0].mean()
         + (1 - prior) * loss_batch(model.scores(Xn), np.full(n_big - n_pos, 2))[0].mean()
@@ -156,12 +156,12 @@ def test_criterion_8_pu_estimator_soundness():
     eq13, eq14 = [], []
     dominance = True
     for _ in range(200):
-        pos = rng.multivariate_normal(spec.means[0], spec.covs[0], size=n_p)
+        pos = rng.multivariate_normal(spec.means[0], np.eye(d), size=n_p)
         n_u_pos = int(prior * n_u)
         unl = np.vstack(
             [
-                rng.multivariate_normal(spec.means[0], spec.covs[0], size=n_u_pos),
-                rng.multivariate_normal(spec.means[1], spec.covs[1], size=n_u - n_u_pos),
+                rng.multivariate_normal(spec.means[0], np.eye(d), size=n_u_pos),
+                rng.multivariate_normal(spec.means[1], np.eye(d), size=n_u - n_u_pos),
             ]
         )
         pu = Dataset(np.concatenate([pos, unl]), np.repeat([1, 2], [n_p, n_u]), K=2)

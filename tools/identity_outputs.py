@@ -20,6 +20,9 @@ An empty diff is the proof. OUT_DIR gets:
   fixed `models.train` and `weaksup.train_pu` stacks (TRAIN_STACKS), and each
   PU stack's clamp count, so that training proves identical bit for bit, not
   only to the digits a result row prints;
+- draws.sha256: a SHA-256 of the X and y of seeded synthetic draws (DRAWS), and
+  of each oracle's posteriors on a seeded point set, so that the data and the
+  oracle prove identical bit for bit too;
 - the input files the runs read (the CSV datasets).
 """
 
@@ -39,7 +42,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from csreject import cli, weaksup  # noqa: E402
 from csreject.core import Dataset, RejectionCost  # noqa: E402
-from csreject.harness import METHODS, SETTINGS, write_csv  # noqa: E402
+from csreject.data import gen_gauss_mixture  # noqa: E402
+from csreject.harness import METHODS, SETTINGS, dataset_info, write_csv  # noqa: E402
 from csreject.models import TrainConfig, make_model, train  # noqa: E402
 from test_golden_grid import run_csv_grid, run_golden_grid  # noqa: E402
 
@@ -57,6 +61,9 @@ TRAIN_STACKS = [
     ("mlp", 3, ("cs-sigmoid", "cs-ramp", "sce")),
     ("mlp", 3, ("defer",)),
 ]
+
+# (dataset, rows, seed): twonorm at its grid's 7400 rows and at its PU pool's 11100, gauss3 at its 12000
+DRAWS = [("twonorm", 7400, 0), ("twonorm", 11100, 1), ("gauss3", 12000, 2)]
 
 
 def _bench(argv, path: str) -> None:
@@ -116,6 +123,25 @@ def _train_digests(path: str) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _draw_digests(path: str) -> None:
+    """One line per DRAWS draw: the digest of its X and y, and of its oracle's posteriors on 5000 seeded points."""
+    lines = []
+    for name, n, seed in DRAWS:
+        data, oracle = gen_gauss_mixture(dataset_info(name).spec, n, np.random.default_rng(seed))
+        points = 2.0 * np.random.default_rng(100 + seed).standard_normal((5000, data.X.shape[1]))
+        eta = oracle.posterior(points)
+        lines.append(f"{name} n={n} seed={seed}: X,y {_sha256(data.X, data.y)}, posterior {_sha256(eta)}")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def main(out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     os.chdir(out_dir)
@@ -141,6 +167,7 @@ def main(out_dir: str) -> None:
     for seed in (0, 13, 19):
         _bench(["gradcheck", "--seed", str(seed)], f"gradcheck_seed{seed}.txt")
     _train_digests("train_digests.sha256")
+    _draw_digests("draws.sha256")
     print(f"wrote {len(os.listdir('.'))} files to {os.getcwd()}")
 
 
