@@ -65,6 +65,9 @@ def cmd_run(args) -> int:
 def cmd_aggregate(args) -> int:
     try:
         _check_out(args.out)
+        # the summary would replace the rows it is read from
+        if os.path.exists(args.out) and os.path.samefile(args.infile, args.out):
+            raise ValueError(f"--out names the --in file: {args.out}")
         summaries = harness.aggregate(harness.read_csv(args.infile))
     except (ValueError, OSError) as exc:
         args.usage_error(str(exc))

@@ -362,12 +362,13 @@ class TestCheckModelGradients:
 
 class TestGradcheckCli:
     def test_prints_33_sorted_pass_lines(self, capsys):
-        assert cli.main(["gradcheck", "--seed", "0"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 33
-        assert all(line.startswith("[PASS] ") for line in lines)
-        names = [line[len("[PASS] ") :].split(":")[0] for line in lines]
-        assert names == sorted(names) and len(set(names)) == 33
+        for seed in ("0", "19"):  # at seed 19 a kink filter splits a family
+            assert cli.main(["gradcheck", "--seed", seed]) == 0, seed
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 33
+            assert all(line.startswith("[PASS] ") for line in lines), seed
+            names = [line[len("[PASS] ") :].split(":")[0] for line in lines]
+            assert names == sorted(names) and len(set(names)) == 33
 
     def test_a_failed_case_prints_every_line_and_exits_1(self, monkeypatch, capsys):
         results = {"b": (1e-3, False), "a": (1e-9, True), "c": (0.0, True)}
@@ -410,6 +411,11 @@ class TestAuditCli:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
+
+    def test_the_defaults_print_7_pass_lines(self, capsys):
+        assert cli.main(["audit"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and all(line.startswith("[PASS] ") for line in lines)
 
     def test_a_failed_audit_prints_every_line_and_exits_1(self, monkeypatch, capsys):
         from csreject import theory

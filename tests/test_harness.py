@@ -351,11 +351,12 @@ class TestTrialDataMemory:
         assert peak < split + data.train.X.nbytes + self.SLACK
 
 
-def _write_par_csv(tmp_path, n=1000) -> str:
-    """An n-row binary CSV with three features; returns its path."""
+def _write_par_csv(tmp_path, n=1000, labels=(1, 2)) -> str:
+    """An n-row binary CSV with three features, about half of its rows labelled each of labels;
+    returns its path."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(n, 3))
-    y = np.where(X[:, 0] + 0.5 * rng.normal(size=n) > 0, 1, 2)
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=n) > 0, *labels)
     path = tmp_path / "par.csv"
     path.write_text("".join(",".join(map(repr, x.tolist())) + f",{label}\n" for x, label in zip(X, y)))
     return str(path)
@@ -414,10 +415,15 @@ class TestRunGrid:
         parallel = run_grid(grid, groups, jobs=2)
         assert [_strip_timing(r) for r in serial] == [_strip_timing(r) for r in parallel]
 
-    @pytest.mark.parametrize("setting", ["clean", "pu"])
-    def test_parallel_matches_serial_on_a_csv_file(self, setting, tmp_path):
+    # a CSV's PU positive class is its smallest raw label: the 1 rows of a 1,2 file, the -1 rows of a +-1 file
+    @pytest.mark.parametrize(
+        "setting, labels",
+        [("clean", (1, 2)), ("pu", (1, 2)), ("clean", (1, -1)), ("pu", (1, -1))],
+        ids=["clean", "pu", "clean-+-1", "pu-+-1"],
+    )
+    def test_parallel_matches_serial_on_a_csv_file(self, setting, labels, tmp_path):
         # the workers get their groups' trial data, not the file's path
-        path = _write_par_csv(tmp_path)
+        path = _write_par_csv(tmp_path, labels=labels)
         methods = ("cs-sigmoid", "sce", "always-reject")
         grid = GridSpec(datasets=(path,), methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=2)
         groups = cell_groups(grid)
@@ -851,9 +857,13 @@ class TestCliRun:
         assert path in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("twonorm_first", [False, True], ids=["csv", "twonorm,csv"])
+    @pytest.mark.parametrize(
+        "twonorm_first, labels",
+        [(False, (1, 2)), (True, (1, 2)), (True, (1, -1))],
+        ids=["csv", "twonorm,csv", "twonorm,+-1 csv"],
+    )
     def test_a_balanced_csv_in_pu_is_a_usage_error_naming_the_dataset_and_trial(
-        self, twonorm_first, tmp_path, monkeypatch, capsys
+        self, twonorm_first, labels, tmp_path, monkeypatch, capsys
     ):
         # 600 balanced rows pass any row count, but their 300-row training split holds too few
         # positives for the smallest PU draw; it used to end in a traceback after always-reject's
@@ -861,7 +871,7 @@ class TestCliRun:
         from csreject import cli
 
         _no_training(monkeypatch)
-        out, path = tmp_path / "r.csv", _write_par_csv(tmp_path, 600)
+        out, path = tmp_path / "r.csv", _write_par_csv(tmp_path, 600, labels)
         dataset = f"twonorm,{path}" if twonorm_first else path
         args = ["run", "--dataset", dataset, "--setting", "pu", "--methods", "always-reject,cs-sigmoid"]
         with pytest.raises(SystemExit) as exc:
@@ -1242,14 +1252,39 @@ class TestCliAggregate:
         assert f"--out must name a file in an existing directory: {out}\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("where", ["same path", "dot prefix", "symbolic link"])
+    def test_an_out_that_names_the_in_file_is_a_usage_error_before_the_input_is_read(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        # the summary used to replace the rows it was read from, with exit status 0
+        from csreject import cli
+
+        monkeypatch.setattr(harness, "read_csv", lambda path: pytest.fail("the input was read"))
+        monkeypatch.chdir(tmp_path)
+        text = harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0,False\n"
+        (tmp_path / "r.csv").write_text(text)
+        (tmp_path / "link.csv").symlink_to("r.csv")
+        out = {"same path": "r.csv", "dot prefix": os.path.join(".", "r.csv"), "symbolic link": "link.csv"}[where]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["aggregate", "--in", "r.csv", "--out", out])
+        assert exc.value.code == 2
+        assert f"--out names the --in file: {out}\n" in capsys.readouterr().err
+        assert (tmp_path / "r.csv").read_text() == text
+
     def test_a_result_file_aggregates(self, tmp_path, capsys):
         from csreject import cli
 
         infile, out = tmp_path / "r.csv", tmp_path / "s.csv"
-        infile.write_text(harness.CSV_HEADER + "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0,False\n")
-        assert cli.main(["aggregate", "--in", str(infile), "--out", str(out)]) == 0
-        assert "wrote 1 summary rows" in capsys.readouterr().out
-        assert len(out.read_text().splitlines()) == 2
+        rows = "\ntwonorm,always-reject,clean,0.2,0,0.2,1,0,1500,0,0,False\ntwonorm,always-reject,clean,0.2,1,0.3,0.5,0.1,750,0,0,False"
+        infile.write_text(harness.CSV_HEADER + rows + "\n")
+        for rescale, stats in [([], "0.25,0.05,0.75,0.25,0.05,0.05"), (["--rescale"], "25,5,75,25,5,5")]:
+            assert cli.main(["aggregate", "--in", str(infile), "--out", str(out), *rescale]) == 0
+            assert "wrote 1 summary rows" in capsys.readouterr().out
+            assert out.read_text().splitlines() == [
+                "dataset,method,setting,cost,n_trials,risk01c_mean,risk01c_se,"
+                "rejection_ratio_mean,rejection_ratio_se,accepted_error_mean,accepted_error_se",
+                "twonorm,always-reject,clean,0.2,2," + stats,
+            ]
 
 
 # the property draws its grids from these; sce, defer and angle stack at
