@@ -83,9 +83,10 @@ def sce_decide(g: np.ndarray, T: float, cost: RejectionCost) -> Decision:
 
 
 def tune_temperature(model, val: Dataset, cost: RejectionCost, candidates=None) -> float:
-    """Pick the temperature minimizing validation 0-1-c risk; ties go low."""
+    """Pick the temperature minimizing validation 0-1-c risk; ties go low. Each temperature is decided on its own:
+    one softmax of every candidate at once raised peak RSS."""
     G = model.scores(val.X)
-    return tune_threshold(lambda Ts: sce_decide_batch(G, Ts[:, None, None], cost), val.y, cost, candidates)
+    return tune_threshold(lambda Ts: np.stack([sce_decide_batch(G, T, cost) for T in Ts]), val.y, cost, candidates)
 
 
 # ---------------------------------------------------------------------------

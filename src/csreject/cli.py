@@ -42,6 +42,10 @@ def cmd_run(args) -> int:
         )
         theory._check_count(args.jobs, "--jobs")
         _check_out(args.out)
+        # the rows would replace the dataset they are trained on
+        files = [name for name in grid.datasets if name.endswith(".csv") and os.path.exists(name)]
+        if os.path.exists(args.out) and any(os.path.samefile(name, args.out) for name in files):
+            raise ValueError(f"--out names the --dataset file: {args.out}")
         resume = args.resume and os.path.exists(args.out)
         existing = harness.read_csv(args.out) if resume else []
         harness.trial_groups(existing)  # a repeated row, which aggregate would refuse

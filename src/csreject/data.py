@@ -61,17 +61,43 @@ class PosteriorOracle:
         return eta
 
 
-def gen_gauss_mixture(spec: GaussianMixtureSpec, n: int, rng: np.random.Generator):
-    """Prior-then-class-conditional sampling with an exact posterior oracle. A class's rows are
-    the normals rng.multivariate_normal(mean, I) draws, bit for bit, without its SVD and work blocks."""
-    labels = rng.choice(spec.K, size=n, p=spec.priors) + 1
-    X = np.empty((n, spec.d))
+def gen_gauss_mixture(spec: GaussianMixtureSpec, n: int, rng: np.random.Generator, keep=None):
+    """Prior-then-class-conditional sampling with an exact posterior oracle: the rows keep of an n-row draw,
+    in that order (all n by default). A class's rows are the normals rng.multivariate_normal(mean, I) draws,
+    bit for bit, without its SVD and work blocks."""
+    labels = mixture_labels(spec, n, rng)
+    keep = np.arange(n) if keep is None else np.asarray(keep, dtype=np.intp)
+    return Dataset(mixture_features(spec, labels, keep, rng), labels[keep], spec.K), PosteriorOracle(spec)
+
+
+def mixture_labels(spec: GaussianMixtureSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The labels, in 1..K, of an n-row draw: gen_gauss_mixture's first draws."""
+    return rng.choice(spec.K, size=n, p=spec.priors) + 1
+
+
+# the normals drawn at a time, in whole rows of one class; consecutive standard_normal blocks continue the stream
+# exactly, so the block's size changes no draw
+BLOCK_SIZE = 2**12
+
+
+def mixture_features(spec: GaussianMixtureSpec, labels: np.ndarray, keep, rng: np.random.Generator) -> np.ndarray:
+    """The features of the rows keep, distinct indices in that order, of a draw with these labels: row i of class
+    k is row i of rng.standard_normal((m_k, d)) + means[k]. Every class's normals are drawn, BLOCK_SIZE of them at
+    a time, so rng ends where the full draw leaves it, but only the kept rows are held."""
+    where = np.full(len(labels), -1)  # the row of X of each drawn row, -1 if it is not kept
+    where[keep] = np.arange(len(keep))
+    if np.count_nonzero(where >= 0) < len(keep):
+        raise ValueError("keep must list distinct rows")
+    X, rows = np.empty((len(keep), spec.d)), max(1, BLOCK_SIZE // spec.d)
     for k in range(spec.K):
-        mask = labels == k + 1
-        m = int(mask.sum())
-        if m:
-            X[mask] = rng.standard_normal((m, spec.d)) + spec.means[k]
-    return Dataset(X, labels, spec.K), PosteriorOracle(spec)
+        dest = where[labels == k + 1]
+        for start in range(0, len(dest), rows):
+            block = rng.standard_normal((min(rows, len(dest) - start), spec.d))
+            block += spec.means[k]
+            to = dest[start : start + rows]
+            hit = to >= 0
+            X[to[hit]] = block[hit]
+    return X
 
 
 def twonorm_spec(d: int = 20) -> GaussianMixtureSpec:
@@ -112,7 +138,7 @@ def load_csv(path) -> Dataset:
     if not (np.isfinite(raw_labels).all() and (raw_labels == np.round(raw_labels)).all()):
         raise ValueError(f"label column {arr.shape[1] - 1} (the last) must hold finite integers")
     distinct, y = np.unique(raw_labels, return_inverse=True)
-    return Dataset(np.delete(arr, -1, axis=1), y + 1, K=len(distinct))
+    return Dataset(arr[:, :-1], y + 1, K=len(distinct))  # a view: a copy without the labels raised peak RSS
 
 
 def _malformed_row(path) -> str | None:
@@ -131,18 +157,24 @@ def _malformed_row(path) -> str | None:
     return None
 
 
-def split(data: Dataset, fractions, seed: int) -> list[Dataset]:
-    """Seeded shuffle followed by contiguous cuts at the given fractions; each part needs a row."""
+def split_order(n: int, fractions, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """split's seeded shuffle of n rows and its cuts: part i is order[cuts[i - 1]:cuts[i]]. They depend on
+    (n, fractions, seed) alone."""
     fractions = list(fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(data.n)
-    cuts = np.cumsum([int(round(f * data.n)) for f in fractions[:-1]])
-    parts = np.split(order, cuts)
-    if not all(map(len, parts)):
-        raise ValueError(f"{data.n} rows leave a part of the split at fractions {fractions} empty")
-    return [data.subset(p) for p in parts]
+    order = rng.permutation(n)
+    cuts = np.cumsum([int(round(f * n)) for f in fractions[:-1]])
+    if not all(map(len, np.split(order, cuts))):
+        raise ValueError(f"{n} rows leave a part of the split at fractions {fractions} empty")
+    return order, cuts
+
+
+def split(data: Dataset, fractions, seed: int) -> list[Dataset]:
+    """Seeded shuffle followed by contiguous cuts at the given fractions; each part needs a row."""
+    order, cuts = split_order(data.n, fractions, seed)
+    return [data.subset(p) for p in np.split(order, cuts)]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ aggregation to mean +- standard error, and CSV emission."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import functools
 import hashlib
@@ -114,10 +115,6 @@ class DatasetInfo:
     spec: data_mod.GaussianMixtureSpec | None = None
     data: Dataset | None = None  # a CSV's rows, read-only: every cell of the grid shares them
 
-    def rows(self, n: int, rng: np.random.Generator) -> Dataset:
-        """A CSV's rows, or n rows drawn from the mixture."""
-        return self.data if self.data is not None else data_mod.gen_gauss_mixture(self.spec, n, rng)[0]
-
 
 def _gauss3_spec() -> data_mod.GaussianMixtureSpec:
     means = 2.0 * np.array([[1.0, 0.0], [-0.5, np.sqrt(3) / 2], [-0.5, -np.sqrt(3) / 2]])
@@ -165,26 +162,43 @@ def build_trial_data(grid: GridSpec, info: DatasetInfo, ds_name: str, trial: int
     data_rng = np.random.default_rng(data_seed)
     try:
         fractions = PU_FRACTIONS if grid.setting == "pu" else FRACTIONS
-        train_ds, val_ds, test_ds = data_mod.split(info.rows(info.total_n, data_rng), fractions, seed=data_seed)
-        if grid.setting == "pu":
-            # a synthetic pool is drawn afresh, large enough for the protocol, once the training split's rows,
-            # of which only the count is read, are let go; a file cannot be regenerated, so its draws come
-            # from the training split, and no held-out row is trained on
-            n_train = train_ds.n
-            if info.data is None:
-                del train_ds
-                train_ds = info.rows(3 * n_train, data_rng)
-            train_ds = weaksup.make_pu_dataset(train_ds, n_train, grid.prior, data_rng)
-        elif grid.setting == "noisy":
+        if info.data is None:
+            train_ds, val_ds, test_ds = _draw_parts(grid, info, fractions, data_seed, data_rng)
+        else:
+            # a file cannot be regenerated, so its PU draws come from the training split: no held-out row is trained on
+            train_ds, val_ds, test_ds = data_mod.split(info.data, fractions, seed=data_seed)
+            if grid.setting == "pu":
+                train_ds = weaksup.make_pu_dataset(train_ds, train_ds.n, grid.prior, data_rng)
+        if grid.setting == "noisy":
             noise_rng = np.random.default_rng(_mix_seed(data_seed, "noise"))
             train_ds = weaksup.inject_uniform_noise(train_ds, grid.noise_rate, noise_rng)
-        # the split's parts and the noisy or PU set are this call's own fresh arrays: standardized in place
+        # the parts and the noisy or PU set are this call's own fresh arrays: standardized in place
         scaler, train_ds = data_mod.standardize(train_ds, out=train_ds.X)
     except ValueError as exc:
         raise ValueError(f"{ds_name}, trial {trial}: {exc}") from None
     data = TrialData(train_ds, scaler.apply(val_ds, out=val_ds.X), scaler.apply(test_ds, out=test_ds.X))
     _read_only(data.train, data.val, data.test)
     return data
+
+
+def _draw_parts(grid: GridSpec, info: DatasetInfo, fractions, seed: int, rng: np.random.Generator) -> list[Dataset]:
+    """A synthetic trial's training, validation and test sets, drawn straight into the rows it keeps of the
+    split of a total_n-row draw. A clean or noisy trial keeps every part, as views of one array.
+    A PU trial keeps the held-out parts, and its PU set is drawn from a fresh pool of three times the training
+    part's rows: the pool's normals come before the draws of weaksup.pu_indices, which pick its rows, so they are
+    drawn once to reach those draws and again, from a copy of the generator, into the picked rows alone."""
+    order, cuts = data_mod.split_order(info.total_n, fractions, seed)
+    n_train = int(cuts[0]) if grid.setting == "pu" else 0  # the rows that are not kept come first in order
+    data, _ = data_mod.gen_gauss_mixture(info.spec, info.total_n, rng, keep=order[n_train:])
+    cuts = cuts[cuts > n_train] - n_train
+    views = [Dataset(X, y, data.K) for X, y in zip(np.split(data.X, cuts), np.split(data.y, cuts))]
+    if grid.setting == "pu":
+        labels = data_mod.mixture_labels(info.spec, 3 * n_train, rng)
+        replay = copy.deepcopy(rng)
+        data_mod.mixture_features(info.spec, labels, [], rng)
+        idx, y = weaksup.pu_indices(labels, info.spec.K, n_train, grid.prior, rng)
+        views.insert(0, Dataset(data_mod.mixture_features(info.spec, labels, idx, replay), y, 2))
+    return views
 
 
 # ---------------------------------------------------------------------------

@@ -28,21 +28,29 @@ def inject_uniform_noise(data: Dataset, rate: float, rng: np.random.Generator) -
 
 
 def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.random.Generator) -> Dataset:
-    """Draw a PU training set from a K=2 dataset: its positives, labelled 1, then its unlabeled rows, labelled 2.
+    """Draw a PU training set from a K=2 dataset: its rows pu_indices picks, with their PU labels."""
+    idx, y = pu_indices(data.y, data.K, max_unlabeled, prior, rng)
+    return Dataset(data.X[idx], y, 2)
+
+
+def pu_indices(labels: np.ndarray, K: int, max_unlabeled: int, prior: float, rng: np.random.Generator):
+    """The rows of a PU training set drawn from a K=2 dataset with these labels, and their PU labels: its
+    positives, labelled 1, then its unlabeled rows, labelled 2.
 
     The unlabeled size n_u is the largest multiple of 200, at most
     max_unlabeled, that the classes can serve: n_u // 5 positives plus
     floor(prior * n_u) unlabeled positives from class 1, and the other
     unlabeled rows from class 2. Positives come from class 1 without
     replacement; the unlabeled pool mixes leftover positives with negatives,
-    shuffled. Every source sample is used at most once.
+    shuffled. Every source sample is used at most once. The draws read the
+    labels alone, so a synthetic source can draw its features afterwards.
     """
-    if data.K != 2:
+    if K != 2:
         raise ValueError("PU construction requires a binary dataset")
     if not 0.0 < prior <= 1.0:
         raise ValueError("class prior must lie in (0, 1]")
-    pos_idx = np.flatnonzero(data.y == 1)
-    neg_idx = np.flatnonzero(data.y == 2)
+    pos_idx = np.flatnonzero(labels == 1)
+    neg_idx = np.flatnonzero(labels == 2)
     for n_u in range(max_unlabeled // 200 * 200, 0, -200):
         n_p, n_u_pos = n_u // 5, int(prior * n_u)
         if n_p + n_u_pos <= len(pos_idx) and n_u - n_u_pos <= len(neg_idx):
@@ -56,7 +64,7 @@ def make_pu_dataset(data: Dataset, max_unlabeled: int, prior: float, rng: np.ran
     neg_perm = rng.permutation(neg_idx)
     unl_idx = np.concatenate([pos_perm[n_p : n_p + n_u_pos], neg_perm[: n_u - n_u_pos]])
     unl_idx = unl_idx[rng.permutation(len(unl_idx))]
-    return Dataset(data.X[np.concatenate([pos_perm[:n_p], unl_idx])], np.repeat([1, 2], [n_p, n_u]), 2)
+    return np.concatenate([pos_perm[:n_p], unl_idx]), np.repeat([1, 2], [n_p, n_u])
 
 
 def _pu_terms(loss, prior: float, m_p: int, m_u: int):

@@ -11,6 +11,7 @@ from csreject.data import (
     gen_gauss_mixture,
     gen_twonorm,
     load_csv,
+    mixture_features,
     split,
     standardize,
     twonorm_spec,
@@ -127,6 +128,30 @@ class TestIdentityCovariance:
         eta = np.exp(logj - (a_max + np.log(np.exp(logj - a_max).sum(axis=1, keepdims=True))))
         assert np.array_equal(PosteriorOracle(spec).posterior(X), eta)
 
+    @pytest.mark.parametrize("n", [7, 7400, 11_100])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_kept_rows_are_the_full_draws_rows_and_the_generator_ends_as_it_does(self, spec, n):
+        # a trial draws only the rows it keeps; the draws that follow it must not move
+        for seed in range(3):
+            full_rng = np.random.default_rng(seed)
+            full, _ = gen_gauss_mixture(spec, n, full_rng)
+            order = np.random.default_rng(100 + seed).permutation(n)
+            for keep in (order, order[: n // 3], order[n // 2 :][::-1], np.arange(n)[::-1]):
+                rng = np.random.default_rng(seed)
+                data, _ = gen_gauss_mixture(spec, n, rng, keep=keep)
+                np.testing.assert_array_equal(data.X, full.X[keep])
+                np.testing.assert_array_equal(data.y, full.y[keep])
+                assert rng.bit_generator.state == full_rng.bit_generator.state
+            # no kept row, as a PU pool's first pass draws it (a Dataset needs a row: the features alone)
+            rng = np.random.default_rng(seed)
+            labels = rng.choice(spec.K, size=n, p=spec.priors) + 1
+            assert mixture_features(spec, labels, [], rng).shape == (0, spec.d)
+            assert rng.bit_generator.state == full_rng.bit_generator.state
+
+    def test_a_repeated_kept_row_is_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            gen_gauss_mixture(twonorm_spec(), 10, np.random.default_rng(0), keep=[3, 1, 3])
+
     @pytest.mark.parametrize("dataset, setting", [("twonorm", "pu"), ("gauss3", "noisy")])
     def test_a_synthetic_grid_calls_no_linalg(self, dataset, setting, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -174,6 +199,15 @@ class TestLoadCsv:
         p.write_text(f"1,2,1\n3,4,2\n5,6,{label}\n")
         with pytest.raises(ValueError, match="integer"):
             load_csv(p)
+
+    def test_the_features_are_a_view_of_the_parsed_rows(self, tmp_path):
+        # np.delete copied every feature column: a second copy of the file's rows at the peak
+        X = np.arange(12.0).reshape(4, 3)
+        p = tmp_path / "d.csv"
+        np.savetxt(p, np.column_stack([X, [1, -1, 1, -1]]), delimiter=",")
+        ds = load_csv(p)
+        np.testing.assert_array_equal(ds.X, X)
+        assert ds.X.base is not None and ds.X.base.shape == (4, 4)
 
 
 class TestLoadCsvContract:

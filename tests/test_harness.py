@@ -276,20 +276,16 @@ class TestTrainGroup:
     @pytest.mark.parametrize("setting", ["clean", "noisy", "pu"])
     def test_splits_come_standardized_on_the_training_rows(self, setting, monkeypatch):
         # each entry is a Dataset and a copy of its rows as they were then: the trial standardizes its own
-        # arrays in place
-        parts, drawn, standardized = [], [], []
-        split, make_pu, standardize = data_mod.split, harness.weaksup.make_pu_dataset, data_mod.standardize
+        # arrays in place. A synthetic trial draws its kept rows straight into one array: the training, validation
+        # and test parts in that order, or in PU the held-out parts, with the PU set drawn on its own
+        draws, picks, standardized = [], [], []
+        draw, pick, standardize = data_mod.gen_gauss_mixture, harness.weaksup.pu_indices, data_mod.standardize
         raw = lambda ds: (ds, core.Dataset(ds.X.copy(), ds.y.copy(), ds.K))
 
-        def keep_split(*args, **kwargs):
-            out = split(*args, **kwargs)
-            parts.extend(map(raw, out))
-            return out
-
-        monkeypatch.setattr(data_mod, "split", keep_split)
         monkeypatch.setattr(
-            harness.weaksup, "make_pu_dataset", lambda *a: drawn.append(raw(make_pu(*a))) or drawn[-1][0]
+            data_mod, "gen_gauss_mixture", lambda *a, **kw: draws.append(raw(draw(*a, **kw)[0])) or (draws[-1][0], None)
         )
+        monkeypatch.setattr(harness.weaksup, "pu_indices", lambda *a: picks.append(a) or pick(*a))
         monkeypatch.setattr(
             harness.data_mod, "standardize", lambda ds, **kw: standardized.append(raw(ds)) or standardize(ds, **kw)
         )
@@ -298,18 +294,103 @@ class TestTrainGroup:
         # one data.standardize call per trial in every setting, on the set the cells train on: the training
         # split, its rows with noisy labels, or the PU set; the PU setting used to standardize by hand
         assert len(standardized) == 1
-        (train_ds, train_raw), (_, val_raw), (_, test_raw) = parts
-        source, source_raw = drawn[0] if setting == "pu" else (train_ds, train_raw)
-        assert standardized[0][0].X is source.X
+        assert standardized[0][0].X is data.train.X
+        ((drawn, drawn_raw),) = draws
+        held_out = [data.val.n, data.test.n]
+        sizes = held_out if setting == "pu" else [data.train.n, *held_out]
+        assert drawn.n == sum(sizes)
+        parts = np.split(np.arange(drawn.n), np.cumsum(sizes[:-1]))
+        if setting != "pu":
+            assert np.shares_memory(data.train.X, drawn.X)
+            np.testing.assert_array_equal(standardized[0][1].X, drawn_raw.X[parts[0]])
+        val_raw, test_raw = (drawn_raw.subset(p) for p in parts[-2:])
         for cell, trained in zip(cells, harness.train_group(grid, data, cells)):
             run_cell(grid, cell, data, trained)
-        scaler = data_mod.Standardizer.fit(source_raw.X)
-        for got, raw in ((data.val, val_raw), (data.test, test_raw), (data.train, standardized[0][1])):
-            want = scaler.apply(raw)
+        scaler = data_mod.Standardizer.fit(standardized[0][1].X)
+        for got, raw_part in ((data.val, val_raw), (data.test, test_raw), (data.train, standardized[0][1])):
+            want = scaler.apply(raw_part)
             np.testing.assert_array_equal(got.X, want.X)
             np.testing.assert_array_equal(got.y, want.y)
+        # the held-out parts are views of the one draw
+        assert np.shares_memory(data.val.X, drawn.X) and np.shares_memory(data.test.X, drawn.X)
         # one standardized split per trial, shared by the group's cells: the trial was drawn once
-        assert len(parts) == 3 and len(drawn) == (1 if setting == "pu" else 0)
+        assert len(picks) == (1 if setting == "pu" else 0)
+
+
+def _whole_draw(spec, n, rng) -> core.Dataset:
+    """An n-row mixture draw made whole: the labels, then each class's normals in one call."""
+    y = rng.choice(spec.K, size=n, p=spec.priors) + 1
+    X = np.empty((n, spec.d))
+    for k in range(spec.K):
+        mask = y == k + 1
+        X[mask] = rng.standard_normal((int(mask.sum()), spec.d)) + spec.means[k]
+    return core.Dataset(X, y, spec.K)
+
+
+def _trial_of_whole_draws(grid, info, ds_name, trial) -> list[core.Dataset]:
+    """A synthetic trial's training, validation and test sets built from whole draws, the reference of
+    build_trial_data: the full draw and its split, then in PU a pool of three times the training split's rows
+    and make_pu_dataset, or in noisy the noise; standardized on the training set."""
+    data_seed = harness._mix_seed(grid.master_seed, ds_name, grid.setting, trial, "data")
+    rng = np.random.default_rng(data_seed)
+    fractions = harness.PU_FRACTIONS if grid.setting == "pu" else harness.FRACTIONS
+    train, val, test = data_mod.split(_whole_draw(info.spec, info.total_n, rng), fractions, seed=data_seed)
+    if grid.setting == "pu":
+        train = harness.weaksup.make_pu_dataset(_whole_draw(info.spec, 3 * train.n, rng), train.n, grid.prior, rng)
+    elif grid.setting == "noisy":
+        train = harness.weaksup.inject_uniform_noise(
+            train, grid.noise_rate, np.random.default_rng(harness._mix_seed(data_seed, "noise"))
+        )
+    scaler = data_mod.Standardizer.fit(train.X)
+    return [scaler.apply(part) for part in (train, val, test)]
+
+
+# twonorm's means with one positive row in five, and in a hundred
+SKEWED, SCARCE = (
+    harness.DatasetInfo(total_n=7400, spec=data_mod.GaussianMixtureSpec(data_mod.twonorm_spec().means, [p, 1 - p]))
+    for p in (0.2, 0.01)
+)
+
+
+class TestSyntheticTrials:
+    """A synthetic trial draws only the rows it keeps, and its sets are those of whole draws bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dataset, setting, prior",
+        [("twonorm", "clean", 0.7), ("twonorm", "noisy", 0.7), ("gauss3", "clean", 0.7), ("gauss3", "noisy", 0.7)]
+        + [("twonorm", "pu", prior) for prior in (0.3, 0.5, 0.7, 1.0)],
+    )
+    def test_the_sets_are_those_of_whole_draws(self, dataset, setting, prior):
+        info = dataset_info(dataset)
+        for seed in range(3):
+            grid = GridSpec(setting=setting, master_seed=seed, prior=prior, trials=4)
+            for trial in (0, 3):
+                data = harness.build_trial_data(grid, info, dataset, trial)
+                want_sets = _trial_of_whole_draws(grid, info, dataset, trial)
+                for got, want in zip((data.train, data.val, data.test), want_sets):
+                    np.testing.assert_array_equal(got.X, want.X)
+                    np.testing.assert_array_equal(got.y, want.y)
+                    assert got.K == want.K
+
+    def test_a_pool_short_of_positives_draws_a_smaller_unlabeled_set_of_the_same_rows(self):
+        grid = GridSpec(setting="pu", prior=0.7, trials=2)
+        for trial in (0, 1):
+            data = harness.build_trial_data(grid, SKEWED, "skewed", trial)
+            # about 2 220 positives serve 2 400 unlabeled rows, not the 3 600 of a balanced pool
+            assert np.count_nonzero(data.train.y == 2) == 2400
+            want_sets = _trial_of_whole_draws(grid, SKEWED, "skewed", trial)
+            for got, want in zip((data.train, data.val, data.test), want_sets):
+                np.testing.assert_array_equal(got.X, want.X)
+                np.testing.assert_array_equal(got.y, want.y)
+
+    def test_a_pool_that_serves_no_unlabeled_set_raises_the_same_error(self):
+        grid = GridSpec(setting="pu", trials=1)
+        with pytest.raises(ValueError) as want:
+            _trial_of_whole_draws(grid, SCARCE, "scarce", 0)
+        assert str(want.value).startswith("insufficient source data: ")
+        with pytest.raises(ValueError) as got:
+            harness.build_trial_data(grid, SCARCE, "scarce", 0)
+        assert str(got.value) == f"scarce, trial 0: {want.value}"
 
 
 class TestTrialDataMemory:
@@ -337,6 +418,16 @@ class TestTrialDataMemory:
         _, pool_peak = self._peak(lambda: data_mod.gen_gauss_mixture(info.spec, n_pool, np.random.default_rng(0)))
         held_out = sum(a.nbytes for part in (data.val, data.test) for a in (part.X, part.y))
         assert peak < pool_peak + held_out + self.SLACK
+
+    def test_a_synthetic_pu_trial_holds_its_kept_rows_one_draw_block_and_the_fit_temporary(self):
+        # the trial used to draw 7400 rows and copy its split to count the training rows, then an
+        # 11 100-row pool to keep 4 320 of its rows: a peak of about 4.1 MiB against about 2.0 MiB
+        grid, info = GridSpec(setting="pu", trials=1), dataset_info("twonorm")
+        data, peak = self._peak(lambda: harness.build_trial_data(grid, info, "twonorm", 0))
+        kept = sum(a.nbytes for part in (data.train, data.val, data.test) for a in (part.X, part.y))
+        block = data_mod.BLOCK_SIZE * data.train.X.itemsize
+        # Standardizer.fit's variance takes one temporary of the training rows
+        assert peak < kept + block + data.train.X.nbytes + self.SLACK
 
     def test_a_csv_clean_trial_holds_one_copy_of_its_rows(self, tmp_path):
         # twonorm-sized: 7400 rows of 20 features, label last
@@ -503,10 +594,11 @@ class TestRunGrid:
     @pytest.mark.parametrize("setting", harness.SETTINGS)
     def test_each_dataset_and_trial_is_drawn_once(self, setting, monkeypatch, tmp_path):
         # every group used to draw its trial's split, noise or PU sets and standardization again
+        # a synthetic trial and a CSV's split share split_order, and their PU sets pu_indices
         calls = []
-        split, make_pu = data_mod.split, harness.weaksup.make_pu_dataset
-        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
-        monkeypatch.setattr(harness.weaksup, "make_pu_dataset", lambda *a: calls.append("pu") or make_pu(*a))
+        split, pick = data_mod.split_order, harness.weaksup.pu_indices
+        monkeypatch.setattr(data_mod, "split_order", lambda *a, **kw: calls.append("split") or split(*a, **kw))
+        monkeypatch.setattr(harness.weaksup, "pu_indices", lambda *a: calls.append("pu") or pick(*a))
         datasets = ("twonorm", _write_par_csv(tmp_path) if setting == "pu" else "gauss3")
         methods = ("cs-sigmoid", "sce", "defer", "angle", "always-reject")
         grid = GridSpec(datasets=datasets, methods=methods, costs=(0.2,), setting=setting, trials=2, epochs=1)
@@ -551,8 +643,8 @@ class TestRunGrid:
     def test_skip_keys_leave_the_skipped_trials_undrawn(self, monkeypatch):
         # every trial's data used to be built, also for trials whose every cell was skipped
         calls = []
-        split = data_mod.split
-        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
+        split = data_mod.split_order
+        monkeypatch.setattr(data_mod, "split_order", lambda *a, **kw: calls.append("split") or split(*a, **kw))
         grid = GridSpec(methods=("always-reject",), costs=(0.1, 0.2), trials=3, epochs=1)
         rows = run_grid(grid, cell_groups(grid, [cell for cell in grid.cells() if cell[3] != 1]))
         assert [(r.cost, r.trial) for r in rows] == [(0.1, 1), (0.2, 1)]
@@ -982,6 +1074,29 @@ class TestCliRun:
         assert cli._parse_costs("0.1,0.25") == (0.1, 0.25)
         assert cli._parse_costs("0.2") == (0.2,)
 
+    @pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
+    @pytest.mark.parametrize("where", ["same path", "dot prefix", "symbolic link"])
+    def test_an_out_that_names_a_dataset_file_is_a_usage_error_before_anything_is_read(
+        self, tmp_path, monkeypatch, capsys, resume, where
+    ):
+        # the rows used to replace the dataset they were trained on, with exit status 0
+        from csreject import cli
+
+        monkeypatch.setattr(data_mod, "load_csv", lambda path: pytest.fail("the dataset was read"))
+        monkeypatch.setattr(harness, "read_csv", lambda path: pytest.fail("the result file was read"))
+        _no_training(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        _write_toy_csv(tmp_path / "d.csv", 40)
+        text = (tmp_path / "d.csv").read_text()
+        (tmp_path / "link.csv").symlink_to("d.csv")
+        out = {"same path": "d.csv", "dot prefix": os.path.join(".", "d.csv"), "symbolic link": "link.csv"}[where]
+        args = ["run", "--dataset", "twonorm,d.csv", "--methods", "always-reject", "--costs", "0.2", "--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--out", out, *resume])
+        assert exc.value.code == 2
+        assert f"--out names the --dataset file: {out}\n" in capsys.readouterr().err
+        assert (tmp_path / "d.csv").read_text() == text
+
 
 class TestGridSpecTraining:
     def test_negative_epochs_are_rejected(self):
@@ -1114,8 +1229,8 @@ class TestCliResume:
         from csreject import cli
 
         calls = []
-        split = data_mod.split
-        monkeypatch.setattr(data_mod, "split", lambda *a, **kw: calls.append("split") or split(*a, **kw))
+        split = data_mod.split_order
+        monkeypatch.setattr(data_mod, "split_order", lambda *a, **kw: calls.append("split") or split(*a, **kw))
         out = tmp_path / "r.csv"
         kept_rows = "".join(f"\ntwonorm,always-reject,clean,0.2,{t},0.2,1,0,2960,0,0,False" for t in kept)
         out.write_text(harness.CSV_HEADER + kept_rows + "\n")

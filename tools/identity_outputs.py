@@ -1,9 +1,10 @@
 """Write every output that a change meant to keep results identical must keep.
 
-Run it in a checkout of the parent commit and in the change, each into its
-own directory, then compare the two:
+Run the change's copy with the parent commit's src and with the change's,
+each into its own directory, then compare the two:
 
-    PYTHONPATH=src python tools/identity_outputs.py OUT_DIR
+    PYTHONPATH=PARENT/src python tools/identity_outputs.py PARENT_OUT
+    PYTHONPATH=src python tools/identity_outputs.py CHANGE_OUT
     diff -r PARENT_OUT CHANGE_OUT
 
 An empty diff is the proof. OUT_DIR gets:
@@ -20,9 +21,10 @@ An empty diff is the proof. OUT_DIR gets:
   fixed `models.train` and `weaksup.train_pu` stacks (TRAIN_STACKS), and each
   PU stack's clamp count, so that training proves identical bit for bit, not
   only to the digits a result row prints;
-- draws.sha256: a SHA-256 of the X and y of seeded synthetic draws (DRAWS), and
-  of each oracle's posteriors on a seeded point set, so that the data and the
-  oracle prove identical bit for bit too;
+- draws.sha256: a SHA-256 of the X and y of seeded synthetic draws (DRAWS), of
+  each oracle's posteriors on a seeded point set, and of the training,
+  validation and test sets of synthetic trials (TRIALS), so that the data, the
+  oracle and what cells train on prove identical bit for bit too;
 - the input files the runs read (the CSV datasets).
 """
 
@@ -43,7 +45,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from csreject import cli, weaksup  # noqa: E402
 from csreject.core import Dataset, RejectionCost  # noqa: E402
 from csreject.data import gen_gauss_mixture  # noqa: E402
-from csreject.harness import METHODS, SETTINGS, dataset_info, write_csv  # noqa: E402
+from csreject.harness import METHODS, SETTINGS, GridSpec, build_trial_data, dataset_info, write_csv  # noqa: E402
 from csreject.models import TrainConfig, make_model, train  # noqa: E402
 from test_golden_grid import run_csv_grid, run_golden_grid  # noqa: E402
 
@@ -64,6 +66,8 @@ TRAIN_STACKS = [
 
 # (dataset, rows, seed): twonorm at its grid's 7400 rows and at its PU pool's 11100, gauss3 at its 12000
 DRAWS = [("twonorm", 7400, 0), ("twonorm", 11100, 1), ("gauss3", 12000, 2)]
+# (dataset, setting): build_trial_data's synthetic trials, at trials 0 and 1 of a grid seeded 42
+TRIALS = [("twonorm", "clean"), ("twonorm", "noisy"), ("twonorm", "pu"), ("gauss3", "clean"), ("gauss3", "noisy")]
 
 
 def _bench(argv, path: str) -> None:
@@ -131,13 +135,21 @@ def _sha256(*arrays) -> str:
 
 
 def _draw_digests(path: str) -> None:
-    """One line per DRAWS draw: the digest of its X and y, and of its oracle's posteriors on 5000 seeded points."""
+    """One line per DRAWS draw: the digest of its X and y, and of its oracle's posteriors on 5000 seeded points;
+    then one line per TRIALS trial: the digest of its sets' X and y."""
     lines = []
     for name, n, seed in DRAWS:
         data, oracle = gen_gauss_mixture(dataset_info(name).spec, n, np.random.default_rng(seed))
         points = 2.0 * np.random.default_rng(100 + seed).standard_normal((5000, data.X.shape[1]))
         eta = oracle.posterior(points)
         lines.append(f"{name} n={n} seed={seed}: X,y {_sha256(data.X, data.y)}, posterior {_sha256(eta)}")
+    for name, setting in TRIALS:
+        grid = GridSpec(datasets=(name,), setting=setting, master_seed=42, trials=2)
+        for trial in range(grid.trials):
+            sets = build_trial_data(grid, dataset_info(name), name, trial)
+            digest = _sha256(*(a for part in (sets.train, sets.val, sets.test) for a in (part.X, part.y)))
+            rows = ",".join(str(part.n) for part in (sets.train, sets.val, sets.test))
+            lines.append(f"trial {name} {setting} {trial}: train,val,test {rows} rows, X,y {digest}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
